@@ -2,7 +2,7 @@
 """Tour of the Marchenko-Pastur limit law object.
 
 Shows the support endpoints and zero atom as functions of the ratio c, checks
-the normalization atom + integral(density) = 1 by quadrature, and prints the
+the normalization atom + integral(density) = 1 in closed form, and prints the
 first moments (the first one always equals c).
 """
 

@@ -85,7 +85,7 @@ def _cmd_simulate(args) -> int:
         f"m={params.sample_count} N={params.ambient_dim} replicas={params.replicas}"
     )
     if params.tau.is_constant_one:
-        reference = EmpiricalCDF.from_mp_law(mp.MPLaw.from_ratio(params.c))
+        reference = mp.MPLaw.from_ratio(params.c)
         for replica, dist in enumerate(dists):
             f = EmpiricalCDF.from_spectral(dist)
             print(

@@ -9,7 +9,6 @@ with one worker and with eight produces byte-identical output files.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -226,11 +225,6 @@ class SweepResult:
         return out
 
 
-@functools.lru_cache(maxsize=32)
-def _mp_reference(c: float) -> EmpiricalCDF:
-    return EmpiricalCDF.from_mp_law(mp.MPLaw.from_ratio(c))
-
-
 def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_comparison: bool) -> ReplicaRecord:
     start = time.perf_counter()
     sample = sample_base(params, replica)
@@ -245,7 +239,7 @@ def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_
     primary_cdf = EmpiricalCDF.from_spectral(primary_dist)
     ks_mp = levy_mp = levy_models = float("nan")
     if with_mp and params.tau.is_constant_one:
-        reference = _mp_reference(params.c)
+        reference = mp.MPLaw.from_ratio(params.c)
         ks_mp = ks_distance(primary_cdf, reference)
         levy_mp = levy_distance(primary_cdf, reference)
     if with_comparison:
@@ -265,20 +259,22 @@ def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_
     )
 
 
-def _run(plan: SweepPlan, *, with_mp: bool, with_comparison: bool, threads: int = 1) -> SweepResult:
-    tasks = [(i, p, r) for i, p in enumerate(plan.points) for r in range(plan.replicas)]
-
-    def work(task):
-        i, params, replica = task
-        return i, replica, _evaluate_replica(params, replica, with_mp=with_mp, with_comparison=with_comparison)
-
+def _map_replicas(fn, items, threads: int) -> list:
+    """fn over items in item order, on a thread pool when threads > 1."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(work, tasks))
-    else:
-        raw = [work(t) for t in tasks]
-    raw.sort(key=lambda item: (item[0], item[1]))
-    return SweepResult(records=tuple(record for _, _, record in raw))
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _run(plan: SweepPlan, *, with_mp: bool, with_comparison: bool, threads: int = 1) -> SweepResult:
+    tasks = [(p, r) for p in plan.points for r in range(plan.replicas)]
+
+    def work(task):
+        params, replica = task
+        return _evaluate_replica(params, replica, with_mp=with_mp, with_comparison=with_comparison)
+
+    return SweepResult(records=tuple(_map_replicas(work, tasks, threads)))
 
 
 def run_convergence(plan: SweepPlan, threads: int = 1) -> SweepResult:
@@ -346,15 +342,11 @@ def run_sphere_model(params: ModelParams, threads: int = 1) -> SphereReport:
         correlation = build_correlation_gram(sample, params.tau)
         deviation = float(np.max(np.abs(normalized.entries - correlation.entries)))
         dist = esd(eigenvalues(normalized), params.ambient_dim)
-        ks = ks_distance(EmpiricalCDF.from_spectral(dist), _mp_reference(params.c))
+        ks = ks_distance(EmpiricalCDF.from_spectral(dist), law)
         return SphereReplica(replica=replica, gram_deviation=deviation, ks_mp=ks)
 
-    replicas = range(params.replicas)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, replicas))
-    else:
-        records = [work(r) for r in replicas]
+    law = mp.MPLaw.from_ratio(params.c)
+    records = _map_replicas(work, range(params.replicas), threads)
     return SphereReport(params=params, records=tuple(records))
 
 
@@ -364,17 +356,18 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def sweep_csv_lines(result: SweepResult, *, timings: bool = False) -> list[str]:
-    """Sweep rows in the canonical column order.
+def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
+    """One dict per record, keyed by SWEEP_COLUMNS in order; both sweep
+    writers serialise these rows.
 
     Wall-clock milliseconds are inherently nondeterministic, so the ms column
     is written as 0 unless timings are explicitly requested; the default
     output is byte-identical across runs and worker counts.
     """
-    lines = [",".join(SWEEP_COLUMNS)]
+    rows = []
     for record in result.records:
         p = record.params
-        row = [
+        values = (
             p.n,
             p.k,
             p.sample_count,
@@ -384,13 +377,18 @@ def sweep_csv_lines(result: SweepResult, *, timings: bool = False) -> list[str]:
             record.ks_mp,
             record.levy_mp,
             record.levy_models,
-            record.moments[0],
-            record.moments[1],
-            record.moments[2],
-            record.moments[3],
+            *record.moments,
             record.ms if timings else 0.0,
-        ]
-        lines.append(",".join(_format_value(v) for v in row))
+        )
+        rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
+    return rows
+
+
+def sweep_csv_lines(result: SweepResult, *, timings: bool = False) -> list[str]:
+    """Sweep rows in the canonical column order."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in sweep_rows(result, timings=timings):
+        lines.append(",".join(_format_value(v) for v in row.values()))
     return lines
 
 
@@ -398,33 +396,8 @@ def write_sweep_csv(path, result: SweepResult, *, timings: bool = False) -> None
     Path(path).write_text("\n".join(sweep_csv_lines(result, timings=timings)) + "\n")
 
 
-def sweep_records_json(result: SweepResult, *, timings: bool = False) -> list[dict]:
-    out = []
-    for record in result.records:
-        p = record.params
-        out.append(
-            {
-                "n": p.n,
-                "k": p.k,
-                "m": p.sample_count,
-                "N": p.ambient_dim,
-                "c": p.c,
-                "replica": record.replica,
-                "ks_mp": record.ks_mp,
-                "levy_mp": record.levy_mp,
-                "levy_models": record.levy_models,
-                "m1": record.moments[0],
-                "m2": record.moments[1],
-                "m3": record.moments[2],
-                "m4_emp": record.moments[3],
-                "ms": record.ms if timings else 0.0,
-            }
-        )
-    return out
-
-
 def write_sweep_json(path, result: SweepResult, *, timings: bool = False) -> None:
-    Path(path).write_text(json.dumps(sweep_records_json(result, timings=timings), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(sweep_rows(result, timings=timings), indent=2, sort_keys=True) + "\n")
 
 
 def write_histogram_csv(path, dists, bins: int = 50) -> None:

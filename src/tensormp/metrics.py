@@ -13,8 +13,6 @@ from . import mp
 from .gram import SpectralDistribution, eigenvalues, esd
 
 LEVY_TOL = 1e-9
-MP_GRID_POINTS = 4096
-MP_GRID_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -54,22 +52,6 @@ class EmpiricalCDF:
         cumulative = np.cumsum(counts) / dist.ambient_dim
         return cls(breakpoints=values, cumulative=cumulative)
 
-    @classmethod
-    def from_mp_law(
-        cls, law: mp.MPLaw, points: int = MP_GRID_POINTS, margin: float = MP_GRID_MARGIN
-    ) -> "EmpiricalCDF":
-        """Analytic CDF sampled on a fixed grid spanning the support, with the
-        zero atom kept on the grid exactly."""
-        lo = law.lambda_minus - margin
-        hi = law.lambda_plus + margin
-        xs = np.unique(np.concatenate([[0.0], np.linspace(lo, hi, points)]))
-        values = np.asarray(mp.cdf(law, xs), dtype=float)
-        values = np.maximum.accumulate(values)
-        if abs(values[-1] - 1.0) > 1e-8:
-            raise ValueError("law CDF does not reach 1 at the grid end")
-        values[-1] = 1.0
-        return cls(breakpoints=xs, cumulative=values)
-
     def evaluate(self, x) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="right")
         padded = np.concatenate([[0.0], self.cumulative])
@@ -81,42 +63,53 @@ class EmpiricalCDF:
         return padded[idx]
 
 
-def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF) -> float:
-    """sup |F - G|, exact over the merged breakpoints and their left limits."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    after = np.max(np.abs(f.evaluate(grid) - g.evaluate(grid)))
-    before = np.max(np.abs(f.left_limit(grid) - g.left_limit(grid)))
+def _canonical(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw):
+    """Two step functions in a fixed order, so that both distances are exactly
+    symmetric; a continuous reference stays second."""
+    if isinstance(g, EmpiricalCDF):
+        fk = (f.breakpoints.tobytes(), f.cumulative.tobytes())
+        gk = (g.breakpoints.tobytes(), g.cumulative.tobytes())
+        if gk < fk:
+            return g, f
+    return f, g
+
+
+def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
+    """sup |F - G| for a step function F and a step function or limit law G.
+
+    Between consecutive breakpoints of F it is constant while G is monotone,
+    so the sup is attained at a breakpoint b of F or at its left limit b-:
+    scanning F's breakpoints alone is exact.
+    """
+    f, g = _canonical(f, g)
+    b = f.breakpoints
+    after = np.max(np.abs(f.evaluate(b) - g.evaluate(b)))
+    before = np.max(np.abs(f.left_limit(b) - g.left_limit(b)))
     return float(max(after, before))
 
 
-def _levy_feasible(f: EmpiricalCDF, g: EmpiricalCDF, eps: float) -> bool:
-    # each condition only needs checking where one side jumps: between events
-    # every function involved is constant. The side whose sup binds (G above,
-    # F below) is evaluated at its own breakpoints with no shift, so its jump
-    # is never lost to rounding; shift rounding on the other side only errs
-    # conservative.
-    xs = np.union1d(g.breakpoints, f.breakpoints - eps)
-    if np.any(g.evaluate(xs) > f.evaluate(xs + eps) + eps):
+def _levy_feasible(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, eps: float) -> bool:
+    # with z = x + eps and y = x - eps the sandwich reads G(z-eps) <= F(z)+eps
+    # and F(y)-eps <= G(y+eps). F is constant between its breakpoints and G
+    # is nondecreasing, so the first binds just before a breakpoint b of F
+    # (z -> b-) and the second exactly at one (y = b).
+    b = f.breakpoints
+    if np.any(g.left_limit(b - eps) > f.left_limit(b) + eps):
         return False
-    # F(x-eps)-eps <= G(x) for all x, rewritten with y = x-eps
-    ys = np.union1d(f.breakpoints, g.breakpoints - eps)
-    if np.any(f.evaluate(ys) - eps > g.evaluate(ys + eps)):
-        return False
-    return True
+    return not np.any(f.evaluate(b) - eps > g.evaluate(b + eps))
 
 
-def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF, tol: float = LEVY_TOL) -> float:
-    """inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}.
+def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, tol: float = LEVY_TOL) -> float:
+    """inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, for a
+    step function F and a step function or limit law G.
 
-    Feasibility of a given eps is decided exactly by scanning breakpoints
-    shifted by +-eps; only eps itself is bisected (to absolute tolerance
-    1e-9). Identical step functions give exactly 0. The arguments are put in
-    a canonical order first, so the distance is exactly symmetric.
+    Feasibility of a given eps is decided exactly by scanning F's breakpoints
+    against G shifted by +-eps; only eps itself is bisected (to absolute
+    tolerance 1e-9), starting from the KS distance, which is always feasible.
+    Identical step functions give exactly 0, and step-function arguments are
+    put in a canonical order first, so the distance is exactly symmetric.
     """
-    fk = (f.breakpoints.tobytes(), f.cumulative.tobytes())
-    gk = (g.breakpoints.tobytes(), g.cumulative.tobytes())
-    if gk < fk:
-        f, g = g, f
+    f, g = _canonical(f, g)
     hi = ks_distance(f, g)
     if hi == 0.0:
         return 0.0

@@ -1,11 +1,14 @@
-"""The Marchenko-Pastur limit law: density, CDF, and moments.
+"""The Marchenko-Pastur limit law: density, CDF, and moments, all closed-form.
 
-All integrals run after the substitution x = mid + half*sin(theta) with
-mid = (lambda_plus + lambda_minus)/2 and half = (lambda_plus - lambda_minus)/2.
-The substitution turns sqrt((lambda_plus - x)(x - lambda_minus)) into
-half*cos(theta), removing both endpoint square-root singularities; at c = 1
-the 1/x singularity cancels algebraically as well, leaving a bounded smooth
-integrand for fixed Gauss-Legendre panels.
+On the support [lambda_minus, lambda_plus] the density sqrt(R(x)) / (2 pi x),
+R(x) = (lambda_plus - x)(x - lambda_minus), has the elementary antiderivative
+
+    sqrt(R) + s * asin((x - s) / h) - g * asin(((l- + l+) x - 2 l- l+) / (2 h x))
+
+with s = (l- + l+)/2, h = (l+ - l-)/2 and g = sqrt(l- l+). Both arcsines are
+evaluated as atan2 of their opposite and adjacent sides, which stays accurate
+where the asin argument approaches +-1 (the support ends). The moments are
+the Narayana polynomials in c.
 """
 
 from __future__ import annotations
@@ -15,23 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CDF_TOL = 1e-9
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_MAX_REFINE = 8
-
-# Gauss-Chebyshev (second kind) rule: exact for poly(u) * sqrt(1 - u^2) up to
-# degree 2*_CHEB_POINTS - 1, which covers every supported moment order
-_CHEB_POINTS = 32
-_CHEB_I = np.arange(1, _CHEB_POINTS + 1)
-_CHEB_NODES = np.cos(_CHEB_I * np.pi / (_CHEB_POINTS + 1))
-_CHEB_WEIGHTS = (np.pi / (_CHEB_POINTS + 1)) * np.sin(_CHEB_I * np.pi / (_CHEB_POINTS + 1)) ** 2
-
 MAX_MOMENT = 20
 
 
 @dataclass(frozen=True)
 class MPLaw:
-    """Limit law for the constant-tau case: support endpoints and zero atom."""
+    """Limit law for the constant-tau case: support endpoints and zero atom.
+
+    `evaluate` and `left_limit` mirror `metrics.EmpiricalCDF`, so the law can
+    stand in as the reference of an exact KS or Levy distance.
+    """
 
     c: float
     lambda_minus: float
@@ -50,13 +46,13 @@ class MPLaw:
             atom_mass=max(0.0, 1.0 - c),
         )
 
-    @property
-    def _mid(self) -> float:
-        return 0.5 * (self.lambda_plus + self.lambda_minus)
+    def evaluate(self, x) -> np.ndarray:
+        return np.asarray(cdf(self, x))
 
-    @property
-    def _half(self) -> float:
-        return 0.5 * (self.lambda_plus - self.lambda_minus)
+    def left_limit(self, x) -> np.ndarray:
+        """F(x-): the law is continuous except for the atom at zero."""
+        arr = np.asarray(x, dtype=float)
+        return np.where(arr > 0.0, cdf(self, arr), 0.0)
 
 
 def density(law: MPLaw, x) -> np.ndarray | float:
@@ -75,101 +71,48 @@ def density(law: MPLaw, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _theta_integrand(law: MPLaw, theta: np.ndarray) -> np.ndarray:
-    # density(x) dx = half^2 cos^2(theta) / (2 pi x) dtheta; when the support
-    # touches zero (c = 1, mid == half) the x cancels one cos factor exactly
-    if law.lambda_minus == 0.0:
-        return law._half * (1.0 - np.sin(theta)) / (2.0 * np.pi)
-    x = law._mid + law._half * np.sin(theta)
-    return (law._half**2) * np.cos(theta) ** 2 / (2.0 * np.pi * x)
-
-
-def _panels(law: MPLaw, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """One 64-node Gauss-Legendre panel per [lo_i, hi_i]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    points = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return (_theta_integrand(law, points) @ _GL_WEIGHTS) * half
-
-
-def _segment_integrals(law: MPLaw, edges: np.ndarray, tol: float = CDF_TOL) -> np.ndarray:
-    """Integral of the substituted density over each consecutive edge pair.
-
-    Each segment is bisected (up to 8 times) until the refined estimate agrees
-    with the coarse one within its share of the total tolerance.
-    """
-    lo = edges[:-1].astype(float)
-    hi = edges[1:].astype(float)
-    total = np.zeros(len(lo))
-    span = max(float(edges[-1] - edges[0]), 1e-300)
-    origin = np.arange(len(lo))
-    budget = np.maximum(tol * (hi - lo) / span, 1e-16)
-    coarse = _panels(law, lo, hi)
-    for depth in range(_MAX_REFINE):
-        mid = 0.5 * (lo + hi)
-        left = _panels(law, lo, mid)
-        right = _panels(law, mid, hi)
-        refined = left + right
-        done = np.abs(refined - coarse) <= budget
-        if depth == _MAX_REFINE - 1:
-            done = np.ones_like(done)
-        np.add.at(total, origin[done], refined[done])
-        keep = ~done
-        if not np.any(keep):
-            break
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        origin = np.concatenate([origin[keep], origin[keep]])
-        budget = np.concatenate([budget[keep] / 2.0, budget[keep] / 2.0])
-        coarse = np.concatenate([left[keep], right[keep]])
-    return total
-
-
-def _theta_of(law: MPLaw, x: np.ndarray) -> np.ndarray:
-    clipped = np.clip((x - law._mid) / law._half, -1.0, 1.0)
-    return np.arcsin(clipped)
+def _density_integral(law: MPLaw, t: np.ndarray) -> np.ndarray:
+    """Integral of the density from lambda_minus to t, for t in the support."""
+    lo, hi = law.lambda_minus, law.lambda_plus
+    r = np.sqrt((hi - t) * (t - lo))
+    s = 0.5 * (lo + hi)
+    g = math.sqrt(lo * hi)
+    theta = np.arctan2(t - s, r)
+    phi = np.arctan2((lo + hi) * t - 2.0 * lo * hi, 2.0 * g * r)
+    return (r + s * (theta + np.pi / 2.0) - g * (phi + np.pi / 2.0)) / (2.0 * np.pi)
 
 
 def cdf(law: MPLaw, x) -> np.ndarray | float:
     """atom * 1_{x >= 0} plus the integral of the density up to x.
 
-    Absolute quadrature tolerance ~1e-9; vectorized over arrays (the density
-    is integrated once across the sorted distinct arguments).
+    Exactly 0 below zero, exactly the atom on [0, lambda_minus] and exactly 1
+    from lambda_plus on; vectorized over arrays.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    uniq, inverse = np.unique(arr, return_inverse=True)
-    thetas = _theta_of(law, uniq)
-    edges = np.concatenate([[-np.pi / 2.0], thetas])
-    pieces = _segment_integrals(law, edges)
-    continuous = np.cumsum(pieces)
-    values = np.where(uniq >= 0.0, law.atom_mass, 0.0) + continuous
-    values = np.clip(values, 0.0, 1.0)
-    out = values[inverse]
-    return float(out[0]) if scalar else out
+    flat = np.atleast_1d(arr)
+    values = np.where(flat >= 0.0, law.atom_mass, 0.0)
+    inside = (flat > law.lambda_minus) & (flat < law.lambda_plus)
+    # rounding near either support end must not leave [atom, 1]: that would break monotonicity
+    continuous = np.maximum(_density_integral(law, flat[inside]), 0.0)
+    values[inside] = np.minimum(values[inside] + continuous, 1.0)
+    values[flat >= law.lambda_plus] = 1.0
+    return float(values[0]) if arr.ndim == 0 else values
 
 
 def moment(law: MPLaw, q: int) -> float:
-    """E X^q; the zero atom only contributes at q = 0, where the answer is 1.
-
-    After the substitution the integrand is (mid + half*u)^{q-1} sqrt(1-u^2)
-    times half^2/(2 pi), a polynomial against the Chebyshev weight, so the
-    fixed rule below is exact for every supported q.
-    """
+    """E X^q = sum_r c^(r+1)/(r+1) C(q, r) C(q-1, r) (Narayana); the zero atom
+    only contributes at q = 0, where the answer is 1."""
     if q < 0 or q > MAX_MOMENT:
         raise ValueError(f"moment order must be in [0, {MAX_MOMENT}]")
     if q == 0:
         return 1.0
-    x_nodes = law._mid + law._half * _CHEB_NODES
-    poly = x_nodes ** (q - 1)
-    return float((law._half**2) / (2.0 * np.pi) * np.dot(_CHEB_WEIGHTS, poly))
+    c = law.c
+    return float(sum(c ** (r + 1) / (r + 1) * math.comb(q, r) * math.comb(q - 1, r) for r in range(q)))
 
 
 def density_mass(law: MPLaw) -> float:
     """Total mass of the absolutely continuous part (should be 1 - atom)."""
-    edges = np.array([-np.pi / 2.0, np.pi / 2.0])
-    return float(_segment_integrals(law, edges)[0])
+    return float(_density_integral(law, law.lambda_plus))
 
 
 def evaluation_grid(law: MPLaw, points: int = 512, lo: float | None = None, hi: float | None = None):

@@ -1,8 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Nothing here shares a computation path with the package: eigenvalues come
-from inertia counting plus bisection, Levy distances from a brute-force
-feasibility scan, and the limit-law values from closed forms or QUADPACK.
+from inertia counting plus bisection, KS and Levy distances from brute-force
+scans, and the limit-law values from closed forms or QUADPACK.
 """
 
 from __future__ import annotations
@@ -113,3 +113,47 @@ def mp_moment_quad(c: float, q: int) -> float:
     hi = (1.0 + sqrt(c)) ** 2
     value, _ = integrate.quad(lambda s: s**q * _mp_density(c, s), lo, hi, limit=400)
     return value
+
+
+def mp_cdf_quad_grid(c: float, xs) -> np.ndarray:
+    """mp_cdf_quad at every sorted point of xs, integrating one QUADPACK cell
+    per pair of neighbouring points and cumulating the cells."""
+    xs = np.asarray(xs, dtype=float)
+    lo = (1.0 - sqrt(c)) ** 2
+    hi = (1.0 + sqrt(c)) ** 2
+    ends = np.clip(xs, lo, hi)
+    cells = [
+        integrate.quad(lambda s: _mp_density(c, s), a, b, limit=400)[0] if b > a else 0.0
+        for a, b in zip(ends[:-1], ends[1:])
+    ]
+    atom = np.where(xs >= 0.0, max(0.0, 1.0 - c), 0.0)
+    below_first = mp_cdf_quad(c, float(xs[0])) - atom[0]
+    return atom + below_first + np.concatenate([[0.0], np.cumsum(cells)])
+
+
+def ks_law_scan(f, c: float, xs) -> float:
+    """max |F - G| over the scan points, G from QUADPACK."""
+    xs = np.unique(xs)
+    return float(np.max(np.abs(step_eval(f.breakpoints, f.cumulative, xs) - mp_cdf_quad_grid(c, xs))))
+
+
+def levy_law_scan(f, c: float, xs, tol: float = 1e-12) -> float:
+    """Smallest eps (bisected to tol) for which the Levy sandwich
+    F(x-eps)-eps <= G(x) <= F(x+eps)+eps holds at every scan point, G from
+    QUADPACK. The scan check is monotone in eps, so bisection is valid."""
+    xs = np.unique(xs)
+    g = mp_cdf_quad_grid(c, xs)
+
+    def holds(eps: float) -> bool:
+        below = step_eval(f.breakpoints, f.cumulative, xs - eps) - eps
+        above = step_eval(f.breakpoints, f.cumulative, xs + eps) + eps
+        return bool(np.all(below <= g) and np.all(g <= above))
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

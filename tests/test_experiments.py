@@ -10,6 +10,7 @@ from tensormp.cli import main
 from tensormp.config import make_params
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
+    SWEEP_COLUMNS,
     FixedK,
     PowerK,
     make_sweep_plan,
@@ -21,6 +22,8 @@ from tensormp.experiments import (
     selftest,
     sweep_csv_lines,
     sweep_plan_from_json,
+    write_sweep_csv,
+    write_sweep_json,
 )
 from tensormp.gram import read_eigenvalue_csv
 
@@ -149,6 +152,20 @@ def test_sweep_csv_is_thread_count_invariant():
     assert any(not line.endswith(",0.0") for line in timed[1:])
 
 
+def test_sweep_json_rows_match_csv_columns(tmp_path):
+    result = run_sweep(make_sweep_plan([6], c=0.5, seed=5, replicas=2))
+    write_sweep_csv(tmp_path / "sweep.csv", result)
+    write_sweep_json(tmp_path / "sweep.json", result)
+    header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert tuple(header.split(",")) == SWEEP_COLUMNS
+    records = json.loads((tmp_path / "sweep.json").read_text())
+    assert len(records) == len(rows) == 2
+    for record, row in zip(records, rows):
+        assert set(record) == set(SWEEP_COLUMNS)
+        for column, field in zip(SWEEP_COLUMNS, row.split(",")):
+            assert float(field) == record[column]
+
+
 def test_sphere_model_requires_gaussian_law():
     params = make_params(6, 2, 0.5, entry_law_kind="unit_circle", replicas=1)
     with pytest.raises(ValueError, match="Gaussian"):
@@ -172,12 +189,12 @@ def test_selftest_passes_and_reports():
 
 
 def test_selftest_catches_a_corrupted_density(monkeypatch):
-    original = tensormp.mp._theta_integrand
+    original = tensormp.mp._density_integral
 
-    def broken(law, theta):
-        return original(law, theta) * (2.0 * np.pi)  # drop the 1/(2 pi)
+    def broken(law, t):
+        return original(law, t) * (2.0 * np.pi)  # drop the 1/(2 pi)
 
-    monkeypatch.setattr(tensormp.mp, "_theta_integrand", broken)
+    monkeypatch.setattr(tensormp.mp, "_density_integral", broken)
     report = selftest(seed=0)
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import levy_bruteforce, mp_moment_closed_form
+from oracles import ks_law_scan, levy_bruteforce, levy_law_scan, mp_moment_closed_form
 from tensormp import mp
 from tensormp.config import make_params
 from tensormp.gram import build_correlation_gram, eigenvalues, esd
@@ -45,13 +45,17 @@ def test_empirical_cdf_validation():
         EmpiricalCDF(np.array([0.0]), np.array([0.9]))
 
 
-def test_empirical_cdf_from_mp_law_keeps_the_atom():
+def test_mp_law_evaluate_and_left_limit_keep_the_atom():
     law = mp.MPLaw.from_ratio(0.25)
-    f = EmpiricalCDF.from_mp_law(law)
-    assert 0.0 in f.breakpoints
-    assert f.evaluate(0.0) == 0.75
-    assert f.left_limit(0.0) == 0.0
-    assert f.cumulative[-1] == 1.0
+    assert law.evaluate(0.0) == 0.75
+    assert law.left_limit(0.0) == 0.0
+    assert law.evaluate(law.lambda_minus) == 0.75
+    assert law.left_limit(law.lambda_minus) == 0.75
+    assert law.evaluate(law.lambda_plus) == 1.0
+    assert law.left_limit(-1.0) == law.evaluate(-1.0) == 0.0
+    xs = np.array([-1.0, 0.0, 1.0, 3.0])
+    assert np.array_equal(law.evaluate(xs), [0.0, 0.75, mp.cdf(law, 1.0), 1.0])
+    assert np.array_equal(law.left_limit(xs), [0.0, 0.0, mp.cdf(law, 1.0), 1.0])
 
 
 def test_ks_examples():
@@ -208,14 +212,21 @@ def test_empirical_second_moment_tracks_the_limit_law():
     assert abs(mean - mp_moment_closed_form(0.5, 2)) <= 4.0 * se
 
 
-def test_mp_grid_refinement_self_check():
+def test_distances_to_the_law_match_a_dense_quadpack_scan():
     params = make_params(20, 2, 0.5, seed=13)
     sample = sample_base(params, 0)
     f = EmpiricalCDF.from_spectral(
         esd(eigenvalues(build_correlation_gram(sample, params.tau)), params.ambient_dim)
     )
     law = mp.MPLaw.from_ratio(0.5)
-    coarse = EmpiricalCDF.from_mp_law(law, points=4096)
-    fine = EmpiricalCDF.from_mp_law(law, points=8192)
-    assert abs(ks_distance(f, coarse) - ks_distance(f, fine)) < 1e-4
-    assert abs(levy_distance(f, coarse) - levy_distance(f, fine)) < 1e-4
+    grid = np.linspace(-0.5, law.lambda_plus + 0.5, 40_001)
+    spacing = grid[1] - grid[0]
+    # every breakpoint and a point just before it, so the KS scan sees both sides of each jump
+    xs = np.concatenate([grid, f.breakpoints, f.breakpoints - 1e-9])
+    ks = ks_distance(f, law)
+    assert ks == pytest.approx(ks_law_scan(f, 0.5, xs), abs=1e-8)
+    levy = levy_distance(f, law)
+    scan = levy_law_scan(f, 0.5, xs)
+    # a scan-feasible eps is within one grid spacing of truly feasible
+    assert scan - 1e-8 <= levy <= scan + spacing + 1e-8
+    assert 0.0 < levy <= ks

@@ -56,8 +56,13 @@ def test_cdf_support_bounds_and_atom():
     assert mp.cdf(law, -1e-9) == 0.0
     assert mp.cdf(law, 0.0) == 0.75  # the atom alone
     assert mp.cdf(law, 0.2) == 0.75
-    assert abs(mp.cdf(law, law.lambda_plus) - 1.0) <= 1e-8
+    assert mp.cdf(law, law.lambda_minus) == 0.75
+    assert mp.cdf(law, law.lambda_plus) == 1.0
     assert mp.cdf(law, 10.0) == 1.0
+    for c in (0.5, 1.0, 2.0):
+        law = mp.MPLaw.from_ratio(c)
+        values = mp.cdf(law, np.array([-1.0, 0.0, law.lambda_minus, law.lambda_plus, 9.0]))
+        assert np.array_equal(values, [0.0, law.atom_mass, law.atom_mass, 1.0, 1.0])
 
 
 def test_cdf_frozen_median_region_value():
@@ -103,7 +108,8 @@ def test_moments_against_closed_form_and_quadpack():
         for q in range(1, 9):
             ours = mp.moment(law, q)
             assert ours == pytest.approx(mp_moment_closed_form(c, q), rel=1e-12, abs=1e-12)
-        assert mp.moment(law, 2) == pytest.approx(mp_moment_quad(c, 2), abs=1e-8)
+            # the library shares the Narayana formula; QUADPACK is the independent check
+            assert ours == pytest.approx(mp_moment_quad(c, q), rel=1e-8)
     assert mp.moment(mp.MPLaw.from_ratio(0.5), 2) == pytest.approx(0.75, abs=1e-12)
 
 
