@@ -91,6 +91,8 @@ class SweepPlan:
             raise ValueError("replicas must be at least 1")
         if not self.points:
             raise ValueError("a sweep needs at least one point")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
         for point in self.points:
             validate(point)
 
@@ -193,17 +195,11 @@ class SweepResult:
     records: tuple[ReplicaRecord, ...]
 
     def summaries(self) -> list[PointSummary]:
-        by_point: dict[int, list[ReplicaRecord]] = {}
-        order: list[ModelParams] = []
+        by_point: dict[ModelParams, list[ReplicaRecord]] = {}
         for record in self.records:
-            key = id(record.params)
-            if key not in by_point:
-                by_point[key] = []
-                order.append(record.params)
-            by_point[key].append(record)
+            by_point.setdefault(record.params, []).append(record)
         out = []
-        for params in order:
-            group = by_point[id(params)]
+        for params, group in by_point.items():
             ks_mean, ks_se = _mean_se([r.ks_mp for r in group])
             levy_mean, levy_se = _mean_se([r.levy_mp for r in group])
             models_mean, models_se = _mean_se([r.levy_models for r in group])

@@ -66,11 +66,11 @@ def _draw(law: EntryLaw, rng: np.random.Generator, shape) -> np.ndarray:
     kind = law.kind
     if kind is EntryLawKind.COMPLEX_GAUSSIAN:
         z = rng.standard_normal(size=(2,) + shape)
-        return ((z[0] + 1j * z[1]) / np.sqrt(2.0)).astype(np.complex128)
+        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
     if kind is EntryLawKind.REAL_GAUSSIAN:
-        return rng.standard_normal(size=shape).astype(np.complex128)
+        return rng.standard_normal(size=shape)
     if kind is EntryLawKind.RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=shape) - 1.0).astype(np.complex128)
+        return 2.0 * rng.integers(0, 2, size=shape) - 1.0
     theta = rng.random(size=shape) * (2.0 * np.pi)
     return np.cos(theta) + 1j * np.sin(theta)
 
@@ -86,11 +86,10 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")
     m, k, n = params.sample_count, params.k, params.n
-    entries = np.empty((m, k, n), dtype=np.complex128)
-    for alpha in range(m):
-        for level in range(k):
-            rng = _stream(params.seed, replica_index, alpha, level)
-            entries[alpha, level] = _draw(params.entry_law, rng, n)
+    law, seed = params.entry_law, params.seed
+    entries = np.array(
+        [[_draw(law, _stream(seed, replica_index, alpha, level), n) for level in range(k)] for alpha in range(m)]
+    )
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params, replica=replica_index)
 

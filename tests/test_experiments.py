@@ -13,6 +13,9 @@ from tensormp.experiments import (
     SWEEP_COLUMNS,
     FixedK,
     PowerK,
+    ReplicaRecord,
+    SweepPlan,
+    SweepResult,
     make_sweep_plan,
     run_convergence,
     run_model_comparison,
@@ -54,6 +57,10 @@ def test_plan_builders():
         make_sweep_plan([], c=0.5)
     with pytest.raises(ValueError):
         make_sweep_plan([10], c=0.5, replicas=0)
+    with pytest.raises(ValueError, match="same point twice"):
+        make_sweep_plan([10, 10], c=0.5)
+    with pytest.raises(ValueError, match="same point twice"):
+        SweepPlan(points=(make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)), replicas=1)
 
 
 def test_plan_from_json_grid_and_points():
@@ -129,6 +136,20 @@ def test_sweep_records_and_summaries():
     assert summaries[0].replicas == 2
     expected = np.mean([r.ks_mp for r in result.records[:2]])
     assert summaries[0].ks_mp_mean == pytest.approx(expected, abs=1e-15)
+
+
+def test_summaries_group_records_by_equal_params():
+    # equal but distinct ModelParams objects, as after a JSON round trip
+    first, second = make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)
+    assert first is not second
+    records = tuple(
+        ReplicaRecord(params=p, replica=r, ks_mp=ks, levy_mp=ks, levy_models=0.0, moments=(0.5, 0.75, 1.4, 2.8), ms=0.0)
+        for p, r, ks in ((first, 0, 0.1), (second, 1, 0.3))
+    )
+    (summary,) = SweepResult(records=records).summaries()
+    assert summary.replicas == 2
+    assert summary.ks_mp_mean == pytest.approx(0.2, abs=1e-15)
+    assert summary.ks_mp_se == pytest.approx(0.1, abs=1e-15)
 
 
 def test_sweep_without_constant_tau_has_nan_mp_distances():

@@ -86,6 +86,35 @@ def test_eigenvalues_match_inertia_bisection_oracle():
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         h = 0.5 * (a + a.conj().T)
         assert eigenvalues(h) == pytest.approx(hermitian_eigen_bisect(h), abs=1e-8)
+    a = rng.standard_normal((6, 6))
+    s = a + a.T  # real symmetric, solved without promotion to complex
+    assert eigenvalues(s) == pytest.approx(hermitian_eigen_bisect(s), abs=1e-8)
+
+
+def test_eigenvalues_reject_non_finite_input():
+    # eigvalsh itself returns [0, -0] for the NaN matrix, a finite spectrum
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "corrupt, identity",
+    [
+        pytest.param(lambda w: w * np.r_[np.ones(len(w) - 1), 1.0 + 1e-6], "trace", id="scaled"),
+        # +delta on the largest and -delta on the smallest keep the trace intact
+        pytest.param(
+            lambda w: w + 1e-6 * np.max(np.abs(w)) * np.r_[-1.0, np.zeros(len(w) - 2), 1.0], "Frobenius", id="shifted"
+        ),
+    ],
+)
+def test_eigenvalues_reject_a_corrupted_spectrum(monkeypatch, corrupt, identity):
+    params = make_params(6, 2, 0.5, seed=2)
+    gram = build_correlation_gram(sample_base(params, 0), params.tau)
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: corrupt(solve(a)))
+    with pytest.raises(ValueError, match=identity):
+        eigenvalues(gram)
 
 
 def test_eigenvalues_reject_non_hermitian():
@@ -163,7 +192,7 @@ def test_gram_and_dense_share_nonzero_spectrum():
         (ModelKind.CORRELATION, build_correlation_gram),
         (ModelKind.COVARIANCE, build_covariance_gram),
     ):
-        for law in ("complex_gaussian", "rademacher"):
+        for law in ("complex_gaussian", "real_gaussian", "rademacher"):
             params = make_params(3, 2, 4 / 9, entry_law_kind=law, seed=6)
             sample = sample_base(params, 0)
             dense = materialize_dense(sample, params.tau, model)

@@ -27,6 +27,13 @@ def test_sample_shape():
     assert sample.entries.shape == (2, 3, 4)
     assert sample.entries.dtype == np.complex128
     assert not sample.entries.flags.writeable
+    for law, dtype in (
+        ("real_gaussian", np.float64),
+        ("rademacher", np.float64),
+        ("complex_gaussian", np.complex128),
+        ("unit_circle", np.complex128),
+    ):
+        assert sample_base(make_params(4, 3, 2 / 64, entry_law_kind=law), 0).entries.dtype == dtype
 
 
 def test_repeat_draw_is_bitwise_identical():
