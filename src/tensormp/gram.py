@@ -160,13 +160,17 @@ def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Delegates the values-only solve to LAPACK but verifies it: the input must
-    be Hermitian to 1e-12 relative, and every eigenvalue enters the identities
-    sum w^p = Re tr G^p (p = 1, 2) up to 1e-10 m max|w|^p; NaN never passes.
+    be finite and Hermitian to 1e-12 relative, and every eigenvalue enters the
+    identities sum w^p = Re tr G^p (p = 1, 2) up to 1e-10 m max|w|^p; NaN
+    never passes.
     """
     entries = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("expected a square matrix")
     scale = float(np.max(np.abs(entries))) if entries.size else 0.0
+    if not np.isfinite(scale):  # max|G| is NaN or inf exactly when an entry is
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
+        raise ValueError(f"matrix has a non-finite entry {entries[index]} at {index}")
     asym = float(np.max(np.abs(entries - entries.conj().T))) if entries.size else 0.0
     if asym > HERMITIAN_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}")

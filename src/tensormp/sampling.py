@@ -2,9 +2,14 @@
 
 Every (seed, replica, sample, level) tuple keys its own counter-based Philox
 stream, so a level vector's entries never depend on how many workers generated
-the batch or in what order. Tensor norms are accumulated in the log domain:
-||Y||^2 = prod_l ||y^(l)||^2 grows like n^k and would overflow a float64 long
-before the per-level factors stop being perfectly representable.
+the batch or in what order. The per-key reference is
+``Generator(Philox(SeedSequence(seed, spawn_key=(replica, sample, level))))``
+(``_stream``/``_draw``); ``sample_base`` draws bitwise the same values but
+derives all m*k Philox keys of a replica in one vectorized pass of
+SeedSequence's hash and re-keys a single generator for each level vector.
+Tensor norms are accumulated in the log domain: ||Y||^2 = prod_l ||y^(l)||^2
+grows like n^k and would overflow a float64 long before the per-level factors
+stop being perfectly representable.
 """
 
 from __future__ import annotations
@@ -60,19 +65,127 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence hash (pool of four uint32 words); the constants, and
+# hence the whole hash-constant schedule, do not depend on the data
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's little-endian uint32 split of a non-negative int (0 -> [0])."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    # uint32 array times a Python int below 2**32 stays uint32 and wraps
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = value * const
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _philox_keys(seed: int, replica: int, m: int, k: int) -> np.ndarray:
+    """The (m, k, 2) uint64 Philox keys of every (alpha, level) of a replica.
+
+    Entry [alpha, level] equals ``SeedSequence(entropy=seed, spawn_key=(replica,
+    alpha, level)).generate_state(2, np.uint64)``: the entropy is the seed's
+    words zero-padded to the pool size, then the replica's words, then alpha,
+    then level. Every word is an (m, k) uint32 array, so no stream is looped
+    over and all wrapping arithmetic is array arithmetic.
+    """
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    alpha, level = np.indices((m, k), dtype=np.uint32)
+    entropy = [np.full((m, k), word, dtype=np.uint32) for word in run + _uint32_words(replica)]
+    entropy += [alpha, level]
+
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        hashed, const = _hash(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    const = _INIT_B
+    state = []
+    for word in pool:  # generate_state(2, uint64) reads the pool once, in order
+        hashed, const = _hash(word, const, _MULT_B)
+        state.append(hashed.astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+# the laws whose _transform returns float64 entries
+_REAL_LAWS = frozenset({EntryLawKind.REAL_GAUSSIAN, EntryLawKind.RADEMACHER})
+
+
+def _raw_shape(law: EntryLaw, shape: tuple) -> tuple:
+    """Shape of the raw draws behind ``shape`` entries: re and im planes for
+    the complex Gaussian, one value per entry otherwise."""
+    return (2,) + shape if law.kind is EntryLawKind.COMPLEX_GAUSSIAN else shape
+
+
+def _fill(law: EntryLaw, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Draw one stream's raw values into the contiguous float64 array ``out``."""
+    kind = law.kind
+    if kind is EntryLawKind.COMPLEX_GAUSSIAN or kind is EntryLawKind.REAL_GAUSSIAN:
+        rng.standard_normal(out=out)
+    elif kind is EntryLawKind.RADEMACHER:
+        out[...] = rng.integers(0, 2, size=out.shape)
+    else:
+        rng.random(out=out)
+
+
+def _transform(law: EntryLaw, raw: np.ndarray) -> np.ndarray:
+    """Entries from raw draws, reusing ``raw`` where the law's dtype allows.
+
+    ``raw`` has the layout of ``_raw_shape`` (complex Gaussian: re/im planes on
+    axis 0, possibly a strided view). Each law allocates at most the complex
+    output and one float temporary.
+    """
+    kind = law.kind
+    if kind is EntryLawKind.COMPLEX_GAUSSIAN:
+        z = np.multiply(1j, raw[1])
+        z += raw[0]
+        z /= np.sqrt(2.0)
+        return z
+    if kind is EntryLawKind.REAL_GAUSSIAN:
+        return raw
+    if kind is EntryLawKind.RADEMACHER:
+        raw *= 2.0
+        raw -= 1.0
+        return raw
+    theta = raw
+    theta *= 2.0 * np.pi
+    z = np.multiply(1j, np.sin(theta))
+    z += np.cos(theta)
+    return z
+
+
 def _draw(law: EntryLaw, rng: np.random.Generator, shape) -> np.ndarray:
     if isinstance(shape, int):
         shape = (shape,)
-    kind = law.kind
-    if kind is EntryLawKind.COMPLEX_GAUSSIAN:
-        z = rng.standard_normal(size=(2,) + shape)
-        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
-    if kind is EntryLawKind.REAL_GAUSSIAN:
-        return rng.standard_normal(size=shape)
-    if kind is EntryLawKind.RADEMACHER:
-        return 2.0 * rng.integers(0, 2, size=shape) - 1.0
-    theta = rng.random(size=shape) * (2.0 * np.pi)
-    return np.cos(theta) + 1j * np.sin(theta)
+    raw = np.empty(_raw_shape(law, shape))
+    _fill(law, rng, raw)
+    return _transform(law, raw)
 
 
 def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
@@ -80,16 +193,37 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
 
     The stream key is (seed, replica_index, alpha, level), so the same key
     always yields the same level vector, bitwise, regardless of execution
-    order or worker count.
+    order or worker count: entry [alpha, level] is
+    ``_draw(law, _stream(seed, replica_index, alpha, level), n)``. The keys are
+    derived together and one generator, local to the call, is re-keyed per
+    level vector (counter 0, empty buffer, as freshly constructed).
     """
     validate(params)
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")
     m, k, n = params.sample_count, params.k, params.n
-    law, seed = params.entry_law, params.seed
-    entries = np.array(
-        [[_draw(law, _stream(seed, replica_index, alpha, level), n) for level in range(k)] for alpha in range(m)]
-    )
+    law = params.entry_law
+    keys = _philox_keys(params.seed, replica_index, m, k)
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    fresh = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": fresh, "key": None},
+        "buffer": fresh,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    raw = np.empty((m, k) + _raw_shape(law, (n,)))
+    for alpha in range(m):
+        for level in range(k):
+            state["state"]["key"] = keys[alpha, level]
+            bitgen.state = state
+            _fill(law, rng, raw[alpha, level])
+    if law.kind is EntryLawKind.COMPLEX_GAUSSIAN:
+        raw = np.moveaxis(raw, 2, 0)  # re/im planes first, as _transform expects
+    entries = _transform(law, raw)
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params, replica=replica_index)
 
@@ -191,7 +325,9 @@ def dump_base_sample(sample: BaseSample, path) -> None:
 
 
 def load_base_sample(path) -> tuple[dict, np.ndarray]:
-    """Read a dump back as (header dict, (m, k, n) complex array)."""
+    """Read a dump back as (header dict, (m, k, n) array) in the dtype the law
+    draws: float64 for the real laws, whose imaginary parts must be exactly 0,
+    complex128 otherwise."""
     raw = Path(path).read_bytes()
     magic, version, n, k, m, seed, law_code = _DUMP_HEADER.unpack_from(raw)
     if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
@@ -199,5 +335,11 @@ def load_base_sample(path) -> tuple[dict, np.ndarray]:
     entries = np.frombuffer(raw, dtype="<c16", offset=_DUMP_HEADER.size)
     if entries.size != m * k * n:
         raise ValueError("truncated base-sample dump")
-    header = {"n": n, "k": k, "m": m, "seed": seed, "law": _CODE_LAWS[law_code]}
-    return header, entries.reshape(m, k, n).astype(np.complex128)
+    law = _CODE_LAWS[law_code]
+    header = {"n": n, "k": k, "m": m, "seed": seed, "law": law}
+    entries = entries.reshape(m, k, n)
+    if law in _REAL_LAWS:
+        if np.any(entries.imag != 0.0):
+            raise ValueError(f"{law.value} dump has a nonzero imaginary part")
+        return header, entries.real.astype(np.float64)
+    return header, entries.astype(np.complex128)

@@ -1,5 +1,7 @@
 """Gram construction, eigensolving, the dense oracle, and the ESD."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,9 +95,13 @@ def test_eigenvalues_match_inertia_bisection_oracle():
 
 def test_eigenvalues_reject_non_finite_input():
     # eigvalsh itself returns [0, -0] for the NaN matrix, a finite spectrum
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            eigenvalues(np.array([[bad, 0.0], [0.0, 1.0]]))
+    for bad, name in ((np.nan, "nan"), (np.inf, "inf"), (complex(0.0, -np.inf), "-infj")):
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=type(bad))
+        matrix[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic can warn
+            with pytest.raises(ValueError, match=rf"non-finite entry \(?{name}\)? at \(1, 0\)"):
+                eigenvalues(matrix)
 
 
 @pytest.mark.parametrize(

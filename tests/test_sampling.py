@@ -1,16 +1,21 @@
 """Sampling layer: keyed streams, level inner products, log-domain norms."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from helpers import forged_sample
-from tensormp.config import make_params
+from tensormp.config import EntryLawKind, make_params
+from tensormp.experiments import _SPHERE_STREAM_OFFSET
+from tensormp.gram import build_correlation_gram, eigenvalues
 from tensormp.sampling import (
+    BaseSample,
     DegenerateSampleError,
     _draw,
+    _philox_keys,
     _stream,
     dump_base_sample,
     level_inner,
@@ -45,25 +50,59 @@ def test_repeat_draw_is_bitwise_identical():
     assert not np.array_equal(a.entries, c.entries)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
+@pytest.mark.parametrize("replica", [0, 3, _SPHERE_STREAM_OFFSET + 2])
+def test_philox_keys_match_seed_sequence(seed, replica):
+    keys = _philox_keys(seed, replica, 9, 3)
+    assert keys.shape == (9, 3, 2) and keys.dtype == np.uint64
+    for alpha in range(9):
+        for level in range(3):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(replica, alpha, level))
+            assert np.array_equal(keys[alpha, level], ss.generate_state(2, np.uint64))
+
+
 def test_streams_are_order_and_thread_independent():
-    params = make_params(4, 2, 0.5, seed=77)
-    sample = sample_base(params, 1)
-    m, k, n = sample.entries.shape
-    keys = [(alpha, level) for alpha in range(m) for level in range(k)]
+    # sample_base against the per-key reference _draw(law, _stream(...), n)
+    points = [
+        (2, 1, 0.5, 0, 0),  # smallest n, k = 1, m = 1
+        (3, 1, 2.0, 77, 1),  # odd n leaves a cached half word in the generator
+        (4, 2, 0.5, 77, 1),
+        (5, 3, 0.1, 2**64 - 1, _SPHERE_STREAM_OFFSET + 2),
+    ]
+    for law in EntryLawKind:
+        for n, k, c, seed, replica in points:
+            params = make_params(n, k, c, entry_law_kind=law, seed=seed)
+            sample = sample_base(params, replica)
+            keys = [(alpha, level) for alpha in range(params.sample_count) for level in range(k)]
 
-    rebuilt = np.empty_like(np.asarray(sample.entries))
-    for alpha, level in reversed(keys):
-        rng = _stream(params.seed, 1, alpha, level)
-        rebuilt[alpha, level] = _draw(params.entry_law, rng, n)
-    assert np.array_equal(rebuilt, sample.entries)
+            rebuilt = np.empty_like(np.asarray(sample.entries))
+            for alpha, level in reversed(keys):
+                vec = _draw(params.entry_law, _stream(seed, replica, alpha, level), n)
+                assert vec.dtype == sample.entries.dtype
+                rebuilt[alpha, level] = vec
+            assert rebuilt.tobytes() == sample.entries.tobytes(), (law, n, k)
 
-    def one(key):
-        alpha, level = key
-        return key, _draw(params.entry_law, _stream(params.seed, 1, alpha, level), n)
+            def one(key):
+                alpha, level = key
+                return key, _draw(params.entry_law, _stream(seed, replica, alpha, level), n)
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        for (alpha, level), vec in pool.map(one, keys):
-            assert np.array_equal(vec, sample.entries[alpha, level])
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for (alpha, level), vec in pool.map(one, keys):
+                    assert vec.tobytes() == sample.entries[alpha, level].tobytes()
+
+
+def test_concurrent_sample_base_calls_match_serial():
+    # each call re-keys its own generator; a shared one would mix streams
+    params = make_params(10, 2, 0.5, entry_law_kind="rademacher", seed=5)
+    serial = [sample_base(params, replica).entries.tobytes() for replica in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda replica: sample_base(params, replica).entries.tobytes(), range(16)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_unit_circle_support():
@@ -162,13 +201,29 @@ def test_norm_moment_check_real_gaussian_quartic():
 
 
 def test_dump_round_trip(tmp_path):
-    params = make_params(3, 2, 0.5, entry_law_kind="unit_circle", seed=9)
+    path = tmp_path / "sample.bin"
+    for law, dtype in (("unit_circle", np.complex128), ("real_gaussian", np.float64), ("rademacher", np.float64)):
+        params = make_params(3, 2, 0.5, entry_law_kind=law, seed=9)
+        sample = sample_base(params, 0)
+        dump_base_sample(sample, path)
+        header, entries = load_base_sample(path)
+        assert header == {"n": 3, "k": 2, "m": 5, "seed": 9, "law": params.entry_law.kind}
+        assert entries.dtype == dtype
+        assert entries.tobytes() == sample.entries.tobytes()
+        reloaded = BaseSample(entries=entries, params=params, replica=0)
+        assert np.array_equal(
+            eigenvalues(build_correlation_gram(reloaded, params.tau)),
+            eigenvalues(build_correlation_gram(sample, params.tau)),
+        )
+
+
+def test_real_law_dump_rejects_an_imaginary_part(tmp_path):
+    params = make_params(3, 2, 0.5, entry_law_kind="real_gaussian", seed=9)
     sample = sample_base(params, 0)
     path = tmp_path / "sample.bin"
-    dump_base_sample(sample, path)
-    header, entries = load_base_sample(path)
-    assert header == {"n": 3, "k": 2, "m": 5, "seed": 9, "law": params.entry_law.kind}
-    assert np.array_equal(entries, sample.entries)
+    dump_base_sample(BaseSample(entries=sample.entries + 1e-300j, params=params, replica=0), path)
+    with pytest.raises(ValueError, match="imaginary"):
+        load_base_sample(path)
 
 
 def test_dump_rejects_garbage(tmp_path):
