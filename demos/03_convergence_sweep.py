@@ -10,7 +10,7 @@ limit (an asymptotic statement no finite run can certify directly).
 from tensormp import FixedK, make_sweep_plan, run_convergence
 
 plan = make_sweep_plan([10, 15, 20, 25, 30], c=0.5, k_schedule=FixedK(2), seed=0, replicas=5)
-result = run_convergence(plan, threads=4)
+result = run_convergence(plan)
 
 print(f"{'n':>4} {'N':>5} {'m':>5} {'KS mean':>10} {'KS se':>9} {'Levy mean':>10} {'Levy se':>9}")
 for summary in result.summaries():

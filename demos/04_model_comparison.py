@@ -15,7 +15,7 @@ tau = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
 print("Gaussian entries, two-point tau weights (limit law unknown, so the")
 print("two models are compared against each other):")
 plan = make_sweep_plan([10, 20, 30], c=0.5, tau=tau, seed=0, replicas=5)
-for summary in run_model_comparison(plan, threads=4).summaries():
+for summary in run_model_comparison(plan).summaries():
     p = summary.params
     print(
         f"  n={p.n:>3}  coupled Levy distance: "

@@ -26,7 +26,7 @@ via_correlation = build_correlation_gram(sample, params.tau)
 deviation = float(np.max(np.abs(direct.entries - via_correlation.entries)))
 print(f"normalized-level Gram vs correlation Gram, entrywise deviation: {deviation:.3e}")
 
-report = run_sphere_model(params, threads=4)
+report = run_sphere_model(params)
 mean, se = report.ks_stats()
 print(f"max deviation over {params.replicas} independent replicas: {report.max_gram_deviation:.3e}")
 print(f"KS distance of the sphere-model spectrum to the limit law: {mean:.5f} (se {se:.5f})")

@@ -34,8 +34,7 @@ from .sampling import sample_base
 def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None:
     if config:
         parser.add_argument("--config", type=Path, required=True, help="JSON configuration document")
-    parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (results never depend on this)")
+        parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -104,7 +103,7 @@ def _cmd_sweep(args) -> int:
     plan = sweep_plan_from_json(doc)
     for point in plan.points:
         _warn_regime(point)
-    result = run_sweep(plan, threads=args.threads)
+    result = run_sweep(plan)
     out = Path(plan.out_dir) if plan.out_dir and args.out == Path(".") else _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
@@ -172,7 +171,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    report = selftest(seed=args.seed if args.seed is not None else 0)
+    report = selftest(seed=args.seed)
     print(report.table())
     return 0 if report.passed else 1
 
@@ -193,6 +192,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="record wall-clock ms in the output (breaks byte-for-byte determinism)",
     )
+    p_sweep.add_argument(
+        "--threads", type=int, help="accepted and ignored: replicas run serially, and the output never depends on it"
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_mp = sub.add_parser("mp", help="evaluate the limit law on a grid")
@@ -212,6 +214,7 @@ def main(argv=None) -> int:
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     _add_common(p_self, config=False)
+    p_self.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo checks")
     p_self.set_defaults(func=_cmd_selftest)
 
     args = parser.parse_args(argv)

@@ -3,8 +3,9 @@ the Marchenko-Pastur law, the coupled correlation/covariance comparison, the
 unit-sphere construction, and a self-test that exercises every module's exact
 identities.
 
-All randomness is keyed, so scheduling never affects results: a sweep run
-with one worker and with eight produces byte-identical output files.
+All randomness is keyed by (seed, replica, sample, level), so no replica's
+result depends on the replicas run before it. Replicas run serially in the
+caller's thread and leave the cores to LAPACK, whose eigensolve dominates.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,8 @@ class SweepPlan:
             raise ValueError("replicas must be at least 1")
         if not self.points:
             raise ValueError("a sweep needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        # every point runs plan.replicas replicas; a point's own replicas field is ignored
+        if len({replace(p, replicas=1) for p in self.points}) != len(self.points):
             raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
         for point in self.points:
             validate(point)
@@ -255,48 +256,40 @@ def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_
     )
 
 
-def _map_replicas(fn, items, threads: int) -> list:
-    """fn over items in item order, on a thread pool when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _run(plan: SweepPlan, *, with_mp: bool, with_comparison: bool) -> SweepResult:
+    return SweepResult(
+        records=tuple(
+            _evaluate_replica(params, replica, with_mp=with_mp, with_comparison=with_comparison)
+            for params in plan.points
+            for replica in range(plan.replicas)
+        )
+    )
 
 
-def _run(plan: SweepPlan, *, with_mp: bool, with_comparison: bool, threads: int = 1) -> SweepResult:
-    tasks = [(p, r) for p in plan.points for r in range(plan.replicas)]
-
-    def work(task):
-        params, replica = task
-        return _evaluate_replica(params, replica, with_mp=with_mp, with_comparison=with_comparison)
-
-    return SweepResult(records=tuple(_map_replicas(work, tasks, threads)))
-
-
-def run_convergence(plan: SweepPlan, threads: int = 1) -> SweepResult:
+def run_convergence(plan: SweepPlan) -> SweepResult:
     """Correlation spectrum against the limit law; requires tau identically 1."""
     for point in plan.points:
         if not point.tau.is_constant_one:
             raise ValueError("the limit-law reference requires tau identically equal to 1")
         if point.model is not ModelKind.CORRELATION:
             raise ValueError("convergence sweeps evaluate the correlation model")
-    return _run(plan, with_mp=True, with_comparison=False, threads=threads)
+    return _run(plan, with_mp=True, with_comparison=False)
 
 
-def run_model_comparison(plan: SweepPlan, threads: int = 1) -> SweepResult:
+def run_model_comparison(plan: SweepPlan) -> SweepResult:
     """Coupled correlation/covariance distance from a shared base sample.
 
     Both Gram matrices are built from the same draw, mirroring the coupling
     of the two constructions; independent samples would only test equality of
     the limits, a strictly weaker statement.
     """
-    return _run(plan, with_mp=False, with_comparison=True, threads=threads)
+    return _run(plan, with_mp=False, with_comparison=True)
 
 
-def run_sweep(plan: SweepPlan, threads: int = 1) -> SweepResult:
+def run_sweep(plan: SweepPlan) -> SweepResult:
     """Everything at once: limit-law distances where tau is constant, the
     coupled model comparison, and the first four spectral moments."""
-    return _run(plan, with_mp=True, with_comparison=True, threads=threads)
+    return _run(plan, with_mp=True, with_comparison=True)
 
 
 @dataclass(frozen=True)
@@ -319,7 +312,7 @@ class SphereReport:
         return _mean_se([r.ks_mp for r in self.records])
 
 
-def run_sphere_model(params: ModelParams, threads: int = 1) -> SphereReport:
+def run_sphere_model(params: ModelParams) -> SphereReport:
     """The unit-sphere model: Gaussian base vectors rescaled to unit length
     level by level, which is exactly the correlation construction.
 
@@ -332,17 +325,16 @@ def run_sphere_model(params: ModelParams, threads: int = 1) -> SphereReport:
     if params.entry_law.kind is not EntryLawKind.COMPLEX_GAUSSIAN:
         raise ValueError("the unit-sphere construction requires the complex Gaussian law")
 
-    def work(replica: int) -> SphereReplica:
+    law = mp.MPLaw.from_ratio(params.c)
+    records = []
+    for replica in range(params.replicas):
         sample = sample_base(params, replica + _SPHERE_STREAM_OFFSET)
         normalized = build_normalized_level_gram(sample, params.tau)
         correlation = build_correlation_gram(sample, params.tau)
         deviation = float(np.max(np.abs(normalized.entries - correlation.entries)))
         dist = esd(eigenvalues(normalized), params.ambient_dim)
         ks = ks_distance(EmpiricalCDF.from_spectral(dist), law)
-        return SphereReplica(replica=replica, gram_deviation=deviation, ks_mp=ks)
-
-    law = mp.MPLaw.from_ratio(params.c)
-    records = _map_replicas(work, range(params.replicas), threads)
+        records.append(SphereReplica(replica=replica, gram_deviation=deviation, ks_mp=ks))
     return SphereReport(params=params, records=tuple(records))
 
 
@@ -358,7 +350,7 @@ def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
 
     Wall-clock milliseconds are inherently nondeterministic, so the ms column
     is written as 0 unless timings are explicitly requested; the default
-    output is byte-identical across runs and worker counts.
+    output is byte-identical across runs.
     """
     rows = []
     for record in result.records:

@@ -329,13 +329,17 @@ def load_base_sample(path) -> tuple[dict, np.ndarray]:
     draws: float64 for the real laws, whose imaginary parts must be exactly 0,
     complex128 otherwise."""
     raw = Path(path).read_bytes()
+    if len(raw) < _DUMP_HEADER.size:
+        raise ValueError("not a base-sample dump")
     magic, version, n, k, m, seed, law_code = _DUMP_HEADER.unpack_from(raw)
     if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
         raise ValueError("not a base-sample dump")
+    law = _CODE_LAWS.get(law_code)
+    if law is None:
+        raise ValueError(f"unknown entry-law code {law_code} in base-sample dump")
     entries = np.frombuffer(raw, dtype="<c16", offset=_DUMP_HEADER.size)
     if entries.size != m * k * n:
         raise ValueError("truncated base-sample dump")
-    law = _CODE_LAWS[law_code]
     header = {"n": n, "k": k, "m": m, "seed": seed, "law": law}
     entries = entries.reshape(m, k, n)
     if law in _REAL_LAWS:

@@ -46,7 +46,7 @@ def _criterion(number: int, ok: bool, detail: str) -> None:
 def convergence():
     plan = make_sweep_plan([10, 20, 30], c=0.5, seed=0, replicas=5)
     start = time.perf_counter()
-    result = run_convergence(plan, threads=4)
+    result = run_convergence(plan)
     elapsed = time.perf_counter() - start
     return result, elapsed
 
@@ -176,7 +176,7 @@ def test_criterion_07_convergence_to_the_limit_law(convergence):
 
 def test_criterion_08_model_comparison():
     plan = make_sweep_plan([10, 30], c=0.5, seed=0, replicas=5)
-    result = run_model_comparison(plan, threads=4)
+    result = run_model_comparison(plan)
     summaries = {s.params.n: s for s in result.summaries()}
     levy_10 = summaries[10].levy_models_mean
     levy_30 = summaries[30].levy_models_mean
@@ -195,7 +195,7 @@ def test_criterion_09_unit_sphere_construction(convergence):
     result, _ = convergence
     summary = {s.params.n: s for s in result.summaries()}[30]
     params = make_params(30, 2, 0.5, seed=0, replicas=5)
-    report = run_sphere_model(params, threads=4)
+    report = run_sphere_model(params)
     mean, se = report.ks_stats()
     pooled = float(np.hypot(se, summary.ks_mp_se))
     gap = abs(mean - summary.ks_mp_mean)

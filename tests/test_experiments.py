@@ -1,6 +1,8 @@
 """Sweep orchestration, the sphere construction, selftest, and the CLI."""
 
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +63,11 @@ def test_plan_builders():
         make_sweep_plan([10, 10], c=0.5)
     with pytest.raises(ValueError, match="same point twice"):
         SweepPlan(points=(make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)), replicas=1)
+    # a sweep runs plan.replicas of every point, so a point's own replicas
+    # field does not make it a different point
+    point = make_params(6, 2, 0.5, seed=1)
+    with pytest.raises(ValueError, match="same point twice"):
+        SweepPlan(points=(point, replace(point, replicas=3)), replicas=2)
 
 
 def test_plan_from_json_grid_and_points():
@@ -117,7 +124,7 @@ def test_model_comparison_two_point_regression_bound():
     plan = make_sweep_plan(
         [30], c=0.5, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, seed=0, replicas=5
     )
-    summary = run_model_comparison(plan, threads=4).summaries()[0]
+    summary = run_model_comparison(plan).summaries()[0]
     assert summary.levy_models_mean < COMPARISON_LEVY_BOUND
 
 
@@ -162,14 +169,15 @@ def test_sweep_without_constant_tau_has_nan_mp_distances():
 
 
 def test_sweep_csv_is_thread_count_invariant():
+    # replicas always run serially; two runs of one plan give the same bytes
     plan = make_sweep_plan([6, 8], c=0.5, seed=5, replicas=3)
-    lines_1 = sweep_csv_lines(run_sweep(plan, threads=1))
-    lines_4 = sweep_csv_lines(run_sweep(plan, threads=4))
-    assert lines_1 == lines_4
+    lines_1 = sweep_csv_lines(run_sweep(plan))
+    lines_2 = sweep_csv_lines(run_sweep(plan))
+    assert lines_1 == lines_2
     assert lines_1[0] == "n,k,m,N,c,replica,ks_mp,levy_mp,levy_models,m1,m2,m3,m4_emp,ms"
     assert all(line.endswith(",0.0") for line in lines_1[1:])  # ms suppressed by default
 
-    timed = sweep_csv_lines(run_sweep(plan, threads=1), timings=True)
+    timed = sweep_csv_lines(run_sweep(plan), timings=True)
     assert any(not line.endswith(",0.0") for line in timed[1:])
 
 
@@ -290,6 +298,27 @@ def test_cli_sweep_and_selftest(tmp_path):
     assert len(records) == 4 and records[0]["ms"] == 0.0
 
     assert main(["selftest", "--out", str(tmp_path)]) == 0
+
+
+def test_cli_sweep_starts_no_thread(tmp_path, monkeypatch):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 2, "replicas": 2}))
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["sweep", "--config", str(plan_path), "--out", str(tmp_path), "--threads", "2"]) == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["mp", "--c", "0.5", "--seed", "3"], ["distance", "--a", "a", "--b", "b", "--threads", "2"]]
+)
+def test_cli_rejects_flags_a_subcommand_never_reads(argv, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
 
 
 def test_cli_seed_override(tmp_path):

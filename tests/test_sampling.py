@@ -231,3 +231,13 @@ def test_dump_rejects_garbage(tmp_path):
     path.write_bytes(b"not a dump at all" * 4)
     with pytest.raises(ValueError):
         load_base_sample(path)
+    path.write_bytes(b"TPBS\x01")  # shorter than the header
+    with pytest.raises(ValueError, match="not a base-sample dump"):
+        load_base_sample(path)
+
+    dump_base_sample(sample_base(make_params(3, 2, 0.5, seed=9), 0), path)
+    raw = bytearray(path.read_bytes())
+    raw[37] = 9  # the law code, last byte of the header
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unknown entry-law code 9"):
+        load_base_sample(path)
