@@ -35,7 +35,7 @@ def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None
     if config:
         parser.add_argument("--config", type=Path, required=True, help="JSON configuration document")
         parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--out", type=Path, default=None, help="output directory (default: .)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -43,8 +43,8 @@ def _load_json(path: Path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(out) -> Path:
+    out = Path("." if out is None else out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -64,7 +64,7 @@ def _cmd_simulate(args) -> int:
         doc["seed"] = args.seed
     params = params_from_json(doc)
     _warn_regime(params)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     builder = build_correlation_gram if params.model is ModelKind.CORRELATION else build_covariance_gram
     rows = []
     dists = []
@@ -104,8 +104,7 @@ def _cmd_sweep(args) -> int:
     for point in plan.points:
         _warn_regime(point)
     result = run_sweep(plan)
-    out = Path(plan.out_dir) if plan.out_dir and args.out == Path(".") else _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(plan.out_dir if args.out is None else args.out)  # an explicit --out wins
     if args.format == "json":
         write_sweep_json(out / "sweep.json", result, timings=args.timings)
     else:
@@ -122,7 +121,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mp(args) -> int:
     law = mp.MPLaw.from_ratio(args.c)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
     if args.format == "json":
         doc = [
@@ -153,7 +152,7 @@ def _cmd_distance(args) -> int:
     if not shared:
         print("no shared replica indices between the two dumps", file=sys.stderr)
         return 2
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     rows = []
     for replica in shared:
         fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], int(meta_a["N"])))

@@ -28,6 +28,7 @@ from .config import (
     validate,
 )
 from .gram import (
+    _covariance_from_correlation,
     build_correlation_gram,
     build_covariance_gram,
     build_normalized_level_gram,
@@ -44,7 +45,7 @@ from .metrics import (
     levy_distance,
     levy_distance_trace_bound,
 )
-from .sampling import norm_moment_check, sample_base
+from .sampling import norm_moment_check, norm_profile, sample_base
 
 # regression bounds frozen from the first calibration run (measured mean
 # times 1.5); see the acceptance suite
@@ -225,13 +226,9 @@ class SweepResult:
 def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_comparison: bool) -> ReplicaRecord:
     start = time.perf_counter()
     sample = sample_base(params, replica)
-    primary_is_correlation = params.model is ModelKind.CORRELATION
-    corr = cov = None
-    if primary_is_correlation or with_comparison:
-        corr = build_correlation_gram(sample, params.tau)
-    if not primary_is_correlation or with_comparison:
-        cov = build_covariance_gram(sample, params.tau)
-    primary = corr if primary_is_correlation else cov
+    corr = build_correlation_gram(sample, params.tau)
+    cov = _covariance_from_correlation(corr, sample)
+    primary, secondary = (corr, cov) if params.model is ModelKind.CORRELATION else (cov, corr)
     primary_dist = esd(eigenvalues(primary), params.ambient_dim)
     primary_cdf = EmpiricalCDF.from_spectral(primary_dist)
     ks_mp = levy_mp = levy_models = float("nan")
@@ -240,8 +237,10 @@ def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_
         ks_mp = ks_distance(primary_cdf, reference)
         levy_mp = levy_distance(primary_cdf, reference)
     if with_comparison:
-        secondary = cov if primary_is_correlation else corr
-        secondary_cdf = EmpiricalCDF.from_spectral(esd(eigenvalues(secondary), params.ambient_dim))
+        if secondary.entries is primary.entries:  # unit-modulus laws: one matrix, one solve
+            secondary_cdf = primary_cdf
+        else:
+            secondary_cdf = EmpiricalCDF.from_spectral(esd(eigenvalues(secondary), params.ambient_dim))
         levy_models = levy_distance(primary_cdf, secondary_cdf)
     moments = tuple(empirical_moment(primary_dist, q) for q in (1, 2, 3, 4))
     ms = (time.perf_counter() - start) * 1000.0
@@ -466,16 +465,16 @@ def _check_trace_identity(seed: int) -> CheckResult:
 
 
 def _check_unit_modulus_collapse(seed: int) -> CheckResult:
+    # why a unit-modulus law may share its correlation Gram as the covariance Gram
     worst = 0.0
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 2, 0.25, entry_law_kind=law, seed=seed)
         sample = sample_base(params, 0)
-        corr = build_correlation_gram(sample, params.tau)
-        cov = build_covariance_gram(sample, params.tau)
-        worst = max(worst, float(np.max(np.abs(corr.entries - cov.entries))))
-        f = EmpiricalCDF.from_spectral(esd(eigenvalues(corr), params.ambient_dim))
-        g = EmpiricalCDF.from_spectral(esd(eigenvalues(cov), params.ambient_dim))
-        worst = max(worst, levy_distance(f, g))
+        corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
+        cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
+        worst = max(worst, float(np.max(np.abs(corr - cov))))
+        ratio = np.prod(norm_profile(sample).level_sq_norms / params.n, axis=1)
+        worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
     return CheckResult("unit_modulus_collapse", worst <= 1e-12, worst)
 
 

@@ -2,7 +2,8 @@
 spectrum of the n^k-dimensional rank-m model, since X W X* and W^{1/2} X*X
 W^{1/2} share nonzero eigenvalues. The k-fold structure collapses each Gram
 entry into a product of k per-level inner products, so nothing of ambient
-size is ever materialized outside the small dense oracle.
+size is ever materialized outside the small dense oracle. The covariance
+Gram is the diagonal congruence D C D of the correlation Gram C.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ NONZERO_THRESHOLD_REL = 1e-9  # separates rank zeros from genuine small atoms
 @dataclass(frozen=True)
 class GramMatrix:
     order: int
-    entries: np.ndarray  # (m, m) complex128, or float64 for real laws; Hermitian by construction
+    entries: np.ndarray  # (m, m) complex128, or float64 for real laws; exactly Hermitian by construction
     model: ModelKind
 
 
@@ -75,29 +76,24 @@ def _hermitize(product: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_ratio_product(sample: BaseSample, *, normalized: bool) -> np.ndarray:
-    """Entrywise product over levels of per-level inner-product ratios.
+def _level_ratio_product(sample: BaseSample) -> np.ndarray:
+    """Entrywise product over levels of the normalized inner products
+    <y_a^(l), y_b^(l)> / (||y_a^(l)|| ||y_b^(l)||).
 
-    ``normalized`` divides each level by the geometric mean of the two level
-    norms (each factor then has modulus <= 1 by Cauchy-Schwarz, making the
-    k-fold product overflow-proof); otherwise each level is divided by n.
-    For unit-modulus laws both choices coincide because ||y^(l)||^2 = n
-    almost surely, and the exact value n is used so the two Gram
-    constructions collapse bitwise.
+    Each factor has modulus <= 1 by Cauchy-Schwarz, which makes the k-fold
+    product overflow-proof. For unit-modulus laws ||y^(l)||^2 = n almost
+    surely, and the exact value n is used, so the covariance Gram of such a
+    law is this correlation Gram bitwise.
     """
     entries = sample.entries
     m, k, n = entries.shape
     unit = sample.params.entry_law.unit_modulus
-    profile = norm_profile(sample) if (normalized and not unit) else None
+    sq = None if unit else norm_profile(sample).level_sq_norms
     product = np.ones((m, m), dtype=entries.dtype)
     for level in range(k):
         block = entries[:, level, :]
         inner = block @ block.conj().T
-        if normalized and not unit:
-            sq = profile.level_sq_norms[:, level]
-            product *= inner / np.sqrt(np.outer(sq, sq))
-        else:
-            product *= inner / n
+        product *= inner / n if unit else inner / np.sqrt(np.outer(sq[:, level], sq[:, level]))
     return product
 
 
@@ -109,27 +105,31 @@ def build_correlation_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
     """
     m = sample.entries.shape[0]
     values = _tau_values(tau, m)
-    product = _level_ratio_product(sample, normalized=True)
-    entries = np.sqrt(np.outer(values, values)) * product
+    entries = np.sqrt(np.outer(values, values)) * _level_ratio_product(sample)
     entries = _hermitize(entries, values)
     entries.setflags(write=False)
     return GramMatrix(order=m, entries=entries, model=ModelKind.CORRELATION)
 
 
+def _covariance_from_correlation(corr: GramMatrix, sample: BaseSample) -> GramMatrix:
+    """Covariance Gram D C D of the correlation Gram C of the same sample, with
+    d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a keeps
+    it exactly Hermitian. For unit-modulus laws D = I and C's array is shared."""
+    if corr.model is not ModelKind.CORRELATION or corr.order != sample.entries.shape[0]:
+        raise ValueError(f"expected the order-{sample.entries.shape[0]} correlation Gram of this sample")
+    if sample.params.entry_law.unit_modulus:
+        return GramMatrix(order=corr.order, entries=corr.entries, model=ModelKind.COVARIANCE)
+    scale = np.prod(norm_profile(sample).level_sq_norms / sample.entries.shape[2], axis=1)
+    d = np.sqrt(scale)
+    entries = corr.entries * np.outer(d, d)
+    entries[np.diag_indices_from(entries)] = np.diag(corr.entries).real * scale
+    entries.setflags(write=False)
+    return GramMatrix(order=corr.order, entries=entries, model=ModelKind.COVARIANCE)
+
+
 def build_covariance_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
     """Gram of the 1/n^k-normalized model: sqrt(tau_a tau_b) prod_l inner_l/n."""
-    m, k, n = sample.entries.shape
-    values = _tau_values(tau, m)
-    product = _level_ratio_product(sample, normalized=False)
-    entries = np.sqrt(np.outer(values, values)) * product
-    if sample.params.entry_law.unit_modulus:
-        diag = values.copy()  # ||y^(l)||^2 = n a.s., so the ratio product is 1
-    else:
-        profile = norm_profile(sample)
-        diag = values * np.prod(profile.level_sq_norms / n, axis=1)
-    entries = _hermitize(entries, diag)
-    entries.setflags(write=False)
-    return GramMatrix(order=m, entries=entries, model=ModelKind.COVARIANCE)
+    return _covariance_from_correlation(build_correlation_gram(sample, tau), sample)
 
 
 def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:

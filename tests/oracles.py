@@ -2,15 +2,37 @@
 
 Nothing here shares a computation path with the package: eigenvalues come
 from inertia counting plus bisection, KS and Levy distances from brute-force
-scans, and the limit-law values from closed forms or QUADPACK.
+scans, the limit-law values from closed forms or QUADPACK, and Gram entries
+from explicitly formed tensor vectors.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb, sqrt
 
 import numpy as np
 from scipy import integrate
+
+from tensormp.config import ModelKind
+
+
+def gram_direct(sample, tau, model: ModelKind) -> np.ndarray:
+    """G_ab = sqrt(tau_a tau_b) <Y_b, Y_a> / (||Y_a|| ||Y_b||) for the
+    correlation model, or / n^k for the covariance model, from the explicit
+    n^k-entry tensor vectors Y_a (outer products of the levels, row-major)."""
+    m, k, n = sample.entries.shape
+    if n**k > 4096:
+        raise ValueError(f"ambient dimension {n**k} exceeds the oracle cap 4096")
+    tensors = np.array([reduce(np.multiply.outer, sample.entries[a]).ravel() for a in range(m)])
+    inner = tensors @ tensors.conj().T  # inner[a, b] = <Y_b, Y_a>
+    if model is ModelKind.CORRELATION:
+        norms = np.sqrt(np.sum(np.abs(tensors) ** 2, axis=1))
+        inner = inner / np.outer(norms, norms)
+    else:
+        inner = inner / n**k
+    values = tau.as_array()
+    return np.sqrt(np.outer(values, values)) * inner
 
 
 def hermitian_eigen_bisect(matrix, tol: float = 1e-10) -> np.ndarray:

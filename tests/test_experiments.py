@@ -3,10 +3,12 @@
 import json
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensormp.experiments
 import tensormp.mp
 from tensormp.cli import main
 from tensormp.config import make_params
@@ -118,6 +120,22 @@ def test_model_comparison_unit_modulus_is_exactly_zero():
         plan = make_sweep_plan([8], c=0.5, entry_law_kind=law, seed=0, replicas=3)
         result = run_model_comparison(plan)
         assert all(r.levy_models == 0.0 for r in result.records)
+
+
+@pytest.mark.parametrize("law, solves", [("unit_circle", 1), ("complex_gaussian", 2)])
+def test_sweep_solves_one_matrix_per_unit_modulus_replica(monkeypatch, law, solves):
+    # a unit-modulus covariance Gram is the correlation Gram, so its spectrum is reused
+    calls = []
+    solve = tensormp.experiments.eigenvalues
+
+    def counted(gram):
+        calls.append(gram)
+        return solve(gram)
+
+    monkeypatch.setattr(tensormp.experiments, "eigenvalues", counted)
+    plan = make_sweep_plan([6, 8], c=0.5, entry_law_kind=law, seed=3, replicas=2)
+    result = run_sweep(plan)
+    assert len(calls) == solves * len(result.records)
 
 
 def test_model_comparison_two_point_regression_bound():
@@ -298,6 +316,15 @@ def test_cli_sweep_and_selftest(tmp_path):
     assert len(records) == 4 and records[0]["ms"] == 0.0
 
     assert main(["selftest", "--out", str(tmp_path)]) == 0
+
+
+def test_cli_sweep_explicit_out_beats_the_plan_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("plan.json").write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1, "out": "planout"}))
+    assert main(["sweep", "--config", "plan.json", "--out", "."]) == 0
+    assert Path("sweep.csv").is_file() and not Path("planout").exists()
+    assert main(["sweep", "--config", "plan.json"]) == 0
+    assert Path("planout", "sweep.csv").read_bytes() == Path("sweep.csv").read_bytes()
 
 
 def test_cli_sweep_starts_no_thread(tmp_path, monkeypatch):

@@ -9,6 +9,8 @@ from helpers import forged_sample
 from oracles import hermitian_eigen_bisect
 from tensormp.config import ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
+    GramMatrix,
+    _covariance_from_correlation,
     build_correlation_gram,
     build_covariance_gram,
     build_normalized_level_gram,
@@ -20,7 +22,7 @@ from tensormp.gram import (
     tensor_vector,
     write_eigenvalue_csv,
 )
-from tensormp.sampling import sample_base
+from tensormp.sampling import norm_profile, sample_base
 
 
 def test_rank_one_gram_is_unit():
@@ -58,8 +60,6 @@ def test_covariance_diagonal_and_rank_one_case():
 
     params = make_params(6, 2, 0.25, seed=3)
     drawn = sample_base(params, 0)
-    from tensormp.sampling import norm_profile
-
     profile = norm_profile(drawn)
     gram = build_covariance_gram(drawn, params.tau)
     expected = np.prod(profile.level_sq_norms / params.n, axis=1)
@@ -67,12 +67,15 @@ def test_covariance_diagonal_and_rank_one_case():
 
 
 def test_unit_modulus_laws_collapse_the_two_models():
+    # the premise on which the covariance Gram of these laws is the correlation Gram
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 2, 0.25, entry_law_kind=law, seed=5)
         sample = sample_base(params, 0)
-        corr = build_correlation_gram(sample, params.tau)
-        cov = build_covariance_gram(sample, params.tau)
-        assert np.array_equal(corr.entries, cov.entries)
+        corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
+        cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
+        assert np.max(np.abs(corr - cov)) <= 1e-12
+        ratio = np.prod(norm_profile(sample).level_sq_norms / params.n, axis=1)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-12
 
 
 def test_eigenvalues_of_diagonal_and_rank_one():
@@ -128,6 +131,25 @@ def test_eigenvalues_reject_non_hermitian():
         eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         eigenvalues(np.zeros((2, 3), dtype=complex))
+
+
+def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
+    # eigvalsh reads one triangle only: unchecked, this would return 1 -+ 0.5
+    # and pass both identities, while the true eigenvalues are 1 -+ 0.5i
+    gram = GramMatrix(2, np.array([[1.0, -0.5], [0.5, 1.0]]), ModelKind.CORRELATION)
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigenvalues(gram)
+
+
+def test_covariance_congruence_takes_only_this_samples_correlation_gram():
+    params = make_params(5, 2, 0.2, entry_law_kind="complex_gaussian", seed=3)
+    sample = sample_base(params, 0)
+    cov = build_covariance_gram(sample, params.tau)
+    with pytest.raises(ValueError, match="correlation Gram"):
+        _covariance_from_correlation(cov, sample)
+    other = sample_base(make_params(5, 2, 0.4, entry_law_kind="complex_gaussian", seed=3), 0)
+    with pytest.raises(ValueError, match="correlation Gram"):
+        _covariance_from_correlation(build_correlation_gram(other, other.params.tau), sample)
 
 
 def test_esd_counting_example():

@@ -1,11 +1,21 @@
-"""Property tests for the distances and the limit-law CDF over random inputs."""
+"""Property tests for the Gram builders, the distances and the limit-law CDF
+over random inputs."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gram_direct
 from tensormp import mp
+from tensormp.config import EntryLawKind, ModelKind, make_params
+from tensormp.gram import (
+    _covariance_from_correlation,
+    build_correlation_gram,
+    build_covariance_gram,
+    build_normalized_level_gram,
+)
 from tensormp.metrics import EmpiricalCDF, ks_distance, levy_distance
+from tensormp.sampling import sample_base
 
 # a coarse lattice next to free floats makes shared breakpoints between two
 # step functions likely
@@ -60,3 +70,41 @@ def test_mp_cdf_is_nondecreasing_with_left_limit_below(c, ticks):
     assert np.all(np.diff(values) >= 0.0)
     assert np.all((values >= 0.0) & (values <= 1.0))
     assert np.all(law.left_limit(xs) <= values)
+
+
+@st.composite
+def gram_points(draw):
+    """(n, k, m) with N = n^k <= 4096, one of the four laws, constant or
+    two-point tau, and a seed."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, max(k for k in range(1, 13) if n**k <= 4096)))
+    m = draw(st.integers(1, 24))
+    law = draw(st.sampled_from(list(EntryLawKind)))
+    tau = draw(
+        st.one_of(
+            st.just("constant_one"),
+            st.builds(
+                lambda a, b, w: {"kind": "two_point", "a": a, "b": b, "weight": w},
+                st.floats(0.25, 4.0),
+                st.floats(0.25, 4.0),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+        )
+    )
+    return make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gram_points())
+def test_gram_builders_match_the_explicit_tensor_oracle(params):
+    sample = sample_base(params, 0)
+    corr = build_correlation_gram(sample, params.tau)
+    cov = build_covariance_gram(sample, params.tau)
+    for gram, model in ((corr, ModelKind.CORRELATION), (cov, ModelKind.COVARIANCE)):
+        direct = gram_direct(sample, params.tau, model)
+        assert np.max(np.abs(gram.entries - direct)) <= 1e-13 * np.max(np.abs(direct))
+    for gram in (corr, cov, build_normalized_level_gram(sample, params.tau)):
+        assert np.array_equal(gram.entries, gram.entries.conj().T)  # eigenvalues() relies on it
+    if params.entry_law.unit_modulus:
+        assert _covariance_from_correlation(corr, sample).entries is corr.entries
+        assert np.array_equal(cov.entries, corr.entries)
