@@ -1,4 +1,8 @@
-"""Command line interface: simulate, sweep, mp, distance, selftest."""
+"""Command line interface: simulate, sweep, mp, distance, selftest.
+
+Every output file is written here, by `_write`, from a list of row dicts;
+the library modules compute and never touch the file system.
+"""
 
 from __future__ import annotations
 
@@ -11,23 +15,9 @@ import numpy as np
 
 from . import mp
 from .config import ModelKind, params_from_json, validate
-from .gram import (
-    build_correlation_gram,
-    build_covariance_gram,
-    eigenvalues,
-    esd,
-    read_eigenvalue_csv,
-    write_eigenvalue_csv,
-)
-from .metrics import EmpiricalCDF, ks_distance, levy_distance, write_distance_csv
-from .experiments import (
-    run_sweep,
-    selftest,
-    sweep_plan_from_json,
-    write_histogram_csv,
-    write_sweep_csv,
-    write_sweep_json,
-)
+from .gram import build_correlation_gram, build_covariance_gram, eigenvalues, esd
+from .metrics import EmpiricalCDF, ks_distance, levy_distance
+from .experiments import run_sweep, selftest, sweep_plan_from_json, sweep_rows
 from .sampling import sample_base
 
 
@@ -49,6 +39,69 @@ def _out_dir(out) -> Path:
     return out
 
 
+def _cell(value) -> str:
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def _write(out: Path, name: str, fmt: str, rows: list[dict], comment: str | None = None) -> None:
+    """Write rows to out/name.fmt: JSON holds them as objects; CSV is the
+    optional '#' comment line, the first row's keys, then one line per row,
+    floats in repr so that they read back exactly."""
+    if fmt == "json":
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [] if comment is None else [f"# {comment}"]
+        lines.append(",".join(rows[0]))
+        lines += [",".join(_cell(v) for v in row.values()) for row in rows]
+        text = "\n".join(lines) + "\n"
+    (out / f"{name}.{fmt}").write_text(text)
+
+
+def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
+    """Parse an eigenvalue dump back into (metadata, replica -> eigenvalues).
+
+    A line that is not a `replica,index,eigenvalue` row, or a header without
+    the ambient dimension N, raises ValueError naming the file and line.
+    """
+    meta: dict = {}
+    per_replica: dict[int, list[float]] = {}
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("replica"):
+            continue
+        try:
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    key, _, value = token.partition("=")
+                    if value:
+                        meta[key] = value if key == "model" else int(value)
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 fields replica,index,eigenvalue, got {len(fields)}")
+            per_replica.setdefault(int(fields[0]), []).append(float(fields[2]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: malformed eigenvalue dump line {line!r}: {exc}") from None
+    if "N" not in meta:
+        raise ValueError(f"{path}: eigenvalue dump header lacks N=, the ambient dimension")
+    return meta, {r: np.asarray(v) for r, v in sorted(per_replica.items())}
+
+
+def _histogram_rows(dists, bins: int) -> list[dict]:
+    """Pooled spectral histogram over replicas, zeros included, with the
+    density estimate normalized so the bar masses sum to one."""
+    pooled = np.concatenate([np.concatenate([d.atoms, np.zeros(d.implied_zeros)]) for d in dists])
+    counts, edges = np.histogram(pooled, bins=bins)
+    rows = []
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
+        width = right - left
+        density = count / (pooled.size * width) if width > 0 else 0.0
+        rows.append(
+            dict(bin_left=float(left), bin_right=float(right), count=int(count), density_estimate=float(density))
+        )
+    return rows
+
+
 def _warn_regime(params) -> None:
     report = validate(params)
     if report.outside_regime:
@@ -66,19 +119,23 @@ def _cmd_simulate(args) -> int:
     _warn_regime(params)
     out = _out_dir(args.out)
     builder = build_correlation_gram if params.model is ModelKind.CORRELATION else build_covariance_gram
-    rows = []
+    spectra = []
     dists = []
     for replica in range(params.replicas):
         sample = sample_base(params, replica)
         eigs = eigenvalues(builder(sample, params.tau))
         dists.append(esd(eigs, params.ambient_dim))  # validates the clamp floor
-        rows.append((replica, np.maximum(eigs, 0.0)))
-    if args.format == "json":
-        doc_out = [{"replica": r, "eigenvalues": list(map(float, e))} for r, e in rows]
-        (out / "eigenvalues.json").write_text(json.dumps(doc_out, indent=2, sort_keys=True) + "\n")
+        spectra.append((replica, np.maximum(eigs, 0.0)))
+    if args.format == "json":  # grouped per replica
+        rows = [{"replica": r, "eigenvalues": list(map(float, e))} for r, e in spectra]
     else:
-        write_eigenvalue_csv(out / "eigenvalues.csv", rows, params)
-    write_histogram_csv(out / "histogram.csv", dists, bins=args.bins)
+        rows = [{"replica": r, "index": i, "eigenvalue": v} for r, e in spectra for i, v in enumerate(e)]
+    header = (
+        f"n={params.n} k={params.k} m={params.sample_count} N={params.ambient_dim} "
+        f"model={params.model.value} seed={params.seed}"
+    )
+    _write(out, "eigenvalues", args.format, rows, comment=header)
+    _write(out, "histogram", args.format, _histogram_rows(dists, args.bins))
     print(
         f"simulated {params.model.value} model: n={params.n} k={params.k} "
         f"m={params.sample_count} N={params.ambient_dim} replicas={params.replicas}"
@@ -105,10 +162,7 @@ def _cmd_sweep(args) -> int:
         _warn_regime(point)
     result = run_sweep(plan)
     out = _out_dir(plan.out_dir if args.out is None else args.out)  # an explicit --out wins
-    if args.format == "json":
-        write_sweep_json(out / "sweep.json", result, timings=args.timings)
-    else:
-        write_sweep_csv(out / "sweep.csv", result, timings=args.timings)
+    _write(out, "sweep", args.format, sweep_rows(result, timings=args.timings))
     for summary in result.summaries():
         p = summary.params
         print(
@@ -123,18 +177,10 @@ def _cmd_mp(args) -> int:
     law = mp.MPLaw.from_ratio(args.c)
     out = _out_dir(args.out)
     xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
-    if args.format == "json":
-        doc = [
-            {"x": float(x), "density": float(d), "cdf": float(f)}
-            for x, d, f in zip(xs, dens, cdf_values)
-        ]
-        (out / "mp_grid.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = ["x,density,cdf"]
-        lines += [
-            f"{float(x)!r},{float(d)!r},{float(f)!r}" for x, d, f in zip(xs, dens, cdf_values)
-        ]
-        (out / "mp_grid.csv").write_text("\n".join(lines) + "\n")
+    rows = [
+        {"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in zip(xs, dens, cdf_values)
+    ]
+    _write(out, "mp_grid", args.format, rows)
     print(
         f"MP law c={law.c}: support [{law.lambda_minus:.6f}, {law.lambda_plus:.6f}], "
         f"atom {law.atom_mass:.6f}"
@@ -155,17 +201,13 @@ def _cmd_distance(args) -> int:
     out = _out_dir(args.out)
     rows = []
     for replica in shared:
-        fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], int(meta_a["N"])))
-        fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], int(meta_b["N"])))
-        rows.append((replica, "ks", ks_distance(fa, fb)))
-        rows.append((replica, "levy", levy_distance(fa, fb)))
-    if args.format == "json":
-        doc = [{"replica": r, "metric": m, "value": float(v)} for r, m, v in rows]
-        (out / "distances.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        write_distance_csv(out / "distances.csv", rows)
-    for replica, metric, value in rows:
-        print(f"replica {replica}: {metric}={value:.6f}")
+        fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], meta_a["N"]))
+        fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], meta_b["N"]))
+        rows.append({"replica": replica, "metric": "ks", "value": ks_distance(fa, fb)})
+        rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb)})
+    _write(out, "distances", args.format, rows)
+    for row in rows:
+        print(f"replica {row['replica']}: {row['metric']}={row['value']:.6f}")
     return 0
 
 

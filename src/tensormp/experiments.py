@@ -10,11 +10,9 @@ caller's thread and leave the cores to LAPACK, whose eigensolve dominates.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -337,15 +335,9 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     return SphereReport(params=params, records=tuple(records))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
-    """One dict per record, keyed by SWEEP_COLUMNS in order; both sweep
-    writers serialise these rows.
+    """One dict per record, keyed by SWEEP_COLUMNS in order: the content of
+    sweep.csv and sweep.json alike.
 
     Wall-clock milliseconds are inherently nondeterministic, so the ms column
     is written as 0 unless timings are explicitly requested; the default
@@ -369,38 +361,6 @@ def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
         )
         rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
     return rows
-
-
-def sweep_csv_lines(result: SweepResult, *, timings: bool = False) -> list[str]:
-    """Sweep rows in the canonical column order."""
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in sweep_rows(result, timings=timings):
-        lines.append(",".join(_format_value(v) for v in row.values()))
-    return lines
-
-
-def write_sweep_csv(path, result: SweepResult, *, timings: bool = False) -> None:
-    Path(path).write_text("\n".join(sweep_csv_lines(result, timings=timings)) + "\n")
-
-
-def write_sweep_json(path, result: SweepResult, *, timings: bool = False) -> None:
-    Path(path).write_text(json.dumps(sweep_rows(result, timings=timings), indent=2, sort_keys=True) + "\n")
-
-
-def write_histogram_csv(path, dists, bins: int = 50) -> None:
-    """Pooled spectral histogram over replicas, zeros included, with the
-    density estimate normalized so the bar masses sum to one."""
-    pooled = np.concatenate(
-        [np.concatenate([d.atoms, np.zeros(d.implied_zeros)]) for d in dists]
-    )
-    counts, edges = np.histogram(pooled, bins=bins)
-    total = pooled.size
-    lines = ["bin_left,bin_right,count,density_estimate"]
-    for i, count in enumerate(counts):
-        width = edges[i + 1] - edges[i]
-        dens = count / (total * width) if width > 0 else 0.0
-        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)},{float(dens)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -559,10 +519,11 @@ def _check_entry_laws(seed: int) -> CheckResult:
 
 def _check_esd_counting(_: int) -> CheckResult:
     dist = esd(np.array([0.9, 0.9, 1.2]), 4)
+    f = EmpiricalCDF.from_spectral(dist)
     worst = max(
-        abs(dist.cdf(0.0) - 0.25),
-        abs(dist.cdf(1.0) - 0.75),
-        abs(dist.cdf(1.2) - 1.0),
+        abs(float(f.evaluate(0.0)) - 0.25),
+        abs(float(f.evaluate(1.0)) - 0.75),
+        abs(float(f.evaluate(1.2)) - 1.0),
         abs(dist.zero_mass + len(dist.atoms) / dist.ambient_dim - 1.0),
     )
     return CheckResult("esd_counting", worst == 0.0, worst)

@@ -11,11 +11,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
-from .config import ModelKind, ModelParams, TauScheme
+from .config import ModelKind, TauScheme
 from .sampling import BaseSample, norm_profile
 
 log = logging.getLogger(__name__)
@@ -45,19 +44,14 @@ class SpectralDistribution:
 
     atoms: np.ndarray
     ambient_dim: int
-    zero_mass: float
 
     @property
     def implied_zeros(self) -> int:
         return self.ambient_dim - len(self.atoms)
 
-    def cdf(self, x):
-        """F(x) = (#{atoms <= x} + implied zeros for x >= 0) / N."""
-        x = np.asarray(x, dtype=float)
-        counts = np.searchsorted(self.atoms, x, side="right")
-        zeros = np.where(x >= 0.0, self.implied_zeros, 0)
-        out = (counts + zeros) / self.ambient_dim
-        return float(out) if out.ndim == 0 else out
+    @property
+    def zero_mass(self) -> float:
+        return self.implied_zeros / self.ambient_dim
 
 
 def _tau_values(tau: TauScheme, m: int) -> np.ndarray:
@@ -220,11 +214,8 @@ def esd(eigs, ambient_dim: int) -> SpectralDistribution:
         if np.any(atoms[:structural] > threshold):
             raise ValueError("rank bound violated: too few near-zero eigenvalues for m > N")
         atoms = atoms[structural:]
-        zero_mass = 0.0
-    else:
-        zero_mass = (ambient_dim - m) / ambient_dim
     atoms.setflags(write=False)
-    return SpectralDistribution(atoms=atoms, ambient_dim=ambient_dim, zero_mass=zero_mass)
+    return SpectralDistribution(atoms=atoms, ambient_dim=ambient_dim)
 
 
 def tensor_vector(sample: BaseSample, alpha: int) -> np.ndarray:
@@ -257,38 +248,3 @@ def materialize_dense(sample: BaseSample, tau: TauScheme, model: ModelKind) -> n
             out += (values[alpha] / dim) * outer
     return out
 
-
-def write_eigenvalue_csv(path, rows, params: ModelParams) -> None:
-    """Eigenvalue dump: comment header with the run dimensions, then one line
-    per (replica, index, eigenvalue)."""
-    lines = [
-        f"# n={params.n} k={params.k} m={params.sample_count} N={params.ambient_dim} "
-        f"model={params.model.value} seed={params.seed}",
-        "replica,index,eigenvalue",
-    ]
-    for replica, eigs in rows:
-        for index, value in enumerate(np.asarray(eigs, dtype=float)):
-            lines.append(f"{replica},{index},{float(value)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
-    """Parse an eigenvalue dump back into (metadata, replica -> eigenvalues)."""
-    meta: dict = {}
-    per_replica: dict[int, list[float]] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                key, _, value = token.partition("=")
-                if not value:
-                    continue
-                meta[key] = value if key == "model" else int(value)
-            continue
-        if line.startswith("replica"):
-            continue
-        replica_s, _, value_s = line.split(",")
-        per_replica.setdefault(int(replica_s), []).append(float(value_s))
-    return meta, {r: np.asarray(v) for r, v in sorted(per_replica.items())}

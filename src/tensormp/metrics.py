@@ -5,8 +5,6 @@ Levy fourth-power trace bound as executable, property-testable statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from . import mp
@@ -74,6 +72,11 @@ def _canonical(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw):
     return f, g
 
 
+def _steps(f: EmpiricalCDF) -> tuple[np.ndarray, np.ndarray]:
+    """F(b) and F(b-) at F's own breakpoints b, read off the stored steps."""
+    return f.cumulative, np.concatenate([[0.0], f.cumulative[:-1]])
+
+
 def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
     """sup |F - G| for a step function F and a step function or limit law G.
 
@@ -83,20 +86,21 @@ def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
     """
     f, g = _canonical(f, g)
     b = f.breakpoints
-    after = np.max(np.abs(f.evaluate(b) - g.evaluate(b)))
-    before = np.max(np.abs(f.left_limit(b) - g.left_limit(b)))
-    return float(max(after, before))
+    at, before = _steps(f)
+    after_gap = np.max(np.abs(at - g.evaluate(b)))
+    before_gap = np.max(np.abs(before - g.left_limit(b)))
+    return float(max(after_gap, before_gap))
 
 
-def _levy_feasible(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, eps: float) -> bool:
+def _levy_feasible(f: EmpiricalCDF, at, before, g: EmpiricalCDF | mp.MPLaw, eps: float) -> bool:
     # with z = x + eps and y = x - eps the sandwich reads G(z-eps) <= F(z)+eps
     # and F(y)-eps <= G(y+eps). F is constant between its breakpoints and G
     # is nondecreasing, so the first binds just before a breakpoint b of F
-    # (z -> b-) and the second exactly at one (y = b).
+    # (z -> b-, where F takes the value `before`) and the second exactly at one (y = b).
     b = f.breakpoints
-    if np.any(g.left_limit(b - eps) > f.left_limit(b) + eps):
+    if np.any(g.left_limit(b - eps) > before + eps):
         return False
-    return not np.any(f.evaluate(b) - eps > g.evaluate(b + eps))
+    return not np.any(at - eps > g.evaluate(b + eps))
 
 
 def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, tol: float = LEVY_TOL) -> float:
@@ -114,9 +118,10 @@ def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, tol: float = LEVY
     if hi == 0.0:
         return 0.0
     lo = 0.0
+    at, before = _steps(f)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _levy_feasible(f, g, mid):
+        if _levy_feasible(f, at, before, g, mid):
             hi = mid
         else:
             lo = mid
@@ -173,11 +178,3 @@ def empirical_moment(dist: SpectralDistribution, q: int) -> float:
     if not 1 <= q <= 20:
         raise ValueError("moment order must be in [1, 20]")
     return float(np.sum(np.asarray(dist.atoms, dtype=float) ** q) / dist.ambient_dim)
-
-
-def write_distance_csv(path, rows) -> None:
-    """Distance report: one line per (replica, metric, value)."""
-    lines = ["replica,metric,value"]
-    for replica, metric, value in rows:
-        lines.append(f"{replica},{metric},{float(value)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

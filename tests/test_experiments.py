@@ -10,7 +10,7 @@ import pytest
 
 import tensormp.experiments
 import tensormp.mp
-from tensormp.cli import main
+from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import make_params
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
@@ -27,12 +27,8 @@ from tensormp.experiments import (
     run_sweep,
     schedule_k,
     selftest,
-    sweep_csv_lines,
     sweep_plan_from_json,
-    write_sweep_csv,
-    write_sweep_json,
 )
-from tensormp.gram import read_eigenvalue_csv
 
 
 def test_k_schedules():
@@ -186,31 +182,115 @@ def test_sweep_without_constant_tau_has_nan_mp_distances():
     assert 0.0 <= record.levy_models <= 1.0
 
 
-def test_sweep_csv_is_thread_count_invariant():
-    # replicas always run serially; two runs of one plan give the same bytes
-    plan = make_sweep_plan([6, 8], c=0.5, seed=5, replicas=3)
-    lines_1 = sweep_csv_lines(run_sweep(plan))
-    lines_2 = sweep_csv_lines(run_sweep(plan))
-    assert lines_1 == lines_2
-    assert lines_1[0] == "n,k,m,N,c,replica,ks_mp,levy_mp,levy_models,m1,m2,m3,m4_emp,ms"
-    assert all(line.endswith(",0.0") for line in lines_1[1:])  # ms suppressed by default
+def _run_sweep_cli(tmp_path, plan, name, *flags) -> Path:
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out = tmp_path / name
+    assert main(["sweep", "--config", str(plan_path), "--out", str(out), *flags]) == 0
+    return out
 
-    timed = sweep_csv_lines(run_sweep(plan), timings=True)
+
+def test_sweep_csv_is_thread_count_invariant(tmp_path):
+    # replicas always run serially; runs of one plan give the same bytes whatever --threads says
+    plan = {"ns": [6, 8], "c": 0.5, "seed": 5, "replicas": 3}
+    texts = [
+        (_run_sweep_cli(tmp_path, plan, f"t{threads}", "--threads", threads) / "sweep.csv").read_text()
+        for threads in ("1", "2")
+    ]
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert len(lines) == 1 + 2 * 3
+    assert lines[0] == "n,k,m,N,c,replica,ks_mp,levy_mp,levy_models,m1,m2,m3,m4_emp,ms"
+    assert all(line.endswith(",0.0") for line in lines[1:])  # ms suppressed by default
+
+    timed = (_run_sweep_cli(tmp_path, plan, "timed", "--timings") / "sweep.csv").read_text().splitlines()
     assert any(not line.endswith(",0.0") for line in timed[1:])
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    header, *rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [dict(zip(header.split(","), row.split(","), strict=True)) for row in rows]
+
+
+def _assert_json_rows_match_csv(json_rows: list[dict], csv_path: Path) -> None:
+    # value for value: every CSV field is the exact text of the JSON value
+    csv_rows = _csv_rows(csv_path)
+    assert len(json_rows) == len(csv_rows) > 0
+    for record, row in zip(json_rows, csv_rows):
+        assert set(record) == set(row)
+        for column, field in row.items():
+            value = record[column]
+            assert field == (value if isinstance(value, str) else repr(value)), column
+
+
 def test_sweep_json_rows_match_csv_columns(tmp_path):
-    result = run_sweep(make_sweep_plan([6], c=0.5, seed=5, replicas=2))
-    write_sweep_csv(tmp_path / "sweep.csv", result)
-    write_sweep_json(tmp_path / "sweep.json", result)
-    header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert tuple(header.split(",")) == SWEEP_COLUMNS
-    records = json.loads((tmp_path / "sweep.json").read_text())
-    assert len(records) == len(rows) == 2
-    for record, row in zip(records, rows):
-        assert set(record) == set(SWEEP_COLUMNS)
-        for column, field in zip(SWEEP_COLUMNS, row.split(",")):
-            assert float(field) == record[column]
+    plan = {"ns": [6], "c": 0.5, "seed": 5, "replicas": 2}
+    csv_path = _run_sweep_cli(tmp_path, plan, "csv") / "sweep.csv"
+    json_path = _run_sweep_cli(tmp_path, plan, "json", "--format", "json") / "sweep.json"
+    assert tuple(csv_path.read_text().splitlines()[0].split(",")) == SWEEP_COLUMNS
+    records = json.loads(json_path.read_text())
+    assert len(records) == 2 and all(set(record) == set(SWEEP_COLUMNS) for record in records)
+    _assert_json_rows_match_csv(records, csv_path)
+
+
+def _simulate(tmp_path, config, name, *flags) -> Path:
+    config_path = tmp_path / f"{name}.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / name
+    assert main(["simulate", "--config", str(config_path), "--out", str(out), *flags]) == 0
+    return out
+
+
+def test_simulate_json_rows_match_csv_rows(tmp_path):
+    config = {"n": 3, "k": 2, "c": 1.5, "model": "covariance", "entry_law": "real_gaussian", "seed": 5, "replicas": 2}
+    csv_out = _simulate(tmp_path, config, "csv", "--bins", "9")
+    json_out = _simulate(tmp_path, config, "json", "--bins", "9", "--format", "json")
+    assert sorted(p.name for p in json_out.iterdir()) == ["eigenvalues.json", "histogram.json"]
+    grouped = json.loads((json_out / "eigenvalues.json").read_text())
+    assert [group["replica"] for group in grouped] == [0, 1]
+    flat = [
+        {"replica": group["replica"], "index": index, "eigenvalue": value}
+        for group in grouped
+        for index, value in enumerate(group["eigenvalues"])
+    ]
+    _assert_json_rows_match_csv(flat, csv_out / "eigenvalues.csv")
+    histogram = json.loads((json_out / "histogram.json").read_text())
+    assert len(histogram) == 9
+    _assert_json_rows_match_csv(histogram, csv_out / "histogram.csv")
+
+
+def test_mp_json_rows_match_csv_rows(tmp_path):
+    for fmt in ("csv", "json"):
+        assert main(["mp", "--c", "2.0", "--points", "17", "--out", str(tmp_path), "--format", fmt]) == 0
+    records = json.loads((tmp_path / "mp_grid.json").read_text())
+    assert len(records) == 17
+    _assert_json_rows_match_csv(records, tmp_path / "mp_grid.csv")
+
+
+def test_distance_json_rows_match_csv_rows(tmp_path):
+    a = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 2}, "a")
+    b = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 4, "replicas": 3}, "b")
+    dumps = ["--a", str(a / "eigenvalues.csv"), "--b", str(b / "eigenvalues.csv")]
+    for fmt in ("csv", "json"):
+        assert main(["distance", *dumps, "--out", str(tmp_path / "d"), "--format", fmt]) == 0
+    records = json.loads((tmp_path / "d" / "distances.json").read_text())
+    assert [(r["replica"], r["metric"]) for r in records] == [(0, "ks"), (0, "levy"), (1, "ks"), (1, "levy")]
+    _assert_json_rows_match_csv(records, tmp_path / "d" / "distances.csv")
+
+
+def test_distance_rejects_a_dump_without_the_ambient_dimension(tmp_path):
+    good = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(good.read_text().replace(" N=36", ""))
+    with pytest.raises(ValueError, match=r"bad\.csv: eigenvalue dump header lacks N=, the ambient dimension"):
+        main(["distance", "--a", str(bad), "--b", str(good), "--out", str(tmp_path)])
+
+
+def test_eigenvalue_dump_rejects_a_short_row(tmp_path):
+    path = tmp_path / "eigs.csv"
+    path.write_text("# n=2 k=1 m=1 N=2 model=correlation seed=0\nreplica,index,eigenvalue\n0,0.5\n")
+    with pytest.raises(ValueError, match=r"eigs\.csv:3: .*'0,0\.5'.*expected 3 fields"):
+        read_eigenvalue_csv(path)
 
 
 def test_sphere_model_requires_gaussian_law():

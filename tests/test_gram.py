@@ -1,5 +1,6 @@
 """Gram construction, eigensolving, the dense oracle, and the ESD."""
 
+import json
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import forged_sample
 from oracles import hermitian_eigen_bisect
+from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
     GramMatrix,
@@ -18,10 +20,9 @@ from tensormp.gram import (
     esd,
     materialize_dense,
     nonzero_eigenvalues,
-    read_eigenvalue_csv,
     tensor_vector,
-    write_eigenvalue_csv,
 )
+from tensormp.metrics import EmpiricalCDF
 from tensormp.sampling import norm_profile, sample_base
 
 
@@ -155,17 +156,19 @@ def test_covariance_congruence_takes_only_this_samples_correlation_gram():
 def test_esd_counting_example():
     dist = esd(np.array([1.2, 0.9, 0.9]), 4)
     assert dist.zero_mass == 0.25
-    assert dist.cdf(0.0) == 0.25
-    assert dist.cdf(1.0) == 0.75
-    assert dist.cdf(1.2) == 1.0
-    assert dist.cdf(-0.1) == 0.0
+    f = EmpiricalCDF.from_spectral(dist)
+    assert f.evaluate(0.0) == 0.25
+    assert f.evaluate(1.0) == 0.75
+    assert f.evaluate(1.2) == 1.0
+    assert f.evaluate(-0.1) == 0.0
 
 
 def test_esd_full_rank_and_degenerate_step():
     dist = esd(np.array([1.0, 1.0]), 2)
     assert dist.zero_mass == 0.0
-    assert dist.cdf(0.999) == 0.0
-    assert dist.cdf(1.0) == 1.0
+    f = EmpiricalCDF.from_spectral(dist)
+    assert f.evaluate(0.999) == 0.0
+    assert f.evaluate(1.0) == 1.0
 
 
 def test_esd_clamps_small_negatives_only():
@@ -182,7 +185,7 @@ def test_esd_rank_bound_for_m_above_ambient():
     dist = esd(w, params.ambient_dim)
     assert len(dist.atoms) == 2
     assert dist.zero_mass == 0.0
-    assert dist.cdf(np.max(w)) == 1.0
+    assert EmpiricalCDF.from_spectral(dist).evaluate(np.max(w)) == 1.0
     with pytest.raises(ValueError, match="rank bound"):
         esd(np.array([0.5, 1.0, 2.0]), 2)
 
@@ -255,14 +258,10 @@ def test_normalized_level_gram_matches_correlation():
 
 
 def test_eigenvalue_csv_round_trip(tmp_path):
-    params = make_params(4, 2, 0.5, seed=21, replicas=2)
-    rows = []
-    for replica in range(2):
-        sample = sample_base(params, replica)
-        rows.append((replica, eigenvalues(build_correlation_gram(sample, params.tau))))
-    path = tmp_path / "eigs.csv"
-    write_eigenvalue_csv(path, rows, params)
-    meta, loaded = read_eigenvalue_csv(path)
+    config = tmp_path / "point.json"
+    config.write_text(json.dumps({"n": 4, "k": 2, "c": 0.5, "seed": 21, "replicas": 2}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    meta, loaded = read_eigenvalue_csv(tmp_path / "eigenvalues.csv")
     assert meta == {
         "n": 4,
         "k": 2,
@@ -271,5 +270,7 @@ def test_eigenvalue_csv_round_trip(tmp_path):
         "model": "correlation",
         "seed": 21,
     }
-    for replica, eigs in rows:
-        assert np.array_equal(loaded[replica], eigs)  # repr round-trips exactly
+    params = make_params(4, 2, 0.5, seed=21, replicas=2)
+    for replica in range(2):
+        eigs = eigenvalues(build_correlation_gram(sample_base(params, replica), params.tau))
+        assert np.array_equal(loaded[replica], np.maximum(eigs, 0.0))  # repr round-trips exactly
