@@ -8,7 +8,6 @@ from .config import (
     ModelParams,
     TauKind,
     TauScheme,
-    ValidationReport,
     constant_tau,
     entry_law,
     explicit_tau,
@@ -16,18 +15,12 @@ from .config import (
     make_tau,
     params_from_json,
     params_to_json,
-    tau_moment,
     two_point_tau,
-    validate,
 )
 from .sampling import (
     BaseSample,
     DegenerateSampleError,
     MomentReport,
-    NormProfile,
-    dump_base_sample,
-    level_inner,
-    load_base_sample,
     norm_moment_check,
     norm_profile,
     sample_base,

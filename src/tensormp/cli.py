@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mp
-from .config import ModelKind, params_from_json, validate
+from .config import ModelKind, params_from_json
 from .gram import build_correlation_gram, build_covariance_gram, eigenvalues, esd
 from .metrics import EmpiricalCDF, ks_distance, levy_distance
 from .experiments import run_sweep, selftest, sweep_plan_from_json, sweep_rows
@@ -60,12 +60,18 @@ def _write(out: Path, name: str, fmt: str, rows: list[dict], comment: str | None
 def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
     """Parse an eigenvalue dump back into (metadata, replica -> eigenvalues).
 
-    A line that is not a `replica,index,eigenvalue` row, or a header without
-    the ambient dimension N, raises ValueError naming the file and line.
+    A JSON dump raises ValueError naming the file; a line that is not a
+    `replica,index,eigenvalue` row, or a header without the ambient dimension
+    N, raises ValueError naming the file and line.
     """
+    text = Path(path).read_text()
+    if text.lstrip().startswith(("[", "{")):
+        raise ValueError(
+            f"{path}: a JSON dump has no run header; distance reads the CSV dump written by simulate --format csv"
+        )
     meta: dict = {}
     per_replica: dict[int, list[float]] = {}
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("replica"):
             continue
@@ -103,10 +109,9 @@ def _histogram_rows(dists, bins: int) -> list[dict]:
 
 
 def _warn_regime(params) -> None:
-    report = validate(params)
-    if report.outside_regime:
+    if params.outside_regime:
         print(
-            f"warning: k/n = {report.fold_ratio:.3f} is outside the asymptotic regime",
+            f"warning: k/n = {params.fold_ratio:.3f} is outside the asymptotic regime",
             file=sys.stderr,
         )
 

@@ -1,8 +1,9 @@
 """Experiment configuration: dimensions, entry laws, and tau weight sequences.
 
-Everything here is immutable and pure. Building the same configuration twice
-yields identical objects, and validation never mutates its input, so configs
-can be shared freely across worker threads.
+Everything here is immutable and pure. A ModelParams is validated once, at
+construction (``dataclasses.replace`` re-runs the checks), and building the
+same configuration twice yields equal objects, so configs can be shared
+freely.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 MAX_AMBIENT_DIM = 2**53  # largest integer that round-trips through a float64
 REGIME_FOLD_RATIO = 0.5  # k/n above this is flagged as outside the thin-fold regime
-DEFAULT_TAU_BOUND_CONST = 2.0
 
 
 class ModelKind(str, enum.Enum):
@@ -147,28 +147,6 @@ def make_tau(scheme, m: int) -> TauScheme:
     return explicit_tau(values)
 
 
-@dataclass(frozen=True)
-class TauMoment:
-    """Empirical moment (1/m) sum tau^q with its growth diagnostic.
-
-    The bound |value| <= A^q q^q is a diagnostic only; A is configurable and
-    defaults to 2.
-    """
-
-    q: int
-    value: float
-    bound: float
-    within_bound: bool
-
-
-def tau_moment(tau: TauScheme, q: int, bound_const: float = DEFAULT_TAU_BOUND_CONST) -> TauMoment:
-    if q < 1:
-        raise ValueError("moment order must be a positive integer")
-    value = float(np.mean(tau.as_array() ** q))
-    bound = float(bound_const**q) * float(q) ** q
-    return TauMoment(q=q, value=value, bound=bound, within_bound=abs(value) <= bound)
-
-
 def ambient_dim(n: int, k: int) -> int:
     """n^k in exact integer arithmetic, capped so the value survives a float64."""
     if n < 2:
@@ -193,7 +171,9 @@ def sample_count(c: float, dim: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full configuration of one experiment point."""
+    """Full configuration of one experiment point, checked once here: n^k fits
+    a float64 exactly, m rounds to at least 1, tau has length m, and the seed
+    and replica count are in range."""
 
     n: int
     k: int
@@ -226,33 +206,12 @@ class ModelParams:
     def fold_ratio(self) -> float:
         return self.k / self.n
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ambient_dim: int
-    sample_count: int
-    fold_ratio: float
-    outside_regime: bool
-
-
-def validate(params: ModelParams) -> ValidationReport:
-    """Derived dimensions plus the k/n regime diagnostic.
-
-    k/n > 0.5 is a warning flag, not an error: the limit theory assumes the
-    fold grows slower than the base dimension, but small-k desk runs are
-    still perfectly computable.
-    """
-    dim = ambient_dim(params.n, params.k)
-    m = sample_count(params.c, dim)
-    if len(params.tau) != m:
-        raise ValueError(f"tau scheme has length {len(params.tau)}, expected m={m}")
-    ratio = params.k / params.n
-    return ValidationReport(
-        ambient_dim=dim,
-        sample_count=m,
-        fold_ratio=ratio,
-        outside_regime=ratio > REGIME_FOLD_RATIO,
-    )
+    @property
+    def outside_regime(self) -> bool:
+        """k/n > 0.5 is a warning flag, not an error: the limit theory assumes
+        the fold grows slower than the base dimension, but small-k desk runs
+        are still perfectly computable."""
+        return self.fold_ratio > REGIME_FOLD_RATIO
 
 
 def make_params(

@@ -17,14 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mp
-from .config import (
-    EntryLawKind,
-    ModelKind,
-    ModelParams,
-    entry_law,
-    make_params,
-    validate,
-)
+from .config import EntryLawKind, ModelKind, ModelParams, entry_law, make_params, params_from_json
 from .gram import (
     _covariance_from_correlation,
     build_correlation_gram,
@@ -93,8 +86,6 @@ class SweepPlan:
         # every point runs plan.replicas replicas; a point's own replicas field is ignored
         if len({replace(p, replicas=1) for p in self.points}) != len(self.points):
             raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
-        for point in self.points:
-            validate(point)
 
 
 def make_sweep_plan(
@@ -137,14 +128,20 @@ def _k_schedule_from_json(doc) -> FixedK | PowerK:
 
 def sweep_plan_from_json(doc: dict) -> SweepPlan:
     """Either an explicit {"points": [config, ...]} list or the grid shorthand
-    {"ns": [...], "c": .., "k_schedule": {...}, ...}."""
+    {"ns": [...], "c": .., "k_schedule": {...}, ...}.
+
+    Every point runs the plan's "replicas" (default 5); a point that sets a
+    different "replicas" of its own raises ValueError.
+    """
     replicas = int(doc.get("replicas", 5))
     out_dir = doc.get("out")
     if "points" in doc:
-        from .config import params_from_json
-
-        points = tuple(params_from_json(p) for p in doc["points"])
-        return SweepPlan(points=points, replicas=replicas, out_dir=out_dir)
+        points = []
+        for index, point in enumerate(doc["points"]):
+            if int(point.get("replicas", replicas)) != replicas:
+                raise ValueError(f"point {index} sets replicas={point['replicas']}, but the plan runs {replicas}")
+            points.append(params_from_json({**point, "replicas": replicas}))
+        return SweepPlan(points=tuple(points), replicas=replicas, out_dir=out_dir)
     return make_sweep_plan(
         [int(n) for n in doc["ns"]],
         c=float(doc["c"]),
@@ -433,7 +430,7 @@ def _check_unit_modulus_collapse(seed: int) -> CheckResult:
         corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
         cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
         worst = max(worst, float(np.max(np.abs(corr - cov))))
-        ratio = np.prod(norm_profile(sample).level_sq_norms / params.n, axis=1)
+        ratio = np.prod(norm_profile(sample) / params.n, axis=1)
         worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
     return CheckResult("unit_modulus_collapse", worst <= 1e-12, worst)
 

@@ -82,7 +82,7 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     entries = sample.entries
     m, k, n = entries.shape
     unit = sample.params.entry_law.unit_modulus
-    sq = None if unit else norm_profile(sample).level_sq_norms
+    sq = None if unit else norm_profile(sample)
     product = np.ones((m, m), dtype=entries.dtype)
     for level in range(k):
         block = entries[:, level, :]
@@ -113,7 +113,7 @@ def _covariance_from_correlation(corr: GramMatrix, sample: BaseSample) -> GramMa
         raise ValueError(f"expected the order-{sample.entries.shape[0]} correlation Gram of this sample")
     if sample.params.entry_law.unit_modulus:
         return GramMatrix(order=corr.order, entries=corr.entries, model=ModelKind.COVARIANCE)
-    scale = np.prod(norm_profile(sample).level_sq_norms / sample.entries.shape[2], axis=1)
+    scale = np.prod(norm_profile(sample) / sample.entries.shape[2], axis=1)
     d = np.sqrt(scale)
     entries = corr.entries * np.outer(d, d)
     entries[np.diag_indices_from(entries)] = np.diag(corr.entries).real * scale
@@ -135,8 +135,7 @@ def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatri
     """
     m, k, n = sample.entries.shape
     values = _tau_values(tau, m)
-    profile = norm_profile(sample)
-    normed = sample.entries / np.sqrt(profile.level_sq_norms)[:, :, None]
+    normed = sample.entries / np.sqrt(norm_profile(sample))[:, :, None]
     product = np.ones((m, m), dtype=normed.dtype)
     for level in range(k):
         block = normed[:, level, :]

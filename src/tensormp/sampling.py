@@ -7,31 +7,22 @@ the batch or in what order. The per-key reference is
 (``_stream``/``_draw``); ``sample_base`` draws bitwise the same values but
 derives all m*k Philox keys of a replica in one vectorized pass of
 SeedSequence's hash and re-keys a single generator for each level vector.
-Tensor norms are accumulated in the log domain: ||Y||^2 = prod_l ||y^(l)||^2
-grows like n^k and would overflow a float64 long before the per-level factors
-stop being perfectly representable.
+No tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever formed, since it grows
+like n^k: consumers multiply the per-level ratios ||y^(l)||^2 / n, which stay
+near 1.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .config import EntryLaw, EntryLawKind, ModelParams, validate
+from .config import EntryLaw, EntryLawKind, ModelParams
 
 # spawn-key namespace for the Monte Carlo moment check, disjoint from the
 # three-component (replica, sample, level) keys used by sample_base
 _MOMENT_STREAM = 0x4D43
-
-_LAW_CODES = {kind: code for code, kind in enumerate(EntryLawKind)}
-_CODE_LAWS = {code: kind for kind, code in _LAW_CODES.items()}
-
-_DUMP_MAGIC = b"TPBS"
-_DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<4sBQQQQB")
 
 
 class DegenerateSampleError(RuntimeError):
@@ -50,14 +41,6 @@ class BaseSample:
     entries: np.ndarray
     params: ModelParams
     replica: int
-
-
-@dataclass(frozen=True)
-class NormProfile:
-    """Per-level squared norms and the log-domain tensor norms built from them."""
-
-    level_sq_norms: np.ndarray  # (m, k) real
-    log_sq_norms: np.ndarray  # (m,) real, log ||Y_alpha||^2
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -133,10 +116,6 @@ def _philox_keys(seed: int, replica: int, m: int, k: int) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
-# the laws whose _transform returns float64 entries
-_REAL_LAWS = frozenset({EntryLawKind.REAL_GAUSSIAN, EntryLawKind.RADEMACHER})
-
-
 def _raw_shape(law: EntryLaw, shape: tuple) -> tuple:
     """Shape of the raw draws behind ``shape`` entries: re and im planes for
     the complex Gaussian, one value per entry otherwise."""
@@ -198,7 +177,6 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     derived together and one generator, local to the call, is re-keyed per
     level vector (counter 0, empty buffer, as freshly constructed).
     """
-    validate(params)
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")
     m, k, n = params.sample_count, params.k, params.n
@@ -228,27 +206,17 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     return BaseSample(entries=entries, params=params, replica=replica_index)
 
 
-def level_inner(sample: BaseSample, alpha: int, beta: int, level: int) -> complex:
-    """<y_alpha, y_beta> at one level, conjugating the second argument."""
-    ya = sample.entries[alpha, level]
-    yb = sample.entries[beta, level]
-    return complex(np.vdot(yb, ya))
+def norm_profile(sample: BaseSample) -> np.ndarray:
+    """The read-only (m, k) array of level squared norms ||y_alpha^(l)||^2.
 
-
-def norm_profile(sample: BaseSample) -> NormProfile:
-    """Level norms and log-accumulated tensor norms.
-
-    Never forms an n^k-entry product of raw entries; the tensor norm exists
-    only as a sum of per-level logs.
+    A zero norm raises DegenerateSampleError naming the first (alpha, level).
     """
     sq = np.einsum("alj,alj->al", sample.entries, sample.entries.conj()).real
     if np.any(sq <= 0.0):
         alpha, level = map(int, np.argwhere(sq <= 0.0)[0])
         raise DegenerateSampleError(alpha, level)
-    logs = np.sum(np.log(sq), axis=1)
     sq.setflags(write=False)
-    logs.setflags(write=False)
-    return NormProfile(level_sq_norms=sq, log_sq_norms=logs)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -305,45 +273,3 @@ def norm_moment_check(params: ModelParams, trials: int) -> MomentReport:
         quartic_se=quartic_se,
         passed=passed,
     )
-
-
-def dump_base_sample(sample: BaseSample, path) -> None:
-    """Binary debug dump: (n, k, m, seed, law) header, then the entries as
-    row-major little-endian float64 (re, im) pairs."""
-    m, k, n = sample.entries.shape
-    header = _DUMP_HEADER.pack(
-        _DUMP_MAGIC,
-        _DUMP_VERSION,
-        n,
-        k,
-        m,
-        sample.params.seed,
-        _LAW_CODES[sample.params.entry_law.kind],
-    )
-    data = np.ascontiguousarray(sample.entries).astype("<c16").tobytes()
-    Path(path).write_bytes(header + data)
-
-
-def load_base_sample(path) -> tuple[dict, np.ndarray]:
-    """Read a dump back as (header dict, (m, k, n) array) in the dtype the law
-    draws: float64 for the real laws, whose imaginary parts must be exactly 0,
-    complex128 otherwise."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _DUMP_HEADER.size:
-        raise ValueError("not a base-sample dump")
-    magic, version, n, k, m, seed, law_code = _DUMP_HEADER.unpack_from(raw)
-    if magic != _DUMP_MAGIC or version != _DUMP_VERSION:
-        raise ValueError("not a base-sample dump")
-    law = _CODE_LAWS.get(law_code)
-    if law is None:
-        raise ValueError(f"unknown entry-law code {law_code} in base-sample dump")
-    entries = np.frombuffer(raw, dtype="<c16", offset=_DUMP_HEADER.size)
-    if entries.size != m * k * n:
-        raise ValueError("truncated base-sample dump")
-    header = {"n": n, "k": k, "m": m, "seed": seed, "law": law}
-    entries = entries.reshape(m, k, n)
-    if law in _REAL_LAWS:
-        if np.any(entries.imag != 0.0):
-            raise ValueError(f"{law.value} dump has a nonzero imaginary part")
-        return header, entries.real.astype(np.float64)
-    return header, entries.astype(np.complex128)

@@ -1,5 +1,7 @@
 """Configuration layer: derived dimensions, tau schemes, entry-law moments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,24 +17,22 @@ from tensormp.config import (
     make_tau,
     params_from_json,
     params_to_json,
-    tau_moment,
     two_point_tau,
-    validate,
 )
 from tensormp.sampling import _draw, _stream
 
 
 def test_validate_small_grid():
-    report = validate(make_params(3, 4, 0.5))
-    assert report.ambient_dim == 81
-    assert report.sample_count == 41  # round-half-up of 40.5
-    assert report.outside_regime  # k/n = 4/3 is far from the thin-fold regime
+    params = make_params(3, 4, 0.5)
+    assert params.ambient_dim == 81
+    assert params.sample_count == 41  # round-half-up of 40.5
+    assert params.outside_regime  # k/n = 4/3 is far from the thin-fold regime
 
-    report = validate(make_params(30, 2, 0.5))
-    assert report.ambient_dim == 900
-    assert report.sample_count == 450
-    assert report.fold_ratio == pytest.approx(0.0667, abs=5e-5)
-    assert not report.outside_regime
+    params = make_params(30, 2, 0.5)
+    assert params.ambient_dim == 900
+    assert params.sample_count == 450
+    assert params.fold_ratio == pytest.approx(0.0667, abs=5e-5)
+    assert not params.outside_regime
 
 
 def test_ambient_dim_overflow():
@@ -53,13 +53,18 @@ def test_degenerate_counts_rejected():
 
 
 def test_regime_warning_flag():
-    report = validate(make_params(2, 2, 0.5))
-    assert report.outside_regime  # k/n = 1 > 0.5, warning not error
+    assert make_params(2, 2, 0.5).outside_regime  # k/n = 1 > 0.5, warning not error
+    assert not make_params(4, 2, 0.5).outside_regime  # k/n = 0.5 is the boundary
 
 
 def test_validate_is_pure():
     params = make_params(5, 2, 0.4, seed=9)
-    assert validate(params) == validate(params)
+    assert params == make_params(5, 2, 0.4, seed=9)
+    derived = (params.ambient_dim, params.sample_count, params.fold_ratio, params.outside_regime)
+    assert derived == (25, 10, 0.4, False)
+    assert replace(params, seed=10).sample_count == 10
+    with pytest.raises(ValueError, match="tau scheme has length"):
+        replace(params, c=0.8)  # replace re-runs the construction checks
 
 
 def test_seed_and_replica_bounds():
@@ -74,26 +79,19 @@ def test_constant_tau_is_exact_ones():
     tau = constant_tau(5)
     assert tau.values == (1.0, 1.0, 1.0, 1.0, 1.0)
     for q in range(1, 21):
-        assert tau_moment(tau, q).value == 1.0
+        assert np.mean(tau.as_array() ** q) == 1.0
 
 
 def test_two_point_fill_is_deterministic():
     assert two_point_tau(1, 2, 0.5, 4).values == (1.0, 1.0, 2.0, 2.0)
     assert two_point_tau(1, 2, 0.5, 5).values == (1.0, 1.0, 2.0, 2.0, 2.0)
-    assert tau_moment(two_point_tau(1, 2, 0.5, 2), 3).value == 4.5
+    assert np.mean(two_point_tau(1, 2, 0.5, 2).as_array() ** 3) == 4.5
 
 
 def test_explicit_tau_moment():
-    assert tau_moment(explicit_tau([1, 1, 4]), 2).value == 6.0
-
-
-def test_tau_moment_bound_flag():
-    small = tau_moment(constant_tau(3), 5)
-    assert small.within_bound and small.bound == 2.0**5 * 5.0**5
-    huge = tau_moment(explicit_tau([1000.0] * 3), 5)
-    assert not huge.within_bound
-    # a larger configured constant can absorb it
-    assert tau_moment(explicit_tau([1000.0] * 3), 5, bound_const=5000.0).within_bound
+    tau = explicit_tau([1, 1, 4])
+    assert tau.values == (1.0, 1.0, 4.0)
+    assert np.mean(tau.as_array() ** 2) == 6.0
 
 
 def test_tau_validation_errors():

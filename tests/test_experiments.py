@@ -100,6 +100,19 @@ def test_plan_from_json_grid_and_points():
         sweep_plan_from_json({"ns": [9], "c": 0.5, "k_schedule": {"kind": "bogus"}})
 
 
+def test_points_plan_runs_the_plan_replicas_of_every_point():
+    points = [{"n": 6, "k": 2, "c": 0.5, "seed": 1, "replicas": 2}, {"n": 8, "k": 1, "c": 0.25}]
+    doc = {"points": points, "replicas": 2}
+    plan = sweep_plan_from_json(doc)
+    assert [p.replicas for p in plan.points] == [2, 2]
+    summaries = run_sweep(plan).summaries()
+    assert [(s.params.replicas, s.replicas) for s in summaries] == [(2, 2), (2, 2)]
+
+    doc["points"][0]["replicas"] = 9
+    with pytest.raises(ValueError, match="point 0 sets replicas=9, but the plan runs 2"):
+        sweep_plan_from_json(doc)
+
+
 def test_convergence_preconditions():
     tau_plan = make_sweep_plan(
         [6], c=0.5, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, replicas=1
@@ -286,6 +299,14 @@ def test_distance_rejects_a_dump_without_the_ambient_dimension(tmp_path):
         main(["distance", "--a", str(bad), "--b", str(good), "--out", str(tmp_path)])
 
 
+def test_distance_rejects_a_json_dump(tmp_path):
+    config = {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}
+    good = _simulate(tmp_path, config, "good") / "eigenvalues.csv"
+    dump = _simulate(tmp_path, config, "json", "--format", "json") / "eigenvalues.json"
+    with pytest.raises(ValueError, match=r"eigenvalues\.json: .*reads the CSV dump written by simulate --format csv"):
+        main(["distance", "--a", str(good), "--b", str(dump), "--out", str(tmp_path)])
+
+
 def test_eigenvalue_dump_rejects_a_short_row(tmp_path):
     path = tmp_path / "eigs.csv"
     path.write_text("# n=2 k=1 m=1 N=2 model=correlation seed=0\nreplica,index,eigenvalue\n0,0.5\n")
@@ -426,6 +447,15 @@ def test_cli_rejects_flags_a_subcommand_never_reads(argv, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--out", str(tmp_path)])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("n, warned", [(2, True), (4, False)])  # k/n = 1, and the boundary k/n = 0.5
+def test_cli_warns_outside_the_fold_regime(tmp_path, capsys, n, warned):
+    warning = "warning: k/n = 1.000 is outside the asymptotic regime\n"
+    _simulate(tmp_path, {"n": n, "k": 2, "c": 0.5, "seed": 1, "replicas": 1}, "sim")
+    assert capsys.readouterr().err == (warning if warned else "")
+    _run_sweep_cli(tmp_path, {"ns": [n], "c": 0.5, "seed": 1, "replicas": 1}, "sweep")
+    assert capsys.readouterr().err == (warning if warned else "")
 
 
 def test_cli_seed_override(tmp_path):

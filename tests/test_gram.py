@@ -61,9 +61,8 @@ def test_covariance_diagonal_and_rank_one_case():
 
     params = make_params(6, 2, 0.25, seed=3)
     drawn = sample_base(params, 0)
-    profile = norm_profile(drawn)
     gram = build_covariance_gram(drawn, params.tau)
-    expected = np.prod(profile.level_sq_norms / params.n, axis=1)
+    expected = np.prod(norm_profile(drawn) / params.n, axis=1)
     assert np.allclose(np.diag(gram.entries), expected, rtol=0, atol=1e-15)
 
 
@@ -75,7 +74,7 @@ def test_unit_modulus_laws_collapse_the_two_models():
         corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
         cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
         assert np.max(np.abs(corr - cov)) <= 1e-12
-        ratio = np.prod(norm_profile(sample).level_sq_norms / params.n, axis=1)
+        ratio = np.prod(norm_profile(sample) / params.n, axis=1)
         assert np.max(np.abs(ratio - 1.0)) <= 1e-12
 
 

@@ -1,6 +1,5 @@
-"""Sampling layer: keyed streams, level inner products, log-domain norms."""
+"""Sampling layer: keyed streams, level norms, the norm-moment check."""
 
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,16 +9,11 @@ import pytest
 from helpers import forged_sample
 from tensormp.config import EntryLawKind, make_params
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
-from tensormp.gram import build_correlation_gram, eigenvalues
 from tensormp.sampling import (
-    BaseSample,
     DegenerateSampleError,
     _draw,
     _philox_keys,
     _stream,
-    dump_base_sample,
-    level_inner,
-    load_base_sample,
     norm_moment_check,
     norm_profile,
     sample_base,
@@ -112,51 +106,27 @@ def test_unit_circle_support():
     assert np.all(np.abs(np.abs(sample.entries) - 1.0) < 1e-15)
 
 
-def test_level_inner_examples():
-    sample = forged_sample([[[1.0, 0.0]], [[0.0, 1.0]]])
-    assert level_inner(sample, 0, 1, 0) == 0.0
-
-    sample = forged_sample([[[1.0, 1j]], [[1.0, 1.0]]])
-    assert level_inner(sample, 0, 1, 0) == 1.0 + 1.0j
-
-    profile = norm_profile(sample)
-    for alpha in range(2):
-        self_inner = level_inner(sample, alpha, alpha, 0)
-        assert self_inner.imag == 0.0
-        assert self_inner.real == profile.level_sq_norms[alpha, 0]
-
-
-def test_level_inner_hermitian_and_cauchy_schwarz():
-    params = make_params(7, 3, 0.3, seed=2)
-    sample = sample_base(params, 0)
-    profile = norm_profile(sample)
-    m, k, _ = sample.entries.shape
-    for alpha in range(m):
-        for beta in range(m):
-            for level in range(k):
-                forward = level_inner(sample, alpha, beta, level)
-                assert forward == np.conj(level_inner(sample, beta, alpha, level))
-                bound = profile.level_sq_norms[alpha, level] * profile.level_sq_norms[beta, level]
-                assert abs(forward) ** 2 <= bound * (1.0 + 1e-12)
-
-
 def test_norm_profile_unit_modulus_exact():
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 4, 4 / 6**4, entry_law_kind=law, seed=1)
         sample = sample_base(params, 0)
-        profile = norm_profile(sample)
-        k, n = params.k, params.n
-        assert np.all(np.abs(profile.log_sq_norms - k * math.log(n)) <= 1e-12 * k)
+        sq = norm_profile(sample)
+        assert sq.shape == (params.sample_count, params.k) and not sq.flags.writeable
+        if law == "rademacher":
+            assert np.all(sq == params.n)  # a sum of n ones
+        else:  # cos^2 + sin^2 rounds: a few ulps of n
+            assert np.all(np.abs(sq - params.n) <= 4 * np.finfo(float).eps * params.n)
 
 
 def test_norm_profile_single_level_and_hand_case():
     params = make_params(5, 1, 0.4, seed=3)
-    profile = norm_profile(sample_base(params, 0))
-    assert np.array_equal(profile.log_sq_norms, np.log(profile.level_sq_norms[:, 0]))
+    sample = sample_base(params, 0)
+    sq = norm_profile(sample)
+    assert np.allclose(sq[:, 0], np.linalg.norm(sample.entries[:, 0], axis=1) ** 2, rtol=1e-14, atol=0.0)
 
     sample = forged_sample([[[1.0, 1.0], [1.0, -1.0]]])
-    profile = norm_profile(sample)
-    assert profile.log_sq_norms[0] == pytest.approx(math.log(4.0), abs=1e-15)
+    sq = norm_profile(sample)
+    assert np.array_equal(sq, [[2.0, 2.0]]) and np.prod(sq) == 4.0
 
 
 def test_degenerate_sample_error_names_indices():
@@ -199,45 +169,3 @@ def test_norm_moment_check_real_gaussian_quartic():
     assert 16.0 * report.quartic_target == 24.0
     assert report.passed
 
-
-def test_dump_round_trip(tmp_path):
-    path = tmp_path / "sample.bin"
-    for law, dtype in (("unit_circle", np.complex128), ("real_gaussian", np.float64), ("rademacher", np.float64)):
-        params = make_params(3, 2, 0.5, entry_law_kind=law, seed=9)
-        sample = sample_base(params, 0)
-        dump_base_sample(sample, path)
-        header, entries = load_base_sample(path)
-        assert header == {"n": 3, "k": 2, "m": 5, "seed": 9, "law": params.entry_law.kind}
-        assert entries.dtype == dtype
-        assert entries.tobytes() == sample.entries.tobytes()
-        reloaded = BaseSample(entries=entries, params=params, replica=0)
-        assert np.array_equal(
-            eigenvalues(build_correlation_gram(reloaded, params.tau)),
-            eigenvalues(build_correlation_gram(sample, params.tau)),
-        )
-
-
-def test_real_law_dump_rejects_an_imaginary_part(tmp_path):
-    params = make_params(3, 2, 0.5, entry_law_kind="real_gaussian", seed=9)
-    sample = sample_base(params, 0)
-    path = tmp_path / "sample.bin"
-    dump_base_sample(BaseSample(entries=sample.entries + 1e-300j, params=params, replica=0), path)
-    with pytest.raises(ValueError, match="imaginary"):
-        load_base_sample(path)
-
-
-def test_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a dump at all" * 4)
-    with pytest.raises(ValueError):
-        load_base_sample(path)
-    path.write_bytes(b"TPBS\x01")  # shorter than the header
-    with pytest.raises(ValueError, match="not a base-sample dump"):
-        load_base_sample(path)
-
-    dump_base_sample(sample_base(make_params(3, 2, 0.5, seed=9), 0), path)
-    raw = bytearray(path.read_bytes())
-    raw[37] = 9  # the law code, last byte of the header
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="unknown entry-law code 9"):
-        load_base_sample(path)
