@@ -83,9 +83,12 @@ class SweepPlan:
             raise ValueError("replicas must be at least 1")
         if not self.points:
             raise ValueError("a sweep needs at least one point")
-        # every point runs plan.replicas replicas; a point's own replicas field is ignored
+        # two points that differ only in their replicas field draw the same samples
         if len({replace(p, replicas=1) for p in self.points}) != len(self.points):
             raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
+        for index, point in enumerate(self.points):
+            if point.replicas != self.replicas:
+                raise ValueError(f"point {index} sets replicas={point.replicas}, but the plan runs {self.replicas}")
 
 
 def make_sweep_plan(
@@ -136,12 +139,8 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
     replicas = int(doc.get("replicas", 5))
     out_dir = doc.get("out")
     if "points" in doc:
-        points = []
-        for index, point in enumerate(doc["points"]):
-            if int(point.get("replicas", replicas)) != replicas:
-                raise ValueError(f"point {index} sets replicas={point['replicas']}, but the plan runs {replicas}")
-            points.append(params_from_json({**point, "replicas": replicas}))
-        return SweepPlan(points=tuple(points), replicas=replicas, out_dir=out_dir)
+        points = tuple(params_from_json({"replicas": replicas, **point}) for point in doc["points"])
+        return SweepPlan(points=points, replicas=replicas, out_dir=out_dir)
     return make_sweep_plan(
         [int(n) for n in doc["ns"]],
         c=float(doc["c"]),
@@ -221,10 +220,20 @@ class SweepResult:
 def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_comparison: bool) -> ReplicaRecord:
     start = time.perf_counter()
     sample = sample_base(params, replica)
+    correlation = params.model is ModelKind.CORRELATION
+    # solve C, derive D C D from it, then drop C: at most two m x m arrays are alive
     corr = build_correlation_gram(sample, params.tau)
-    cov = _covariance_from_correlation(corr, sample)
-    primary, secondary = (corr, cov) if params.model is ModelKind.CORRELATION else (cov, corr)
-    primary_dist = esd(eigenvalues(primary), params.ambient_dim)
+    corr_dist = cov_dist = None
+    if correlation or with_comparison:
+        corr_dist = esd(eigenvalues(corr), params.ambient_dim)
+    if not correlation or with_comparison:
+        cov = _covariance_from_correlation(corr, sample)
+        if cov.entries is corr.entries and corr_dist is not None:  # unit-modulus laws: one matrix, one solve
+            cov_dist = corr_dist
+        else:
+            del corr
+            cov_dist = esd(eigenvalues(cov), params.ambient_dim)
+    primary_dist, secondary_dist = (corr_dist, cov_dist) if correlation else (cov_dist, corr_dist)
     primary_cdf = EmpiricalCDF.from_spectral(primary_dist)
     ks_mp = levy_mp = levy_models = float("nan")
     if with_mp and params.tau.is_constant_one:
@@ -232,10 +241,10 @@ def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_
         ks_mp = ks_distance(primary_cdf, reference)
         levy_mp = levy_distance(primary_cdf, reference)
     if with_comparison:
-        if secondary.entries is primary.entries:  # unit-modulus laws: one matrix, one solve
+        if secondary_dist is primary_dist:
             secondary_cdf = primary_cdf
         else:
-            secondary_cdf = EmpiricalCDF.from_spectral(esd(eigenvalues(secondary), params.ambient_dim))
+            secondary_cdf = EmpiricalCDF.from_spectral(secondary_dist)
         levy_models = levy_distance(primary_cdf, secondary_cdf)
     moments = tuple(empirical_moment(primary_dist, q) for q in (1, 2, 3, 4))
     ms = (time.perf_counter() - start) * 1000.0

@@ -24,6 +24,7 @@ HERMITIAN_RTOL = 1e-12
 INVARIANT_RTOL = 1e-10  # trace/Frobenius gap allowed per eigenvalue, relative to max|w|^p
 NEGATIVE_CLAMP_REL = 1e-9  # relative floor below which negatives are an error
 NONZERO_THRESHOLD_REL = 1e-9  # separates rank zeros from genuine small atoms
+_PANEL_ROWS = 32  # rows per panel of the in-place Gram passes and checks
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,34 @@ def _tau_values(tau: TauScheme, m: int) -> np.ndarray:
     return values
 
 
-def _hermitize(product: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    # each unordered pair is computed once (the upper triangle) and mirrored
-    # by conjugation, so Hermitian symmetry is exact rather than approximate
-    upper = np.triu(product, 1)
-    out = upper + upper.conj().T
-    out[np.diag_indices_from(out)] = diag
-    return out
+def _row_panels(m: int) -> list[tuple[int, int]]:
+    """(start, stop) of each run of _PANEL_ROWS rows of an m x m matrix."""
+    return [(start, min(start + _PANEL_ROWS, m)) for start in range(0, m, _PANEL_ROWS)]
+
+
+def _hermitize(product: np.ndarray, tau: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Scale product by sqrt(tau_a tau_b), mirror the conjugate of its strict
+    upper triangle into the lower one and set the diagonal, all in place.
+
+    Each unordered pair is computed once (the upper triangle) and mirrored by
+    conjugation, so Hermitian symmetry is exact rather than approximate. The
+    result is bitwise U + U^H with U = triu(sqrt(tau tau^T) * product, 1): the
+    additions of zero reproduce that sum's signed zeros. It runs one row panel
+    at a time, so no temporary is larger than a panel.
+    """
+    m = product.shape[0]
+    zero = np.conj(np.zeros((), product.dtype))  # what U^H adds above the diagonal: +0, or +0 - 0j
+    for start, stop in _row_panels(m):
+        right = product[start:stop, start:]
+        np.multiply(np.sqrt(np.outer(tau[start:stop], tau[start:])), right, out=right)
+        upper = np.triu(product[start:stop, start:stop], 1)
+        product[start:stop, start:stop] = upper + upper.conj().T
+        product[start:stop, stop:] += zero
+        lower = product[start:stop, :start]
+        np.conjugate(product[:start, start:stop].T, out=lower)
+        lower += 0.0
+    product[np.diag_indices(m)] = diag
+    return product
 
 
 def _level_ratio_product(sample: BaseSample) -> np.ndarray:
@@ -77,17 +99,29 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     Each factor has modulus <= 1 by Cauchy-Schwarz, which makes the k-fold
     product overflow-proof. For unit-modulus laws ||y^(l)||^2 = n almost
     surely, and the exact value n is used, so the covariance Gram of such a
-    law is this correlation Gram bitwise.
+    law is this correlation Gram bitwise. Each level is normalized in place by
+    the same division loop as inner / den, and the first level's ratio is the
+    product, so at most two m x m arrays are alive.
     """
     entries = sample.entries
     m, k, n = entries.shape
     unit = sample.params.entry_law.unit_modulus
     sq = None if unit else norm_profile(sample)
-    product = np.ones((m, m), dtype=entries.dtype)
+    product = None
     for level in range(k):
         block = entries[:, level, :]
         inner = block @ block.conj().T
-        product *= inner / n if unit else inner / np.sqrt(np.outer(sq[:, level], sq[:, level]))
+        if unit:
+            np.divide(inner, n, out=inner)
+        else:
+            for start, stop in _row_panels(m):
+                rows = inner[start:stop]
+                np.divide(rows, np.sqrt(np.outer(sq[start:stop, level], sq[:, level])), out=rows)
+        if product is None:
+            product = inner
+        else:
+            product *= inner
+        del inner  # freed before the next level's product is allocated
     return product
 
 
@@ -99,8 +133,7 @@ def build_correlation_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
     """
     m = sample.entries.shape[0]
     values = _tau_values(tau, m)
-    entries = np.sqrt(np.outer(values, values)) * _level_ratio_product(sample)
-    entries = _hermitize(entries, values)
+    entries = _hermitize(_level_ratio_product(sample), values, values)
     entries.setflags(write=False)
     return GramMatrix(order=m, entries=entries, model=ModelKind.CORRELATION)
 
@@ -108,14 +141,18 @@ def build_correlation_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
 def _covariance_from_correlation(corr: GramMatrix, sample: BaseSample) -> GramMatrix:
     """Covariance Gram D C D of the correlation Gram C of the same sample, with
     d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a keeps
-    it exactly Hermitian. For unit-modulus laws D = I and C's array is shared."""
+    it exactly Hermitian. For unit-modulus laws D = I and C's array is shared.
+    The scaling runs one row panel at a time, so the only m x m array it
+    allocates is its result."""
     if corr.model is not ModelKind.CORRELATION or corr.order != sample.entries.shape[0]:
         raise ValueError(f"expected the order-{sample.entries.shape[0]} correlation Gram of this sample")
     if sample.params.entry_law.unit_modulus:
         return GramMatrix(order=corr.order, entries=corr.entries, model=ModelKind.COVARIANCE)
     scale = np.prod(norm_profile(sample) / sample.entries.shape[2], axis=1)
     d = np.sqrt(scale)
-    entries = corr.entries * np.outer(d, d)
+    entries = np.empty_like(corr.entries)
+    for start, stop in _row_panels(corr.order):
+        np.multiply(corr.entries[start:stop], np.outer(d[start:stop], d), out=entries[start:stop])
     entries[np.diag_indices_from(entries)] = np.diag(corr.entries).real * scale
     entries.setflags(write=False)
     return GramMatrix(order=corr.order, entries=entries, model=ModelKind.COVARIANCE)
@@ -136,15 +173,17 @@ def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatri
     m, k, n = sample.entries.shape
     values = _tau_values(tau, m)
     normed = sample.entries / np.sqrt(norm_profile(sample))[:, :, None]
-    product = np.ones((m, m), dtype=normed.dtype)
+    product = None
     for level in range(k):
         block = normed[:, level, :]
-        product *= block @ block.conj().T
-    entries = np.sqrt(np.outer(values, values)) * product
+        if product is None:
+            product = block @ block.conj().T
+        else:
+            product *= block @ block.conj().T
     diag = values * np.prod(
         np.einsum("alj,alj->al", normed, normed.conj()).real, axis=1
     )
-    entries = _hermitize(entries, diag)
+    entries = _hermitize(product, values, diag)
     entries.setflags(write=False)
     return GramMatrix(order=m, entries=entries, model=ModelKind.CORRELATION)
 
@@ -160,11 +199,19 @@ def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
     entries = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = float(np.max(np.abs(entries))) if entries.size else 0.0
-    if not np.isfinite(scale):  # max|G| is NaN or inf exactly when an entry is
+    # both scans run one row panel at a time, so no temporary is larger than a panel;
+    # np.max, unlike max(), propagates a NaN
+    panels = _row_panels(entries.shape[0])
+    scale = float(np.max([np.max(np.abs(entries[start:stop])) for start, stop in panels], initial=0.0))
+    if not np.isfinite(scale):  # max|G| is NaN or inf exactly when an entry is; checked before any subtraction
         index = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
         raise ValueError(f"matrix has a non-finite entry {entries[index]} at {index}")
-    asym = float(np.max(np.abs(entries - entries.conj().T))) if entries.size else 0.0
+
+    def panel_asymmetry(start: int, stop: int) -> float:
+        # |G_ab - conj(G_ba)| = |G_ba - conj(G_ab)| bitwise, so the upper triangle covers every pair
+        return np.max(np.abs(entries[start:stop, start:] - entries[start:, start:stop].conj().T))
+
+    asym = float(np.max([panel_asymmetry(start, stop) for start, stop in panels], initial=0.0))
     if asym > HERMITIAN_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}")
     w = np.linalg.eigvalsh(entries)

@@ -3,7 +3,8 @@
 Nothing here shares a computation path with the package: eigenvalues come
 from inertia counting plus bisection, KS and Levy distances from brute-force
 scans, the limit-law values from closed forms or QUADPACK, and Gram entries
-from explicitly formed tensor vectors.
+from explicitly formed tensor vectors, or from the builders' arithmetic
+written with whole-matrix temporaries.
 """
 
 from __future__ import annotations
@@ -33,6 +34,38 @@ def gram_direct(sample, tau, model: ModelKind) -> np.ndarray:
         inner = inner / n**k
     values = tau.as_array()
     return np.sqrt(np.outer(values, values)) * inner
+
+
+def gram_out_of_place(sample, tau, model: ModelKind) -> np.ndarray:
+    """The Gram builders' arithmetic, one whole-matrix temporary per step.
+
+    The same operations in the same order as the in-place builders, so the
+    two must agree bitwise: the level ratios inner_l / sqrt(sq_a sq_b) (or
+    inner_l / n for unit-modulus laws) multiplied onto a matrix of ones, the
+    sqrt(tau_a tau_b) weights, the strict upper triangle U mirrored as U + U^H
+    with tau on the diagonal, and for the covariance model the congruence by
+    d_a = sqrt(prod_l sq_a^(l) / n), whose diagonal is tau_a d_a^2.
+    """
+    entries = sample.entries
+    m, k, n = entries.shape
+    unit = sample.params.entry_law.unit_modulus
+    sq = np.einsum("alj,alj->al", entries, entries.conj()).real
+    product = np.ones((m, m), dtype=entries.dtype)
+    for level in range(k):
+        block = entries[:, level, :]
+        inner = block @ block.conj().T
+        product *= inner / n if unit else inner / np.sqrt(np.outer(sq[:, level], sq[:, level]))
+    values = tau.as_array()
+    upper = np.triu(np.sqrt(np.outer(values, values)) * product, 1)
+    corr = upper + upper.conj().T
+    corr[np.diag_indices_from(corr)] = values
+    if model is ModelKind.CORRELATION or unit:
+        return corr
+    scale = np.prod(sq / n, axis=1)
+    d = np.sqrt(scale)
+    cov = corr * np.outer(d, d)
+    cov[np.diag_indices_from(cov)] = np.diag(corr).real * scale
+    return cov
 
 
 def hermitian_eigen_bisect(matrix, tol: float = 1e-10) -> np.ndarray:

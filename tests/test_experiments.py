@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import tensormp.experiments
 import tensormp.mp
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import make_params
+from tensormp.config import EntryLawKind, make_params
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     SWEEP_COLUMNS,
@@ -68,6 +69,13 @@ def test_plan_builders():
         SweepPlan(points=(point, replace(point, replicas=3)), replicas=2)
 
 
+def test_a_plan_rejects_a_point_with_other_replicas():
+    point = make_params(6, 2, 0.5, seed=1, replicas=9)
+    with pytest.raises(ValueError, match="point 0 sets replicas=9, but the plan runs 2"):
+        SweepPlan(points=(point,), replicas=2)
+    assert SweepPlan(points=(replace(point, replicas=2),), replicas=2).replicas == 2
+
+
 def test_plan_from_json_grid_and_points():
     plan = sweep_plan_from_json(
         {
@@ -122,6 +130,38 @@ def test_convergence_preconditions():
     cov_plan = make_sweep_plan([6], c=0.5, model="covariance", replicas=1)
     with pytest.raises(ValueError, match="correlation"):
         run_convergence(cov_plan)
+
+
+def test_only_a_covariance_reading_run_derives_the_covariance_gram(monkeypatch):
+    calls = []
+    derive = tensormp.experiments._covariance_from_correlation
+    monkeypatch.setattr(
+        tensormp.experiments, "_covariance_from_correlation", lambda *args: calls.append(1) or derive(*args)
+    )
+    plan = make_sweep_plan([6, 8], c=0.5, replicas=2)
+    run_convergence(plan)
+    assert len(calls) == 0
+    run_sweep(plan)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("model", ["correlation", "covariance"])
+@pytest.mark.parametrize("law", list(EntryLawKind))
+def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
+    # tracemalloc sees numpy's arrays, not LAPACK's own workspace; a small
+    # replica runs first, so one-time set-up is not counted
+    evaluate = tensormp.experiments._evaluate_replica
+    evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_mp=True, with_comparison=True)
+    params = make_params(30, 2, 0.5, entry_law_kind=law, model=model, seed=3)
+    tracemalloc.start()
+    try:
+        evaluate(params, 0, with_mp=True, with_comparison=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    itemsize = 8 if law in (EntryLawKind.REAL_GAUSSIAN, EntryLawKind.RADEMACHER) else 16
+    assert params.sample_count == 450
+    assert peak <= 2.5 * params.sample_count**2 * itemsize
 
 
 def test_model_comparison_unit_modulus_is_exactly_zero():

@@ -11,6 +11,7 @@ from oracles import hermitian_eigen_bisect
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
+    _PANEL_ROWS,
     GramMatrix,
     _covariance_from_correlation,
     build_correlation_gram,
@@ -124,6 +125,35 @@ def test_eigenvalues_reject_a_corrupted_spectrum(monkeypatch, corrupt, identity)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: corrupt(solve(a)))
     with pytest.raises(ValueError, match=identity):
         eigenvalues(gram)
+
+
+def _hermitian_spanning_panels(dtype):
+    m = 2 * _PANEL_ROWS + 5  # the last row panel is a partial one
+    rng = np.random.Generator(np.random.Philox(11))
+    a = rng.standard_normal((m, m)).astype(dtype)
+    if np.iscomplexobj(a):
+        a += 1j * rng.standard_normal((m, m))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigenvalues_checks_every_row_panel(dtype):
+    last = 2 * _PANEL_ROWS + 4
+    for bad in (np.nan, np.inf, -np.inf):
+        matrix = _hermitian_spanning_panels(dtype)
+        matrix[last, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any subtraction can warn
+            with pytest.raises(ValueError, match=rf"non-finite entry \(?{bad}(\+0j)?\)? at \({last}, 3\)"):
+                eigenvalues(matrix)
+    # an asymmetry in one off-diagonal panel, entered above or below the diagonal
+    for index in ((5, last - 1), (last - 1, 5)):
+        matrix = _hermitian_spanning_panels(dtype)
+        matrix[index] += 1e-6
+        asym = np.max(np.abs(matrix - matrix.conj().T))
+        with pytest.raises(ValueError, match=f"not Hermitian: asymmetry {asym:.3e}"):
+            eigenvalues(matrix)
+    assert eigenvalues(_hermitian_spanning_panels(dtype)).shape == (last + 1,)
 
 
 def test_eigenvalues_reject_non_hermitian():

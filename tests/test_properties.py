@@ -5,10 +5,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gram_direct
+from oracles import gram_direct, gram_out_of_place
 from tensormp import mp
 from tensormp.config import EntryLawKind, ModelKind, make_params
 from tensormp.gram import (
+    _PANEL_ROWS,
     _covariance_from_correlation,
     build_correlation_gram,
     build_covariance_gram,
@@ -108,3 +109,37 @@ def test_gram_builders_match_the_explicit_tensor_oracle(params):
     if params.entry_law.unit_modulus:
         assert _covariance_from_correlation(corr, sample).entries is corr.entries
         assert np.array_equal(cov.entries, corr.entries)
+
+
+@st.composite
+def panel_points(draw):
+    """(n, k, m) with m up to four row panels and more, N = n^k >= m, any law and tau."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, min(4 * _PANEL_ROWS + 3, n**k)))
+    law = draw(st.sampled_from(list(EntryLawKind)))
+    tau = draw(
+        st.one_of(
+            st.just("constant_one"),
+            st.builds(
+                lambda a, b, w: {"kind": "two_point", "a": a, "b": b, "weight": w},
+                st.floats(0.25, 4.0),
+                st.floats(0.25, 4.0),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+        )
+    )
+    return make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(panel_points())
+def test_in_place_builders_equal_the_out_of_place_formula_bitwise(params):
+    sample = sample_base(params, 0)
+    corr = build_correlation_gram(sample, params.tau)
+    cov = build_covariance_gram(sample, params.tau)
+    for gram, model in ((corr, ModelKind.CORRELATION), (cov, ModelKind.COVARIANCE)):
+        expected = gram_out_of_place(sample, params.tau, model)
+        assert gram.entries.dtype == expected.dtype
+        assert np.array_equal(gram.entries, expected)
+        assert np.array_equal(np.signbit(gram.entries.view(float)), np.signbit(expected.view(float)))
