@@ -53,7 +53,6 @@ from .experiments import (
     SweepResult,
     make_sweep_plan,
     run_convergence,
-    run_model_comparison,
     run_sphere_model,
     run_sweep,
     selftest,

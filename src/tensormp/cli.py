@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mp
-from .config import ModelKind, params_from_json
-from .gram import build_correlation_gram, build_covariance_gram, eigenvalues, esd
+from .config import params_from_json
+from .gram import esd
 from .metrics import EmpiricalCDF, ks_distance, levy_distance
-from .experiments import run_sweep, selftest, sweep_plan_from_json, sweep_rows
-from .sampling import sample_base
+from .experiments import _evaluate_replica, run_sweep, selftest, sweep_plan_from_json, sweep_rows
 
 
 def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None:
@@ -123,14 +122,8 @@ def _cmd_simulate(args) -> int:
     params = params_from_json(doc)
     _warn_regime(params)
     out = _out_dir(args.out)
-    builder = build_correlation_gram if params.model is ModelKind.CORRELATION else build_covariance_gram
-    spectra = []
-    dists = []
-    for replica in range(params.replicas):
-        sample = sample_base(params, replica)
-        eigs = eigenvalues(builder(sample, params.tau))
-        dists.append(esd(eigs, params.ambient_dim))  # validates the clamp floor
-        spectra.append((replica, np.maximum(eigs, 0.0)))
+    runs = [_evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
+    spectra = [(record.replica, np.maximum(eigs, 0.0)) for record, eigs, _ in runs]
     if args.format == "json":  # grouped per replica
         rows = [{"replica": r, "eigenvalues": list(map(float, e))} for r, e in spectra]
     else:
@@ -140,19 +133,14 @@ def _cmd_simulate(args) -> int:
         f"model={params.model.value} seed={params.seed}"
     )
     _write(out, "eigenvalues", args.format, rows, comment=header)
-    _write(out, "histogram", args.format, _histogram_rows(dists, args.bins))
+    _write(out, "histogram", args.format, _histogram_rows([dist for *_, dist in runs], args.bins))
     print(
         f"simulated {params.model.value} model: n={params.n} k={params.k} "
         f"m={params.sample_count} N={params.ambient_dim} replicas={params.replicas}"
     )
     if params.tau.is_constant_one:
-        reference = mp.MPLaw.from_ratio(params.c)
-        for replica, dist in enumerate(dists):
-            f = EmpiricalCDF.from_spectral(dist)
-            print(
-                f"  replica {replica}: ks_mp={ks_distance(f, reference):.6f} "
-                f"levy_mp={levy_distance(f, reference):.6f}"
-            )
+        for record, *_ in runs:
+            print(f"  replica {record.replica}: ks_mp={record.ks_mp:.6f} levy_mp={record.levy_mp:.6f}")
     return 0
 
 
@@ -218,6 +206,11 @@ def _cmd_distance(args) -> int:
 
 def _cmd_selftest(args) -> int:
     report = selftest(seed=args.seed)
+    rows = [
+        {"check": c.name, "status": "PASS" if c.passed else "FAIL", "residual": float(c.residual)}
+        for c in report.checks
+    ]
+    _write(_out_dir(args.out), "selftest", args.format, rows)
     print(report.table())
     return 0 if report.passed else 1
 

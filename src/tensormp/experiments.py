@@ -19,7 +19,9 @@ import numpy as np
 from . import mp
 from .config import EntryLawKind, ModelKind, ModelParams, entry_law, make_params, params_from_json
 from .gram import (
+    SpectralDistribution,
     _covariance_from_correlation,
+    _row_panels,
     build_correlation_gram,
     build_covariance_gram,
     build_normalized_level_gram,
@@ -217,38 +219,42 @@ class SweepResult:
         return out
 
 
-def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_comparison: bool) -> ReplicaRecord:
+def _evaluate_replica(
+    params: ModelParams, replica: int, *, with_comparison: bool
+) -> tuple[ReplicaRecord, np.ndarray, SpectralDistribution]:
+    """One replica of a point: its record, and the m Gram eigenvalues
+    (structural zeros included) and spectral distribution of the point's own
+    model. Limit-law distances are taken where tau is identically 1, the only
+    case where the law exists; the coupled model distance only on request."""
     start = time.perf_counter()
     sample = sample_base(params, replica)
     correlation = params.model is ModelKind.CORRELATION
     # solve C, derive D C D from it, then drop C: at most two m x m arrays are alive
     corr = build_correlation_gram(sample, params.tau)
-    corr_dist = cov_dist = None
+    corr_eigs = cov_eigs = None
     if correlation or with_comparison:
-        corr_dist = esd(eigenvalues(corr), params.ambient_dim)
+        corr_eigs = eigenvalues(corr)
     if not correlation or with_comparison:
         cov = _covariance_from_correlation(corr, sample)
-        if cov.entries is corr.entries and corr_dist is not None:  # unit-modulus laws: one matrix, one solve
-            cov_dist = corr_dist
+        if cov.entries is corr.entries and corr_eigs is not None:  # unit-modulus laws: one matrix, one solve
+            cov_eigs = corr_eigs
         else:
             del corr
-            cov_dist = esd(eigenvalues(cov), params.ambient_dim)
-    primary_dist, secondary_dist = (corr_dist, cov_dist) if correlation else (cov_dist, corr_dist)
-    primary_cdf = EmpiricalCDF.from_spectral(primary_dist)
+            cov_eigs = eigenvalues(cov)
+    eigs, other_eigs = (corr_eigs, cov_eigs) if correlation else (cov_eigs, corr_eigs)
+    dist = esd(eigs, params.ambient_dim)
+    cdf = EmpiricalCDF.from_spectral(dist)
     ks_mp = levy_mp = levy_models = float("nan")
-    if with_mp and params.tau.is_constant_one:
+    if params.tau.is_constant_one:
         reference = mp.MPLaw.from_ratio(params.c)
-        ks_mp = ks_distance(primary_cdf, reference)
-        levy_mp = levy_distance(primary_cdf, reference)
+        ks_mp = ks_distance(cdf, reference)
+        levy_mp = levy_distance(cdf, reference)
     if with_comparison:
-        if secondary_dist is primary_dist:
-            secondary_cdf = primary_cdf
-        else:
-            secondary_cdf = EmpiricalCDF.from_spectral(secondary_dist)
-        levy_models = levy_distance(primary_cdf, secondary_cdf)
-    moments = tuple(empirical_moment(primary_dist, q) for q in (1, 2, 3, 4))
+        other_cdf = cdf if other_eigs is eigs else EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim))
+        levy_models = levy_distance(cdf, other_cdf)
+    moments = tuple(empirical_moment(dist, q) for q in (1, 2, 3, 4))
     ms = (time.perf_counter() - start) * 1000.0
-    return ReplicaRecord(
+    record = ReplicaRecord(
         params=params,
         replica=replica,
         ks_mp=ks_mp,
@@ -257,12 +263,13 @@ def _evaluate_replica(params: ModelParams, replica: int, *, with_mp: bool, with_
         moments=moments,
         ms=ms,
     )
+    return record, eigs, dist
 
 
-def _run(plan: SweepPlan, *, with_mp: bool, with_comparison: bool) -> SweepResult:
+def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
     return SweepResult(
         records=tuple(
-            _evaluate_replica(params, replica, with_mp=with_mp, with_comparison=with_comparison)
+            _evaluate_replica(params, replica, with_comparison=with_comparison)[0]
             for params in plan.points
             for replica in range(plan.replicas)
         )
@@ -276,23 +283,18 @@ def run_convergence(plan: SweepPlan) -> SweepResult:
             raise ValueError("the limit-law reference requires tau identically equal to 1")
         if point.model is not ModelKind.CORRELATION:
             raise ValueError("convergence sweeps evaluate the correlation model")
-    return _run(plan, with_mp=True, with_comparison=False)
-
-
-def run_model_comparison(plan: SweepPlan) -> SweepResult:
-    """Coupled correlation/covariance distance from a shared base sample.
-
-    Both Gram matrices are built from the same draw, mirroring the coupling
-    of the two constructions; independent samples would only test equality of
-    the limits, a strictly weaker statement.
-    """
-    return _run(plan, with_mp=False, with_comparison=True)
+    return _run(plan, with_comparison=False)
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Everything at once: limit-law distances where tau is constant, the
-    coupled model comparison, and the first four spectral moments."""
-    return _run(plan, with_mp=True, with_comparison=True)
+    coupled model comparison, and the first four spectral moments.
+
+    Both Gram matrices of a replica are built from the same draw, mirroring
+    the coupling of the two constructions; independent samples would only
+    test equality of the limits, a strictly weaker statement.
+    """
+    return _run(plan, with_comparison=True)
 
 
 @dataclass(frozen=True)
@@ -332,10 +334,14 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     records = []
     for replica in range(params.replicas):
         sample = sample_base(params, replica + _SPHERE_STREAM_OFFSET)
-        normalized = build_normalized_level_gram(sample, params.tau)
-        correlation = build_correlation_gram(sample, params.tau)
-        deviation = float(np.max(np.abs(normalized.entries - correlation.entries)))
+        # solve one Gram before the other is built, compare them one row panel at a
+        # time (np.max propagates a NaN), and drop both before the next replica
+        normalized = build_normalized_level_gram(sample, params.tau).entries
         dist = esd(eigenvalues(normalized), params.ambient_dim)
+        correlation = build_correlation_gram(sample, params.tau).entries
+        panels = _row_panels(params.sample_count)
+        deviation = float(np.max([np.max(np.abs(normalized[a:b] - correlation[a:b])) for a, b in panels]))
+        del normalized, correlation
         ks = ks_distance(EmpiricalCDF.from_spectral(dist), law)
         records.append(SphereReplica(replica=replica, gram_deviation=deviation, ks_mp=ks))
     return SphereReport(params=params, records=tuple(records))

@@ -103,7 +103,7 @@ def _levy_feasible(f: EmpiricalCDF, at, before, g: EmpiricalCDF | mp.MPLaw, eps:
     return not np.any(at - eps > g.evaluate(b + eps))
 
 
-def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, tol: float = LEVY_TOL) -> float:
+def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
     """inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, for a
     step function F and a step function or limit law G.
 
@@ -119,7 +119,7 @@ def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, tol: float = LEVY
         return 0.0
     lo = 0.0
     at, before = _steps(f)
-    while hi - lo > tol:
+    while hi - lo > LEVY_TOL:
         mid = 0.5 * (lo + hi)
         if _levy_feasible(f, at, before, g, mid):
             hi = mid

@@ -23,8 +23,8 @@ from tensormp.experiments import (
     CONVERGENCE_KS_BOUND,
     make_sweep_plan,
     run_convergence,
-    run_model_comparison,
     run_sphere_model,
+    run_sweep,
 )
 from tensormp.gram import (
     build_correlation_gram,
@@ -176,14 +176,14 @@ def test_criterion_07_convergence_to_the_limit_law(convergence):
 
 def test_criterion_08_model_comparison():
     plan = make_sweep_plan([10, 30], c=0.5, seed=0, replicas=5)
-    result = run_model_comparison(plan)
+    result = run_sweep(plan)
     summaries = {s.params.n: s for s in result.summaries()}
     levy_10 = summaries[10].levy_models_mean
     levy_30 = summaries[30].levy_models_mean
     zeros_ok = True
     for law in ("rademacher", "unit_circle"):
         unit_plan = make_sweep_plan([10], c=0.5, entry_law_kind=law, seed=0, replicas=3)
-        zeros_ok &= all(r.levy_models == 0.0 for r in run_model_comparison(unit_plan).records)
+        zeros_ok &= all(r.levy_models == 0.0 for r in run_sweep(unit_plan).records)
     _criterion(
         8,
         levy_30 < levy_10 and levy_30 < COMPARISON_LEVY_BOUND and zeros_ok,

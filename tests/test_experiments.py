@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tensormp.cli
 import tensormp.experiments
 import tensormp.mp
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import EntryLawKind, make_params
+from tensormp.config import EntryLawKind, make_params, params_from_json
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     SWEEP_COLUMNS,
@@ -23,7 +24,6 @@ from tensormp.experiments import (
     SweepResult,
     make_sweep_plan,
     run_convergence,
-    run_model_comparison,
     run_sphere_model,
     run_sweep,
     schedule_k,
@@ -151,11 +151,11 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
     # tracemalloc sees numpy's arrays, not LAPACK's own workspace; a small
     # replica runs first, so one-time set-up is not counted
     evaluate = tensormp.experiments._evaluate_replica
-    evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_mp=True, with_comparison=True)
+    evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law_kind=law, model=model, seed=3)
     tracemalloc.start()
     try:
-        evaluate(params, 0, with_mp=True, with_comparison=True)
+        evaluate(params, 0, with_comparison=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -167,7 +167,7 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
 def test_model_comparison_unit_modulus_is_exactly_zero():
     for law in ("rademacher", "unit_circle"):
         plan = make_sweep_plan([8], c=0.5, entry_law_kind=law, seed=0, replicas=3)
-        result = run_model_comparison(plan)
+        result = run_sweep(plan)
         assert all(r.levy_models == 0.0 for r in result.records)
 
 
@@ -191,7 +191,7 @@ def test_model_comparison_two_point_regression_bound():
     plan = make_sweep_plan(
         [30], c=0.5, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, seed=0, replicas=5
     )
-    summary = run_model_comparison(plan).summaries()[0]
+    summary = run_sweep(plan).summaries()[0]
     assert summary.levy_models_mean < COMPARISON_LEVY_BOUND
 
 
@@ -312,6 +312,37 @@ def test_simulate_json_rows_match_csv_rows(tmp_path):
     _assert_json_rows_match_csv(histogram, csv_out / "histogram.csv")
 
 
+def test_simulate_runs_the_replica_pipeline_once_per_replica(tmp_path, monkeypatch):
+    calls = []
+    evaluate = tensormp.experiments._evaluate_replica
+
+    def counted(params, replica, **kwargs):
+        calls.append((replica, kwargs))
+        return evaluate(params, replica, **kwargs)
+
+    monkeypatch.setattr(tensormp.cli, "_evaluate_replica", counted)
+    _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "model": "covariance", "seed": 3, "replicas": 3}, "sim")
+    assert calls == [(replica, {"with_comparison": False}) for replica in range(3)]
+
+
+def test_simulate_prints_the_convergence_distances(tmp_path, capsys):
+    config = {"n": 8, "k": 2, "c": 0.5, "seed": 3, "replicas": 3}
+    _simulate(tmp_path, config, "sim")
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  replica")]
+    records = run_convergence(SweepPlan(points=(params_from_json(config),), replicas=3)).records
+    assert printed == [f"  replica {r.replica}: ks_mp={r.ks_mp:.6f} levy_mp={r.levy_mp:.6f}" for r in records]
+
+
+def test_selftest_json_rows_match_csv_rows(tmp_path, capsys):
+    for fmt in ("csv", "json"):
+        assert main(["selftest", "--out", str(tmp_path), "--format", fmt]) == 0
+    table = capsys.readouterr().out.splitlines()
+    records = json.loads((tmp_path / "selftest.json").read_text())
+    assert [line.split()[:2] for line in table[1 : 1 + len(records)]] == [[r["check"], r["status"]] for r in records]
+    assert table == 2 * table[: len(table) // 2]  # the printed table is the same for both formats
+    _assert_json_rows_match_csv(records, tmp_path / "selftest.csv")
+
+
 def test_mp_json_rows_match_csv_rows(tmp_path):
     for fmt in ("csv", "json"):
         assert main(["mp", "--c", "2.0", "--points", "17", "--out", str(tmp_path), "--format", fmt]) == 0
@@ -366,6 +397,20 @@ def test_sphere_model_matches_correlation_gram():
     assert report.max_gram_deviation <= 1e-12
     mean, se = report.ks_stats()
     assert 0.0 <= mean <= 1.0 and se >= 0.0
+
+
+def test_a_sphere_replica_holds_at_most_three_gram_sized_arrays():
+    # one Gram is solved before the other is built, and both go before the next replica
+    run_sphere_model(make_params(6, 2, 0.5, replicas=1))
+    params = make_params(30, 2, 0.5, seed=3, replicas=2)
+    tracemalloc.start()
+    try:
+        run_sphere_model(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.sample_count == 450
+    assert peak <= 3.4 * params.sample_count**2 * 16
 
 
 def test_selftest_passes_and_reports():
@@ -481,7 +526,13 @@ def test_cli_sweep_starts_no_thread(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [["mp", "--c", "0.5", "--seed", "3"], ["distance", "--a", "a", "--b", "b", "--threads", "2"]]
+    "argv",
+    [
+        ["mp", "--c", "0.5", "--seed", "3"],
+        ["distance", "--a", "a", "--b", "b", "--threads", "2"],
+        ["simulate", "--config", "point.json", "--threads", "2"],
+        ["mp", "--c", "0.5", "--timings"],
+    ],
 )
 def test_cli_rejects_flags_a_subcommand_never_reads(argv, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
