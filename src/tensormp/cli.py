@@ -207,7 +207,7 @@ def _cmd_distance(args) -> int:
 def _cmd_selftest(args) -> int:
     report = selftest(seed=args.seed)
     rows = [
-        {"check": c.name, "status": "PASS" if c.passed else "FAIL", "residual": float(c.residual)}
+        {"check": c.name, "status": "PASS" if c.passed else "FAIL", "gap": float(c.gap), "bound": float(c.bound)}
         for c in report.checks
     ]
     _write(_out_dir(args.out), "selftest", args.format, rows)

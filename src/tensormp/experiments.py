@@ -19,6 +19,7 @@ import numpy as np
 from . import mp
 from .config import EntryLawKind, ModelKind, ModelParams, entry_law, make_params, params_from_json
 from .gram import (
+    GramMatrix,
     SpectralDistribution,
     _covariance_from_correlation,
     _row_panels,
@@ -31,6 +32,7 @@ from .gram import (
     nonzero_eigenvalues,
 )
 from .metrics import (
+    LEVY_TOL,
     EmpiricalCDF,
     column_normalization_identity,
     empirical_moment,
@@ -252,6 +254,7 @@ def _evaluate_replica(
     if with_comparison:
         other_cdf = cdf if other_eigs is eigs else EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim))
         levy_models = levy_distance(cdf, other_cdf)
+        _check_levy_models(levy_models, params, cov)
     moments = tuple(empirical_moment(dist, q) for q in (1, 2, 3, 4))
     ms = (time.perf_counter() - start) * 1000.0
     record = ReplicaRecord(
@@ -264,6 +267,28 @@ def _evaluate_replica(
         ms=ms,
     )
     return record, eigs, dist
+
+
+def _check_levy_models(levy_models: float, params: ModelParams, cov: GramMatrix) -> float:
+    """The trace bound L^4(F^{AA*}, F^{BB*}) <= (2/N^2) Tr((A-B)(A-B)*) Tr(AA* + BB*)
+    (Bai and Silverstein 2010, Cor. A.42) on the coupled Levy distance: returns
+    the right-hand side, and raises if levy_models breaks it, as eigenvalues
+    raises on a missed trace or Frobenius identity.
+
+    The columns of A are the correlation model's tensor vectors and B = A D
+    with d_a^2 = prod_l ||y_a^(l)||^2 / n, so the bound is
+    (2/N^2) sum tau_a (1 - d_a)^2 sum tau_a (1 + d_a^2). It is read off the
+    covariance Gram's diagonal tau_a d_a^2 at O(m) cost; a unit-modulus law
+    shares the correlation Gram (D = I by the law), so both sides are exactly
+    0. levy_models is a bisection's upper end, so LEVY_TOL comes off it first.
+    """
+    tau = params.tau.as_array()
+    scaled = cov.entries.diagonal().real
+    bound = float(2.0 / params.ambient_dim**2 * np.sum((np.sqrt(tau) - np.sqrt(scaled)) ** 2) * np.sum(tau + scaled))
+    excess = max(levy_models - LEVY_TOL, 0.0) ** 4
+    if not excess <= bound:  # written so that a NaN distance fails
+        raise ValueError(f"coupled Levy distance {levy_models:.3e} breaks the trace bound: {excess:.3e} > {bound:.3e}")
+    return bound
 
 
 def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
@@ -377,9 +402,25 @@ def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One selftest row: a measured gap and the bound it must not exceed; the
+    check passes exactly when gap <= bound, so a NaN gap fails."""
+
     name: str
-    passed: bool
-    residual: float
+    gap: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.gap <= self.bound)
+
+
+def _nearest_failure(name: str, gaps, bounds) -> CheckResult:
+    """The row of a check's instance with the largest gap - bound (``bounds``
+    is one bound or one per gap). np.argmax returns the first NaN, so one NaN
+    gap fails the row, where a running max() would drop it."""
+    gaps, bounds = np.broadcast_arrays(np.asarray(gaps, dtype=float), np.asarray(bounds, dtype=float))
+    worst = int(np.argmax(gaps - bounds))
+    return CheckResult(name, float(gaps[worst]), float(bounds[worst]))
 
 
 @dataclass(frozen=True)
@@ -392,16 +433,15 @@ class SelfTestReport:
 
     def table(self) -> str:
         width = max(len(c.name) for c in self.checks)
-        lines = [f"{'check':<{width}}  status  max-residual"]
+        lines = [f"{'check':<{width}}  status  {'gap':<10}  bound"]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{c.name:<{width}}  {status:<6}  {c.residual:.3e}")
+            lines.append(f"{c.name:<{width}}  {status:<6}  {c.gap:<10.3e}  {c.bound:.3e}")
         return "\n".join(lines)
 
 
 def _check_gram_oracle(seed: int) -> CheckResult:
-    worst = 0.0
-    ok = True
+    gaps = []
     for n, k, m in [(2, 1, 3), (2, 2, 2), (3, 2, 4), (2, 3, 5), (3, 1, 1)]:
         dim = n**k
         params = make_params(n, k, m / dim, seed=seed)
@@ -414,15 +454,14 @@ def _check_gram_oracle(seed: int) -> CheckResult:
             dense_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(dense)))
             gram_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(builder(sample, params.tau))))
             if len(dense_nonzero) != len(gram_nonzero):
-                ok = False
-                worst = max(worst, 1.0)
+                gaps.append(1.0)  # a rank mismatch fails the row
                 continue
-            worst = max(worst, float(np.max(np.abs(dense_nonzero - gram_nonzero))) if len(dense_nonzero) else 0.0)
-    return CheckResult("gram_oracle_equivalence", ok and worst <= 1e-9, worst)
+            gaps.append(float(np.max(np.abs(dense_nonzero - gram_nonzero), initial=0.0)))
+    return _nearest_failure("gram_oracle_equivalence", gaps, 1e-9)
 
 
 def _check_trace_identity(seed: int) -> CheckResult:
-    worst = 0.0
+    gaps = []
     cases = [
         make_params(6, 2, 0.5, seed=seed),
         make_params(5, 2, 0.8, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, seed=seed),
@@ -432,90 +471,89 @@ def _check_trace_identity(seed: int) -> CheckResult:
         sample = sample_base(params, 0)
         eigs = eigenvalues(build_correlation_gram(sample, params.tau))
         target = float(np.sum(params.tau.as_array()))
-        worst = max(worst, abs(float(np.sum(eigs)) - target) / target)
-    return CheckResult("correlation_trace_identity", worst <= 1e-9, worst)
+        gaps.append(abs(float(np.sum(eigs)) - target) / target)
+    return _nearest_failure("correlation_trace_identity", gaps, 1e-9)
 
 
 def _check_unit_modulus_collapse(seed: int) -> CheckResult:
     # why a unit-modulus law may share its correlation Gram as the covariance Gram
-    worst = 0.0
+    gaps = []
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 2, 0.25, entry_law_kind=law, seed=seed)
         sample = sample_base(params, 0)
         corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
         cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
-        worst = max(worst, float(np.max(np.abs(corr - cov))))
+        gaps.append(float(np.max(np.abs(corr - cov))))
         ratio = np.prod(norm_profile(sample) / params.n, axis=1)
-        worst = max(worst, float(np.max(np.abs(ratio - 1.0))))
-    return CheckResult("unit_modulus_collapse", worst <= 1e-12, worst)
+        gaps.append(float(np.max(np.abs(ratio - 1.0))))
+    return _nearest_failure("unit_modulus_collapse", gaps, 1e-12)
 
 
 def _check_column_identity(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,))))
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, 9))
         a = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
         w = rng.random(p) + 0.1
         lhs, rhs = column_normalization_identity(a, w)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return CheckResult("column_normalization_identity", worst <= 1e-10, worst)
+        gaps.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return _nearest_failure("column_normalization_identity", gaps, 1e-10)
 
 
 def _check_levy_bound(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(2,))))
-    worst = -np.inf
+    gaps, bounds = [], []
     for _ in range(100):
         a = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
         b = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
         lhs, rhs = levy_distance_trace_bound(a, b)
-        worst = max(worst, lhs - rhs)
-    return CheckResult("levy_trace_bound", worst <= 1e-12, worst)
+        gaps.append(lhs)
+        bounds.append(rhs + 1e-12)
+    return _nearest_failure("levy_trace_bound", gaps, bounds)
 
 
 def _check_levy_ks_domination(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(3,))))
-    worst = -np.inf
+    gaps, bounds = [], []
     for _ in range(50):
         na, nb = int(rng.integers(1, 12)), int(rng.integers(1, 12))
         fa = EmpiricalCDF.from_spectral(esd(np.sort(rng.random(na) * 3.0), na + int(rng.integers(0, 4))))
         fb = EmpiricalCDF.from_spectral(esd(np.sort(rng.random(nb) * 3.0), nb + int(rng.integers(0, 4))))
-        worst = max(worst, levy_distance(fa, fb) - ks_distance(fa, fb))
-    return CheckResult("levy_ks_domination", worst <= 1e-9, worst)
+        gaps.append(levy_distance(fa, fb))
+        bounds.append(ks_distance(fa, fb) + 1e-9)
+    return _nearest_failure("levy_ks_domination", gaps, bounds)
 
 
 def _check_norm_moments(seed: int) -> CheckResult:
     params = make_params(10, 2, 0.2, seed=seed)
-    report = norm_moment_check(params, 2000)
-    residual = max(
-        abs(report.sq_mean - report.sq_target),
-        abs(report.quartic_mean - report.quartic_target),
-    )
-    return CheckResult("tensor_norm_moments", report.passed, residual)
+    gaps, bounds = zip(*norm_moment_check(params, 2000).bands)
+    return _nearest_failure("tensor_norm_moments", gaps, bounds)
 
 
 def _check_mp_normalization(_: int) -> CheckResult:
-    worst = 0.0
+    gaps = []
     for c in (0.1, 0.25, 0.5, 0.9, 1.0):
         law = mp.MPLaw.from_ratio(c)
-        worst = max(worst, abs(law.atom_mass + mp.density_mass(law) - 1.0))
-        worst = max(worst, abs(mp.moment(law, 1) - c))
-    return CheckResult("mp_normalization", worst <= 1e-8, worst)
+        gaps.append(abs(law.atom_mass + mp.density_mass(law) - 1.0))
+        gaps.append(abs(mp.moment(law, 1) - c))
+    return _nearest_failure("mp_normalization", gaps, 1e-8)
 
 
 def _check_mp_cdf_monotone(_: int) -> CheckResult:
     law = mp.MPLaw.from_ratio(0.5)
     xs = np.linspace(-0.5, law.lambda_plus + 0.5, 10_000)
     values = mp.cdf(law, xs)
-    worst = max(float(np.max(-np.diff(values), initial=0.0)), abs(float(values[-1]) - 1.0))
-    return CheckResult("mp_cdf_monotone", worst <= 1e-8, worst)
+    # the largest decrease: x - y of equal values is +0, where -(y - x) would be -0
+    gaps = [np.max(values[:-1] - values[1:], initial=0.0), abs(float(values[-1]) - 1.0)]
+    return _nearest_failure("mp_cdf_monotone", gaps, 1e-8)
 
 
 def _check_entry_laws(seed: int) -> CheckResult:
     from .sampling import _draw, _stream
 
-    worst = 0.0
+    gaps, bounds = [], []
     trials = 1_000_000
     for index, kind in enumerate(EntryLawKind):
         law = entry_law(kind)
@@ -524,21 +562,21 @@ def _check_entry_laws(seed: int) -> CheckResult:
         se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1))) / np.sqrt(trials)
         sq = np.abs(draws) ** 2
         se_sq = float(np.std(sq, ddof=1)) / np.sqrt(trials)
-        worst = max(worst, max(0.0, abs(mean) - 4.0 * se_mean - 1e-12))
-        worst = max(worst, max(0.0, abs(float(np.mean(sq)) - 1.0) - 4.0 * se_sq - 1e-12))
-    return CheckResult("entry_law_moments", worst <= 0.0, worst)
+        gaps += [abs(mean), abs(float(np.mean(sq)) - 1.0)]
+        bounds += [4.0 * se_mean + 1e-12, 4.0 * se_sq + 1e-12]
+    return _nearest_failure("entry_law_moments", gaps, bounds)
 
 
 def _check_esd_counting(_: int) -> CheckResult:
     dist = esd(np.array([0.9, 0.9, 1.2]), 4)
     f = EmpiricalCDF.from_spectral(dist)
-    worst = max(
+    gaps = [
         abs(float(f.evaluate(0.0)) - 0.25),
         abs(float(f.evaluate(1.0)) - 0.75),
         abs(float(f.evaluate(1.2)) - 1.0),
         abs(dist.zero_mass + len(dist.atoms) / dist.ambient_dim - 1.0),
-    )
-    return CheckResult("esd_counting", worst == 0.0, worst)
+    ]
+    return _nearest_failure("esd_counting", gaps, 0.0)
 
 
 _SELFTEST_CHECKS = (

@@ -22,6 +22,7 @@ from tensormp.experiments import (
     ReplicaRecord,
     SweepPlan,
     SweepResult,
+    _check_levy_models,
     make_sweep_plan,
     run_convergence,
     run_sphere_model,
@@ -30,6 +31,9 @@ from tensormp.experiments import (
     selftest,
     sweep_plan_from_json,
 )
+from tensormp.gram import _covariance_from_correlation, build_correlation_gram, tensor_vector
+from tensormp.metrics import levy_distance_trace_bound
+from tensormp.sampling import sample_base
 
 
 def test_k_schedules():
@@ -169,6 +173,57 @@ def test_model_comparison_unit_modulus_is_exactly_zero():
         plan = make_sweep_plan([8], c=0.5, entry_law_kind=law, seed=0, replicas=3)
         result = run_sweep(plan)
         assert all(r.levy_models == 0.0 for r in result.records)
+
+
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_levy_models_stays_within_the_trace_bound_on_the_workload_plans(monkeypatch, workload):
+    bounds = []
+    check = tensormp.experiments._check_levy_models
+
+    def recorded(levy_models, params, cov):
+        bounds.append(check(levy_models, params, cov))
+        return bounds[-1]
+
+    monkeypatch.setattr(tensormp.experiments, "_check_levy_models", recorded)
+    plan = sweep_plan_from_json({**WORKLOADS[workload]["plan"], "seed": 1})
+    records = run_sweep(plan).records
+    assert len(bounds) == len(records)
+    for record, bound in zip(records, bounds):
+        if record.params.entry_law.unit_modulus:
+            assert record.levy_models == 0.0 and bound == 0.0
+        else:
+            assert record.levy_models**4 < bound  # by a wide margin at these sizes
+
+
+@pytest.mark.parametrize("tau", ["constant_one", {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}])
+@pytest.mark.parametrize("law", ["complex_gaussian", "real_gaussian", "unit_circle"])
+def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
+    # A holds the correlation model's tensor vectors, B = A D the covariance model's
+    params = make_params(3, 2, 7 / 9, entry_law_kind=law, tau=tau, seed=4)
+    sample = sample_base(params, 0)
+    cov = _covariance_from_correlation(build_correlation_gram(sample, params.tau), sample)
+    ys = np.stack([tensor_vector(sample, alpha) for alpha in range(params.sample_count)], axis=1)
+    weights = np.sqrt(params.tau.as_array())
+    a = ys / np.linalg.norm(ys, axis=0) * weights
+    b = ys / np.sqrt(params.ambient_dim) * weights
+    lhs, rhs = levy_distance_trace_bound(a, b)
+    bound = _check_levy_models(lhs**0.25, params, cov)
+    if params.entry_law.unit_modulus:
+        assert bound == 0.0
+    else:
+        assert bound == pytest.approx(rhs, rel=1e-12)
+
+
+def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
+    for law in ("complex_gaussian", "unit_circle"):
+        with pytest.raises(ValueError, match="breaks the trace bound"):
+            run_sweep(make_sweep_plan([6], c=0.5, entry_law_kind=law, seed=2, replicas=1))
+    record = run_convergence(make_sweep_plan([6], c=0.5, seed=2, replicas=1)).records[0]
+    assert record.levy_mp == 1.0 and np.isnan(record.levy_models)  # only a coupled replica is checked
 
 
 @pytest.mark.parametrize("law, solves", [("unit_circle", 1), ("complex_gaussian", 2)])
@@ -421,6 +476,20 @@ def test_selftest_passes_and_reports():
     assert "FAIL" not in table
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_selftest_rows_pass_exactly_when_the_gap_is_within_the_bound(tmp_path, capsys, seed):
+    assert main(["selftest", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    rows = _csv_rows(tmp_path / "selftest.csv")
+    assert list(rows[0]) == ["check", "status", "gap", "bound"]
+    for row in rows:
+        gap, bound = float(row["gap"]), float(row["bound"])
+        assert row["status"] == ("PASS" if gap <= bound else "FAIL"), row
+        assert not np.signbit(gap), row  # no -0.0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["check", "status", "gap", "bound"]
+    assert [line.split()[:2] for line in table[1:]] == [[row["check"], row["status"]] for row in rows]
+
+
 def test_selftest_catches_a_corrupted_density(monkeypatch):
     original = tensormp.mp._density_integral
 
@@ -432,6 +501,13 @@ def test_selftest_catches_a_corrupted_density(monkeypatch):
     assert not report.passed
     failed = {c.name for c in report.checks if not c.passed}
     assert "mp_normalization" in failed
+    assert all(c.passed == (c.gap <= c.bound) for c in report.checks)
+
+
+def test_a_nan_gap_fails_its_selftest_row(monkeypatch):
+    monkeypatch.setattr(tensormp.mp, "density_mass", lambda law: float("nan"))
+    row = tensormp.experiments._check_mp_normalization(0)
+    assert np.isnan(row.gap) and not row.passed
 
 
 def test_single_fold_reduces_to_classical_model():

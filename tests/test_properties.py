@@ -2,7 +2,7 @@
 over random inputs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import gram_direct, gram_out_of_place
@@ -15,8 +15,9 @@ from tensormp.gram import (
     build_covariance_gram,
     build_normalized_level_gram,
 )
+from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.metrics import EmpiricalCDF, ks_distance, levy_distance
-from tensormp.sampling import sample_base
+from tensormp.sampling import _draw, _stream, sample_base
 
 # a coarse lattice next to free floats makes shared breakpoints between two
 # step functions likely
@@ -143,3 +144,30 @@ def test_in_place_builders_equal_the_out_of_place_formula_bitwise(params):
         assert gram.entries.dtype == expected.dtype
         assert np.array_equal(gram.entries, expected)
         assert np.array_equal(np.signbit(gram.entries.view(float)), np.signbit(expected.view(float)))
+
+
+_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.just(2**64 - 1))
+_replicas = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda r: _SPHERE_STREAM_OFFSET + r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([EntryLawKind.UNIT_CIRCLE, EntryLawKind.RADEMACHER]),
+    _seeds,
+    _replicas,
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(2, 19),
+)
+@example(EntryLawKind.UNIT_CIRCLE, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
+@example(EntryLawKind.RADEMACHER, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
+@example(EntryLawKind.UNIT_CIRCLE, 2**33 + 5, 1, 5, 3, 7)  # n not a multiple of 4: a part block
+@example(EntryLawKind.RADEMACHER, 2**33 + 5, 1, 5, 3, 13)  # n not a multiple of 8: a part word
+def test_counter_mode_uniform_laws_equal_the_per_key_generator(law_kind, seed, replica, m, k, n):
+    params = make_params(n, k, m / n**k, entry_law_kind=law_kind, seed=seed)
+    assert params.sample_count == m
+    entries = sample_base(params, replica).entries
+    for alpha in range(m):
+        for level in range(k):
+            expected = _draw(params.entry_law, _stream(seed, replica, alpha, level), n)
+            assert entries[alpha, level].tobytes() == expected.tobytes(), (alpha, level)

@@ -1,7 +1,11 @@
 """Sampling layer: keyed streams, level norms, the norm-moment check."""
 
+import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,19 @@ def test_norm_moment_check_real_gaussian_quartic():
     assert 16.0 * report.quartic_target == 24.0
     assert report.passed
 
+
+@pytest.mark.parametrize("law, loads_random", [("unit_circle", False), ("rademacher", False), ("complex_gaussian", True)])
+def test_only_gaussian_sweeps_import_numpy_random(tmp_path, law, loads_random):
+    # the uniform laws run Philox in array arithmetic; numpy.random loads lazily, on the Gaussian path
+    plan = {"ns": [5], "c": 0.1, "k_schedule": {"kind": "fixed", "k": 3}, "entry_law": law, "replicas": 2, "seed": 3}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error", "-X", "importtime", "-m", "tensormp", "sweep", "--config", "plan.json"]
+    proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").is_file()
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "tensormp.sampling" in imported
+    assert ("numpy.random" in imported) is loads_random
