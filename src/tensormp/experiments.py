@@ -231,17 +231,17 @@ def _evaluate_replica(
     start = time.perf_counter()
     sample = sample_base(params, replica)
     correlation = params.model is ModelKind.CORRELATION
-    # solve C, derive D C D from it, then drop C: at most two m x m arrays are alive
+    # solve C, then scale D C D into C's buffer and solve it: one m x m Gram is alive
     corr = build_correlation_gram(sample, params.tau)
     corr_eigs = cov_eigs = None
     if correlation or with_comparison:
         corr_eigs = eigenvalues(corr)
     if not correlation or with_comparison:
-        cov = _covariance_from_correlation(corr, sample)
-        if cov.entries is corr.entries and corr_eigs is not None:  # unit-modulus laws: one matrix, one solve
+        cov = _covariance_from_correlation(corr, sample)  # consumes C
+        del corr
+        if params.entry_law.unit_modulus and corr_eigs is not None:  # D = I: one matrix, one solve
             cov_eigs = corr_eigs
         else:
-            del corr
             cov_eigs = eigenvalues(cov)
     eigs, other_eigs = (corr_eigs, cov_eigs) if correlation else (cov_eigs, corr_eigs)
     dist = esd(eigs, params.ambient_dim)

@@ -142,24 +142,37 @@ def _covariance_from_correlation(corr: GramMatrix, sample: BaseSample) -> GramMa
     """Covariance Gram D C D of the correlation Gram C of the same sample, with
     d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a keeps
     it exactly Hermitian. For unit-modulus laws D = I and C's array is shared.
-    The scaling runs one row panel at a time, so the only m x m array it
-    allocates is its result."""
-    if corr.model is not ModelKind.CORRELATION or corr.order != sample.entries.shape[0]:
-        raise ValueError(f"expected the order-{sample.entries.shape[0]} correlation Gram of this sample")
+
+    Otherwise D C D is scaled into C's own buffer, one row panel at a time, so
+    it allocates nothing of order m x m, and C is consumed: the caller must
+    not read it afterwards. C's diagonal is exactly the sample's tau by
+    construction and D C D's is tau_a d_a^2, so a consumed buffer is rejected
+    at O(m) cost rather than scaled twice."""
+    m = sample.entries.shape[0]
+    if (
+        corr.model is not ModelKind.CORRELATION
+        or corr.order != m
+        or not np.array_equal(corr.entries.diagonal(), sample.params.tau.as_array())
+    ):
+        raise ValueError(f"expected the order-{m} correlation Gram of this sample")
     if sample.params.entry_law.unit_modulus:
-        return GramMatrix(order=corr.order, entries=corr.entries, model=ModelKind.COVARIANCE)
+        return GramMatrix(order=m, entries=corr.entries, model=ModelKind.COVARIANCE)
     scale = np.prod(norm_profile(sample) / sample.entries.shape[2], axis=1)
     d = np.sqrt(scale)
-    entries = np.empty_like(corr.entries)
-    for start, stop in _row_panels(corr.order):
-        np.multiply(corr.entries[start:stop], np.outer(d[start:stop], d), out=entries[start:stop])
-    entries[np.diag_indices_from(entries)] = np.diag(corr.entries).real * scale
+    entries = corr.entries
+    diag = entries.diagonal().real * scale  # read before any row is scaled
+    entries.setflags(write=True)
+    for start, stop in _row_panels(m):
+        rows = entries[start:stop]
+        np.multiply(rows, np.outer(d[start:stop], d), out=rows)
+    entries[np.diag_indices(m)] = diag
     entries.setflags(write=False)
-    return GramMatrix(order=corr.order, entries=entries, model=ModelKind.COVARIANCE)
+    return GramMatrix(order=m, entries=entries, model=ModelKind.COVARIANCE)
 
 
 def build_covariance_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
-    """Gram of the 1/n^k-normalized model: sqrt(tau_a tau_b) prod_l inner_l/n."""
+    """Gram of the 1/n^k-normalized model: sqrt(tau_a tau_b) prod_l inner_l/n,
+    scaled into the buffer of the correlation Gram it is built from."""
     return _covariance_from_correlation(build_correlation_gram(sample, tau), sample)
 
 
@@ -194,7 +207,8 @@ def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
     Delegates the values-only solve to LAPACK but verifies it: the input must
     be finite and Hermitian to 1e-12 relative, and every eigenvalue enters the
     identities sum w^p = Re tr G^p (p = 1, 2) up to 1e-10 m max|w|^p; NaN
-    never passes.
+    never passes. eigvalsh copies the matrix into a workspace of its own,
+    outside numpy's allocator, so tracemalloc does not see that copy.
     """
     entries = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:

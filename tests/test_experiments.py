@@ -12,8 +12,9 @@ import pytest
 import tensormp.cli
 import tensormp.experiments
 import tensormp.mp
+from oracles import gram_out_of_place
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import EntryLawKind, make_params, params_from_json
+from tensormp.config import EntryLawKind, ModelKind, make_params, params_from_json
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     SWEEP_COLUMNS,
@@ -31,8 +32,9 @@ from tensormp.experiments import (
     selftest,
     sweep_plan_from_json,
 )
-from tensormp.gram import _covariance_from_correlation, build_correlation_gram, tensor_vector
-from tensormp.metrics import levy_distance_trace_bound
+from tensormp.gram import _covariance_from_correlation, build_correlation_gram, eigenvalues, esd, tensor_vector
+from tensormp.metrics import EmpiricalCDF, empirical_moment, ks_distance, levy_distance, levy_distance_trace_bound
+from tensormp.mp import MPLaw
 from tensormp.sampling import sample_base
 
 
@@ -166,6 +168,57 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
     itemsize = 8 if law in (EntryLawKind.REAL_GAUSSIAN, EntryLawKind.RADEMACHER) else 16
     assert params.sample_count == 450
     assert peak <= 2.5 * params.sample_count**2 * itemsize
+
+
+@pytest.mark.parametrize("model", ["correlation", "covariance"])
+@pytest.mark.parametrize("law", list(EntryLawKind))
+def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model):
+    addresses = []
+    solve = tensormp.experiments.eigenvalues
+
+    def recorded(gram):
+        addresses.append(gram.entries.__array_interface__["data"][0])
+        return solve(gram)
+
+    monkeypatch.setattr(tensormp.experiments, "eigenvalues", recorded)
+    params = make_params(9, 2, 0.5, entry_law_kind=law, model=model, seed=2)
+    tensormp.experiments._evaluate_replica(params, 0, with_comparison=True)
+    # D C D is scaled into C's buffer after C's solve; a unit-modulus law solves its one matrix once
+    assert len(addresses) == (1 if params.entry_law.unit_modulus else 2)
+    assert len(set(addresses)) == 1
+    addresses.clear()
+    tensormp.experiments._evaluate_replica(params, 0, with_comparison=False)
+    assert len(addresses) == 1
+
+
+def _reference_replica(params, replica):
+    """_evaluate_replica's record fields and eigenvalues, from the out-of-place
+    oracle Grams of both models, solved and compared by the same calls."""
+    sample = sample_base(params, replica)
+    solved = {model: eigenvalues(gram_out_of_place(sample, params.tau, model)) for model in ModelKind}
+    eigs = solved[params.model]
+    other = solved[ModelKind.COVARIANCE if params.model is ModelKind.CORRELATION else ModelKind.CORRELATION]
+    dist = esd(eigs, params.ambient_dim)
+    cdf = EmpiricalCDF.from_spectral(dist)
+    ks_mp = levy_mp = float("nan")
+    if params.tau.is_constant_one:
+        law = MPLaw.from_ratio(params.c)
+        ks_mp, levy_mp = ks_distance(cdf, law), levy_distance(cdf, law)
+    levy_models = levy_distance(cdf, EmpiricalCDF.from_spectral(esd(other, params.ambient_dim)))
+    moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
+    return np.array([ks_mp, levy_mp, levy_models, *moments]), eigs
+
+
+@pytest.mark.parametrize("tau", ["constant_one", {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}])
+@pytest.mark.parametrize("model", ["correlation", "covariance"])
+@pytest.mark.parametrize("law", list(EntryLawKind))
+def test_a_compared_replica_equals_the_out_of_place_reference_bitwise(law, model, tau):
+    params = make_params(9, 2, 40 / 81, entry_law_kind=law, model=model, tau=tau, seed=6)
+    record, eigs, _ = tensormp.experiments._evaluate_replica(params, 1, with_comparison=True)
+    values = np.array([record.ks_mp, record.levy_mp, record.levy_models, *record.moments])
+    expected_values, expected_eigs = _reference_replica(params, 1)
+    assert values.tobytes() == expected_values.tobytes()
+    assert eigs.tobytes() == expected_eigs.tobytes()
 
 
 def test_model_comparison_unit_modulus_is_exactly_zero():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import forged_sample
-from oracles import hermitian_eigen_bisect
+from oracles import gram_out_of_place, hermitian_eigen_bisect
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
@@ -180,6 +180,18 @@ def test_covariance_congruence_takes_only_this_samples_correlation_gram():
     other = sample_base(make_params(5, 2, 0.4, entry_law_kind="complex_gaussian", seed=3), 0)
     with pytest.raises(ValueError, match="correlation Gram"):
         _covariance_from_correlation(build_correlation_gram(other, other.params.tau), sample)
+
+
+def test_covariance_congruence_consumes_the_correlation_gram_once():
+    # D C D is scaled into C's buffer; a second call sees tau_a d_a^2 on the diagonal, not tau
+    params = make_params(9, 2, 40 / 81, entry_law_kind="real_gaussian", tau=two_point_tau(1.0, 2.0, 0.5, 40), seed=5)
+    sample = sample_base(params, 0)
+    corr = build_correlation_gram(sample, params.tau)
+    cov = _covariance_from_correlation(corr, sample)
+    assert cov.entries is corr.entries and not cov.entries.flags.writeable
+    with pytest.raises(ValueError, match="correlation Gram of this sample"):
+        _covariance_from_correlation(corr, sample)
+    assert np.array_equal(cov.entries, gram_out_of_place(sample, params.tau, ModelKind.COVARIANCE))
 
 
 def test_esd_counting_example():
