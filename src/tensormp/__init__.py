@@ -34,6 +34,7 @@ from .gram import (
     eigenvalues,
     esd,
     materialize_dense,
+    model_spectra,
     nonzero_eigenvalues,
     tensor_vector,
 )

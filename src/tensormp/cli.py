@@ -146,9 +146,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-        for point in doc.get("points", []):
+    if args.seed is not None:  # a grid plan has one seed, a points plan one per point
+        for point in doc["points"] if "points" in doc else [doc]:
             point["seed"] = args.seed
     plan = sweep_plan_from_json(doc)
     for point in plan.points:

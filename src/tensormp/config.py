@@ -120,6 +120,28 @@ def explicit_tau(values) -> TauScheme:
     return TauScheme(TauKind.EXPLICIT, tuple(float(v) for v in values))
 
 
+_TAU_KEYS = {
+    TauKind.CONSTANT_ONE: ("kind",),
+    TauKind.TWO_POINT: ("kind", "a", "b", "weight"),
+    TauKind.EXPLICIT: ("kind", "values"),
+}
+
+
+def check_keys(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming the keys of a JSON object that are missing
+    from ``required`` or documented in neither tuple, so that a misspelt key
+    is an error rather than a silent default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks the required key(s) {', '.join(map(repr, missing))}")
+    unknown = [key for key in doc if key not in required and key not in optional]
+    if unknown:
+        known = ", ".join(map(repr, required + optional))
+        raise ValueError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}; known: {known}")
+
+
 def make_tau(scheme, m: int) -> TauScheme:
     """Materialize a tau scheme of length m from a short description.
 
@@ -136,7 +158,9 @@ def make_tau(scheme, m: int) -> TauScheme:
         return scheme
     if isinstance(scheme, str):
         scheme = {"kind": scheme}
+    check_keys(scheme, "tau", ("kind",), ("a", "b", "weight", "values"))
     kind = TauKind(scheme["kind"])
+    check_keys(scheme, f"{kind.value} tau", _TAU_KEYS[kind])
     if kind is TauKind.CONSTANT_ONE:
         return constant_tau(m)
     if kind is TauKind.TWO_POINT:
@@ -264,6 +288,9 @@ def params_to_json(params: ModelParams) -> dict:
 
 
 def params_from_json(doc: dict) -> ModelParams:
+    """The inverse of params_to_json; n, k and c are required, and any key
+    it does not write raises ValueError."""
+    check_keys(doc, "point config", ("n", "k", "c"), ("model", "entry_law", "tau", "seed", "replicas"))
     return make_params(
         n=int(doc["n"]),
         k=int(doc["k"]),

@@ -17,11 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mp
-from .config import EntryLawKind, ModelKind, ModelParams, entry_law, make_params, params_from_json
+from .config import EntryLawKind, ModelKind, ModelParams, check_keys, entry_law, make_params, params_from_json
 from .gram import (
-    GramMatrix,
     SpectralDistribution,
-    _covariance_from_correlation,
     _row_panels,
     build_correlation_gram,
     build_covariance_gram,
@@ -29,6 +27,7 @@ from .gram import (
     eigenvalues,
     esd,
     materialize_dense,
+    model_spectra,
     nonzero_eigenvalues,
 )
 from .metrics import (
@@ -123,14 +122,17 @@ def make_sweep_plan(
     return SweepPlan(points=points, replicas=replicas, out_dir=out_dir)
 
 
+_K_SCHEDULE_KEYS = {"fixed": ("kind", "k"), "power": ("kind", "gamma")}
+
+
 def _k_schedule_from_json(doc) -> FixedK | PowerK:
     if doc is None:
         return FixedK(2)
-    if doc.get("kind") == "power":
-        return PowerK(float(doc["gamma"]))
-    if doc.get("kind") == "fixed":
-        return FixedK(int(doc["k"]))
-    raise ValueError(f"unknown k_schedule {doc!r}")
+    check_keys(doc, "k_schedule", ("kind",), ("k", "gamma"))
+    if doc["kind"] not in _K_SCHEDULE_KEYS:
+        raise ValueError(f"unknown k_schedule {doc!r}")
+    check_keys(doc, f"{doc['kind']} k_schedule", _K_SCHEDULE_KEYS[doc["kind"]])
+    return PowerK(float(doc["gamma"])) if doc["kind"] == "power" else FixedK(int(doc["k"]))
 
 
 def sweep_plan_from_json(doc: dict) -> SweepPlan:
@@ -138,8 +140,15 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
     {"ns": [...], "c": .., "k_schedule": {...}, ...}.
 
     Every point runs the plan's "replicas" (default 5); a point that sets a
-    different "replicas" of its own raises ValueError.
+    different "replicas" of its own raises ValueError, and so does a missing
+    or undocumented key. A points plan has no plan-wide seed: each point
+    carries its own.
     """
+    if isinstance(doc, dict) and "points" in doc:
+        check_keys(doc, "sweep plan", ("points",), ("replicas", "out"))
+    else:
+        optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
+        check_keys(doc, "sweep plan", ("ns", "c"), optional)
     replicas = int(doc.get("replicas", 5))
     out_dir = doc.get("out")
     if "points" in doc:
@@ -229,21 +238,9 @@ def _evaluate_replica(
     model. Limit-law distances are taken where tau is identically 1, the only
     case where the law exists; the coupled model distance only on request."""
     start = time.perf_counter()
-    sample = sample_base(params, replica)
-    correlation = params.model is ModelKind.CORRELATION
-    # solve C, then scale D C D into C's buffer and solve it: one m x m Gram is alive
-    corr = build_correlation_gram(sample, params.tau)
-    corr_eigs = cov_eigs = None
-    if correlation or with_comparison:
-        corr_eigs = eigenvalues(corr)
-    if not correlation or with_comparison:
-        cov = _covariance_from_correlation(corr, sample)  # consumes C
-        del corr
-        if params.entry_law.unit_modulus and corr_eigs is not None:  # D = I: one matrix, one solve
-            cov_eigs = corr_eigs
-        else:
-            cov_eigs = eigenvalues(cov)
-    eigs, other_eigs = (corr_eigs, cov_eigs) if correlation else (cov_eigs, corr_eigs)
+    models = tuple(ModelKind) if with_comparison else (params.model,)
+    spectra, d2 = model_spectra(sample_base(params, replica), params.tau, models)
+    eigs = spectra.pop(params.model)
     dist = esd(eigs, params.ambient_dim)
     cdf = EmpiricalCDF.from_spectral(dist)
     ks_mp = levy_mp = levy_models = float("nan")
@@ -252,9 +249,10 @@ def _evaluate_replica(
         ks_mp = ks_distance(cdf, reference)
         levy_mp = levy_distance(cdf, reference)
     if with_comparison:
+        (other_eigs,) = spectra.values()
         other_cdf = cdf if other_eigs is eigs else EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim))
         levy_models = levy_distance(cdf, other_cdf)
-        _check_levy_models(levy_models, params, cov)
+        _check_levy_models(levy_models, params, d2)
     moments = tuple(empirical_moment(dist, q) for q in (1, 2, 3, 4))
     ms = (time.perf_counter() - start) * 1000.0
     record = ReplicaRecord(
@@ -269,7 +267,7 @@ def _evaluate_replica(
     return record, eigs, dist
 
 
-def _check_levy_models(levy_models: float, params: ModelParams, cov: GramMatrix) -> float:
+def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) -> float:
     """The trace bound L^4(F^{AA*}, F^{BB*}) <= (2/N^2) Tr((A-B)(A-B)*) Tr(AA* + BB*)
     (Bai and Silverstein 2010, Cor. A.42) on the coupled Levy distance: returns
     the right-hand side, and raises if levy_models breaks it, as eigenvalues
@@ -277,13 +275,13 @@ def _check_levy_models(levy_models: float, params: ModelParams, cov: GramMatrix)
 
     The columns of A are the correlation model's tensor vectors and B = A D
     with d_a^2 = prod_l ||y_a^(l)||^2 / n, so the bound is
-    (2/N^2) sum tau_a (1 - d_a)^2 sum tau_a (1 + d_a^2). It is read off the
-    covariance Gram's diagonal tau_a d_a^2 at O(m) cost; a unit-modulus law
-    shares the correlation Gram (D = I by the law), so both sides are exactly
-    0. levy_models is a bisection's upper end, so LEVY_TOL comes off it first.
+    (2/N^2) sum tau_a (1 - d_a)^2 sum tau_a (1 + d_a^2), at O(m) cost from
+    the d^2 that model_spectra returns; a unit-modulus law has D = I by the
+    law, so both sides are exactly 0. levy_models is a bisection's upper end,
+    so LEVY_TOL comes off it first.
     """
     tau = params.tau.as_array()
-    scaled = cov.entries.diagonal().real
+    scaled = tau * d2
     bound = float(2.0 / params.ambient_dim**2 * np.sum((np.sqrt(tau) - np.sqrt(scaled)) ** 2) * np.sum(tau + scaled))
     excess = max(levy_models - LEVY_TOL, 0.0) ** 4
     if not excess <= bound:  # written so that a NaN distance fails
@@ -301,13 +299,18 @@ def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
     )
 
 
+def _require_limit_law_point(point: ModelParams) -> None:
+    """The limit law is the reference only for the correlation model with tau identically 1."""
+    if not point.tau.is_constant_one:
+        raise ValueError("the limit-law reference requires tau identically equal to 1")
+    if point.model is not ModelKind.CORRELATION:
+        raise ValueError("the limit-law reference requires the correlation model")
+
+
 def run_convergence(plan: SweepPlan) -> SweepResult:
     """Correlation spectrum against the limit law; requires tau identically 1."""
     for point in plan.points:
-        if not point.tau.is_constant_one:
-            raise ValueError("the limit-law reference requires tau identically equal to 1")
-        if point.model is not ModelKind.CORRELATION:
-            raise ValueError("convergence sweeps evaluate the correlation model")
+        _require_limit_law_point(point)
     return _run(plan, with_comparison=False)
 
 
@@ -348,12 +351,14 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
 
     Each replica verifies the normalized-level Gram against the correlation
     Gram entrywise and records the KS distance of its spectrum to the limit
-    law. Replica streams live in a namespace disjoint from the convergence
-    sweeps, so the comparison of the two experiments is statistically
-    independent.
+    law, so it takes the points run_convergence takes: the correlation model
+    with tau identically 1. Replica streams live in a namespace disjoint from
+    the convergence sweeps, so the comparison of the two experiments is
+    statistically independent.
     """
     if params.entry_law.kind is not EntryLawKind.COMPLEX_GAUSSIAN:
         raise ValueError("the unit-sphere construction requires the complex Gaussian law")
+    _require_limit_law_point(params)
 
     law = mp.MPLaw.from_ratio(params.c)
     records = []

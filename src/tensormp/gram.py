@@ -3,7 +3,8 @@ spectrum of the n^k-dimensional rank-m model, since X W X* and W^{1/2} X*X
 W^{1/2} share nonzero eigenvalues. The k-fold structure collapses each Gram
 entry into a product of k per-level inner products, so nothing of ambient
 size is ever materialized outside the small dense oracle. The covariance
-Gram is the diagonal congruence D C D of the correlation Gram C.
+Gram is the diagonal congruence D C D of the correlation Gram C, and
+``model_spectra`` scales it into C's own buffer after C's solve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ _PANEL_ROWS = 32  # rows per panel of the in-place Gram passes and checks
 class GramMatrix:
     order: int
     entries: np.ndarray  # (m, m) complex128, or float64 for real laws; exactly Hermitian by construction
-    model: ModelKind
 
 
 @dataclass(frozen=True)
@@ -135,45 +135,36 @@ def build_correlation_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
     values = _tau_values(tau, m)
     entries = _hermitize(_level_ratio_product(sample), values, values)
     entries.setflags(write=False)
-    return GramMatrix(order=m, entries=entries, model=ModelKind.CORRELATION)
+    return GramMatrix(order=m, entries=entries)
 
 
-def _covariance_from_correlation(corr: GramMatrix, sample: BaseSample) -> GramMatrix:
-    """Covariance Gram D C D of the correlation Gram C of the same sample, with
-    d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a keeps
-    it exactly Hermitian. For unit-modulus laws D = I and C's array is shared.
-
-    Otherwise D C D is scaled into C's own buffer, one row panel at a time, so
-    it allocates nothing of order m x m, and C is consumed: the caller must
-    not read it afterwards. C's diagonal is exactly the sample's tau by
-    construction and D C D's is tau_a d_a^2, so a consumed buffer is rejected
-    at O(m) cost rather than scaled twice."""
-    m = sample.entries.shape[0]
-    if (
-        corr.model is not ModelKind.CORRELATION
-        or corr.order != m
-        or not np.array_equal(corr.entries.diagonal(), sample.params.tau.as_array())
-    ):
-        raise ValueError(f"expected the order-{m} correlation Gram of this sample")
+def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
+    """Scale the correlation Gram C of this sample into D C D in its own
+    buffer, one row panel at a time, and return d^2 with
+    d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a
+    keeps it exactly Hermitian. For unit-modulus laws D = I by the law: the
+    buffer is left as it is and d^2 is exactly 1."""
+    m, _, n = sample.entries.shape
     if sample.params.entry_law.unit_modulus:
-        return GramMatrix(order=m, entries=corr.entries, model=ModelKind.COVARIANCE)
-    scale = np.prod(norm_profile(sample) / sample.entries.shape[2], axis=1)
-    d = np.sqrt(scale)
-    entries = corr.entries
-    diag = entries.diagonal().real * scale  # read before any row is scaled
+        return np.ones(m)
+    d2 = np.prod(norm_profile(sample) / n, axis=1)
+    d = np.sqrt(d2)
+    diag = entries.diagonal().real * d2  # read before any row is scaled
     entries.setflags(write=True)
     for start, stop in _row_panels(m):
         rows = entries[start:stop]
         np.multiply(rows, np.outer(d[start:stop], d), out=rows)
     entries[np.diag_indices(m)] = diag
     entries.setflags(write=False)
-    return GramMatrix(order=m, entries=entries, model=ModelKind.COVARIANCE)
+    return d2
 
 
 def build_covariance_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
     """Gram of the 1/n^k-normalized model: sqrt(tau_a tau_b) prod_l inner_l/n,
     scaled into the buffer of the correlation Gram it is built from."""
-    return _covariance_from_correlation(build_correlation_gram(sample, tau), sample)
+    gram = build_correlation_gram(sample, tau)
+    _scale_to_covariance(gram.entries, sample)
+    return gram
 
 
 def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
@@ -198,7 +189,7 @@ def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatri
     )
     entries = _hermitize(product, values, diag)
     entries.setflags(write=False)
-    return GramMatrix(order=m, entries=entries, model=ModelKind.CORRELATION)
+    return GramMatrix(order=m, entries=entries)
 
 
 def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
@@ -236,6 +227,25 @@ def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
         if not gap <= bound:  # written so that a NaN gap fails
             raise ValueError(f"eigenvalues miss the {name} identity by {gap:.3e} > {bound:.3e}")
     return w
+
+
+def model_spectra(
+    sample: BaseSample, tau: TauScheme, models: tuple[ModelKind, ...]
+) -> tuple[dict[ModelKind, np.ndarray], np.ndarray | None]:
+    """Gram eigenvalues of each requested model of one sample, and d^2 (see
+    _scale_to_covariance) if the covariance model is requested, else None.
+    One m x m buffer, never seen by the caller, serves both: C is built and,
+    if requested, solved; D C D is then scaled into it and solved, unless the
+    law is unit-modulus and C was solved (D = I by the law: one solve)."""
+    models = {ModelKind(model) for model in models}
+    gram = build_correlation_gram(sample, tau)
+    spectra = {ModelKind.CORRELATION: eigenvalues(gram)} if ModelKind.CORRELATION in models else {}
+    if ModelKind.COVARIANCE not in models:
+        return spectra, None
+    d2 = _scale_to_covariance(gram.entries, sample)
+    reuse = sample.params.entry_law.unit_modulus and spectra
+    spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if reuse else eigenvalues(gram)
+    return spectra, d2
 
 
 def nonzero_eigenvalues(eigs: np.ndarray) -> np.ndarray:

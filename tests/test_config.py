@@ -162,3 +162,36 @@ def test_json_defaults_and_explicit_tau():
     doc = params_to_json(make_params(4, 1, 0.75, tau={"kind": "explicit", "values": [1, 2, 3]}))
     assert doc["tau"] == {"kind": "explicit", "values": [1.0, 2.0, 3.0]}
     assert params_from_json(doc).tau.values == (1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 6, "k": 2, "c": 0.5, "entrylaw": "rademacher"}, r"point config has unknown key\(s\) 'entrylaw'"),
+        ({"k": 2, "c": 0.5}, r"point config lacks the required key\(s\) 'n'"),
+        ({"n": 6, "k": 2}, r"lacks the required key\(s\) 'c'"),
+        ("n=6", "point config must be a JSON object"),
+    ],
+)
+def test_point_config_rejects_unknown_and_missing_keys(doc, message):
+    with pytest.raises(ValueError, match=message):
+        params_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ({"kind": "two_point", "a": 1.0, "b": 2.0}, r"two_point tau lacks the required key\(s\) 'weight'"),
+        ("two_point", r"two_point tau lacks the required key\(s\) 'a', 'b', 'weight'"),
+        ({"kind": "explicit"}, r"explicit tau lacks the required key\(s\) 'values'"),
+        ({"a": 1.0}, r"tau lacks the required key\(s\) 'kind'"),
+        ({"kind": "two_point", "a": 1.0, "b": 2.0, "wieght": 0.5}, r"tau has unknown key\(s\) 'wieght'"),
+        ({"kind": "constant_one", "values": [1.0]}, r"constant_one tau has unknown key\(s\) 'values'"),
+        ({"kind": "explicit", "values": [1.0, 2.0], "a": 1.0}, r"explicit tau has unknown key\(s\) 'a'"),
+    ],
+)
+def test_tau_dicts_reject_unknown_and_missing_keys(tau, message):
+    with pytest.raises(ValueError, match=message):
+        make_tau(tau, 2)
+    with pytest.raises(ValueError, match=message):
+        params_from_json({"n": 2, "k": 1, "c": 1.0, "tau": tau})

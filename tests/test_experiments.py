@@ -11,6 +11,7 @@ import pytest
 
 import tensormp.cli
 import tensormp.experiments
+import tensormp.gram
 import tensormp.mp
 from oracles import gram_out_of_place
 from tensormp.cli import main, read_eigenvalue_csv
@@ -32,7 +33,7 @@ from tensormp.experiments import (
     selftest,
     sweep_plan_from_json,
 )
-from tensormp.gram import _covariance_from_correlation, build_correlation_gram, eigenvalues, esd, tensor_vector
+from tensormp.gram import eigenvalues, esd, model_spectra, tensor_vector
 from tensormp.metrics import EmpiricalCDF, empirical_moment, ks_distance, levy_distance, levy_distance_trace_bound
 from tensormp.mp import MPLaw
 from tensormp.sampling import sample_base
@@ -114,6 +115,27 @@ def test_plan_from_json_grid_and_points():
         sweep_plan_from_json({"ns": [9], "c": 0.5, "k_schedule": {"kind": "bogus"}})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"ns": [6], "c": 0.5, "entrylaw": "rademacher"}, r"sweep plan has unknown key\(s\) 'entrylaw'"),
+        ({"c": 0.5}, r"sweep plan lacks the required key\(s\) 'ns'"),
+        ({"ns": [6]}, r"sweep plan lacks the required key\(s\) 'c'"),
+        ({"points": [{"n": 6, "k": 2, "c": 0.5}], "seed": 3}, r"sweep plan has unknown key\(s\) 'seed'"),
+        ({"points": [{"n": 6, "k": 2, "c": 0.5, "replica": 2}]}, r"point config has unknown key\(s\) 'replica'"),
+        ({"points": [{"k": 2, "c": 0.5}]}, r"point config lacks the required key\(s\) 'n'"),
+        ({"ns": [6], "c": 0.5, "k_schedule": {"k": 2}}, r"k_schedule lacks the required key\(s\) 'kind'"),
+        ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "fixed"}}, r"fixed k_schedule lacks the required key\(s\) 'k'"),
+        ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "power", "gamma": 0.5, "k": 2}}, r"power k_schedule has unknown"),
+        ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "fixed", "k": 2, "fold": 3}}, r"k_schedule has unknown key\(s\) 'fold'"),
+        ({"ns": [6], "c": 0.5, "tau": {"kind": "two_point", "a": 1.0, "b": 2.0}}, r"lacks the required key\(s\) 'weight'"),
+    ],
+)
+def test_sweep_plans_reject_unknown_and_missing_keys(doc, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_plan_from_json(doc)
+
+
 def test_points_plan_runs_the_plan_replicas_of_every_point():
     points = [{"n": 6, "k": 2, "c": 0.5, "seed": 1, "replicas": 2}, {"n": 8, "k": 1, "c": 0.25}]
     doc = {"points": points, "replicas": 2}
@@ -140,10 +162,8 @@ def test_convergence_preconditions():
 
 def test_only_a_covariance_reading_run_derives_the_covariance_gram(monkeypatch):
     calls = []
-    derive = tensormp.experiments._covariance_from_correlation
-    monkeypatch.setattr(
-        tensormp.experiments, "_covariance_from_correlation", lambda *args: calls.append(1) or derive(*args)
-    )
+    derive = tensormp.gram._scale_to_covariance
+    monkeypatch.setattr(tensormp.gram, "_scale_to_covariance", lambda *args: calls.append(1) or derive(*args))
     plan = make_sweep_plan([6, 8], c=0.5, replicas=2)
     run_convergence(plan)
     assert len(calls) == 0
@@ -174,13 +194,13 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model):
     addresses = []
-    solve = tensormp.experiments.eigenvalues
+    solve = tensormp.gram.eigenvalues
 
     def recorded(gram):
         addresses.append(gram.entries.__array_interface__["data"][0])
         return solve(gram)
 
-    monkeypatch.setattr(tensormp.experiments, "eigenvalues", recorded)
+    monkeypatch.setattr(tensormp.gram, "eigenvalues", recorded)
     params = make_params(9, 2, 0.5, entry_law_kind=law, model=model, seed=2)
     tensormp.experiments._evaluate_replica(params, 0, with_comparison=True)
     # D C D is scaled into C's buffer after C's solve; a unit-modulus law solves its one matrix once
@@ -236,8 +256,8 @@ def test_levy_models_stays_within_the_trace_bound_on_the_workload_plans(monkeypa
     bounds = []
     check = tensormp.experiments._check_levy_models
 
-    def recorded(levy_models, params, cov):
-        bounds.append(check(levy_models, params, cov))
+    def recorded(levy_models, params, d2):
+        bounds.append(check(levy_models, params, d2))
         return bounds[-1]
 
     monkeypatch.setattr(tensormp.experiments, "_check_levy_models", recorded)
@@ -257,13 +277,13 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
     # A holds the correlation model's tensor vectors, B = A D the covariance model's
     params = make_params(3, 2, 7 / 9, entry_law_kind=law, tau=tau, seed=4)
     sample = sample_base(params, 0)
-    cov = _covariance_from_correlation(build_correlation_gram(sample, params.tau), sample)
+    _, d2 = model_spectra(sample, params.tau, (ModelKind.COVARIANCE,))
     ys = np.stack([tensor_vector(sample, alpha) for alpha in range(params.sample_count)], axis=1)
     weights = np.sqrt(params.tau.as_array())
     a = ys / np.linalg.norm(ys, axis=0) * weights
     b = ys / np.sqrt(params.ambient_dim) * weights
     lhs, rhs = levy_distance_trace_bound(a, b)
-    bound = _check_levy_models(lhs**0.25, params, cov)
+    bound = _check_levy_models(lhs**0.25, params, d2)
     if params.entry_law.unit_modulus:
         assert bound == 0.0
     else:
@@ -283,13 +303,13 @@ def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
 def test_sweep_solves_one_matrix_per_unit_modulus_replica(monkeypatch, law, solves):
     # a unit-modulus covariance Gram is the correlation Gram, so its spectrum is reused
     calls = []
-    solve = tensormp.experiments.eigenvalues
+    solve = tensormp.gram.eigenvalues
 
     def counted(gram):
         calls.append(gram)
         return solve(gram)
 
-    monkeypatch.setattr(tensormp.experiments, "eigenvalues", counted)
+    monkeypatch.setattr(tensormp.gram, "eigenvalues", counted)
     plan = make_sweep_plan([6, 8], c=0.5, entry_law_kind=law, seed=3, replicas=2)
     result = run_sweep(plan)
     assert len(calls) == solves * len(result.records)
@@ -499,6 +519,21 @@ def test_sphere_model_requires_gaussian_law():
         run_sphere_model(params)
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        (make_params(6, 2, 0.5, tau={"kind": "two_point", "a": 1.0, "b": 5.0, "weight": 0.5}), "tau identically"),
+        (make_params(6, 2, 0.5, model="covariance"), "requires the correlation model"),
+    ],
+)
+def test_sphere_model_takes_only_limit_law_points(point, message):
+    # the same preconditions as a convergence sweep: the limit law is not the reference elsewhere
+    with pytest.raises(ValueError, match=message):
+        run_sphere_model(point)
+    with pytest.raises(ValueError, match=message):
+        run_convergence(SweepPlan(points=(point,), replicas=1))
+
+
 def test_sphere_model_matches_correlation_gram():
     params = make_params(8, 2, 0.5, seed=2, replicas=2)
     report = run_sphere_model(params)
@@ -676,6 +711,14 @@ def test_cli_warns_outside_the_fold_regime(tmp_path, capsys, n, warned):
     assert capsys.readouterr().err == (warning if warned else "")
     _run_sweep_cli(tmp_path, {"ns": [n], "c": 0.5, "seed": 1, "replicas": 1}, "sweep")
     assert capsys.readouterr().err == (warning if warned else "")
+
+
+def test_cli_seed_override_reaches_every_point_of_a_points_plan(tmp_path):
+    points = [{"n": 6, "k": 2, "c": 0.5, "seed": 3}, {"n": 8, "k": 1, "c": 0.5}]
+    _run_sweep_cli(tmp_path, {"points": points, "replicas": 1}, "override", "--seed", "9")
+    seeded = [{**point, "seed": 9} for point in points]
+    _run_sweep_cli(tmp_path, {"points": seeded, "replicas": 1}, "seeded")
+    assert (tmp_path / "override" / "sweep.csv").read_bytes() == (tmp_path / "seeded" / "sweep.csv").read_bytes()
 
 
 def test_cli_seed_override(tmp_path):

@@ -6,20 +6,21 @@ import warnings
 import numpy as np
 import pytest
 
+import tensormp.gram
 from helpers import forged_sample
 from oracles import gram_out_of_place, hermitian_eigen_bisect
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
+from tensormp.config import EntryLawKind, ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
     _PANEL_ROWS,
     GramMatrix,
-    _covariance_from_correlation,
     build_correlation_gram,
     build_covariance_gram,
     build_normalized_level_gram,
     eigenvalues,
     esd,
     materialize_dense,
+    model_spectra,
     nonzero_eigenvalues,
     tensor_vector,
 )
@@ -166,32 +167,46 @@ def test_eigenvalues_reject_non_hermitian():
 def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
     # eigvalsh reads one triangle only: unchecked, this would return 1 -+ 0.5
     # and pass both identities, while the true eigenvalues are 1 -+ 0.5i
-    gram = GramMatrix(2, np.array([[1.0, -0.5], [0.5, 1.0]]), ModelKind.CORRELATION)
+    gram = GramMatrix(2, np.array([[1.0, -0.5], [0.5, 1.0]]))
     with pytest.raises(ValueError, match="Hermitian"):
         eigenvalues(gram)
 
 
-def test_covariance_congruence_takes_only_this_samples_correlation_gram():
-    params = make_params(5, 2, 0.2, entry_law_kind="complex_gaussian", seed=3)
-    sample = sample_base(params, 0)
-    cov = build_covariance_gram(sample, params.tau)
-    with pytest.raises(ValueError, match="correlation Gram"):
-        _covariance_from_correlation(cov, sample)
-    other = sample_base(make_params(5, 2, 0.4, entry_law_kind="complex_gaussian", seed=3), 0)
-    with pytest.raises(ValueError, match="correlation Gram"):
-        _covariance_from_correlation(build_correlation_gram(other, other.params.tau), sample)
+@pytest.mark.parametrize(
+    "models",
+    [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
+)
+@pytest.mark.parametrize("law", list(EntryLawKind))
+def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, models):
+    solves = []  # (buffer address, entries at the time of the solve)
+    solve = tensormp.gram.eigenvalues
 
+    def recorded(gram):
+        solves.append((gram.entries.__array_interface__["data"][0], gram.entries.copy()))
+        return solve(gram)
 
-def test_covariance_congruence_consumes_the_correlation_gram_once():
-    # D C D is scaled into C's buffer; a second call sees tau_a d_a^2 on the diagonal, not tau
-    params = make_params(9, 2, 40 / 81, entry_law_kind="real_gaussian", tau=two_point_tau(1.0, 2.0, 0.5, 40), seed=5)
+    monkeypatch.setattr(tensormp.gram, "eigenvalues", recorded)
+    tau = two_point_tau(1.0, 2.0, 0.5, 40)
+    params = make_params(9, 2, 40 / 81, entry_law_kind=law, tau=tau, seed=7)
     sample = sample_base(params, 0)
-    corr = build_correlation_gram(sample, params.tau)
-    cov = _covariance_from_correlation(corr, sample)
-    assert cov.entries is corr.entries and not cov.entries.flags.writeable
-    with pytest.raises(ValueError, match="correlation Gram of this sample"):
-        _covariance_from_correlation(corr, sample)
-    assert np.array_equal(cov.entries, gram_out_of_place(sample, params.tau, ModelKind.COVARIANCE))
+    spectra, d2 = model_spectra(sample, params.tau, models)
+    assert set(spectra) == set(models)
+    unit = params.entry_law.unit_modulus
+    both = len(models) == 2
+    assert len(solves) == (1 if unit or not both else 2)  # D = I by the law: one matrix, one solve
+    assert len({address for address, _ in solves}) == 1
+    # each solve sees its model's Gram bitwise, so a covariance-only request never solves C
+    solved_models = models if len(solves) == len(models) else models[:1]
+    for (_, entries), model in zip(solves, solved_models, strict=True):
+        assert entries.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
+    for model, eigs in spectra.items():
+        assert eigs.tobytes() == solve(gram_out_of_place(sample, params.tau, model)).tobytes()
+    if ModelKind.COVARIANCE not in models:
+        assert d2 is None
+    elif unit:
+        assert d2.tobytes() == np.ones(params.sample_count).tobytes()
+    else:
+        assert d2.tobytes() == np.prod(norm_profile(sample) / params.n, axis=1).tobytes()
 
 
 def test_esd_counting_example():

@@ -10,7 +10,7 @@ from tensormp import mp
 from tensormp.config import EntryLawKind, ModelKind, make_params
 from tensormp.gram import (
     _PANEL_ROWS,
-    _covariance_from_correlation,
+    _scale_to_covariance,
     build_correlation_gram,
     build_covariance_gram,
     build_normalized_level_gram,
@@ -108,8 +108,10 @@ def test_gram_builders_match_the_explicit_tensor_oracle(params):
     for gram in (corr, cov, build_normalized_level_gram(sample, params.tau)):
         assert np.array_equal(gram.entries, gram.entries.conj().T)  # eigenvalues() relies on it
     if params.entry_law.unit_modulus:
-        assert _covariance_from_correlation(corr, sample).entries is corr.entries
-        assert np.array_equal(cov.entries, corr.entries)
+        # D = I by the law: the congruence leaves C's buffer as it is, so both Grams are C bitwise
+        before = corr.entries.tobytes()
+        assert np.array_equal(_scale_to_covariance(corr.entries, sample), np.ones(params.sample_count))
+        assert corr.entries.tobytes() == before == cov.entries.tobytes()
 
 
 @st.composite
