@@ -26,10 +26,10 @@ params = make_params(30, 2, 0.5, seed=1)
 print(f"n={params.n} k={params.k}: ambient dimension N={params.ambient_dim}, samples m={params.sample_count}")
 
 sample = sample_base(params, 0)
-gram = build_correlation_gram(sample, params.tau)
+gram = build_correlation_gram(sample)
 eigs = eigenvalues(gram)
 dist = esd(eigs, params.ambient_dim)
-print(f"Gram is {gram.order} x {gram.order}; zero mass (1 - c side): {dist.zero_mass:.4f}")
+print(f"Gram is {len(gram)} x {len(gram)}; zero mass (1 - c side): {dist.zero_mass:.4f}")
 
 law = MPLaw.from_ratio(params.c)
 edges = np.linspace(0.0, law.lambda_plus + 0.2, 16)

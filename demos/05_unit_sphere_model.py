@@ -21,9 +21,9 @@ from tensormp import (
 params = make_params(30, 2, 0.5, seed=0, replicas=5)
 
 sample = sample_base(params, 0)
-direct = build_normalized_level_gram(sample, params.tau)
-via_correlation = build_correlation_gram(sample, params.tau)
-deviation = float(np.max(np.abs(direct.entries - via_correlation.entries)))
+direct = build_normalized_level_gram(sample)
+via_correlation = build_correlation_gram(sample)
+deviation = float(np.max(np.abs(direct - via_correlation)))
 print(f"normalized-level Gram vs correlation Gram, entrywise deviation: {deviation:.3e}")
 
 report = run_sphere_model(params)

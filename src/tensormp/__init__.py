@@ -26,10 +26,8 @@ from .sampling import (
     sample_base,
 )
 from .gram import (
-    GramMatrix,
     SpectralDistribution,
     build_correlation_gram,
-    build_covariance_gram,
     build_normalized_level_gram,
     eigenvalues,
     esd,

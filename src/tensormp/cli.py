@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,24 @@ def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None
 
 
 def _load_json(path: Path) -> dict:
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _input_errors(args):
+    """Report an unreadable or invalid input file as argparse reports a bad
+    flag: one line on stderr and exit status 2. Only the reading and checking
+    of the files named on the command line runs inside; an error of the
+    computation itself propagates."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"tensormp {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _out_dir(out) -> Path:
@@ -116,10 +135,10 @@ def _warn_regime(params) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    params = params_from_json(doc)
+    with _input_errors(args):
+        params = params_from_json(_load_json(args.config))
+        if args.seed is not None:
+            params = replace(params, seed=args.seed)
     _warn_regime(params)
     out = _out_dir(args.out)
     runs = [_evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
@@ -145,11 +164,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_json(args.config)
-    if args.seed is not None:  # a grid plan has one seed, a points plan one per point
-        for point in doc["points"] if "points" in doc else [doc]:
-            point["seed"] = args.seed
-    plan = sweep_plan_from_json(doc)
+    with _input_errors(args):
+        plan = sweep_plan_from_json(_load_json(args.config))
+        if args.seed is not None:  # a grid plan has one seed, a points plan one per point
+            plan = replace(plan, points=tuple(replace(point, seed=args.seed) for point in plan.points))
     for point in plan.points:
         _warn_regime(point)
     result = run_sweep(plan)
@@ -184,8 +202,9 @@ def _cmd_mp(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    meta_a, eigs_a = read_eigenvalue_csv(args.a)
-    meta_b, eigs_b = read_eigenvalue_csv(args.b)
+    with _input_errors(args):
+        meta_a, eigs_a = read_eigenvalue_csv(args.a)
+        meta_b, eigs_b = read_eigenvalue_csv(args.b)
     shared = sorted(set(eigs_a) & set(eigs_b))
     if not shared:
         print("no shared replica indices between the two dumps", file=sys.stderr)

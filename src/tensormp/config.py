@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,34 @@ def check_keys(doc, what: str, required: tuple[str, ...], optional: tuple[str, .
         raise ValueError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}; known: {known}")
 
 
+_KIND_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _is_json_number(value, kind: type) -> bool:
+    """A number that is not a bool; for kind int, one without a fraction."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def json_number(doc: dict, key: str, what: str, kind: type = float, default=None):
+    """doc[key] (default when absent) as kind, int or float; a value of another
+    JSON type raises ValueError naming the key, where int() or float() would
+    raise TypeError or accept a string."""
+    value = doc.get(key, default)
+    if not _is_json_number(value, kind):
+        raise ValueError(f"{what} key {key!r} must be {_KIND_NAMES[kind][0]}, got {value!r}")
+    return kind(value)
+
+
+def json_numbers(doc: dict, key: str, what: str, kind: type = float) -> list:
+    """doc[key], a list of numbers, as a list of kind, under json_number's rule."""
+    values = doc[key]
+    if not isinstance(values, (list, tuple)) or not all(_is_json_number(v, kind) for v in values):
+        raise ValueError(f"{what} key {key!r} must be a list of {_KIND_NAMES[kind][1]}, got {values!r}")
+    return [kind(v) for v in values]
+
+
 def make_tau(scheme, m: int) -> TauScheme:
     """Materialize a tau scheme of length m from a short description.
 
@@ -164,8 +193,8 @@ def make_tau(scheme, m: int) -> TauScheme:
     if kind is TauKind.CONSTANT_ONE:
         return constant_tau(m)
     if kind is TauKind.TWO_POINT:
-        return two_point_tau(scheme["a"], scheme["b"], scheme["weight"], m)
-    values = scheme["values"]
+        return two_point_tau(*(json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight")), m)
+    values = json_numbers(scheme, "values", "explicit tau")
     if len(values) != m:
         raise ValueError(f"explicit tau has length {len(values)}, expected {m}")
     return explicit_tau(values)
@@ -289,15 +318,16 @@ def params_to_json(params: ModelParams) -> dict:
 
 def params_from_json(doc: dict) -> ModelParams:
     """The inverse of params_to_json; n, k and c are required, and any key
-    it does not write raises ValueError."""
-    check_keys(doc, "point config", ("n", "k", "c"), ("model", "entry_law", "tau", "seed", "replicas"))
+    it does not write, or a value of the wrong JSON type, raises ValueError."""
+    what = "point config"
+    check_keys(doc, what, ("n", "k", "c"), ("model", "entry_law", "tau", "seed", "replicas"))
     return make_params(
-        n=int(doc["n"]),
-        k=int(doc["k"]),
-        c=float(doc["c"]),
+        n=json_number(doc, "n", what, int),
+        k=json_number(doc, "k", what, int),
+        c=json_number(doc, "c", what),
         model=doc.get("model", "correlation"),
         entry_law_kind=doc.get("entry_law", "complex_gaussian"),
         tau=doc.get("tau", "constant_one"),
-        seed=int(doc.get("seed", 0)),
-        replicas=int(doc.get("replicas", 1)),
+        seed=json_number(doc, "seed", what, int, default=0),
+        replicas=json_number(doc, "replicas", what, int, default=1),
     )

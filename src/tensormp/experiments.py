@@ -17,12 +17,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mp
-from .config import EntryLawKind, ModelKind, ModelParams, check_keys, entry_law, make_params, params_from_json
+from .config import (
+    EntryLawKind,
+    ModelKind,
+    ModelParams,
+    check_keys,
+    entry_law,
+    json_number,
+    json_numbers,
+    make_params,
+    params_from_json,
+)
 from .gram import (
     SpectralDistribution,
     _row_panels,
     build_correlation_gram,
-    build_covariance_gram,
     build_normalized_level_gram,
     eigenvalues,
     esd,
@@ -132,7 +141,9 @@ def _k_schedule_from_json(doc) -> FixedK | PowerK:
     if doc["kind"] not in _K_SCHEDULE_KEYS:
         raise ValueError(f"unknown k_schedule {doc!r}")
     check_keys(doc, f"{doc['kind']} k_schedule", _K_SCHEDULE_KEYS[doc["kind"]])
-    return PowerK(float(doc["gamma"])) if doc["kind"] == "power" else FixedK(int(doc["k"]))
+    if doc["kind"] == "power":
+        return PowerK(json_number(doc, "gamma", "power k_schedule"))
+    return FixedK(json_number(doc, "k", "fixed k_schedule", int))
 
 
 def sweep_plan_from_json(doc: dict) -> SweepPlan:
@@ -140,28 +151,33 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
     {"ns": [...], "c": .., "k_schedule": {...}, ...}.
 
     Every point runs the plan's "replicas" (default 5); a point that sets a
-    different "replicas" of its own raises ValueError, and so does a missing
-    or undocumented key. A points plan has no plan-wide seed: each point
-    carries its own.
+    different "replicas" of its own raises ValueError, and so do a missing
+    or undocumented key and a value of the wrong JSON type. A points plan
+    has no plan-wide seed: each point carries its own.
     """
     if isinstance(doc, dict) and "points" in doc:
         check_keys(doc, "sweep plan", ("points",), ("replicas", "out"))
     else:
         optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
         check_keys(doc, "sweep plan", ("ns", "c"), optional)
-    replicas = int(doc.get("replicas", 5))
+    replicas = json_number(doc, "replicas", "sweep plan", int, default=5)
     out_dir = doc.get("out")
+    if not isinstance(out_dir, (str, type(None))):
+        raise ValueError(f"sweep plan key 'out' must be a string, got {out_dir!r}")
     if "points" in doc:
-        points = tuple(params_from_json({"replicas": replicas, **point}) for point in doc["points"])
+        points = doc["points"]
+        if not isinstance(points, list) or not all(isinstance(point, dict) for point in points):
+            raise ValueError(f"sweep plan key 'points' must be a list of JSON objects, got {points!r}")
+        points = tuple(params_from_json({"replicas": replicas, **point}) for point in points)
         return SweepPlan(points=points, replicas=replicas, out_dir=out_dir)
     return make_sweep_plan(
-        [int(n) for n in doc["ns"]],
-        c=float(doc["c"]),
+        json_numbers(doc, "ns", "sweep plan", int),
+        c=json_number(doc, "c", "sweep plan"),
         k_schedule=_k_schedule_from_json(doc.get("k_schedule")),
         model=doc.get("model", "correlation"),
         entry_law_kind=doc.get("entry_law", "complex_gaussian"),
         tau=doc.get("tau", "constant_one"),
-        seed=int(doc.get("seed", 0)),
+        seed=json_number(doc, "seed", "sweep plan", int, default=0),
         replicas=replicas,
         out_dir=out_dir,
     )
@@ -239,7 +255,7 @@ def _evaluate_replica(
     case where the law exists; the coupled model distance only on request."""
     start = time.perf_counter()
     models = tuple(ModelKind) if with_comparison else (params.model,)
-    spectra, d2 = model_spectra(sample_base(params, replica), params.tau, models)
+    spectra, d2 = model_spectra(sample_base(params, replica), models)
     eigs = spectra.pop(params.model)
     dist = esd(eigs, params.ambient_dim)
     cdf = EmpiricalCDF.from_spectral(dist)
@@ -366,9 +382,9 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
         sample = sample_base(params, replica + _SPHERE_STREAM_OFFSET)
         # solve one Gram before the other is built, compare them one row panel at a
         # time (np.max propagates a NaN), and drop both before the next replica
-        normalized = build_normalized_level_gram(sample, params.tau).entries
+        normalized = build_normalized_level_gram(sample)
         dist = esd(eigenvalues(normalized), params.ambient_dim)
-        correlation = build_correlation_gram(sample, params.tau).entries
+        correlation = build_correlation_gram(sample)
         panels = _row_panels(params.sample_count)
         deviation = float(np.max([np.max(np.abs(normalized[a:b] - correlation[a:b])) for a, b in panels]))
         del normalized, correlation
@@ -451,13 +467,9 @@ def _check_gram_oracle(seed: int) -> CheckResult:
         dim = n**k
         params = make_params(n, k, m / dim, seed=seed)
         sample = sample_base(params, 0)
-        for model, builder in (
-            (ModelKind.CORRELATION, build_correlation_gram),
-            (ModelKind.COVARIANCE, build_covariance_gram),
-        ):
-            dense = materialize_dense(sample, params.tau, model)
-            dense_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(dense)))
-            gram_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(builder(sample, params.tau))))
+        for model in ModelKind:  # through model_spectra, the path every sweep runs
+            dense_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(materialize_dense(sample, model))))
+            gram_nonzero = np.sort(nonzero_eigenvalues(model_spectra(sample, (model,))[0][model]))
             if len(dense_nonzero) != len(gram_nonzero):
                 gaps.append(1.0)  # a rank mismatch fails the row
                 continue
@@ -474,7 +486,7 @@ def _check_trace_identity(seed: int) -> CheckResult:
     ]
     for params in cases:
         sample = sample_base(params, 0)
-        eigs = eigenvalues(build_correlation_gram(sample, params.tau))
+        eigs = eigenvalues(build_correlation_gram(sample))
         target = float(np.sum(params.tau.as_array()))
         gaps.append(abs(float(np.sum(eigs)) - target) / target)
     return _nearest_failure("correlation_trace_identity", gaps, 1e-9)
@@ -486,8 +498,8 @@ def _check_unit_modulus_collapse(seed: int) -> CheckResult:
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 2, 0.25, entry_law_kind=law, seed=seed)
         sample = sample_base(params, 0)
-        corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
-        cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
+        corr = materialize_dense(sample, ModelKind.CORRELATION)
+        cov = materialize_dense(sample, ModelKind.COVARIANCE)
         gaps.append(float(np.max(np.abs(corr - cov))))
         ratio = np.prod(norm_profile(sample) / params.n, axis=1)
         gaps.append(float(np.max(np.abs(ratio - 1.0))))

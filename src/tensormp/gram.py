@@ -2,7 +2,10 @@
 spectrum of the n^k-dimensional rank-m model, since X W X* and W^{1/2} X*X
 W^{1/2} share nonzero eigenvalues. The k-fold structure collapses each Gram
 entry into a product of k per-level inner products, so nothing of ambient
-size is ever materialized outside the small dense oracle. The covariance
+size is ever materialized outside the small dense oracle.
+
+A Gram is built from a BaseSample alone (its weights are the sample's
+``params.tau``) and is returned as a read-only m x m array. The covariance
 Gram is the diagonal congruence D C D of the correlation Gram C, and
 ``model_spectra`` scales it into C's own buffer after C's solve.
 """
@@ -15,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .config import ModelKind, TauScheme
+from .config import ModelKind
 from .sampling import BaseSample, norm_profile
 
 log = logging.getLogger(__name__)
@@ -26,12 +29,6 @@ INVARIANT_RTOL = 1e-10  # trace/Frobenius gap allowed per eigenvalue, relative t
 NEGATIVE_CLAMP_REL = 1e-9  # relative floor below which negatives are an error
 NONZERO_THRESHOLD_REL = 1e-9  # separates rank zeros from genuine small atoms
 _PANEL_ROWS = 32  # rows per panel of the in-place Gram passes and checks
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    order: int
-    entries: np.ndarray  # (m, m) complex128, or float64 for real laws; exactly Hermitian by construction
 
 
 @dataclass(frozen=True)
@@ -53,13 +50,6 @@ class SpectralDistribution:
     @property
     def zero_mass(self) -> float:
         return self.implied_zeros / self.ambient_dim
-
-
-def _tau_values(tau: TauScheme, m: int) -> np.ndarray:
-    values = tau.as_array()
-    if values.shape != (m,):
-        raise ValueError(f"tau scheme has length {len(values)}, expected m={m}")
-    return values
 
 
 def _row_panels(m: int) -> list[tuple[int, int]]:
@@ -125,17 +115,17 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     return product
 
 
-def build_correlation_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
-    """Gram of the unit-normalized model: sqrt(tau_a tau_b) prod_l rho_l(a, b).
+def build_correlation_gram(sample: BaseSample) -> np.ndarray:
+    """Read-only Gram of the unit-normalized model: sqrt(tau_a tau_b)
+    prod_l rho_l(a, b), (m, m) complex128, or float64 for real laws.
 
     The diagonal equals tau exactly; the trace of the whole ambient model is
     therefore sum(tau) with no stochastic term.
     """
-    m = sample.entries.shape[0]
-    values = _tau_values(tau, m)
-    entries = _hermitize(_level_ratio_product(sample), values, values)
+    tau = sample.params.tau.as_array()
+    entries = _hermitize(_level_ratio_product(sample), tau, tau)
     entries.setflags(write=False)
-    return GramMatrix(order=m, entries=entries)
+    return entries
 
 
 def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
@@ -143,7 +133,8 @@ def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
     buffer, one row panel at a time, and return d^2 with
     d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a
     keeps it exactly Hermitian. For unit-modulus laws D = I by the law: the
-    buffer is left as it is and d^2 is exactly 1."""
+    buffer is left as it is and d^2 is exactly 1. The only code that lifts a
+    Gram's read-only flag, and only for the length of the scaling."""
     m, _, n = sample.entries.shape
     if sample.params.entry_law.unit_modulus:
         return np.ones(m)
@@ -159,23 +150,15 @@ def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
     return d2
 
 
-def build_covariance_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
-    """Gram of the 1/n^k-normalized model: sqrt(tau_a tau_b) prod_l inner_l/n,
-    scaled into the buffer of the correlation Gram it is built from."""
-    gram = build_correlation_gram(sample, tau)
-    _scale_to_covariance(gram.entries, sample)
-    return gram
-
-
-def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatrix:
-    """Gram built from explicitly unit-normalized level vectors.
+def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
+    """Read-only Gram built from explicitly unit-normalized level vectors.
 
     Independent construction route for the unit-sphere model: each level
     vector is rescaled to unit length first and raw inner products are taken
     afterwards. Mathematically identical to the correlation Gram.
     """
-    m, k, n = sample.entries.shape
-    values = _tau_values(tau, m)
+    k = sample.entries.shape[1]
+    tau = sample.params.tau.as_array()
     normed = sample.entries / np.sqrt(norm_profile(sample))[:, :, None]
     product = None
     for level in range(k):
@@ -184,24 +167,25 @@ def build_normalized_level_gram(sample: BaseSample, tau: TauScheme) -> GramMatri
             product = block @ block.conj().T
         else:
             product *= block @ block.conj().T
-    diag = values * np.prod(
+    diag = tau * np.prod(
         np.einsum("alj,alj->al", normed, normed.conj()).real, axis=1
     )
-    entries = _hermitize(product, values, diag)
+    entries = _hermitize(product, tau, diag)
     entries.setflags(write=False)
-    return GramMatrix(order=m, entries=entries)
+    return entries
 
 
-def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
+def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Delegates the values-only solve to LAPACK but verifies it: the input must
-    be finite and Hermitian to 1e-12 relative, and every eigenvalue enters the
-    identities sum w^p = Re tr G^p (p = 1, 2) up to 1e-10 m max|w|^p; NaN
-    never passes. eigvalsh copies the matrix into a workspace of its own,
-    outside numpy's allocator, so tracemalloc does not see that copy.
+    Delegates the values-only solve to LAPACK but verifies it: every input,
+    a built Gram included, must be finite and Hermitian to 1e-12 relative,
+    and every eigenvalue enters the identities sum w^p = Re tr G^p (p = 1, 2)
+    up to 1e-10 m max|w|^p; NaN never passes. eigvalsh copies the matrix
+    into a workspace of its own, outside numpy's allocator, so tracemalloc
+    does not see that copy.
     """
-    entries = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram)
+    entries = np.asarray(matrix)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("expected a square matrix")
     # both scans run one row panel at a time, so no temporary is larger than a panel;
@@ -230,7 +214,7 @@ def eigenvalues(gram: GramMatrix | np.ndarray) -> np.ndarray:
 
 
 def model_spectra(
-    sample: BaseSample, tau: TauScheme, models: tuple[ModelKind, ...]
+    sample: BaseSample, models: tuple[ModelKind, ...]
 ) -> tuple[dict[ModelKind, np.ndarray], np.ndarray | None]:
     """Gram eigenvalues of each requested model of one sample, and d^2 (see
     _scale_to_covariance) if the covariance model is requested, else None.
@@ -238,11 +222,11 @@ def model_spectra(
     if requested, solved; D C D is then scaled into it and solved, unless the
     law is unit-modulus and C was solved (D = I by the law: one solve)."""
     models = {ModelKind(model) for model in models}
-    gram = build_correlation_gram(sample, tau)
+    gram = build_correlation_gram(sample)
     spectra = {ModelKind.CORRELATION: eigenvalues(gram)} if ModelKind.CORRELATION in models else {}
     if ModelKind.COVARIANCE not in models:
         return spectra, None
-    d2 = _scale_to_covariance(gram.entries, sample)
+    d2 = _scale_to_covariance(gram, sample)
     reuse = sample.params.entry_law.unit_modulus and spectra
     spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if reuse else eigenvalues(gram)
     return spectra, d2
@@ -298,13 +282,13 @@ def tensor_vector(sample: BaseSample, alpha: int) -> np.ndarray:
     return reduce(np.kron, levels)
 
 
-def materialize_dense(sample: BaseSample, tau: TauScheme, model: ModelKind) -> np.ndarray:
+def materialize_dense(sample: BaseSample, model: ModelKind) -> np.ndarray:
     """Explicit ambient N x N matrix; the test oracle for the Gram path."""
     m, k, n = sample.entries.shape
     dim = n**k
     if dim > DENSE_DIM_CAP:
         raise ValueError(f"ambient dimension {dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    values = _tau_values(tau, m)
+    tau = sample.params.tau.as_array()
     out = np.zeros((dim, dim), dtype=np.complex128)
     for alpha in range(m):
         v = tensor_vector(sample, alpha)
@@ -313,8 +297,8 @@ def materialize_dense(sample: BaseSample, tau: TauScheme, model: ModelKind) -> n
             sq = float(np.vdot(v, v).real)
             if sq <= 0.0:
                 raise ValueError(f"degenerate tensor vector at sample {alpha}")
-            out += (values[alpha] / sq) * outer
+            out += (tau[alpha] / sq) * outer
         else:
-            out += (values[alpha] / dim) * outer
+            out += (tau[alpha] / dim) * outer
     return out
 

@@ -1,10 +1,12 @@
-"""Shared test fixtures: forged samples with hand-chosen entries."""
+"""Shared test fixtures: forged samples with hand-chosen entries, and the
+covariance Gram as model_spectra solves it."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from tensormp.config import make_params
+from tensormp.gram import _scale_to_covariance, build_correlation_gram
 from tensormp.sampling import BaseSample
 
 
@@ -16,3 +18,11 @@ def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
     assert params.sample_count == m
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params, replica=0)
+
+
+def covariance_gram(sample: BaseSample) -> np.ndarray:
+    """D C D of the sample: its correlation Gram, scaled in its own buffer by
+    the same call model_spectra makes before the covariance solve."""
+    gram = build_correlation_gram(sample)
+    _scale_to_covariance(gram, sample)
+    return gram

@@ -28,9 +28,9 @@ from tensormp.experiments import (
 )
 from tensormp.gram import (
     build_correlation_gram,
-    build_covariance_gram,
     eigenvalues,
     materialize_dense,
+    model_spectra,
     nonzero_eigenvalues,
 )
 from tensormp.metrics import column_normalization_identity, levy_distance_trace_bound
@@ -59,17 +59,12 @@ def test_criterion_01_gram_dense_oracle_equivalence():
         for k in (1, 2, 3):
             dim = n**k
             for m in range(1, 6):
-                for model, builder in (
-                    (ModelKind.CORRELATION, build_correlation_gram),
-                    (ModelKind.COVARIANCE, build_covariance_gram),
-                ):
+                for model in ModelKind:
                     for seed in (0, 1, 2):
                         params = make_params(n, k, m / dim, seed=seed)
                         sample = sample_base(params, 0)
-                        dense = np.sort(
-                            nonzero_eigenvalues(eigenvalues(materialize_dense(sample, params.tau, model)))
-                        )
-                        gram = np.sort(nonzero_eigenvalues(eigenvalues(builder(sample, params.tau))))
+                        dense = np.sort(nonzero_eigenvalues(eigenvalues(materialize_dense(sample, model))))
+                        gram = np.sort(nonzero_eigenvalues(model_spectra(sample, (model,))[0][model]))
                         assert len(dense) == len(gram), (n, k, m, model, seed)
                         if len(dense):
                             worst = max(worst, float(np.max(np.abs(dense - gram))))
@@ -93,7 +88,7 @@ def test_criterion_02_trace_identity():
     ]
     for params in cases:
         sample = sample_base(params, 0)
-        total = float(np.sum(eigenvalues(build_correlation_gram(sample, params.tau))))
+        total = float(np.sum(eigenvalues(build_correlation_gram(sample))))
         target = float(np.sum(params.tau.as_array()))
         worst = max(worst, abs(total - target) / target)
     _criterion(2, worst <= 1e-9, f"max relative trace deviation {worst:.3e} over {len(cases)} samples")

@@ -195,3 +195,38 @@ def test_tau_dicts_reject_unknown_and_missing_keys(tau, message):
         make_tau(tau, 2)
     with pytest.raises(ValueError, match=message):
         params_from_json({"n": 2, "k": 1, "c": 1.0, "tau": tau})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": [6], "k": 2, "c": 0.5}, r"point config key 'n' must be an integer, got \[6\]"),
+        ({"n": 6, "k": 2.5, "c": 0.5}, r"point config key 'k' must be an integer, got 2\.5"),
+        ({"n": 6, "k": 2, "c": "0.5"}, r"point config key 'c' must be a number, got '0\.5'"),
+        ({"n": 6, "k": 2, "c": 0.5, "seed": True}, r"point config key 'seed' must be an integer, got True"),
+        ({"n": 6, "k": 2, "c": 0.5, "replicas": None}, r"point config key 'replicas' must be an integer, got None"),
+    ],
+)
+def test_point_config_rejects_a_value_of_the_wrong_type(doc, message):
+    with pytest.raises(ValueError, match=message):
+        params_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "tau, message",
+    [
+        ({"kind": "explicit", "values": 3}, r"explicit tau key 'values' must be a list of numbers, got 3"),
+        ({"kind": "explicit", "values": [1.0, "2"]}, r"explicit tau key 'values' must be a list of numbers"),
+        ({"kind": "two_point", "a": "1", "b": 2.0, "weight": 0.5}, r"two_point tau key 'a' must be a number, got '1'"),
+        ({"kind": "two_point", "a": 1.0, "b": 2.0, "weight": [0.5]}, r"two_point tau key 'weight' must be a number"),
+    ],
+)
+def test_tau_dicts_reject_a_value_of_the_wrong_type(tau, message):
+    with pytest.raises(ValueError, match=message):
+        make_tau(tau, 2)
+    with pytest.raises(ValueError, match=message):
+        params_from_json({"n": 2, "k": 1, "c": 1.0, "tau": tau})
+
+
+def test_integral_floats_still_read_as_integers():
+    assert params_from_json({"n": 6.0, "k": 2, "c": 1, "seed": 3.0}) == make_params(6, 2, 1.0, seed=3)

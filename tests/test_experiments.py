@@ -1,6 +1,7 @@
 """Sweep orchestration, the sphere construction, selftest, and the CLI."""
 
 import json
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -136,6 +137,26 @@ def test_sweep_plans_reject_unknown_and_missing_keys(doc, message):
         sweep_plan_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"points": [[6, 2, 0.5]]}, r"sweep plan key 'points' must be a list of JSON objects, got \[\[6, 2, 0\.5\]\]"),
+        ({"points": {"n": 6, "k": 2, "c": 0.5}}, r"sweep plan key 'points' must be a list of JSON objects"),
+        ({"points": [{"n": [6], "k": 2, "c": 0.5}]}, r"point config key 'n' must be an integer, got \[6\]"),
+        ({"ns": 6, "c": 0.5}, r"sweep plan key 'ns' must be a list of integers, got 6"),
+        ({"ns": [6], "c": [0.5]}, r"sweep plan key 'c' must be a number"),
+        ({"ns": [6], "c": 0.5, "replicas": "2"}, r"sweep plan key 'replicas' must be an integer, got '2'"),
+        ({"ns": [6], "c": 0.5, "seed": 1.5}, r"sweep plan key 'seed' must be an integer, got 1\.5"),
+        ({"ns": [6], "c": 0.5, "out": 3}, r"sweep plan key 'out' must be a string, got 3"),
+        ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "fixed", "k": "2"}}, r"fixed k_schedule key 'k' must be an integer"),
+        ({"ns": [9], "c": 0.5, "k_schedule": {"kind": "power", "gamma": None}}, r"power k_schedule key 'gamma' must be"),
+    ],
+)
+def test_sweep_plans_reject_a_value_of_the_wrong_type(doc, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_plan_from_json(doc)
+
+
 def test_points_plan_runs_the_plan_replicas_of_every_point():
     points = [{"n": 6, "k": 2, "c": 0.5, "seed": 1, "replicas": 2}, {"n": 8, "k": 1, "c": 0.25}]
     doc = {"points": points, "replicas": 2}
@@ -197,7 +218,7 @@ def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model)
     solve = tensormp.gram.eigenvalues
 
     def recorded(gram):
-        addresses.append(gram.entries.__array_interface__["data"][0])
+        addresses.append(gram.__array_interface__["data"][0])
         return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "eigenvalues", recorded)
@@ -277,7 +298,7 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
     # A holds the correlation model's tensor vectors, B = A D the covariance model's
     params = make_params(3, 2, 7 / 9, entry_law_kind=law, tau=tau, seed=4)
     sample = sample_base(params, 0)
-    _, d2 = model_spectra(sample, params.tau, (ModelKind.COVARIANCE,))
+    _, d2 = model_spectra(sample, (ModelKind.COVARIANCE,))
     ys = np.stack([tensor_vector(sample, alpha) for alpha in range(params.sample_count)], axis=1)
     weights = np.sqrt(params.tau.as_array())
     a = ys / np.linalg.norm(ys, axis=0) * weights
@@ -490,20 +511,59 @@ def test_distance_json_rows_match_csv_rows(tmp_path):
     _assert_json_rows_match_csv(records, tmp_path / "d" / "distances.csv")
 
 
-def test_distance_rejects_a_dump_without_the_ambient_dimension(tmp_path):
+def _assert_input_error(capsys, argv, pattern):
+    """main exits as argparse does on a bad flag: status 2 and one line on stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(f"tensormp {argv[0]}: error: {pattern}\n", err), err
+
+
+def test_distance_rejects_a_dump_without_the_ambient_dimension(tmp_path, capsys):
     good = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
     bad = tmp_path / "bad.csv"
     bad.write_text(good.read_text().replace(" N=36", ""))
-    with pytest.raises(ValueError, match=r"bad\.csv: eigenvalue dump header lacks N=, the ambient dimension"):
-        main(["distance", "--a", str(bad), "--b", str(good), "--out", str(tmp_path)])
+    capsys.readouterr()
+    argv = ["distance", "--a", str(bad), "--b", str(good), "--out", str(tmp_path)]
+    _assert_input_error(capsys, argv, r".*bad\.csv: eigenvalue dump header lacks N=, the ambient dimension")
 
 
-def test_distance_rejects_a_json_dump(tmp_path):
+def test_distance_rejects_a_json_dump(tmp_path, capsys):
     config = {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}
     good = _simulate(tmp_path, config, "good") / "eigenvalues.csv"
     dump = _simulate(tmp_path, config, "json", "--format", "json") / "eigenvalues.json"
-    with pytest.raises(ValueError, match=r"eigenvalues\.json: .*reads the CSV dump written by simulate --format csv"):
-        main(["distance", "--a", str(good), "--b", str(dump), "--out", str(tmp_path)])
+    capsys.readouterr()
+    argv = ["distance", "--a", str(good), "--b", str(dump), "--out", str(tmp_path)]
+    _assert_input_error(capsys, argv, r".*eigenvalues\.json: .*reads the CSV dump written by simulate --format csv")
+
+
+@pytest.mark.parametrize(
+    "command, document, flags, pattern",
+    [
+        ("simulate", {"n": 6, "k": 2, "c": 0.5, "entrylaw": "rademacher"}, [], r"point config has unknown key\(s\) 'entrylaw'; .*"),
+        ("simulate", None, [], r"\[Errno 2\] No such file or directory: '.*missing\.json'"),
+        ("simulate", '{"n": 6,', [], r".*config\.json: Expecting property name .*"),
+        ("sweep", {"ns": [6], "c": 0.5, "entrylaw": "rademacher"}, [], r"sweep plan has unknown key\(s\) 'entrylaw'; .*"),
+        ("sweep", {"points": [[6, 2, 0.5]]}, ["--seed", "3"], r"sweep plan key 'points' must be a list of JSON objects, .*"),
+        ("sweep", '{"ns": [6] "c": 0.5}', [], r".*config\.json: Expecting ',' delimiter.*"),
+    ],
+)
+def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, document, flags, pattern):
+    path = tmp_path / ("missing.json" if document is None else "config.json")
+    if document is not None:
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+    _assert_input_error(capsys, [command, "--config", str(path), "--out", str(tmp_path), *flags], pattern)
+    assert not (tmp_path / "eigenvalues.csv").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_lets_an_error_of_the_computation_propagate(tmp_path, monkeypatch):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1}))
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
+    with pytest.raises(ValueError, match="breaks the trace bound"):
+        main(["sweep", "--config", str(plan_path), "--out", str(tmp_path)])
 
 
 def test_eigenvalue_dump_rejects_a_short_row(tmp_path):

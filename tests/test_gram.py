@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 import tensormp.gram
-from helpers import forged_sample
+from helpers import covariance_gram, forged_sample
 from oracles import gram_out_of_place, hermitian_eigen_bisect
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import EntryLawKind, ModelKind, constant_tau, explicit_tau, make_params, two_point_tau
+from tensormp.config import EntryLawKind, ModelKind, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
     _PANEL_ROWS,
-    GramMatrix,
     build_correlation_gram,
-    build_covariance_gram,
     build_normalized_level_gram,
     eigenvalues,
     esd,
@@ -31,41 +29,38 @@ from tensormp.sampling import norm_profile, sample_base
 def test_rank_one_gram_is_unit():
     params = make_params(4, 2, 1 / 16, seed=1)
     sample = sample_base(params, 0)
-    gram = build_correlation_gram(sample, params.tau)
-    assert gram.entries.shape == (1, 1)
-    assert gram.entries[0, 0] == 1.0 + 0.0j
+    gram = build_correlation_gram(sample)
+    assert gram.shape == (1, 1)
+    assert gram[0, 0] == 1.0 + 0.0j
 
 
 def test_correlation_diagonal_is_tau_exactly():
     tau = two_point_tau(1.0, 2.0, 0.5, 8)
     params = make_params(5, 2, 8 / 25, tau=tau, seed=4)
     sample = sample_base(params, 0)
-    gram = build_correlation_gram(sample, tau)
-    assert np.array_equal(np.diag(gram.entries), tau.as_array().astype(complex))
+    gram = build_correlation_gram(sample)
+    assert np.array_equal(np.diag(gram), tau.as_array().astype(complex))
 
 
 def test_gram_is_exactly_hermitian_with_bounded_entries():
     params = make_params(6, 3, 0.2, seed=8)
     sample = sample_base(params, 0)
-    for gram in (
-        build_correlation_gram(sample, params.tau),
-        build_covariance_gram(sample, params.tau),
-    ):
-        assert np.array_equal(gram.entries, gram.entries.conj().T)
-    corr = build_correlation_gram(sample, params.tau)
-    assert np.max(np.abs(corr.entries)) <= 1.0 + 1e-12  # normalized Cauchy-Schwarz
+    for gram in (build_correlation_gram(sample), covariance_gram(sample)):
+        assert np.array_equal(gram, gram.conj().T)
+    corr = build_correlation_gram(sample)
+    assert np.max(np.abs(corr)) <= 1.0 + 1e-12  # normalized Cauchy-Schwarz
 
 
 def test_covariance_diagonal_and_rank_one_case():
     sample = forged_sample([[[1.0, 1.0]]])
-    gram = build_covariance_gram(sample, constant_tau(1))
-    assert gram.entries[0, 0] == 1.0 + 0.0j  # ||y||^2 / n = 1
+    gram = covariance_gram(sample)
+    assert gram[0, 0] == 1.0 + 0.0j  # ||y||^2 / n = 1
 
     params = make_params(6, 2, 0.25, seed=3)
     drawn = sample_base(params, 0)
-    gram = build_covariance_gram(drawn, params.tau)
+    gram = covariance_gram(drawn)
     expected = np.prod(norm_profile(drawn) / params.n, axis=1)
-    assert np.allclose(np.diag(gram.entries), expected, rtol=0, atol=1e-15)
+    assert np.allclose(np.diag(gram), expected, rtol=0, atol=1e-15)
 
 
 def test_unit_modulus_laws_collapse_the_two_models():
@@ -73,8 +68,8 @@ def test_unit_modulus_laws_collapse_the_two_models():
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 2, 0.25, entry_law_kind=law, seed=5)
         sample = sample_base(params, 0)
-        corr = materialize_dense(sample, params.tau, ModelKind.CORRELATION)
-        cov = materialize_dense(sample, params.tau, ModelKind.COVARIANCE)
+        corr = materialize_dense(sample, ModelKind.CORRELATION)
+        cov = materialize_dense(sample, ModelKind.COVARIANCE)
         assert np.max(np.abs(corr - cov)) <= 1e-12
         ratio = np.prod(norm_profile(sample) / params.n, axis=1)
         assert np.max(np.abs(ratio - 1.0)) <= 1e-12
@@ -121,7 +116,7 @@ def test_eigenvalues_reject_non_finite_input():
 )
 def test_eigenvalues_reject_a_corrupted_spectrum(monkeypatch, corrupt, identity):
     params = make_params(6, 2, 0.5, seed=2)
-    gram = build_correlation_gram(sample_base(params, 0), params.tau)
+    gram = build_correlation_gram(sample_base(params, 0))
     solve = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: corrupt(solve(a)))
     with pytest.raises(ValueError, match=identity):
@@ -167,7 +162,7 @@ def test_eigenvalues_reject_non_hermitian():
 def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
     # eigvalsh reads one triangle only: unchecked, this would return 1 -+ 0.5
     # and pass both identities, while the true eigenvalues are 1 -+ 0.5i
-    gram = GramMatrix(2, np.array([[1.0, -0.5], [0.5, 1.0]]))
+    gram = np.array([[1.0, -0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         eigenvalues(gram)
 
@@ -178,26 +173,27 @@ def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
 )
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, models):
-    solves = []  # (buffer address, entries at the time of the solve)
+    solves = []  # (buffer address, entries and writeable flag at the time of the solve)
     solve = tensormp.gram.eigenvalues
 
     def recorded(gram):
-        solves.append((gram.entries.__array_interface__["data"][0], gram.entries.copy()))
+        solves.append((gram.__array_interface__["data"][0], gram.copy(), gram.flags.writeable))
         return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "eigenvalues", recorded)
     tau = two_point_tau(1.0, 2.0, 0.5, 40)
     params = make_params(9, 2, 40 / 81, entry_law_kind=law, tau=tau, seed=7)
     sample = sample_base(params, 0)
-    spectra, d2 = model_spectra(sample, params.tau, models)
+    spectra, d2 = model_spectra(sample, models)
     assert set(spectra) == set(models)
     unit = params.entry_law.unit_modulus
     both = len(models) == 2
     assert len(solves) == (1 if unit or not both else 2)  # D = I by the law: one matrix, one solve
-    assert len({address for address, _ in solves}) == 1
+    assert len({address for address, *_ in solves}) == 1
+    assert not any(writeable for *_, writeable in solves)  # the read-only flag is restored before each solve
     # each solve sees its model's Gram bitwise, so a covariance-only request never solves C
     solved_models = models if len(solves) == len(models) else models[:1]
-    for (_, entries), model in zip(solves, solved_models, strict=True):
+    for (_, entries, _), model in zip(solves, solved_models, strict=True):
         assert entries.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
     for model, eigs in spectra.items():
         assert eigs.tobytes() == solve(gram_out_of_place(sample, params.tau, model)).tobytes()
@@ -237,7 +233,7 @@ def test_esd_clamps_small_negatives_only():
 def test_esd_rank_bound_for_m_above_ambient():
     params = make_params(2, 1, 1.5, seed=3)  # N=2, m=3
     sample = sample_base(params, 0)
-    w = eigenvalues(build_correlation_gram(sample, params.tau))
+    w = eigenvalues(build_correlation_gram(sample))
     dist = esd(w, params.ambient_dim)
     assert len(dist.atoms) == 2
     assert dist.zero_mass == 0.0
@@ -248,7 +244,7 @@ def test_esd_rank_bound_for_m_above_ambient():
 
 def test_basis_tensor_dense_matrix():
     sample = forged_sample([[[1.0, 0.0], [0.0, 1.0]]])
-    dense = materialize_dense(sample, constant_tau(1), ModelKind.CORRELATION)
+    dense = materialize_dense(sample, ModelKind.CORRELATION)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0  # e_1 (x) e_2 sits at flat index 0*2 + 1
     assert np.array_equal(dense, expected)
@@ -263,28 +259,24 @@ def test_hand_vectors_match_dense_computation():
         dtype=complex,
     )
     sample = forged_sample(entries)
-    tau = constant_tau(2)
-    gram = build_correlation_gram(sample, tau)
+    gram = build_correlation_gram(sample)
     tensors = [tensor_vector(sample, alpha) for alpha in range(2)]
     for a in range(2):
         for b in range(2):
             direct = np.vdot(tensors[b], tensors[a]) / (
                 np.linalg.norm(tensors[a]) * np.linalg.norm(tensors[b])
             )
-            assert gram.entries[a, b] == pytest.approx(direct, abs=1e-12)
+            assert gram[a, b] == pytest.approx(direct, abs=1e-12)
 
 
 def test_gram_and_dense_share_nonzero_spectrum():
-    for model, builder in (
-        (ModelKind.CORRELATION, build_correlation_gram),
-        (ModelKind.COVARIANCE, build_covariance_gram),
-    ):
+    for model in ModelKind:
         for law in ("complex_gaussian", "real_gaussian", "rademacher"):
             params = make_params(3, 2, 4 / 9, entry_law_kind=law, seed=6)
             sample = sample_base(params, 0)
-            dense = materialize_dense(sample, params.tau, model)
+            dense = materialize_dense(sample, model)
             nz_dense = np.sort(nonzero_eigenvalues(eigenvalues(dense)))
-            nz_gram = np.sort(nonzero_eigenvalues(eigenvalues(builder(sample, params.tau))))
+            nz_gram = np.sort(nonzero_eigenvalues(model_spectra(sample, (model,))[0][model]))
             assert len(nz_dense) == len(nz_gram)
             assert nz_dense == pytest.approx(nz_gram, abs=1e-9)
 
@@ -293,7 +285,7 @@ def test_dense_trace_equals_tau_sum():
     tau = explicit_tau([1.0, 2.0, 0.5, 1.5])
     params = make_params(3, 2, 4 / 9, tau=tau, seed=2)
     sample = sample_base(params, 0)
-    dense = materialize_dense(sample, tau, ModelKind.CORRELATION)
+    dense = materialize_dense(sample, ModelKind.CORRELATION)
     assert np.trace(dense).real == pytest.approx(5.0, abs=1e-10)
     assert abs(np.trace(dense).imag) <= 1e-12
 
@@ -302,15 +294,15 @@ def test_dense_cap_enforced():
     params = make_params(2, 13, 1 / 2**13, seed=0)  # N = 8192 > 4096
     sample = sample_base(params, 0)
     with pytest.raises(ValueError, match="dense cap"):
-        materialize_dense(sample, params.tau, ModelKind.CORRELATION)
+        materialize_dense(sample, ModelKind.CORRELATION)
 
 
 def test_normalized_level_gram_matches_correlation():
     params = make_params(8, 3, 0.1, seed=12)
     sample = sample_base(params, 0)
-    a = build_normalized_level_gram(sample, params.tau)
-    b = build_correlation_gram(sample, params.tau)
-    assert np.max(np.abs(a.entries - b.entries)) <= 1e-12
+    a = build_normalized_level_gram(sample)
+    b = build_correlation_gram(sample)
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_eigenvalue_csv_round_trip(tmp_path):
@@ -328,5 +320,5 @@ def test_eigenvalue_csv_round_trip(tmp_path):
     }
     params = make_params(4, 2, 0.5, seed=21, replicas=2)
     for replica in range(2):
-        eigs = eigenvalues(build_correlation_gram(sample_base(params, replica), params.tau))
+        eigs = eigenvalues(build_correlation_gram(sample_base(params, replica)))
         assert np.array_equal(loaded[replica], np.maximum(eigs, 0.0))  # repr round-trips exactly

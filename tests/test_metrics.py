@@ -195,7 +195,7 @@ def test_empirical_moment_examples():
 def test_empirical_first_moment_is_the_trace_ratio():
     params = make_params(12, 2, 0.5, seed=31)
     sample = sample_base(params, 0)
-    dist = esd(eigenvalues(build_correlation_gram(sample, params.tau)), params.ambient_dim)
+    dist = esd(eigenvalues(build_correlation_gram(sample)), params.ambient_dim)
     target = params.sample_count / params.ambient_dim
     assert abs(empirical_moment(dist, 1) - target) <= 1e-12 * target
 
@@ -205,7 +205,7 @@ def test_empirical_second_moment_tracks_the_limit_law():
     values = []
     for replica in range(params.replicas):
         sample = sample_base(params, replica)
-        dist = esd(eigenvalues(build_correlation_gram(sample, params.tau)), params.ambient_dim)
+        dist = esd(eigenvalues(build_correlation_gram(sample)), params.ambient_dim)
         values.append(empirical_moment(dist, 2))
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(len(values)))
@@ -216,7 +216,7 @@ def test_distances_to_the_law_match_a_dense_quadpack_scan():
     params = make_params(20, 2, 0.5, seed=13)
     sample = sample_base(params, 0)
     f = EmpiricalCDF.from_spectral(
-        esd(eigenvalues(build_correlation_gram(sample, params.tau)), params.ambient_dim)
+        esd(eigenvalues(build_correlation_gram(sample)), params.ambient_dim)
     )
     law = mp.MPLaw.from_ratio(0.5)
     grid = np.linspace(-0.5, law.lambda_plus + 0.5, 40_001)

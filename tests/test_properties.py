@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import covariance_gram
 from oracles import gram_direct, gram_out_of_place
 from tensormp import mp
 from tensormp.config import EntryLawKind, ModelKind, make_params
@@ -12,7 +13,6 @@ from tensormp.gram import (
     _PANEL_ROWS,
     _scale_to_covariance,
     build_correlation_gram,
-    build_covariance_gram,
     build_normalized_level_gram,
 )
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
@@ -100,18 +100,20 @@ def gram_points(draw):
 @given(gram_points())
 def test_gram_builders_match_the_explicit_tensor_oracle(params):
     sample = sample_base(params, 0)
-    corr = build_correlation_gram(sample, params.tau)
-    cov = build_covariance_gram(sample, params.tau)
+    corr = build_correlation_gram(sample)
+    cov = covariance_gram(sample)
     for gram, model in ((corr, ModelKind.CORRELATION), (cov, ModelKind.COVARIANCE)):
         direct = gram_direct(sample, params.tau, model)
-        assert np.max(np.abs(gram.entries - direct)) <= 1e-13 * np.max(np.abs(direct))
-    for gram in (corr, cov, build_normalized_level_gram(sample, params.tau)):
-        assert np.array_equal(gram.entries, gram.entries.conj().T)  # eigenvalues() relies on it
+        assert np.max(np.abs(gram - direct)) <= 1e-13 * np.max(np.abs(direct))
+    normalized = build_normalized_level_gram(sample)
+    assert not corr.flags.writeable and not normalized.flags.writeable  # what each builder hands out
+    for gram in (corr, cov, normalized):
+        assert np.array_equal(gram, gram.conj().T)  # eigenvalues() relies on it
     if params.entry_law.unit_modulus:
         # D = I by the law: the congruence leaves C's buffer as it is, so both Grams are C bitwise
-        before = corr.entries.tobytes()
-        assert np.array_equal(_scale_to_covariance(corr.entries, sample), np.ones(params.sample_count))
-        assert corr.entries.tobytes() == before == cov.entries.tobytes()
+        before = corr.tobytes()
+        assert np.array_equal(_scale_to_covariance(corr, sample), np.ones(params.sample_count))
+        assert corr.tobytes() == before == cov.tobytes()
 
 
 @st.composite
@@ -139,13 +141,13 @@ def panel_points(draw):
 @given(panel_points())
 def test_in_place_builders_equal_the_out_of_place_formula_bitwise(params):
     sample = sample_base(params, 0)
-    corr = build_correlation_gram(sample, params.tau)
-    cov = build_covariance_gram(sample, params.tau)
+    corr = build_correlation_gram(sample)
+    cov = covariance_gram(sample)
     for gram, model in ((corr, ModelKind.CORRELATION), (cov, ModelKind.COVARIANCE)):
         expected = gram_out_of_place(sample, params.tau, model)
-        assert gram.entries.dtype == expected.dtype
-        assert np.array_equal(gram.entries, expected)
-        assert np.array_equal(np.signbit(gram.entries.view(float)), np.signbit(expected.view(float)))
+        assert gram.dtype == expected.dtype
+        assert np.array_equal(gram, expected)
+        assert np.array_equal(np.signbit(gram.view(float)), np.signbit(expected.view(float)))
 
 
 _seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.just(2**64 - 1))
