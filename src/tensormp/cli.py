@@ -40,10 +40,11 @@ def _load_json(path: Path) -> dict:
 
 @contextmanager
 def _input_errors(args):
-    """Report an unreadable or invalid input file as argparse reports a bad
-    flag: one line on stderr and exit status 2. Only the reading and checking
-    of the files named on the command line runs inside; an error of the
-    computation itself propagates."""
+    """Report an unreadable or invalid input file, or a flag value the
+    command cannot take, as argparse reports a bad flag: one line on stderr
+    and exit status 2. Only the reading and checking of the inputs named on
+    the command line runs inside; an error of the computation itself
+    propagates."""
     try:
         yield
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
@@ -184,7 +185,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mp(args) -> int:
-    law = mp.MPLaw.from_ratio(args.c)
+    with _input_errors(args):
+        law = mp.MPLaw.from_ratio(args.c)
+        moments = [(q, mp.moment(law, q)) for q in _moment_orders(args.moments)]
     out = _out_dir(args.out)
     xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
     rows = [
@@ -195,10 +198,17 @@ def _cmd_mp(args) -> int:
         f"MP law c={law.c}: support [{law.lambda_minus:.6f}, {law.lambda_plus:.6f}], "
         f"atom {law.atom_mass:.6f}"
     )
-    if args.moments:
-        for q in (int(q) for q in args.moments.split(",")):
-            print(f"  moment q={q}: {mp.moment(law, q)!r}")
+    for q, value in moments:
+        print(f"  moment q={q}: {value!r}")
     return 0
+
+
+def _moment_orders(text: str) -> list[int]:
+    """The orders of a --moments value such as "1,2,4"; "" names none."""
+    try:
+        return [int(q) for q in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"--moments must be comma-separated integers, got {text!r}") from None
 
 
 def _cmd_distance(args) -> int:

@@ -7,14 +7,19 @@ size is ever materialized outside the small dense oracle.
 A Gram is built from a BaseSample alone (its weights are the sample's
 ``params.tau``) and is returned as a read-only m x m array. The covariance
 Gram is the diagonal congruence D C D of the correlation Gram C, and
-``model_spectra`` scales it into C's own buffer after C's solve.
+``model_spectra`` scales it into C's own buffer after C's solve. Each solve
+of ``model_spectra`` runs in that buffer itself, through the LAPACK numpy
+ships with, so a replica of a complex law holds one m x m block.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +34,12 @@ INVARIANT_RTOL = 1e-10  # trace/Frobenius gap allowed per eigenvalue, relative t
 NEGATIVE_CLAMP_REL = 1e-9  # relative floor below which negatives are an error
 NONZERO_THRESHOLD_REL = 1e-9  # separates rank zeros from genuine small atoms
 _PANEL_ROWS = 32  # rows per panel of the in-place Gram passes and checks
+_NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min  # -0.0 read as an int64: the smallest one
+_LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout code for column-major storage
+_LAPACK_DRIVERS = {  # values-only Hermitian eigensolvers of numpy's bundled OpenBLAS (ILP64)
+    np.dtype(np.complex128): "scipy_LAPACKE_zheevd64_",
+    np.dtype(np.float64): "scipy_LAPACKE_dsyevd64_",
+}
 
 
 @dataclass(frozen=True)
@@ -57,6 +68,17 @@ def _row_panels(m: int) -> list[tuple[int, int]]:
     return [(start, min(start + _PANEL_ROWS, m)) for start in range(0, m, _PANEL_ROWS)]
 
 
+@contextmanager
+def _writable(entries: np.ndarray):
+    """Lift an array's read-only flag for one in-place step, then restore it."""
+    writeable = entries.flags.writeable
+    entries.setflags(write=True)
+    try:
+        yield entries
+    finally:
+        entries.setflags(write=writeable)
+
+
 def _hermitize(product: np.ndarray, tau: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Scale product by sqrt(tau_a tau_b), mirror the conjugate of its strict
     upper triangle into the lower one and set the diagonal, all in place.
@@ -82,6 +104,22 @@ def _hermitize(product: np.ndarray, tau: np.ndarray, diag: np.ndarray) -> np.nda
     return product
 
 
+def _divide_by_count(rows: np.ndarray, n: int) -> None:
+    """rows /= n in place for a complex array of finite entries, bitwise as
+    numpy's division.
+
+    numpy divides z by a real n as ((re + im*0) fl(1/n), (im - re*0) fl(1/n)).
+    Unless a part is -0.0 that is the product of each part with fl(1/n), so
+    the float64 view is multiplied, about ten times faster. A -0.0 part, whose
+    sign the other part decides, sends the rows through numpy's division.
+    """
+    parts = rows.view(np.float64)
+    if parts.view(np.int64).min() == _NEGATIVE_ZERO_BITS:
+        np.divide(rows, n, out=rows)
+    else:
+        parts *= 1.0 / n
+
+
 def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     """Entrywise product over levels of the normalized inner products
     <y_a^(l), y_b^(l)> / (||y_a^(l)|| ||y_b^(l)||).
@@ -89,29 +127,41 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     Each factor has modulus <= 1 by Cauchy-Schwarz, which makes the k-fold
     product overflow-proof. For unit-modulus laws ||y^(l)||^2 = n almost
     surely, and the exact value n is used, so the covariance Gram of such a
-    law is this correlation Gram bitwise. Each level is normalized in place by
-    the same division loop as inner / den, and the first level's ratio is the
-    product, so at most two m x m arrays are alive.
+    law is this correlation Gram bitwise. The first level's ratio is the
+    product. Each later complex level is formed one row panel at a time, and
+    each panel's rows are bitwise those of the whole product (a trailing
+    one-row panel, which numpy forms by gemv, differs at most below the
+    diagonal and on it, which _hermitize overwrites), so a complex law holds
+    one m x m array. numpy forms a real A A^T by syrk, whose row panels would
+    differ in the last bit, so each later real level holds a second array
+    while it is formed. Each level is normalized bitwise as inner / den.
     """
     entries = sample.entries
     m, k, n = entries.shape
     unit = sample.params.entry_law.unit_modulus
     sq = None if unit else norm_profile(sample)
+
+    def normalize(rows: np.ndarray, start: int, stop: int, level: int) -> None:
+        if not unit:
+            np.divide(rows, np.sqrt(np.outer(sq[start:stop, level], sq[:, level])), out=rows)
+        elif np.iscomplexobj(rows):
+            _divide_by_count(rows, n)
+        else:  # a real reciprocal multiply is not bitwise a division
+            np.divide(rows, n, out=rows)
+
     product = None
     for level in range(k):
         block = entries[:, level, :]
-        inner = block @ block.conj().T
-        if unit:
-            np.divide(inner, n, out=inner)
-        else:
-            for start, stop in _row_panels(m):
-                rows = inner[start:stop]
-                np.divide(rows, np.sqrt(np.outer(sq[start:stop, level], sq[:, level])), out=rows)
+        adjoint = block.conj().T
+        whole = None if product is not None and np.iscomplexobj(block) else block @ adjoint
+        for start, stop in _row_panels(m):
+            rows = block[start:stop] @ adjoint if whole is None else whole[start:stop]
+            normalize(rows, start, stop, level)
+            if product is not None:
+                product[start:stop] *= rows
         if product is None:
-            product = inner
-        else:
-            product *= inner
-        del inner  # freed before the next level's product is allocated
+            product = whole
+        del whole  # a real level's inner products go before the next level's are formed
     return product
 
 
@@ -133,21 +183,39 @@ def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
     buffer, one row panel at a time, and return d^2 with
     d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a
     keeps it exactly Hermitian. For unit-modulus laws D = I by the law: the
-    buffer is left as it is and d^2 is exactly 1. The only code that lifts a
-    Gram's read-only flag, and only for the length of the scaling."""
+    buffer is left as it is and d^2 is exactly 1."""
     m, _, n = sample.entries.shape
     if sample.params.entry_law.unit_modulus:
         return np.ones(m)
     d2 = np.prod(norm_profile(sample) / n, axis=1)
     d = np.sqrt(d2)
     diag = entries.diagonal().real * d2  # read before any row is scaled
-    entries.setflags(write=True)
-    for start, stop in _row_panels(m):
-        rows = entries[start:stop]
-        np.multiply(rows, np.outer(d[start:stop], d), out=rows)
-    entries[np.diag_indices(m)] = diag
-    entries.setflags(write=False)
+    with _writable(entries):
+        for start, stop in _row_panels(m):
+            rows = entries[start:stop]
+            np.multiply(rows, np.outer(d[start:stop], d), out=rows)
+        entries[np.diag_indices(m)] = diag
     return d2
+
+
+def _restore_solved(entries: np.ndarray, tau: np.ndarray) -> None:
+    """Rebuild the upper triangle and the diagonal of a built Gram that an
+    in-place solve has overwritten: the strict upper triangle from the
+    untouched strict lower one by conjugate mirroring, the diagonal as tau.
+
+    The result is bitwise the Gram as built, but for one case: an imaginary
+    part that was exactly +0 above the diagonal comes back as -0, since its
+    mirror below holds +0 for either sign. A sampled complex Gaussian Gram
+    almost surely has none.
+    """
+    m = entries.shape[0]
+    with _writable(entries):
+        for start, stop in _row_panels(m):
+            np.conjugate(entries[stop:, start:stop].T, out=entries[start:stop, stop:])
+            block = entries[start:stop, start:stop]
+            rows, cols = np.triu_indices(stop - start, 1)
+            block[rows, cols] = np.conjugate(block[cols, rows])
+        entries[np.diag_indices(m)] = tau
 
 
 def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
@@ -175,19 +243,65 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
     return entries
 
 
-def eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
+@cache
+def _lapack_drivers() -> dict:
+    """numpy's bundled LAPACKE ?heevd and ?syevd by dtype, or {} where numpy
+    carries no bundled OpenBLAS (a numpy not built from a wheel).
 
-    Delegates the values-only solve to LAPACK but verifies it: every input,
-    a built Gram included, must be finite and Hermitian to 1e-12 relative,
-    and every eigenvalue enters the identities sum w^p = Re tr G^p (p = 1, 2)
-    up to 1e-10 m max|w|^p; NaN never passes. eigvalsh copies the matrix
-    into a workspace of its own, outside numpy's allocator, so tracemalloc
-    does not see that copy.
+    numpy has mapped that library at its own import, and loading the same
+    file again returns the same library: one thread pool, one thread count.
+    It is loaded at the first solve, not at import.
     """
-    entries = np.asarray(matrix)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("expected a square matrix")
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if len(libs) != 1:
+        return {}
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+    except OSError:
+        return {}
+    drivers = {}
+    for dtype, name in _LAPACK_DRIVERS.items():
+        driver = getattr(lib, name, None)
+        if driver is None:
+            return {}
+        # (matrix_layout, jobz, uplo, n, a, lda, w) -> info, with 64-bit LAPACK integers
+        driver.argtypes = (
+            ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
+        )
+        driver.restype = ctypes.c_int64
+        drivers[dtype] = driver
+    return drivers
+
+
+def _solve_in_place(buffer: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the square matrix buffer.T, computed in the
+    buffer itself: bitwise np.linalg.eigvalsh(buffer.T), which also solves it
+    (from a copy) where numpy's bundled LAPACK is absent, or the buffer is
+    not a C-contiguous float64 or complex128 array.
+
+    LAPACK reads a C-order buffer in column-major order, that is as
+    buffer.T. The values-only ?heevd/?syevd (jobz='N', uplo='L') reads the
+    lower triangle of buffer.T, the upper triangle and diagonal of the
+    buffer, and overwrites exactly those: the buffer's strict lower triangle
+    is left as it was. For a Hermitian buffer, buffer.T is its conjugate,
+    whose eigenvalues LAPACK returns bitwise as the buffer's own. The
+    read-only flag is lifted for the solve only.
+    """
+    driver = _lapack_drivers().get(buffer.dtype)
+    if driver is None or not buffer.flags.c_contiguous:
+        return np.linalg.eigvalsh(buffer.T)
+    m = buffer.shape[0]
+    w = np.empty(m)
+    with _writable(buffer):
+        info = driver(_LAPACK_COL_MAJOR, b"N", b"L", m, buffer.ctypes.data, max(1, m), w.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK info {info})")
+    return w
+
+
+def _checked_invariants(entries: np.ndarray) -> tuple[float, float]:
+    """Check that a square matrix is finite and Hermitian to 1e-12 relative,
+    and return Re tr G and ||G||_F^2 for the identities its spectrum obeys."""
     # both scans run one row panel at a time, so no temporary is larger than a panel;
     # np.max, unlike max(), propagates a NaN
     panels = _row_panels(entries.shape[0])
@@ -203,14 +317,40 @@ def eigenvalues(matrix) -> np.ndarray:
     asym = float(np.max([panel_asymmetry(start, stop) for start, stop in panels], initial=0.0))
     if asym > HERMITIAN_RTOL * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}")
-    w = np.linalg.eigvalsh(entries)
+    return float(np.trace(entries).real), float(np.vdot(entries, entries).real)
+
+
+def _solve_checked(entries: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """The checked eigenvalues (see eigenvalues) of the Hermitian matrix
+    entries, solved in place in buffer: a copy whose transpose is entries,
+    or a built Gram's own buffer (see _solve_in_place). The checks, the trace
+    and the Frobenius norm are read before the solve overwrites them."""
+    identities = _checked_invariants(entries)
+    w = _solve_in_place(buffer)
     norm = float(np.max(np.abs(w))) if w.size else 0.0
-    for p, name, exact in ((1, "trace", np.trace(entries).real), (2, "Frobenius", np.vdot(entries, entries).real)):
-        gap = abs(float(np.sum(w**p)) - float(exact))
+    for p, name, exact in zip((1, 2), ("trace", "Frobenius"), identities):
+        gap = abs(float(np.sum(w**p)) - exact)
         bound = INVARIANT_RTOL * len(w) * norm**p
         if not gap <= bound:  # written so that a NaN gap fails
             raise ValueError(f"eigenvalues miss the {name} identity by {gap:.3e} > {bound:.3e}")
     return w
+
+
+def eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending, bitwise those of
+    np.linalg.eigvalsh.
+
+    Delegates the values-only solve to LAPACK but verifies it: every input,
+    a built Gram included, must be finite and Hermitian to 1e-12 relative,
+    and every eigenvalue enters the identities sum w^p = Re tr G^p (p = 1, 2)
+    up to 1e-10 m max|w|^p; NaN never passes. The argument is never written
+    to: LAPACK solves a copy of it, stored column-major as eigvalsh stores
+    its own.
+    """
+    entries = np.asarray(matrix)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("expected a square matrix")
+    return _solve_checked(entries, np.array(entries.T, order="C"))
 
 
 def model_spectra(
@@ -218,17 +358,21 @@ def model_spectra(
 ) -> tuple[dict[ModelKind, np.ndarray], np.ndarray | None]:
     """Gram eigenvalues of each requested model of one sample, and d^2 (see
     _scale_to_covariance) if the covariance model is requested, else None.
-    One m x m buffer, never seen by the caller, serves both: C is built and,
-    if requested, solved; D C D is then scaled into it and solved, unless the
-    law is unit-modulus and C was solved (D = I by the law: one solve)."""
+    One m x m buffer, never seen by the caller, serves both, and each solve
+    runs in it: C is built and, if requested, solved; its upper triangle and
+    diagonal are then restored from the untouched lower triangle and tau, and
+    D C D is scaled into it and solved, unless the law is unit-modulus and C
+    was solved (D = I by the law: one solve)."""
     models = {ModelKind(model) for model in models}
     gram = build_correlation_gram(sample)
-    spectra = {ModelKind.CORRELATION: eigenvalues(gram)} if ModelKind.CORRELATION in models else {}
+    spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}
     if ModelKind.COVARIANCE not in models:
         return spectra, None
+    unit = sample.params.entry_law.unit_modulus
+    if spectra and not unit:
+        _restore_solved(gram, sample.params.tau.as_array())
     d2 = _scale_to_covariance(gram, sample)
-    reuse = sample.params.entry_law.unit_modulus and spectra
-    spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if reuse else eigenvalues(gram)
+    spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if unit and spectra else _solve_checked(gram, gram)
     return spectra, d2
 
 

@@ -45,6 +45,12 @@ class BaseSample:
     params: ModelParams
     replica: int
 
+    def __post_init__(self):
+        expected = (self.params.sample_count, self.params.k, self.params.n)
+        shape = np.shape(self.entries)
+        if shape != expected:
+            raise ValueError(f"sample entries have shape {shape}, but params give (m, k, n) = {expected}")
+
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)

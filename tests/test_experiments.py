@@ -212,16 +212,34 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
 
 
 @pytest.mark.parametrize("model", ["correlation", "covariance"])
+@pytest.mark.parametrize("law", ["complex_gaussian", "unit_circle"])
+def test_a_complex_replica_holds_one_gram_sized_array(law, model):
+    # each later level is formed one row panel at a time and each solve runs in the Gram's
+    # buffer, whose LAPACK workspace is a few rows; tracemalloc would see a second numpy block
+    evaluate = tensormp.experiments._evaluate_replica
+    evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_comparison=True)
+    params = make_params(30, 2, 0.5, entry_law_kind=law, model=model, seed=3)
+    tracemalloc.start()
+    try:
+        evaluate(params, 0, with_comparison=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.sample_count == 450
+    assert peak <= 1.5 * params.sample_count**2 * 16
+
+
+@pytest.mark.parametrize("model", ["correlation", "covariance"])
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model):
     addresses = []
-    solve = tensormp.gram.eigenvalues
+    solve = tensormp.gram._solve_in_place
 
     def recorded(gram):
         addresses.append(gram.__array_interface__["data"][0])
         return solve(gram)
 
-    monkeypatch.setattr(tensormp.gram, "eigenvalues", recorded)
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
     params = make_params(9, 2, 0.5, entry_law_kind=law, model=model, seed=2)
     tensormp.experiments._evaluate_replica(params, 0, with_comparison=True)
     # D C D is scaled into C's buffer after C's solve; a unit-modulus law solves its one matrix once
@@ -324,13 +342,13 @@ def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
 def test_sweep_solves_one_matrix_per_unit_modulus_replica(monkeypatch, law, solves):
     # a unit-modulus covariance Gram is the correlation Gram, so its spectrum is reused
     calls = []
-    solve = tensormp.gram.eigenvalues
+    solve = tensormp.gram._solve_in_place
 
     def counted(gram):
         calls.append(gram)
         return solve(gram)
 
-    monkeypatch.setattr(tensormp.gram, "eigenvalues", counted)
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", counted)
     plan = make_sweep_plan([6, 8], c=0.5, entry_law_kind=law, seed=3, replicas=2)
     result = run_sweep(plan)
     assert len(calls) == solves * len(result.records)
@@ -556,6 +574,18 @@ def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, doc
         path.write_text(document if isinstance(document, str) else json.dumps(document))
     _assert_input_error(capsys, [command, "--config", str(path), "--out", str(tmp_path), *flags], pattern)
     assert not (tmp_path / "eigenvalues.csv").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, pattern",
+    [
+        (["--c", "-1"], r"ratio c must be positive and finite"),
+        (["--c", "0.5", "--moments", "1,x"], r"--moments must be comma-separated integers, got '1,x'"),
+    ],
+)
+def test_cli_reports_a_bad_mp_flag_in_one_line(tmp_path, capsys, flags, pattern):
+    _assert_input_error(capsys, ["mp", *flags, "--out", str(tmp_path)], pattern)
+    assert not (tmp_path / "mp_grid.csv").exists()
 
 
 def test_cli_lets_an_error_of_the_computation_propagate(tmp_path, monkeypatch):

@@ -13,6 +13,9 @@ from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLawKind, ModelKind, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
     _PANEL_ROWS,
+    _divide_by_count,
+    _restore_solved,
+    _solve_in_place,
     build_correlation_gram,
     build_normalized_level_gram,
     eigenvalues,
@@ -117,10 +120,96 @@ def test_eigenvalues_reject_non_finite_input():
 def test_eigenvalues_reject_a_corrupted_spectrum(monkeypatch, corrupt, identity):
     params = make_params(6, 2, 0.5, seed=2)
     gram = build_correlation_gram(sample_base(params, 0))
-    solve = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: corrupt(solve(a)))
+    solve = tensormp.gram._solve_in_place
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", lambda a: corrupt(solve(a)))
     with pytest.raises(ValueError, match=identity):
         eigenvalues(gram)
+    with pytest.raises(ValueError, match=identity):
+        model_spectra(sample_base(params, 0), (ModelKind.CORRELATION,))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_in_place_solve_is_eigvalsh_bitwise_and_keeps_the_strict_lower_triangle(monkeypatch, dtype):
+    rng = np.random.Generator(np.random.Philox(13))
+    for m in (1, 2, 33, 129, 205, 450):
+        a = rng.standard_normal((m, m)).astype(dtype)
+        if np.iscomplexobj(a):
+            a += 1j * rng.standard_normal((m, m))
+        matrix = a + a.conj().T  # exactly Hermitian
+        expected = np.linalg.eigvalsh(matrix)
+        buffer = matrix.copy()
+        buffer.setflags(write=False)
+        assert _solve_in_place(buffer).tobytes() == expected.tobytes()
+        assert np.tril(buffer, -1).tobytes() == np.tril(matrix, -1).tobytes()
+        assert not buffer.flags.writeable  # read-only again after the solve
+        # without numpy's bundled LAPACK, eigvalsh solves a copy, to the same bits
+        with monkeypatch.context() as patch:
+            patch.setattr(tensormp.gram, "_lapack_drivers", lambda: {})
+            assert _solve_in_place(matrix).tobytes() == expected.tobytes()
+    for m in (33, 129):  # eigenvalues solves its copy as eigvalsh does, so even a matrix
+        # Hermitian only to 1e-12 gets eigvalsh's bits
+        matrix = rng.standard_normal((m, m)).astype(dtype)
+        matrix = matrix + matrix.T + 1e-14 * np.triu(rng.standard_normal((m, m)), 1)
+        before = matrix.copy()
+        assert eigenvalues(matrix).tobytes() == np.linalg.eigvalsh(matrix).tobytes()
+        assert np.array_equal(matrix, before)
+
+
+@pytest.mark.parametrize("law", ["complex_gaussian", "unit_circle"])
+@pytest.mark.parametrize("m", [96, 97, 98])  # m = 0, 1 and 2 (mod 32): whole, 1-row and 2-row last panels
+def test_panel_built_levels_match_the_whole_product_formula(law, m):
+    assert m % _PANEL_ROWS in (0, 1, 2)
+    tau = two_point_tau(1.0, 2.0, 0.5, m)
+    params = make_params(5, 3, m / 125, entry_law_kind=law, tau=tau, seed=m)
+    sample = sample_base(params, 0)
+    assert params.sample_count == m
+    for model in ModelKind:
+        built = covariance_gram(sample) if model is ModelKind.COVARIANCE else build_correlation_gram(sample)
+        assert built.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
+
+
+def test_a_solved_gram_is_restored_from_its_lower_triangle():
+    sample = sample_base(make_params(20, 2, 0.5, seed=3), 0)
+    gram = build_correlation_gram(sample)
+    built = gram.copy()
+    _solve_in_place(gram)
+    assert gram.tobytes() != built.tobytes()
+    _restore_solved(gram, sample.params.tau.as_array())
+    assert gram.tobytes() == built.tobytes()
+    assert not gram.flags.writeable
+    # real values in a complex Gram: an exactly +0 imaginary part above the diagonal comes
+    # back as -0, the one loss the docstring names
+    sample = forged_sample(np.random.Generator(np.random.Philox(5)).standard_normal((40, 2, 7)))
+    gram = build_correlation_gram(sample)
+    built = gram.copy()
+    _solve_in_place(gram)
+    _restore_solved(gram, sample.params.tau.as_array())
+    assert np.array_equal(gram, built)
+    flipped = np.signbit(gram.imag) != np.signbit(built.imag)
+    assert np.all(np.triu(built.imag == 0.0, 1)[flipped]) and np.all(np.signbit(gram.imag[flipped]))
+
+
+def test_reciprocal_division_keeps_numpy_signed_zeros():
+    # numpy divides z by n as ((re + im*0) fl(1/n), (im - re*0) fl(1/n)): a -0.0 part turns
+    # into +0.0 or stays, as the sign of the other part decides
+    parts = [0.0, -0.0, 1.5, -1.5, 3.0e-300, -2.0]
+    signed = np.array([complex(re, im) for re in parts for im in parts]).reshape(6, 6)
+    unsigned = np.abs(signed) + 1j  # no -0.0 part: the reciprocal multiply of the float64 view
+    for n in (8, 13, 40):
+        naive = signed.copy()
+        naive.view(np.float64)[...] *= 1.0 / n
+        assert naive.tobytes() != (signed / n).tobytes()  # the forged zeros are the ones that differ
+        for z in (signed, unsigned):
+            rows = z.copy()
+            _divide_by_count(rows, n)
+            assert rows.tobytes() == (z / n).tobytes()
+    # a unit-modulus level of +-1 and +-i with signed zero parts, whose inner products have
+    # exact zero parts, through the Gram builder
+    units = np.array([complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0)])
+    entries = units[np.arange(6 * 2 * 4).reshape(6, 2, 4) * 7 % 4]
+    sample = forged_sample(entries, law_kind="unit_circle")
+    expected = gram_out_of_place(sample, sample.params.tau, ModelKind.CORRELATION)
+    assert build_correlation_gram(sample).tobytes() == expected.tobytes()
 
 
 def _hermitian_spanning_panels(dtype):
@@ -173,14 +262,16 @@ def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
 )
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, models):
-    solves = []  # (buffer address, entries and writeable flag at the time of the solve)
-    solve = tensormp.gram.eigenvalues
+    solves = []  # (buffer address, entries at the time of the solve, writeable flag after it)
+    solve = tensormp.gram._solve_in_place
 
     def recorded(gram):
-        solves.append((gram.__array_interface__["data"][0], gram.copy(), gram.flags.writeable))
-        return solve(gram)
+        address, entries = gram.__array_interface__["data"][0], gram.copy()
+        w = solve(gram)
+        solves.append((address, entries, gram.flags.writeable))
+        return w
 
-    monkeypatch.setattr(tensormp.gram, "eigenvalues", recorded)
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
     tau = two_point_tau(1.0, 2.0, 0.5, 40)
     params = make_params(9, 2, 40 / 81, entry_law_kind=law, tau=tau, seed=7)
     sample = sample_base(params, 0)
@@ -190,13 +281,13 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
     both = len(models) == 2
     assert len(solves) == (1 if unit or not both else 2)  # D = I by the law: one matrix, one solve
     assert len({address for address, *_ in solves}) == 1
-    assert not any(writeable for *_, writeable in solves)  # the read-only flag is restored before each solve
+    assert not any(writeable for *_, writeable in solves)  # the buffer is read-only again after each solve
     # each solve sees its model's Gram bitwise, so a covariance-only request never solves C
     solved_models = models if len(solves) == len(models) else models[:1]
     for (_, entries, _), model in zip(solves, solved_models, strict=True):
         assert entries.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
     for model, eigs in spectra.items():
-        assert eigs.tobytes() == solve(gram_out_of_place(sample, params.tau, model)).tobytes()
+        assert eigs.tobytes() == np.linalg.eigvalsh(gram_out_of_place(sample, params.tau, model)).tobytes()
     if ModelKind.COVARIANCE not in models:
         assert d2 is None
     elif unit:

@@ -14,6 +14,7 @@ from helpers import forged_sample
 from tensormp.config import EntryLawKind, make_params
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.sampling import (
+    BaseSample,
     DegenerateSampleError,
     _draw,
     _philox_keys,
@@ -37,6 +38,15 @@ def test_sample_shape():
         ("unit_circle", np.complex128),
     ):
         assert sample_base(make_params(4, 3, 2 / 64, entry_law_kind=law), 0).entries.dtype == dtype
+
+
+def test_sample_rejects_entries_of_another_shape_than_its_params():
+    # 4 samples with params for m=5: the Gram would not broadcast, and the dense oracle would
+    # silently weigh them with the first 4 weights
+    params = make_params(5, 1, 1.0)
+    entries = np.ones((4, 1, 5), dtype=complex)
+    with pytest.raises(ValueError, match=r"shape \(4, 1, 5\), but params give \(m, k, n\) = \(5, 1, 5\)"):
+        BaseSample(entries=entries, params=params, replica=0)
 
 
 def test_repeat_draw_is_bitwise_identical():
