@@ -140,6 +140,8 @@ def _cmd_simulate(args) -> int:
         params = params_from_json(_load_json(args.config))
         if args.seed is not None:
             params = replace(params, seed=args.seed)
+        if args.bins < 1:
+            raise ValueError(f"--bins must be at least 1, got {args.bins}")
     _warn_regime(params)
     out = _out_dir(args.out)
     runs = [_evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
@@ -166,13 +168,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with _input_errors(args):
-        plan = sweep_plan_from_json(_load_json(args.config))
+        doc = _load_json(args.config)
+        plan = sweep_plan_from_json(doc)
+        plan_out = doc.get("out")
+        if not isinstance(plan_out, (str, type(None))):
+            raise ValueError(f"sweep plan key 'out' must be a string, got {plan_out!r}")
         if args.seed is not None:  # a grid plan has one seed, a points plan one per point
             plan = replace(plan, points=tuple(replace(point, seed=args.seed) for point in plan.points))
     for point in plan.points:
         _warn_regime(point)
     result = run_sweep(plan)
-    out = _out_dir(plan.out_dir if args.out is None else args.out)  # an explicit --out wins
+    out = _out_dir(plan_out if args.out is None else args.out)  # an explicit --out wins
     _write(out, "sweep", args.format, sweep_rows(result, timings=args.timings))
     for summary in result.summaries():
         p = summary.params
@@ -188,6 +194,8 @@ def _cmd_mp(args) -> int:
     with _input_errors(args):
         law = mp.MPLaw.from_ratio(args.c)
         moments = [(q, mp.moment(law, q)) for q in _moment_orders(args.moments)]
+        if args.points < 2:
+            raise ValueError(f"--points must be at least 2, got {args.points}")
     out = _out_dir(args.out)
     xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
     rows = [
@@ -215,10 +223,9 @@ def _cmd_distance(args) -> int:
     with _input_errors(args):
         meta_a, eigs_a = read_eigenvalue_csv(args.a)
         meta_b, eigs_b = read_eigenvalue_csv(args.b)
-    shared = sorted(set(eigs_a) & set(eigs_b))
-    if not shared:
-        print("no shared replica indices between the two dumps", file=sys.stderr)
-        return 2
+        shared = sorted(set(eigs_a) & set(eigs_b))
+        if not shared:
+            raise ValueError("no shared replica indices between the two dumps")
     out = _out_dir(args.out)
     rows = []
     for replica in shared:
@@ -233,6 +240,9 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    with _input_errors(args):
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
     report = selftest(seed=args.seed)
     rows = [
         {"check": c.name, "status": "PASS" if c.passed else "FAIL", "gap": float(c.gap), "bound": float(c.bound)}

@@ -86,49 +86,22 @@ def schedule_k(schedule, n: int) -> int:
 
 @dataclass(frozen=True)
 class SweepPlan:
+    """The points of a sweep; each point runs its own ``replicas``."""
+
     points: tuple[ModelParams, ...]
-    replicas: int
-    out_dir: str | None = None
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("replicas must be at least 1")
         if not self.points:
             raise ValueError("a sweep needs at least one point")
         # two points that differ only in their replicas field draw the same samples
         if len({replace(p, replicas=1) for p in self.points}) != len(self.points):
             raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
-        for index, point in enumerate(self.points):
-            if point.replicas != self.replicas:
-                raise ValueError(f"point {index} sets replicas={point.replicas}, but the plan runs {self.replicas}")
 
 
-def make_sweep_plan(
-    ns,
-    *,
-    c: float,
-    k_schedule=FixedK(2),
-    model: ModelKind | str = ModelKind.CORRELATION,
-    entry_law_kind: EntryLawKind | str = EntryLawKind.COMPLEX_GAUSSIAN,
-    tau="constant_one",
-    seed: int = 0,
-    replicas: int = 5,
-    out_dir: str | None = None,
-) -> SweepPlan:
-    points = tuple(
-        make_params(
-            n=n,
-            k=schedule_k(k_schedule, n),
-            c=c,
-            model=model,
-            entry_law_kind=entry_law_kind,
-            tau=tau,
-            seed=seed,
-            replicas=replicas,
-        )
-        for n in ns
-    )
-    return SweepPlan(points=points, replicas=replicas, out_dir=out_dir)
+def make_sweep_plan(ns, *, k_schedule=FixedK(2), replicas: int = 5, **point) -> SweepPlan:
+    """One point per n, with k = schedule_k(k_schedule, n); ``point`` holds
+    make_params's other keywords (c, model, entry_law_kind, tau, seed)."""
+    return SweepPlan(points=tuple(make_params(n, schedule_k(k_schedule, n), replicas=replicas, **point) for n in ns))
 
 
 _K_SCHEDULE_KEYS = {"fixed": ("kind", "k"), "power": ("kind", "gamma")}
@@ -148,39 +121,29 @@ def _k_schedule_from_json(doc) -> FixedK | PowerK:
 
 def sweep_plan_from_json(doc: dict) -> SweepPlan:
     """Either an explicit {"points": [config, ...]} list or the grid shorthand
-    {"ns": [...], "c": .., "k_schedule": {...}, ...}.
-
-    Every point runs the plan's "replicas" (default 5); a point that sets a
-    different "replicas" of its own raises ValueError, and so do a missing
-    or undocumented key and a value of the wrong JSON type. A points plan
-    has no plan-wide seed: each point carries its own.
+    {"ns": [...], "c": .., "k_schedule": {...}, ...}, whose other keys every
+    point shares. Each point is read by params_from_json and runs the plan's
+    "replicas" (default 5); a point that sets other "replicas" raises
+    ValueError, as do a key or JSON type either reader rejects. A points plan
+    has no plan-wide seed: each point carries its own. "out" is the CLI's.
     """
     if isinstance(doc, dict) and "points" in doc:
         check_keys(doc, "sweep plan", ("points",), ("replicas", "out"))
-    else:
-        optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
-        check_keys(doc, "sweep plan", ("ns", "c"), optional)
-    replicas = json_number(doc, "replicas", "sweep plan", int, default=5)
-    out_dir = doc.get("out")
-    if not isinstance(out_dir, (str, type(None))):
-        raise ValueError(f"sweep plan key 'out' must be a string, got {out_dir!r}")
-    if "points" in doc:
         points = doc["points"]
         if not isinstance(points, list) or not all(isinstance(point, dict) for point in points):
             raise ValueError(f"sweep plan key 'points' must be a list of JSON objects, got {points!r}")
-        points = tuple(params_from_json({"replicas": replicas, **point}) for point in points)
-        return SweepPlan(points=points, replicas=replicas, out_dir=out_dir)
-    return make_sweep_plan(
-        json_numbers(doc, "ns", "sweep plan", int),
-        c=json_number(doc, "c", "sweep plan"),
-        k_schedule=_k_schedule_from_json(doc.get("k_schedule")),
-        model=doc.get("model", "correlation"),
-        entry_law_kind=doc.get("entry_law", "complex_gaussian"),
-        tau=doc.get("tau", "constant_one"),
-        seed=json_number(doc, "seed", "sweep plan", int, default=0),
-        replicas=replicas,
-        out_dir=out_dir,
-    )
+    else:
+        optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
+        check_keys(doc, "sweep plan", ("ns", "c"), optional)
+        schedule = _k_schedule_from_json(doc.get("k_schedule"))
+        shared = {key: value for key, value in doc.items() if key not in ("ns", "k_schedule", "out")}
+        points = [{**shared, "n": n, "k": schedule_k(schedule, n)} for n in json_numbers(doc, "ns", "sweep plan", int)]
+    replicas = json_number(doc, "replicas", "sweep plan", int, default=5)
+    points = tuple(params_from_json({"replicas": replicas, **point}) for point in points)
+    for index, point in enumerate(points):
+        if point.replicas != replicas:
+            raise ValueError(f"point {index} sets replicas={point.replicas}, but the plan runs {replicas}")
+    return SweepPlan(points=points)
 
 
 @dataclass(frozen=True)
@@ -310,7 +273,7 @@ def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
         records=tuple(
             _evaluate_replica(params, replica, with_comparison=with_comparison)[0]
             for params in plan.points
-            for replica in range(plan.replicas)
+            for replica in range(params.replicas)
         )
     )
 

@@ -61,7 +61,7 @@ def test_power_schedule_shrinks_fold_ratio():
 def test_plan_builders():
     plan = make_sweep_plan([10, 20], c=0.5, k_schedule=PowerK(0.5), replicas=3)
     assert [p.k for p in plan.points] == [4, 5]
-    assert plan.replicas == 3
+    assert [p.replicas for p in plan.points] == [3, 3]
     with pytest.raises(ValueError):
         make_sweep_plan([], c=0.5)
     with pytest.raises(ValueError):
@@ -69,19 +69,19 @@ def test_plan_builders():
     with pytest.raises(ValueError, match="same point twice"):
         make_sweep_plan([10, 10], c=0.5)
     with pytest.raises(ValueError, match="same point twice"):
-        SweepPlan(points=(make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)), replicas=1)
-    # a sweep runs plan.replicas of every point, so a point's own replicas
-    # field does not make it a different point
+        SweepPlan(points=(make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)))
+    # replica r of a point draws the same sample whatever the point's replicas
+    # field, so that field does not make it a different point
     point = make_params(6, 2, 0.5, seed=1)
     with pytest.raises(ValueError, match="same point twice"):
-        SweepPlan(points=(point, replace(point, replicas=3)), replicas=2)
+        SweepPlan(points=(point, replace(point, replicas=3)))
 
 
-def test_a_plan_rejects_a_point_with_other_replicas():
-    point = make_params(6, 2, 0.5, seed=1, replicas=9)
-    with pytest.raises(ValueError, match="point 0 sets replicas=9, but the plan runs 2"):
-        SweepPlan(points=(point,), replicas=2)
-    assert SweepPlan(points=(replace(point, replicas=2),), replicas=2).replicas == 2
+def test_each_point_of_a_plan_runs_its_own_replicas():
+    plan = SweepPlan(points=(make_params(6, 2, 0.5, seed=1, replicas=1), make_params(8, 1, 0.5, seed=1, replicas=3)))
+    result = run_sweep(plan)
+    assert [(r.params.n, r.replica) for r in result.records] == [(6, 0), (8, 0), (8, 1), (8, 2)]
+    assert [s.replicas for s in result.summaries()] == [1, 3]
 
 
 def test_plan_from_json_grid_and_points():
@@ -108,7 +108,7 @@ def test_plan_from_json_grid_and_points():
         }
     )
     assert [p.k for p in plan.points] == [2, 1]
-    assert plan.replicas == 4
+    assert [p.replicas for p in plan.points] == [4, 4]
 
     power = sweep_plan_from_json({"ns": [9], "c": 0.5, "k_schedule": {"kind": "power", "gamma": 0.5}})
     assert power.points[0].k == 3
@@ -116,10 +116,22 @@ def test_plan_from_json_grid_and_points():
         sweep_plan_from_json({"ns": [9], "c": 0.5, "k_schedule": {"kind": "bogus"}})
 
 
+@pytest.mark.parametrize("k_schedule", [{"kind": "fixed", "k": 2}, {"kind": "power", "gamma": 0.6}])
+def test_a_grid_plan_equals_the_points_plan_it_lists(k_schedule):
+    shared = {"c": 0.5, "model": "covariance", "entry_law": "rademacher", "tau": "constant_one", "seed": 3}
+    grid = sweep_plan_from_json({"ns": [6, 9], "k_schedule": k_schedule, "replicas": 2, **shared})
+    schedule = tensormp.experiments._k_schedule_from_json(k_schedule)
+    points = [{**shared, "n": n, "k": schedule_k(schedule, n)} for n in (6, 9)]
+    assert grid == sweep_plan_from_json({"points": points, "replicas": 2})
+    keywords = {"c": 0.5, "model": "covariance", "entry_law_kind": "rademacher", "seed": 3}
+    assert grid == make_sweep_plan([6, 9], k_schedule=schedule, replicas=2, **keywords)
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
         ({"ns": [6], "c": 0.5, "entrylaw": "rademacher"}, r"sweep plan has unknown key\(s\) 'entrylaw'"),
+        ({"ns": [6], "c": 0.5, "n": 8, "k": 1}, r"sweep plan has unknown key\(s\) 'n', 'k'"),
         ({"c": 0.5}, r"sweep plan lacks the required key\(s\) 'ns'"),
         ({"ns": [6]}, r"sweep plan lacks the required key\(s\) 'c'"),
         ({"points": [{"n": 6, "k": 2, "c": 0.5}], "seed": 3}, r"sweep plan has unknown key\(s\) 'seed'"),
@@ -144,10 +156,9 @@ def test_sweep_plans_reject_unknown_and_missing_keys(doc, message):
         ({"points": {"n": 6, "k": 2, "c": 0.5}}, r"sweep plan key 'points' must be a list of JSON objects"),
         ({"points": [{"n": [6], "k": 2, "c": 0.5}]}, r"point config key 'n' must be an integer, got \[6\]"),
         ({"ns": 6, "c": 0.5}, r"sweep plan key 'ns' must be a list of integers, got 6"),
-        ({"ns": [6], "c": [0.5]}, r"sweep plan key 'c' must be a number"),
+        ({"ns": [6], "c": [0.5]}, r"point config key 'c' must be a number"),
         ({"ns": [6], "c": 0.5, "replicas": "2"}, r"sweep plan key 'replicas' must be an integer, got '2'"),
-        ({"ns": [6], "c": 0.5, "seed": 1.5}, r"sweep plan key 'seed' must be an integer, got 1\.5"),
-        ({"ns": [6], "c": 0.5, "out": 3}, r"sweep plan key 'out' must be a string, got 3"),
+        ({"ns": [6], "c": 0.5, "seed": 1.5}, r"point config key 'seed' must be an integer, got 1\.5"),
         ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "fixed", "k": "2"}}, r"fixed k_schedule key 'k' must be an integer"),
         ({"ns": [9], "c": 0.5, "k_schedule": {"kind": "power", "gamma": None}}, r"power k_schedule key 'gamma' must be"),
     ],
@@ -496,7 +507,7 @@ def test_simulate_prints_the_convergence_distances(tmp_path, capsys):
     config = {"n": 8, "k": 2, "c": 0.5, "seed": 3, "replicas": 3}
     _simulate(tmp_path, config, "sim")
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  replica")]
-    records = run_convergence(SweepPlan(points=(params_from_json(config),), replicas=3)).records
+    records = run_convergence(SweepPlan(points=(params_from_json(config),))).records
     assert printed == [f"  replica {r.replica}: ks_mp={r.ks_mp:.6f} levy_mp={r.levy_mp:.6f}" for r in records]
 
 
@@ -566,6 +577,8 @@ def test_distance_rejects_a_json_dump(tmp_path, capsys):
         ("sweep", {"ns": [6], "c": 0.5, "entrylaw": "rademacher"}, [], r"sweep plan has unknown key\(s\) 'entrylaw'; .*"),
         ("sweep", {"points": [[6, 2, 0.5]]}, ["--seed", "3"], r"sweep plan key 'points' must be a list of JSON objects, .*"),
         ("sweep", '{"ns": [6] "c": 0.5}', [], r".*config\.json: Expecting ',' delimiter.*"),
+        ("sweep", {"ns": [6], "c": 0.5, "out": 3}, [], r"sweep plan key 'out' must be a string, got 3"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", "0"], r"--bins must be at least 1, got 0"),
     ],
 )
 def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, document, flags, pattern):
@@ -581,11 +594,29 @@ def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, doc
     [
         (["--c", "-1"], r"ratio c must be positive and finite"),
         (["--c", "0.5", "--moments", "1,x"], r"--moments must be comma-separated integers, got '1,x'"),
+        (["--c", "0.5", "--points", "1"], r"--points must be at least 2, got 1"),
     ],
 )
 def test_cli_reports_a_bad_mp_flag_in_one_line(tmp_path, capsys, flags, pattern):
     _assert_input_error(capsys, ["mp", *flags, "--out", str(tmp_path)], pattern)
     assert not (tmp_path / "mp_grid.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_reports_a_selftest_seed_out_of_range_in_one_line(tmp_path, capsys, seed):
+    argv = ["selftest", "--seed", str(seed), "--out", str(tmp_path)]
+    _assert_input_error(capsys, argv, rf"--seed must fit in 64 unsigned bits, got {seed}")
+    assert not (tmp_path / "selftest.csv").exists()
+
+
+def test_distance_reports_dumps_without_a_shared_replica_in_one_line(tmp_path, capsys):
+    good = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
+    other = tmp_path / "other.csv"
+    other.write_text("# n=2 k=1 m=1 N=2 model=correlation seed=0\nreplica,index,eigenvalue\n5,0,0.5\n")
+    capsys.readouterr()
+    argv = ["distance", "--a", str(good), "--b", str(other), "--out", str(tmp_path / "d")]
+    _assert_input_error(capsys, argv, r"no shared replica indices between the two dumps")
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_lets_an_error_of_the_computation_propagate(tmp_path, monkeypatch):
@@ -621,7 +652,7 @@ def test_sphere_model_takes_only_limit_law_points(point, message):
     with pytest.raises(ValueError, match=message):
         run_sphere_model(point)
     with pytest.raises(ValueError, match=message):
-        run_convergence(SweepPlan(points=(point,), replicas=1))
+        run_convergence(SweepPlan(points=(point,)))
 
 
 def test_sphere_model_matches_correlation_gram():
