@@ -80,8 +80,9 @@ def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
     """Parse an eigenvalue dump back into (metadata, replica -> eigenvalues).
 
     A JSON dump raises ValueError naming the file; a line that is not a
-    `replica,index,eigenvalue` row, or a header without the ambient dimension
-    N, raises ValueError naming the file and line.
+    `replica,index,eigenvalue` row with a finite eigenvalue, or a header
+    without the ambient dimension N, raises ValueError naming the file and
+    line.
     """
     text = Path(path).read_text()
     if text.lstrip().startswith(("[", "{")):
@@ -104,7 +105,10 @@ def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
             fields = line.split(",")
             if len(fields) != 3:
                 raise ValueError(f"expected 3 fields replica,index,eigenvalue, got {len(fields)}")
-            per_replica.setdefault(int(fields[0]), []).append(float(fields[2]))
+            value = float(fields[2])
+            if not np.isfinite(value):
+                raise ValueError("the eigenvalue is not finite")
+            per_replica.setdefault(int(fields[0]), []).append(value)
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: malformed eigenvalue dump line {line!r}: {exc}") from None
     if "N" not in meta:
@@ -196,8 +200,8 @@ def _cmd_mp(args) -> int:
         moments = [(q, mp.moment(law, q)) for q in _moment_orders(args.moments)]
         if args.points < 2:
             raise ValueError(f"--points must be at least 2, got {args.points}")
+        xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
     out = _out_dir(args.out)
-    xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
     rows = [
         {"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in zip(xs, dens, cdf_values)
     ]
@@ -226,11 +230,14 @@ def _cmd_distance(args) -> int:
         shared = sorted(set(eigs_a) & set(eigs_b))
         if not shared:
             raise ValueError("no shared replica indices between the two dumps")
+        cdfs = []
+        for replica in shared:  # esd rejects a spectrum that its dump's N cannot hold
+            fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], meta_a["N"]))
+            fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], meta_b["N"]))
+            cdfs.append((replica, fa, fb))
     out = _out_dir(args.out)
     rows = []
-    for replica in shared:
-        fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], meta_a["N"]))
-        fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], meta_b["N"]))
+    for replica, fa, fb in cdfs:
         rows.append({"replica": replica, "metric": "ks", "value": ks_distance(fa, fb)})
         rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb)})
     _write(out, "distances", args.format, rows)

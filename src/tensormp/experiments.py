@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mp
+from .checks import Check, nearest_failure, require
 from .config import (
     EntryLawKind,
     ModelKind,
@@ -249,8 +250,8 @@ def _evaluate_replica(
 def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) -> float:
     """The trace bound L^4(F^{AA*}, F^{BB*}) <= (2/N^2) Tr((A-B)(A-B)*) Tr(AA* + BB*)
     (Bai and Silverstein 2010, Cor. A.42) on the coupled Levy distance: returns
-    the right-hand side, and raises if levy_models breaks it, as eigenvalues
-    raises on a missed trace or Frobenius identity.
+    the right-hand side, and raises through tensormp.checks.require if
+    levy_models breaks it, as eigenvalues does on a missed trace identity.
 
     The columns of A are the correlation model's tensor vectors and B = A D
     with d_a^2 = prod_l ||y_a^(l)||^2 / n, so the bound is
@@ -263,9 +264,8 @@ def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) 
     scaled = tau * d2
     bound = float(2.0 / params.ambient_dim**2 * np.sum((np.sqrt(tau) - np.sqrt(scaled)) ** 2) * np.sum(tau + scaled))
     excess = max(levy_models - LEVY_TOL, 0.0) ** 4
-    if not excess <= bound:  # written so that a NaN distance fails
-        raise ValueError(f"coupled Levy distance {levy_models:.3e} breaks the trace bound: {excess:.3e} > {bound:.3e}")
-    return bound
+    message = f"coupled Levy distance {levy_models:.3e} breaks the trace bound: {excess:.3e} > {bound:.3e}"
+    return require("levy_models_trace_bound", excess, bound, message).bound
 
 
 def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
@@ -385,31 +385,8 @@ def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """One selftest row: a measured gap and the bound it must not exceed; the
-    check passes exactly when gap <= bound, so a NaN gap fails."""
-
-    name: str
-    gap: float
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.gap <= self.bound)
-
-
-def _nearest_failure(name: str, gaps, bounds) -> CheckResult:
-    """The row of a check's instance with the largest gap - bound (``bounds``
-    is one bound or one per gap). np.argmax returns the first NaN, so one NaN
-    gap fails the row, where a running max() would drop it."""
-    gaps, bounds = np.broadcast_arrays(np.asarray(gaps, dtype=float), np.asarray(bounds, dtype=float))
-    worst = int(np.argmax(gaps - bounds))
-    return CheckResult(name, float(gaps[worst]), float(bounds[worst]))
-
-
-@dataclass(frozen=True)
 class SelfTestReport:
-    checks: tuple[CheckResult, ...]
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -424,7 +401,7 @@ class SelfTestReport:
         return "\n".join(lines)
 
 
-def _check_gram_oracle(seed: int) -> CheckResult:
+def _check_gram_oracle(seed: int) -> Check:
     gaps = []
     for n, k, m in [(2, 1, 3), (2, 2, 2), (3, 2, 4), (2, 3, 5), (3, 1, 1)]:
         dim = n**k
@@ -437,10 +414,10 @@ def _check_gram_oracle(seed: int) -> CheckResult:
                 gaps.append(1.0)  # a rank mismatch fails the row
                 continue
             gaps.append(float(np.max(np.abs(dense_nonzero - gram_nonzero), initial=0.0)))
-    return _nearest_failure("gram_oracle_equivalence", gaps, 1e-9)
+    return nearest_failure("gram_oracle_equivalence", gaps, 1e-9)
 
 
-def _check_trace_identity(seed: int) -> CheckResult:
+def _check_trace_identity(seed: int) -> Check:
     gaps = []
     cases = [
         make_params(6, 2, 0.5, seed=seed),
@@ -452,10 +429,10 @@ def _check_trace_identity(seed: int) -> CheckResult:
         eigs = eigenvalues(build_correlation_gram(sample))
         target = float(np.sum(params.tau.as_array()))
         gaps.append(abs(float(np.sum(eigs)) - target) / target)
-    return _nearest_failure("correlation_trace_identity", gaps, 1e-9)
+    return nearest_failure("correlation_trace_identity", gaps, 1e-9)
 
 
-def _check_unit_modulus_collapse(seed: int) -> CheckResult:
+def _check_unit_modulus_collapse(seed: int) -> Check:
     # why a unit-modulus law may share its correlation Gram as the covariance Gram
     gaps = []
     for law in ("rademacher", "unit_circle"):
@@ -466,10 +443,10 @@ def _check_unit_modulus_collapse(seed: int) -> CheckResult:
         gaps.append(float(np.max(np.abs(corr - cov))))
         ratio = np.prod(norm_profile(sample) / params.n, axis=1)
         gaps.append(float(np.max(np.abs(ratio - 1.0))))
-    return _nearest_failure("unit_modulus_collapse", gaps, 1e-12)
+    return nearest_failure("unit_modulus_collapse", gaps, 1e-12)
 
 
-def _check_column_identity(seed: int) -> CheckResult:
+def _check_column_identity(seed: int) -> Check:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,))))
     gaps = []
     for _ in range(100):
@@ -479,10 +456,10 @@ def _check_column_identity(seed: int) -> CheckResult:
         w = rng.random(p) + 0.1
         lhs, rhs = column_normalization_identity(a, w)
         gaps.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return _nearest_failure("column_normalization_identity", gaps, 1e-10)
+    return nearest_failure("column_normalization_identity", gaps, 1e-10)
 
 
-def _check_levy_bound(seed: int) -> CheckResult:
+def _check_levy_bound(seed: int) -> Check:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(2,))))
     gaps, bounds = [], []
     for _ in range(100):
@@ -491,10 +468,10 @@ def _check_levy_bound(seed: int) -> CheckResult:
         lhs, rhs = levy_distance_trace_bound(a, b)
         gaps.append(lhs)
         bounds.append(rhs + 1e-12)
-    return _nearest_failure("levy_trace_bound", gaps, bounds)
+    return nearest_failure("levy_trace_bound", gaps, bounds)
 
 
-def _check_levy_ks_domination(seed: int) -> CheckResult:
+def _check_levy_ks_domination(seed: int) -> Check:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(3,))))
     gaps, bounds = [], []
     for _ in range(50):
@@ -503,34 +480,34 @@ def _check_levy_ks_domination(seed: int) -> CheckResult:
         fb = EmpiricalCDF.from_spectral(esd(np.sort(rng.random(nb) * 3.0), nb + int(rng.integers(0, 4))))
         gaps.append(levy_distance(fa, fb))
         bounds.append(ks_distance(fa, fb) + 1e-9)
-    return _nearest_failure("levy_ks_domination", gaps, bounds)
+    return nearest_failure("levy_ks_domination", gaps, bounds)
 
 
-def _check_norm_moments(seed: int) -> CheckResult:
+def _check_norm_moments(seed: int) -> Check:
     params = make_params(10, 2, 0.2, seed=seed)
-    gaps, bounds = zip(*norm_moment_check(params, 2000).bands)
-    return _nearest_failure("tensor_norm_moments", gaps, bounds)
+    bands = norm_moment_check(params, 2000).bands
+    return nearest_failure("tensor_norm_moments", [c.gap for c in bands], [c.bound for c in bands])
 
 
-def _check_mp_normalization(_: int) -> CheckResult:
+def _check_mp_normalization(_: int) -> Check:
     gaps = []
     for c in (0.1, 0.25, 0.5, 0.9, 1.0):
         law = mp.MPLaw.from_ratio(c)
         gaps.append(abs(law.atom_mass + mp.density_mass(law) - 1.0))
         gaps.append(abs(mp.moment(law, 1) - c))
-    return _nearest_failure("mp_normalization", gaps, 1e-8)
+    return nearest_failure("mp_normalization", gaps, 1e-8)
 
 
-def _check_mp_cdf_monotone(_: int) -> CheckResult:
+def _check_mp_cdf_monotone(_: int) -> Check:
     law = mp.MPLaw.from_ratio(0.5)
     xs = np.linspace(-0.5, law.lambda_plus + 0.5, 10_000)
     values = mp.cdf(law, xs)
     # the largest decrease: x - y of equal values is +0, where -(y - x) would be -0
     gaps = [np.max(values[:-1] - values[1:], initial=0.0), abs(float(values[-1]) - 1.0)]
-    return _nearest_failure("mp_cdf_monotone", gaps, 1e-8)
+    return nearest_failure("mp_cdf_monotone", gaps, 1e-8)
 
 
-def _check_entry_laws(seed: int) -> CheckResult:
+def _check_entry_laws(seed: int) -> Check:
     from .sampling import _draw, _stream
 
     gaps, bounds = [], []
@@ -544,10 +521,10 @@ def _check_entry_laws(seed: int) -> CheckResult:
         se_sq = float(np.std(sq, ddof=1)) / np.sqrt(trials)
         gaps += [abs(mean), abs(float(np.mean(sq)) - 1.0)]
         bounds += [4.0 * se_mean + 1e-12, 4.0 * se_sq + 1e-12]
-    return _nearest_failure("entry_law_moments", gaps, bounds)
+    return nearest_failure("entry_law_moments", gaps, bounds)
 
 
-def _check_esd_counting(_: int) -> CheckResult:
+def _check_esd_counting(_: int) -> Check:
     dist = esd(np.array([0.9, 0.9, 1.2]), 4)
     f = EmpiricalCDF.from_spectral(dist)
     gaps = [
@@ -556,7 +533,7 @@ def _check_esd_counting(_: int) -> CheckResult:
         abs(float(f.evaluate(1.2)) - 1.0),
         abs(dist.zero_mass + len(dist.atoms) / dist.ambient_dim - 1.0),
     ]
-    return _nearest_failure("esd_counting", gaps, 0.0)
+    return nearest_failure("esd_counting", gaps, 0.0)
 
 
 _SELFTEST_CHECKS = (

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import require
 from .config import ModelKind
 from .sampling import BaseSample, norm_profile
 
@@ -315,8 +316,8 @@ def _checked_invariants(entries: np.ndarray) -> tuple[float, float]:
         return np.max(np.abs(entries[start:stop, start:] - entries[start:, start:stop].conj().T))
 
     asym = float(np.max([panel_asymmetry(start, stop) for start, stop in panels], initial=0.0))
-    if asym > HERMITIAN_RTOL * max(scale, 1e-300):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}")
+    message = f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}"
+    require("hermitian", asym, HERMITIAN_RTOL * max(scale, 1e-300), message)
     return float(np.trace(entries).real), float(np.vdot(entries, entries).real)
 
 
@@ -331,8 +332,7 @@ def _solve_checked(entries: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     for p, name, exact in zip((1, 2), ("trace", "Frobenius"), identities):
         gap = abs(float(np.sum(w**p)) - exact)
         bound = INVARIANT_RTOL * len(w) * norm**p
-        if not gap <= bound:  # written so that a NaN gap fails
-            raise ValueError(f"eigenvalues miss the {name} identity by {gap:.3e} > {bound:.3e}")
+        require(f"{name.lower()}_identity", gap, bound, f"eigenvalues miss the {name} identity by {gap:.3e} > {bound:.3e}")
     return w
 
 
@@ -343,7 +343,8 @@ def eigenvalues(matrix) -> np.ndarray:
     Delegates the values-only solve to LAPACK but verifies it: every input,
     a built Gram included, must be finite and Hermitian to 1e-12 relative,
     and every eigenvalue enters the identities sum w^p = Re tr G^p (p = 1, 2)
-    up to 1e-10 m max|w|^p; NaN never passes. The argument is never written
+    up to 1e-10 m max|w|^p. Each of these checks is a tensormp.checks row that
+    raises when it fails, so NaN never passes. The argument is never written
     to: LAPACK solves a copy of it, stored column-major as eigvalsh stores
     its own.
     """
@@ -388,9 +389,11 @@ def nonzero_eigenvalues(eigs: np.ndarray) -> np.ndarray:
 def esd(eigs, ambient_dim: int) -> SpectralDistribution:
     """Spectral distribution of the ambient model from the Gram eigenvalues.
 
-    Small negatives (eigensolver noise) are clamped to zero; anything below
-    -1e-9 times the spectral scale is an error. When m > N the m - N
-    structural zeros forced by the rank bound are checked and removed.
+    Every eigenvalue must be finite. Small negatives (eigensolver noise) are
+    clamped to zero; anything below -1e-9 times the spectral scale is an
+    error. When m > N the m - N structural zeros forced by the rank bound
+    are checked and removed. Each check is a tensormp.checks row that raises
+    when it fails.
     """
     atoms = np.sort(np.asarray(eigs, dtype=float))
     if ambient_dim < 1:
@@ -398,10 +401,11 @@ def esd(eigs, ambient_dim: int) -> SpectralDistribution:
     m = len(atoms)
     if m == 0:
         raise ValueError("need at least one eigenvalue")
+    nonfinite = int(np.count_nonzero(~np.isfinite(atoms)))
+    require("finite_spectrum", nonfinite, 0, f"{nonfinite} of {m} eigenvalues are not finite")
     scale = max(float(atoms[-1]), 1.0)
-    floor = -NEGATIVE_CLAMP_REL * scale
-    if atoms[0] < floor:
-        raise ValueError(f"eigenvalue {atoms[0]:.3e} below the clamp floor {floor:.3e}")
+    depth = NEGATIVE_CLAMP_REL * scale  # how far below zero an eigenvalue may be clamped
+    require("clamp_floor", float(-atoms[0]), depth, f"eigenvalue {atoms[0]:.3e} below the clamp floor {-depth:.3e}")
     negatives = int(np.sum(atoms < 0.0))
     if negatives:
         log.debug("clamping %d small negative eigenvalues to zero", negatives)
@@ -409,8 +413,8 @@ def esd(eigs, ambient_dim: int) -> SpectralDistribution:
     if m > ambient_dim:
         structural = m - ambient_dim
         threshold = NONZERO_THRESHOLD_REL * scale
-        if np.any(atoms[:structural] > threshold):
-            raise ValueError("rank bound violated: too few near-zero eigenvalues for m > N")
+        message = "rank bound violated: too few near-zero eigenvalues for m > N"
+        require("rank_bound", float(atoms[structural - 1]), threshold, message)  # the largest structural zero
         atoms = atoms[structural:]
     atoms.setflags(write=False)
     return SpectralDistribution(atoms=atoms, ambient_dim=ambient_dim)

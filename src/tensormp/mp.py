@@ -116,12 +116,15 @@ def density_mass(law: MPLaw) -> float:
 
 
 def evaluation_grid(law: MPLaw, points: int = 512, lo: float | None = None, hi: float | None = None):
-    """(x, density, cdf) arrays for dumping and plotting."""
+    """(x, density, cdf) arrays for dumping and plotting, on points evenly
+    spaced from lo to hi, which must be finite with lo < hi."""
     if points < 2:
         raise ValueError("need at least two grid points")
     if lo is None:
         lo = min(0.0, law.lambda_minus) - 0.05
     if hi is None:
         hi = law.lambda_plus + 0.05
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"the grid needs finite bounds lo < hi, got lo={lo!r}, hi={hi!r}")
     xs = np.linspace(lo, hi, points)
     return xs, density(law, xs), cdf(law, xs)

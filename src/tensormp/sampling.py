@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import Check
 from .config import EntryLaw, EntryLawKind, ModelParams
 
 # spawn-key namespace for the Monte Carlo moment check, disjoint from the
@@ -314,19 +315,19 @@ class MomentReport:
     quartic_se: float
 
     @property
-    def bands(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """(gap, bound) of each estimate: its distance to the exact value, and
-        four standard errors plus the floor."""
+    def bands(self) -> tuple[Check, Check]:
+        """One check per estimate: its distance to the exact value (gap), and
+        four standard errors plus the floor (bound)."""
         floor = 1e-12
         quartic_floor = floor * max(1.0, self.quartic_target)
         return (
-            (abs(self.sq_mean - self.sq_target), 4.0 * self.sq_se + floor),
-            (abs(self.quartic_mean - self.quartic_target), 4.0 * self.quartic_se + quartic_floor),
+            Check("sq_mean", abs(self.sq_mean - self.sq_target), 4.0 * self.sq_se + floor),
+            Check("quartic_mean", abs(self.quartic_mean - self.quartic_target), 4.0 * self.quartic_se + quartic_floor),
         )
 
     @property
     def passed(self) -> bool:
-        return all(gap <= bound for gap, bound in self.bands)
+        return all(check.passed for check in self.bands)
 
 
 def norm_moment_check(params: ModelParams, trials: int) -> MomentReport:

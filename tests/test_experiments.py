@@ -15,6 +15,7 @@ import tensormp.experiments
 import tensormp.gram
 import tensormp.mp
 from oracles import gram_out_of_place
+from tensormp.checks import Check, require
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLawKind, ModelKind, make_params, params_from_json
 from tensormp.experiments import (
@@ -338,6 +339,8 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
         assert bound == 0.0
     else:
         assert bound == pytest.approx(rhs, rel=1e-12)
+    with pytest.raises(ValueError, match="breaks the trace bound"):
+        _check_levy_models(float("nan"), params, d2)
 
 
 def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
@@ -595,6 +598,8 @@ def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, doc
         (["--c", "-1"], r"ratio c must be positive and finite"),
         (["--c", "0.5", "--moments", "1,x"], r"--moments must be comma-separated integers, got '1,x'"),
         (["--c", "0.5", "--points", "1"], r"--points must be at least 2, got 1"),
+        (["--c", "0.5", "--points", "3", "--lo", "nan"], r"the grid needs finite bounds lo < hi, got lo=nan, .*"),
+        (["--c", "0.5", "--lo", "5", "--hi", "1"], r"the grid needs finite bounds lo < hi, got lo=5\.0, hi=1\.0"),
     ],
 )
 def test_cli_reports_a_bad_mp_flag_in_one_line(tmp_path, capsys, flags, pattern):
@@ -609,13 +614,25 @@ def test_cli_reports_a_selftest_seed_out_of_range_in_one_line(tmp_path, capsys, 
     assert not (tmp_path / "selftest.csv").exists()
 
 
-def test_distance_reports_dumps_without_a_shared_replica_in_one_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "header, rows, pattern",
+    [
+        ("N=2", "5,0,0.5", r"no shared replica indices between the two dumps"),
+        ("N=2", "0,0,0.5\n0,1,nan", r".*other\.csv:4: malformed eigenvalue dump line '0,1,nan': .*not finite"),
+        ("N=2", "0,0,0.5\n0,1,inf", r".*other\.csv:4: malformed eigenvalue dump line '0,1,inf': .*not finite"),
+        ("N=0", "0,0,0.5", r"ambient dimension must be at least 1"),
+        ("N=1", "0,0,0.5\n0,1,1.5", r"rank bound violated: too few near-zero eigenvalues for m > N"),
+    ],
+    ids=["no_shared_replica", "nan", "inf", "N=0", "rank_bound"],
+)
+def test_distance_reports_dumps_without_a_shared_replica_in_one_line(tmp_path, capsys, header, rows, pattern):
+    # the other cases are dumps it cannot score: each is reported before any output, as a missing replica is
     good = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
     other = tmp_path / "other.csv"
-    other.write_text("# n=2 k=1 m=1 N=2 model=correlation seed=0\nreplica,index,eigenvalue\n5,0,0.5\n")
+    other.write_text(f"# n=2 k=1 m=2 {header} model=correlation seed=0\nreplica,index,eigenvalue\n{rows}\n")
     capsys.readouterr()
     argv = ["distance", "--a", str(good), "--b", str(other), "--out", str(tmp_path / "d")]
-    _assert_input_error(capsys, argv, r"no shared replica indices between the two dumps")
+    _assert_input_error(capsys, argv, pattern)
     assert not (tmp_path / "d").exists()
 
 
@@ -680,6 +697,7 @@ def test_a_sphere_replica_holds_at_most_three_gram_sized_arrays():
 def test_selftest_passes_and_reports():
     report = selftest(seed=0)
     assert report.passed
+    assert {type(c) for c in report.checks} == {type(require("probe", 0.0, 1.0, "unused"))} == {Check}
     table = report.table()
     assert "gram_oracle_equivalence" in table
     assert "FAIL" not in table

@@ -321,6 +321,14 @@ def test_esd_clamps_small_negatives_only():
         esd(np.array([-1.0, 1.0, 5.0]), 3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_esd_rejects_a_non_finite_eigenvalue(bad):
+    with pytest.raises(ValueError, match="1 of 3 eigenvalues are not finite"):
+        esd(np.array([0.5, bad, 1.0]), 3)
+    with pytest.raises(ValueError, match="not finite"):
+        esd(np.array([0.0, 0.5, bad]), 2)  # before the rank bound reads the structural zero
+
+
 def test_esd_rank_bound_for_m_above_ambient():
     params = make_params(2, 1, 1.5, seed=3)  # N=2, m=3
     sample = sample_base(params, 0)

@@ -130,6 +130,9 @@ def test_evaluation_grid():
     assert np.all(dens >= 0.0)
     with pytest.raises(ValueError):
         mp.evaluation_grid(law, points=1)
+    for lo, hi in [(float("nan"), None), (None, float("inf")), (5.0, 1.0), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match="finite bounds lo < hi"):
+            mp.evaluation_grid(law, lo=lo, hi=hi)
 
 
 def test_analytics_are_fast():
