@@ -80,9 +80,10 @@ def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
     """Parse an eigenvalue dump back into (metadata, replica -> eigenvalues).
 
     A JSON dump raises ValueError naming the file; a line that is not a
-    `replica,index,eigenvalue` row with a finite eigenvalue, or a header
-    without the ambient dimension N, raises ValueError naming the file and
-    line.
+    `replica,index,eigenvalue` row with a finite eigenvalue raises ValueError
+    naming the file and line; a header without the ambient dimension N or
+    the sample count m, or a replica whose rows are not indexed 0..m-1 in
+    order, raises ValueError naming the file.
     """
     text = Path(path).read_text()
     if text.lstrip().startswith(("[", "{")):
@@ -90,7 +91,7 @@ def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
             f"{path}: a JSON dump has no run header; distance reads the CSV dump written by simulate --format csv"
         )
     meta: dict = {}
-    per_replica: dict[int, list[float]] = {}
+    per_replica: dict[int, list[tuple[int, float]]] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("replica"):
@@ -108,12 +109,19 @@ def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
             value = float(fields[2])
             if not np.isfinite(value):
                 raise ValueError("the eigenvalue is not finite")
-            per_replica.setdefault(int(fields[0]), []).append(value)
+            per_replica.setdefault(int(fields[0]), []).append((int(fields[1]), value))
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: malformed eigenvalue dump line {line!r}: {exc}") from None
-    if "N" not in meta:
-        raise ValueError(f"{path}: eigenvalue dump header lacks N=, the ambient dimension")
-    return meta, {r: np.asarray(v) for r, v in sorted(per_replica.items())}
+    for key, name in (("N", "the ambient dimension"), ("m", "the sample count")):
+        if key not in meta:
+            raise ValueError(f"{path}: eigenvalue dump header lacks {key}=, {name}")
+    m = meta["m"]
+    for replica, rows in per_replica.items():
+        if len(rows) != m:
+            raise ValueError(f"{path}: replica {replica} has {len(rows)} eigenvalue rows, but the header says m={m}")
+        if [index for index, _ in rows] != list(range(m)):
+            raise ValueError(f"{path}: replica {replica} rows are not indexed 0..{m - 1} in order")
+    return meta, {r: np.array([value for _, value in rows]) for r, rows in sorted(per_replica.items())}
 
 
 def _histogram_rows(dists, bins: int) -> list[dict]:

@@ -7,9 +7,10 @@ size is ever materialized outside the small dense oracle.
 A Gram is built from a BaseSample alone (its weights are the sample's
 ``params.tau``) and is returned as a read-only m x m array. The covariance
 Gram is the diagonal congruence D C D of the correlation Gram C, and
-``model_spectra`` scales it into C's own buffer after C's solve. Each solve
-of ``model_spectra`` runs in that buffer itself, through the LAPACK numpy
-ships with, so a replica of a complex law holds one m x m block.
+``model_spectra`` scales it into C's own buffer after C's solve. Each level
+of a Gram is formed in that buffer, real ones by the syrk numpy ships with,
+and each solve of ``model_spectra`` runs in the buffer itself, through the
+LAPACK numpy ships with, so a replica of every law holds one m x m block.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ NONZERO_THRESHOLD_REL = 1e-9  # separates rank zeros from genuine small atoms
 _PANEL_ROWS = 32  # rows per panel of the in-place Gram passes and checks
 _NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min  # -0.0 read as an int64: the smallest one
 _LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout code for column-major storage
+_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS = 101, 121, 111  # CBLAS enum codes
 _LAPACK_DRIVERS = {  # values-only Hermitian eigensolvers of numpy's bundled OpenBLAS (ILP64)
     np.dtype(np.complex128): "scipy_LAPACKE_zheevd64_",
     np.dtype(np.float64): "scipy_LAPACKE_dsyevd64_",
@@ -121,30 +123,68 @@ def _divide_by_count(rows: np.ndarray, n: int) -> None:
         parts *= 1.0 / n
 
 
+def _syrk_upper(block: np.ndarray, product: np.ndarray) -> bool:
+    """Write block @ block.T into the upper triangle and diagonal of the
+    C-contiguous m x m float64 product and leave its strict lower triangle
+    as it was, or return False (writing nothing) where numpy's bundled
+    cblas_dsyrk is absent, block is not a BLAS-strided float64 array or
+    product is not such a matrix.
+
+    numpy forms a real A @ A.T by this same call (row-major, upper, no
+    transpose, alpha 1, beta 0) and copies the upper triangle down, so the
+    triangle written is bitwise numpy's.
+    """
+    m, n = block.shape
+    rows, cols = block.strides
+    strided = block.dtype == np.float64 and cols == 8 and rows % 8 == 0 and rows // 8 >= n
+    target = product.dtype == np.float64 and product.shape == (m, m) and product.flags.c_contiguous
+    syrk = _dsyrk() if strided and target else None
+    if syrk is None:
+        return False
+    syrk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, m, n, 1.0, block.ctypes.data, rows // 8, 0.0, product.ctypes.data, m)
+    return True
+
+
+def _mirror_upper_rows(product: np.ndarray, start: int, stop: int) -> None:
+    """Copy the strict upper triangle of rows start:stop of a real square
+    matrix into the matching strict lower entries, by exact copies: no
+    arithmetic, so signed zeros are kept."""
+    product[stop:, start:stop] = product[start:stop, stop:].T
+    block = product[start:stop, start:stop]
+    np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
+
+
 def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     """Entrywise product over levels of the normalized inner products
-    <y_a^(l), y_b^(l)> / (||y_a^(l)|| ||y_b^(l)||).
+    <y_a^(l), y_b^(l)> / (||y_a^(l)|| ||y_b^(l)||), exact in the strict
+    upper triangle, which is all _hermitize reads.
 
     Each factor has modulus <= 1 by Cauchy-Schwarz, which makes the k-fold
     product overflow-proof. For unit-modulus laws ||y^(l)||^2 = n almost
     surely, and the exact value n is used, so the covariance Gram of such a
-    law is this correlation Gram bitwise. The first level's ratio is the
-    product. Each later complex level is formed one row panel at a time, and
-    each panel's rows are bitwise those of the whole product (a trailing
-    one-row panel, which numpy forms by gemv, differs at most below the
-    diagonal and on it, which _hermitize overwrites), so a complex law holds
-    one m x m array. numpy forms a real A A^T by syrk, whose row panels would
-    differ in the last bit, so each later real level holds a second array
-    while it is formed. Each level is normalized bitwise as inner / den.
+    law is this correlation Gram bitwise. The first level's ratio, numpy's
+    whole product, is the one m x m array every law holds. Each later
+    complex level is formed one row panel at a time, and each panel's rows
+    are bitwise those of the whole product (a trailing one-row panel, which
+    numpy forms by gemv, differs at most below the diagonal and on it, which
+    _hermitize overwrites). numpy forms a real A A^T by syrk, whose row
+    panels would differ in the last bit, so each later real level is written
+    by that same syrk into the array's upper triangle while the running
+    product waits in the strict lower one. Each row panel then multiplies a
+    copy of its lower columns into its normalized upper part and, before a
+    further level, is mirrored down by copies. Where that syrk cannot be
+    called, a real level is numpy's whole product, a second array while it is
+    formed. Each level is normalized bitwise as inner / den.
     """
     entries = sample.entries
     m, k, n = entries.shape
     unit = sample.params.entry_law.unit_modulus
     sq = None if unit else norm_profile(sample)
 
-    def normalize(rows: np.ndarray, start: int, stop: int, level: int) -> None:
+    def normalize(rows: np.ndarray, start: int, stop: int, level: int, first: int = 0) -> None:
+        """Normalize rows, the entries of rows start:stop and columns first:."""
         if not unit:
-            np.divide(rows, np.sqrt(np.outer(sq[start:stop, level], sq[:, level])), out=rows)
+            np.divide(rows, np.sqrt(np.outer(sq[start:stop, level], sq[first:, level])), out=rows)
         elif np.iscomplexobj(rows):
             _divide_by_count(rows, n)
         else:  # a real reciprocal multiply is not bitwise a division
@@ -153,6 +193,15 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     product = None
     for level in range(k):
         block = entries[:, level, :]
+        if product is not None and _syrk_upper(block, product):
+            for start, stop in _row_panels(m):
+                running = product[start:, start:stop].T.copy()  # read before the panel's rows are written
+                rows = product[start:stop, start:]
+                normalize(rows, start, stop, level, start)
+                rows *= running
+                if level < k - 1:
+                    _mirror_upper_rows(product, start, stop)
+            continue
         adjoint = block.conj().T
         whole = None if product is not None and np.iscomplexobj(block) else block @ adjoint
         for start, stop in _row_panels(m):
@@ -245,21 +294,28 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
 
 
 @cache
-def _lapack_drivers() -> dict:
-    """numpy's bundled LAPACKE ?heevd and ?syevd by dtype, or {} where numpy
-    carries no bundled OpenBLAS (a numpy not built from a wheel).
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (ILP64), or None where numpy carries none (a
+    numpy not built from a wheel).
 
     numpy has mapped that library at its own import, and loading the same
     file again returns the same library: one thread pool, one thread count.
-    It is loaded at the first solve, not at import.
+    It is loaded at the first Gram build or solve, not at import.
     """
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
     if len(libs) != 1:
-        return {}
+        return None
     try:
-        lib = ctypes.CDLL(str(libs[0]))
+        return ctypes.CDLL(str(libs[0]))
     except OSError:
-        return {}
+        return None
+
+
+@cache
+def _lapack_drivers() -> dict:
+    """numpy's bundled LAPACKE ?heevd and ?syevd by dtype, or {} where the
+    library or one of them is absent."""
+    lib = _openblas()
     drivers = {}
     for dtype, name in _LAPACK_DRIVERS.items():
         driver = getattr(lib, name, None)
@@ -272,6 +328,20 @@ def _lapack_drivers() -> dict:
         driver.restype = ctypes.c_int64
         drivers[dtype] = driver
     return drivers
+
+
+@cache
+def _dsyrk():
+    """numpy's bundled cblas_dsyrk, or None where the library or it is absent."""
+    syrk = getattr(_openblas(), "scipy_cblas_dsyrk64_", None)
+    if syrk is not None:
+        # (order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), with 64-bit BLAS integers
+        syrk.argtypes = (
+            ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
+        )
+        syrk.restype = None
+    return syrk
 
 
 def _solve_in_place(buffer: np.ndarray) -> np.ndarray:

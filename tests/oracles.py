@@ -36,6 +36,22 @@ def gram_direct(sample, tau, model: ModelKind) -> np.ndarray:
     return np.sqrt(np.outer(values, values)) * inner
 
 
+def level_ratio_product_out_of_place(sample) -> np.ndarray:
+    """The product over levels of the whole level ratios inner_l /
+    sqrt(sq_a sq_b) (or inner_l / n for unit-modulus laws), each formed from
+    numpy's whole inner-product matrix and multiplied onto a matrix of ones."""
+    entries = sample.entries
+    m, k, n = entries.shape
+    unit = sample.params.entry_law.unit_modulus
+    sq = np.einsum("alj,alj->al", entries, entries.conj()).real
+    product = np.ones((m, m), dtype=entries.dtype)
+    for level in range(k):
+        block = entries[:, level, :]
+        inner = block @ block.conj().T
+        product *= inner / n if unit else inner / np.sqrt(np.outer(sq[:, level], sq[:, level]))
+    return product
+
+
 def gram_out_of_place(sample, tau, model: ModelKind) -> np.ndarray:
     """The Gram builders' arithmetic, one whole-matrix temporary per step.
 
@@ -46,15 +62,10 @@ def gram_out_of_place(sample, tau, model: ModelKind) -> np.ndarray:
     with tau on the diagonal, and for the covariance model the congruence by
     d_a = sqrt(prod_l sq_a^(l) / n), whose diagonal is tau_a d_a^2.
     """
-    entries = sample.entries
-    m, k, n = entries.shape
+    product = level_ratio_product_out_of_place(sample)
+    n = sample.entries.shape[2]
     unit = sample.params.entry_law.unit_modulus
-    sq = np.einsum("alj,alj->al", entries, entries.conj()).real
-    product = np.ones((m, m), dtype=entries.dtype)
-    for level in range(k):
-        block = entries[:, level, :]
-        inner = block @ block.conj().T
-        product *= inner / n if unit else inner / np.sqrt(np.outer(sq[:, level], sq[:, level]))
+    sq = np.einsum("alj,alj->al", sample.entries, sample.entries.conj()).real
     values = tau.as_array()
     upper = np.triu(np.sqrt(np.outer(values, values)) * product, 1)
     corr = upper + upper.conj().T

@@ -241,6 +241,25 @@ def test_a_complex_replica_holds_one_gram_sized_array(law, model):
     assert peak <= 1.5 * params.sample_count**2 * 16
 
 
+@pytest.mark.parametrize("n, k, c", [(30, 2, 0.5), (9, 3, 0.6)])  # m = 450 and 437
+@pytest.mark.parametrize("model", ["correlation", "covariance"])
+@pytest.mark.parametrize("law", ["real_gaussian", "rademacher"])
+def test_a_real_replica_holds_one_gram_sized_array(law, model, n, k, c):
+    # each later level is written by syrk into the Gram's buffer, whose strict lower triangle
+    # holds the running product; tracemalloc would see numpy's second block of inner products
+    evaluate = tensormp.experiments._evaluate_replica
+    evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_comparison=True)
+    params = make_params(n, k, c, entry_law_kind=law, model=model, seed=3)
+    tracemalloc.start()
+    try:
+        evaluate(params, 0, with_comparison=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.sample_count in (450, 437)
+    assert peak <= 1.5 * params.sample_count**2 * 8
+
+
 @pytest.mark.parametrize("model", ["correlation", "covariance"])
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model):
@@ -562,6 +581,25 @@ def test_distance_rejects_a_dump_without_the_ambient_dimension(tmp_path, capsys)
     _assert_input_error(capsys, argv, r".*bad\.csv: eigenvalue dump header lacks N=, the ambient dimension")
 
 
+@pytest.mark.parametrize(
+    "cut, pattern",
+    [
+        # the header and the first two rows of an m=18 dump, scored against the whole dump
+        (lambda text: "\n".join(text.splitlines()[:4]) + "\n", r"replica 0 has 2 eigenvalue rows, but the header says m=18"),
+        (lambda text: text.replace(" m=18", ""), r"eigenvalue dump header lacks m=, the sample count"),
+    ],
+    ids=["truncated", "no_m"],
+)
+def test_distance_rejects_a_dump_that_does_not_hold_m_rows(tmp_path, capsys, cut, pattern):
+    good = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(cut(good.read_text()))
+    capsys.readouterr()
+    argv = ["distance", "--a", str(bad), "--b", str(good), "--out", str(tmp_path / "d")]
+    _assert_input_error(capsys, argv, rf".*bad\.csv: {pattern}")
+    assert not (tmp_path / "d").exists()
+
+
 def test_distance_rejects_a_json_dump(tmp_path, capsys):
     config = {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}
     good = _simulate(tmp_path, config, "good") / "eigenvalues.csv"
@@ -617,13 +655,16 @@ def test_cli_reports_a_selftest_seed_out_of_range_in_one_line(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "header, rows, pattern",
     [
-        ("N=2", "5,0,0.5", r"no shared replica indices between the two dumps"),
+        ("N=2", "5,0,0.5\n5,1,0.5", r"no shared replica indices between the two dumps"),
         ("N=2", "0,0,0.5\n0,1,nan", r".*other\.csv:4: malformed eigenvalue dump line '0,1,nan': .*not finite"),
         ("N=2", "0,0,0.5\n0,1,inf", r".*other\.csv:4: malformed eigenvalue dump line '0,1,inf': .*not finite"),
-        ("N=0", "0,0,0.5", r"ambient dimension must be at least 1"),
+        ("N=0", "0,0,0.5\n0,1,0.5", r"ambient dimension must be at least 1"),
         ("N=1", "0,0,0.5\n0,1,1.5", r"rank bound violated: too few near-zero eigenvalues for m > N"),
+        ("N=2", "0,0,0.5\n0,1,0.5\n0,2,0.5", r".*other\.csv: replica 0 has 3 eigenvalue rows, but the header says m=2"),
+        ("N=2", "0,0,0.5\n0,0,0.5", r".*other\.csv: replica 0 rows are not indexed 0\.\.1 in order"),
+        ("N=2", "0,1,0.5\n0,0,0.5", r".*other\.csv: replica 0 rows are not indexed 0\.\.1 in order"),
     ],
-    ids=["no_shared_replica", "nan", "inf", "N=0", "rank_bound"],
+    ids=["no_shared_replica", "nan", "inf", "N=0", "rank_bound", "long", "repeated_index", "unordered"],
 )
 def test_distance_reports_dumps_without_a_shared_replica_in_one_line(tmp_path, capsys, header, rows, pattern):
     # the other cases are dumps it cannot score: each is reported before any output, as a missing replica is

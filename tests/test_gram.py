@@ -1,5 +1,6 @@
 """Gram construction, eigensolving, the dense oracle, and the ESD."""
 
+import dataclasses
 import json
 import warnings
 
@@ -8,14 +9,16 @@ import pytest
 
 import tensormp.gram
 from helpers import covariance_gram, forged_sample
-from oracles import gram_out_of_place, hermitian_eigen_bisect
+from oracles import gram_out_of_place, hermitian_eigen_bisect, level_ratio_product_out_of_place
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLawKind, ModelKind, explicit_tau, make_params, two_point_tau
 from tensormp.gram import (
     _PANEL_ROWS,
     _divide_by_count,
+    _level_ratio_product,
     _restore_solved,
     _solve_in_place,
+    _syrk_upper,
     build_correlation_gram,
     build_normalized_level_gram,
     eigenvalues,
@@ -166,6 +169,43 @@ def test_panel_built_levels_match_the_whole_product_formula(law, m):
     for model in ModelKind:
         built = covariance_gram(sample) if model is ModelKind.COVARIANCE else build_correlation_gram(sample)
         assert built.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("law, n", [("real_gaussian", 5), ("rademacher", 6)])  # even n: exactly zero inner products
+def test_syrk_built_real_levels_match_the_whole_product_formula(monkeypatch, law, n, k):
+    signed_zeros = 0
+    for m in (1, 2, 31, 32, 33, 97, 205):
+        tau = two_point_tau(1.0, 2.0, 0.5, m) if m > 1 else "constant_one"
+        params = make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=m + k)
+        sample = sample_base(params, 0)
+        assert params.sample_count == m
+        for model in ModelKind:
+            expected = gram_out_of_place(sample, params.tau, model).tobytes()
+            built = covariance_gram(sample) if model is ModelKind.COVARIANCE else build_correlation_gram(sample)
+            assert built.tobytes() == expected
+            # without numpy's bundled syrk each level is numpy's whole product, to the same bits
+            with monkeypatch.context() as patch:
+                patch.setattr(tensormp.gram, "_dsyrk", lambda: None)
+                built = covariance_gram(sample) if model is ModelKind.COVARIANCE else build_correlation_gram(sample)
+                assert built.tobytes() == expected
+        # a block that is not BLAS-strided takes numpy's whole product too
+        strided = dataclasses.replace(sample, entries=np.asfortranarray(sample.entries))
+        expected = gram_out_of_place(strided, params.tau, ModelKind.CORRELATION).tobytes()
+        assert build_correlation_gram(strided).tobytes() == expected
+        # the level product itself, signed zeros included, in the strict upper triangle _hermitize reads
+        expected = np.triu(level_ratio_product_out_of_place(sample), 1)
+        assert np.triu(_level_ratio_product(sample), 1).tobytes() == expected.tobytes()
+        signed_zeros += np.count_nonzero((expected == 0.0) & np.signbit(expected))
+        # syrk writes numpy's A A^T into the upper triangle and diagonal and nothing below
+        block = sample.entries[:, k - 1, :]
+        buffer = np.full((m, m), -np.inf)
+        assert _syrk_upper(block, buffer)
+        upper = np.triu_indices(m)
+        assert buffer[upper].tobytes() == (block @ block.T)[upper].tobytes()
+        assert np.all(buffer[np.tril_indices(m, -1)] == -np.inf)
+        assert not _syrk_upper(strided.entries[:, k - 1, :], buffer)
+    assert signed_zeros > 0 if law == "rademacher" else signed_zeros == 0
 
 
 def test_a_solved_gram_is_restored_from_its_lower_triangle():
