@@ -40,11 +40,12 @@ def _load_json(path: Path) -> dict:
 
 @contextmanager
 def _input_errors(args):
-    """Report an unreadable or invalid input file, or a flag value the
-    command cannot take, as argparse reports a bad flag: one line on stderr
-    and exit status 2. Only the reading and checking of the inputs named on
-    the command line runs inside; an error of the computation itself
-    propagates."""
+    """Report an unreadable or invalid input file, a flag value the command
+    cannot take, or an output directory it cannot make, as argparse reports
+    a bad flag: one line on stderr and exit status 2. Only the reading and
+    checking of the inputs named on the command line, and then the making of
+    the output directory, run inside, so no work is lost to an unusable
+    --out; an error of the computation itself propagates."""
     try:
         yield
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
@@ -154,8 +155,8 @@ def _cmd_simulate(args) -> int:
             params = replace(params, seed=args.seed)
         if args.bins < 1:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
+        out = _out_dir(args.out)
     _warn_regime(params)
-    out = _out_dir(args.out)
     runs = [_evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
     spectra = [(record.replica, np.maximum(eigs, 0.0)) for record, eigs, _ in runs]
     if args.format == "json":  # grouped per replica
@@ -187,10 +188,10 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"sweep plan key 'out' must be a string, got {plan_out!r}")
         if args.seed is not None:  # a grid plan has one seed, a points plan one per point
             plan = replace(plan, points=tuple(replace(point, seed=args.seed) for point in plan.points))
+        out = _out_dir(plan_out if args.out is None else args.out)  # an explicit --out wins
     for point in plan.points:
         _warn_regime(point)
     result = run_sweep(plan)
-    out = _out_dir(plan_out if args.out is None else args.out)  # an explicit --out wins
     _write(out, "sweep", args.format, sweep_rows(result, timings=args.timings))
     for summary in result.summaries():
         p = summary.params
@@ -209,7 +210,7 @@ def _cmd_mp(args) -> int:
         if args.points < 2:
             raise ValueError(f"--points must be at least 2, got {args.points}")
         xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
-    out = _out_dir(args.out)
+        out = _out_dir(args.out)
     rows = [
         {"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in zip(xs, dens, cdf_values)
     ]
@@ -243,7 +244,7 @@ def _cmd_distance(args) -> int:
             fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], meta_a["N"]))
             fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], meta_b["N"]))
             cdfs.append((replica, fa, fb))
-    out = _out_dir(args.out)
+        out = _out_dir(args.out)
     rows = []
     for replica, fa, fb in cdfs:
         rows.append({"replica": replica, "metric": "ks", "value": ks_distance(fa, fb)})
@@ -258,12 +259,13 @@ def _cmd_selftest(args) -> int:
     with _input_errors(args):
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
+        out = _out_dir(args.out)
     report = selftest(seed=args.seed)
     rows = [
         {"check": c.name, "status": "PASS" if c.passed else "FAIL", "gap": float(c.gap), "bound": float(c.bound)}
         for c in report.checks
     ]
-    _write(_out_dir(args.out), "selftest", args.format, rows)
+    _write(out, "selftest", args.format, rows)
     print(report.table())
     return 0 if report.passed else 1
 

@@ -7,10 +7,11 @@ size is ever materialized outside the small dense oracle.
 A Gram is built from a BaseSample alone (its weights are the sample's
 ``params.tau``) and is returned as a read-only m x m array. The covariance
 Gram is the diagonal congruence D C D of the correlation Gram C, and
-``model_spectra`` scales it into C's own buffer after C's solve. Each level
-of a Gram is formed in that buffer, real ones by the syrk numpy ships with,
-and each solve of ``model_spectra`` runs in the buffer itself, through the
-LAPACK numpy ships with, so a replica of every law holds one m x m block.
+``model_spectra`` writes it into C's own buffer from C's strict lower
+triangle, which C's solve leaves as it was. Each level of a Gram is formed
+in that buffer, real ones by the syrk numpy ships with, and each solve of
+``model_spectra`` runs in the buffer itself, through the LAPACK numpy ships
+with, so a replica of every law holds one m x m block.
 """
 
 from __future__ import annotations
@@ -229,43 +230,29 @@ def build_correlation_gram(sample: BaseSample) -> np.ndarray:
 
 
 def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
-    """Scale the correlation Gram C of this sample into D C D in its own
-    buffer, one row panel at a time, and return d^2 with
-    d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n; d_a d_b = d_b d_a
-    keeps it exactly Hermitian. For unit-modulus laws D = I by the law: the
-    buffer is left as it is and d^2 is exactly 1."""
+    """Write D C D into the buffer of this sample's correlation Gram C and
+    return d^2, d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n. Only C's
+    strict lower triangle is read, which a solve leaves as it was, so a solved
+    and a fresh C give the same bytes. Each row panel scales its lower part by
+    d_a d_b and writes its conjugate above (exactly Hermitian: a zero imaginary
+    part is +0 below the diagonal, -0 above); the diagonal is tau d^2. For
+    unit-modulus laws D = I by the law: the buffer is left as it is and d^2 is
+    exactly 1."""
     m, _, n = sample.entries.shape
     if sample.params.entry_law.unit_modulus:
         return np.ones(m)
     d2 = np.prod(norm_profile(sample) / n, axis=1)
     d = np.sqrt(d2)
-    diag = entries.diagonal().real * d2  # read before any row is scaled
     with _writable(entries):
         for start, stop in _row_panels(m):
-            rows = entries[start:stop]
-            np.multiply(rows, np.outer(d[start:stop], d), out=rows)
-        entries[np.diag_indices(m)] = diag
-    return d2
-
-
-def _restore_solved(entries: np.ndarray, tau: np.ndarray) -> None:
-    """Rebuild the upper triangle and the diagonal of a built Gram that an
-    in-place solve has overwritten: the strict upper triangle from the
-    untouched strict lower one by conjugate mirroring, the diagonal as tau.
-
-    The result is bitwise the Gram as built, but for one case: an imaginary
-    part that was exactly +0 above the diagonal comes back as -0, since its
-    mirror below holds +0 for either sign. A sampled complex Gaussian Gram
-    almost surely has none.
-    """
-    m = entries.shape[0]
-    with _writable(entries):
-        for start, stop in _row_panels(m):
-            np.conjugate(entries[stop:, start:stop].T, out=entries[start:stop, stop:])
+            lower = entries[start:stop, :stop]
+            np.multiply(lower, np.outer(d[start:stop], d[:stop]), out=lower)
+            np.conjugate(lower[:, :start].T, out=entries[:start, start:stop])
             block = entries[start:stop, start:stop]
-            rows, cols = np.triu_indices(stop - start, 1)
-            block[rows, cols] = np.conjugate(block[cols, rows])
-        entries[np.diag_indices(m)] = tau
+            upper = np.triu_indices(stop - start, 1)
+            block[upper] = np.conjugate(block.T[upper])
+        entries[np.diag_indices(m)] = sample.params.tau.as_array() * d2
+    return d2
 
 
 def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
@@ -430,19 +417,17 @@ def model_spectra(
     """Gram eigenvalues of each requested model of one sample, and d^2 (see
     _scale_to_covariance) if the covariance model is requested, else None.
     One m x m buffer, never seen by the caller, serves both, and each solve
-    runs in it: C is built and, if requested, solved; its upper triangle and
-    diagonal are then restored from the untouched lower triangle and tau, and
-    D C D is scaled into it and solved, unless the law is unit-modulus and C
-    was solved (D = I by the law: one solve)."""
+    runs in it: C is built and, if requested, solved; D C D is then written
+    into it from C's strict lower triangle, which the solve leaves as it was,
+    and solved, unless the law is unit-modulus and C was solved (D = I by the
+    law: one solve). The covariance solve gets the same bytes either way."""
     models = {ModelKind(model) for model in models}
     gram = build_correlation_gram(sample)
     spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}
     if ModelKind.COVARIANCE not in models:
         return spectra, None
-    unit = sample.params.entry_law.unit_modulus
-    if spectra and not unit:
-        _restore_solved(gram, sample.params.tau.as_array())
     d2 = _scale_to_covariance(gram, sample)
+    unit = sample.params.entry_law.unit_modulus
     spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if unit and spectra else _solve_checked(gram, gram)
     return spectra, d2
 

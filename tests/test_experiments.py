@@ -652,6 +652,29 @@ def test_cli_reports_a_selftest_seed_out_of_range_in_one_line(tmp_path, capsys, 
     assert not (tmp_path / "selftest.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "mp", "distance", "selftest"])
+def test_cli_reports_an_unusable_out_before_any_work(tmp_path, capsys, monkeypatch, command):
+    config = tmp_path / "config.json"
+    if command == "sweep":
+        config.write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 1, "replicas": 1}))
+        monkeypatch.setattr(tensormp.cli, "run_sweep", lambda plan: pytest.fail("the sweep ran"))
+    else:
+        config.write_text(json.dumps({"n": 6, "k": 2, "c": 0.5, "seed": 1, "replicas": 1}))
+    dump = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
+    capsys.readouterr()
+    flags = {
+        "simulate": ["--config", str(config)],
+        "sweep": ["--config", str(config)],
+        "mp": ["--c", "0.5"],
+        "distance": ["--a", str(dump), "--b", str(dump)],
+        "selftest": ["--seed", "0"],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    _assert_input_error(capsys, [command, *flags, "--out", str(taken)], r"\[Errno 17\] File exists: '.*taken'")
+    assert taken.read_text() == "a file, not a directory\n"
+
+
 @pytest.mark.parametrize(
     "header, rows, pattern",
     [

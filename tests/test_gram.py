@@ -16,7 +16,7 @@ from tensormp.gram import (
     _PANEL_ROWS,
     _divide_by_count,
     _level_ratio_product,
-    _restore_solved,
+    _scale_to_covariance,
     _solve_in_place,
     _syrk_upper,
     build_correlation_gram,
@@ -208,25 +208,43 @@ def test_syrk_built_real_levels_match_the_whole_product_formula(monkeypatch, law
     assert signed_zeros > 0 if law == "rademacher" else signed_zeros == 0
 
 
-def test_a_solved_gram_is_restored_from_its_lower_triangle():
-    sample = sample_base(make_params(20, 2, 0.5, seed=3), 0)
-    gram = build_correlation_gram(sample)
-    built = gram.copy()
-    _solve_in_place(gram)
-    assert gram.tobytes() != built.tobytes()
-    _restore_solved(gram, sample.params.tau.as_array())
-    assert gram.tobytes() == built.tobytes()
-    assert not gram.flags.writeable
-    # real values in a complex Gram: an exactly +0 imaginary part above the diagonal comes
-    # back as -0, the one loss the docstring names
-    sample = forged_sample(np.random.Generator(np.random.Philox(5)).standard_normal((40, 2, 7)))
-    gram = build_correlation_gram(sample)
-    built = gram.copy()
-    _solve_in_place(gram)
-    _restore_solved(gram, sample.params.tau.as_array())
-    assert np.array_equal(gram, built)
-    flipped = np.signbit(gram.imag) != np.signbit(built.imag)
-    assert np.all(np.triu(built.imag == 0.0, 1)[flipped]) and np.all(np.signbit(gram.imag[flipped]))
+def _forged_real_valued_samples() -> list:
+    """Complex samples whose entries are real, so every Gram entry has an exactly zero imaginary part."""
+    return [forged_sample(np.random.Generator(np.random.Philox(seed)).standard_normal((40, 2, 7))) for seed in range(20)]
+
+
+def _two_point_sample(law, seed=3):
+    """A sampled replica of m=70 (two whole row panels and a partial one) with two-point tau."""
+    params = make_params(10, 2, 0.7, entry_law_kind=law, tau=two_point_tau(1.0, 2.0, 0.5, 70), seed=seed)
+    return sample_base(params, 0)
+
+
+@pytest.mark.parametrize("law", [kind.value for kind in EntryLawKind] + ["forged"])
+def test_the_covariance_step_reads_only_the_strict_lower_triangle(law):
+    for sample in _forged_real_valued_samples() if law == "forged" else [_two_point_sample(law)]:
+        params = sample.params
+        fresh, solved = build_correlation_gram(sample), build_correlation_gram(sample)
+        built = fresh.copy()
+        _solve_in_place(solved)
+        assert solved.tobytes() != built.tobytes()
+        left = solved.copy()
+        d2 = _scale_to_covariance(fresh, sample)
+        assert _scale_to_covariance(solved, sample).tobytes() == d2.tobytes()
+        assert not fresh.flags.writeable and not solved.flags.writeable
+        if params.entry_law.unit_modulus:  # D = I by the law: each buffer is left as it is
+            assert fresh.tobytes() == built.tobytes() and solved.tobytes() == left.tobytes()
+            assert d2.tobytes() == np.ones(params.sample_count).tobytes()
+            continue
+        assert solved.tobytes() == fresh.tobytes()
+        assert np.array_equal(fresh, fresh.conj().T)
+        diagonal = params.tau.as_array() * np.prod(norm_profile(sample) / params.n, axis=1)
+        assert fresh.diagonal().tobytes() == diagonal.astype(fresh.dtype).tobytes()
+        expected = gram_out_of_place(sample, params.tau, ModelKind.COVARIANCE)
+        if law != "forged":
+            assert fresh.tobytes() == expected.tobytes()
+        else:  # an exactly zero imaginary part is +0 below the diagonal and on it, -0 above it
+            assert np.array_equal(fresh, expected) and not np.any(fresh.imag)
+            assert np.array_equal(np.signbit(fresh.imag), np.triu(np.ones(fresh.shape, dtype=bool), 1))
 
 
 def test_reciprocal_division_keeps_numpy_signed_zeros():
@@ -334,6 +352,21 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
         assert d2.tobytes() == np.ones(params.sample_count).tobytes()
     else:
         assert d2.tobytes() == np.prod(norm_profile(sample) / params.n, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("law", ["complex_gaussian", "real_gaussian", "forged"])
+def test_the_covariance_gram_does_not_depend_on_the_request(monkeypatch, law):
+    received = []  # the bytes of each buffer the solver is handed
+    solve = tensormp.gram._solve_in_place
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", lambda gram: received.append(gram.tobytes()) or solve(gram))
+    samples = _forged_real_valued_samples() if law == "forged" else [_two_point_sample(law, seed) for seed in (1, 4)]
+    for sample in samples:
+        received.clear()
+        model_spectra(sample, (ModelKind.COVARIANCE,))
+        model_spectra(sample, (ModelKind.CORRELATION, ModelKind.COVARIANCE))
+        covariance_only, correlation, covariance = received
+        assert covariance == covariance_only
+        assert correlation != covariance
 
 
 def test_esd_counting_example():
