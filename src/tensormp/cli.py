@@ -19,7 +19,7 @@ from . import mp
 from .config import params_from_json
 from .gram import esd
 from .metrics import EmpiricalCDF, ks_distance, levy_distance
-from .experiments import _evaluate_replica, run_sweep, selftest, sweep_plan_from_json, sweep_rows
+from .experiments import evaluate_replica, run_sweep, selftest, sweep_plan_from_json, sweep_rows
 
 
 def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None:
@@ -41,11 +41,12 @@ def _load_json(path: Path) -> dict:
 @contextmanager
 def _input_errors(args):
     """Report an unreadable or invalid input file, a flag value the command
-    cannot take, or an output directory it cannot make, as argparse reports
-    a bad flag: one line on stderr and exit status 2. Only the reading and
-    checking of the inputs named on the command line, and then the making of
-    the output directory, run inside, so no work is lost to an unusable
-    --out; an error of the computation itself propagates."""
+    cannot take, an output directory it cannot make or an output file that
+    is a directory, as argparse reports a bad flag: one line on stderr and
+    exit status 2. Only the reading and checking of the inputs named on the
+    command line, and then of the outputs (see _out_dir), run inside, so no
+    work is lost to an unusable --out; an error of the computation itself
+    propagates."""
     try:
         yield
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
@@ -53,9 +54,14 @@ def _input_errors(args):
         raise SystemExit(2) from None
 
 
-def _out_dir(out) -> Path:
+def _out_dir(out, fmt: str, *names: str) -> Path:
+    """Make the output directory, and check that none of the files the
+    command will write there, name.fmt for each of names, is a directory."""
     out = Path("." if out is None else out)
     out.mkdir(parents=True, exist_ok=True)
+    for path in (out / f"{name}.{fmt}" for name in names):
+        if path.is_dir():
+            raise IsADirectoryError(f"output file {path} is a directory")
     return out
 
 
@@ -155,9 +161,9 @@ def _cmd_simulate(args) -> int:
             params = replace(params, seed=args.seed)
         if args.bins < 1:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
-        out = _out_dir(args.out)
+        out = _out_dir(args.out, args.format, "eigenvalues", "histogram")
     _warn_regime(params)
-    runs = [_evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
+    runs = [evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
     spectra = [(record.replica, np.maximum(eigs, 0.0)) for record, eigs, _ in runs]
     if args.format == "json":  # grouped per replica
         rows = [{"replica": r, "eigenvalues": list(map(float, e))} for r, e in spectra]
@@ -188,7 +194,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"sweep plan key 'out' must be a string, got {plan_out!r}")
         if args.seed is not None:  # a grid plan has one seed, a points plan one per point
             plan = replace(plan, points=tuple(replace(point, seed=args.seed) for point in plan.points))
-        out = _out_dir(plan_out if args.out is None else args.out)  # an explicit --out wins
+        out = _out_dir(plan_out if args.out is None else args.out, args.format, "sweep")  # an explicit --out wins
     for point in plan.points:
         _warn_regime(point)
     result = run_sweep(plan)
@@ -210,7 +216,7 @@ def _cmd_mp(args) -> int:
         if args.points < 2:
             raise ValueError(f"--points must be at least 2, got {args.points}")
         xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
-        out = _out_dir(args.out)
+        out = _out_dir(args.out, args.format, "mp_grid")
     rows = [
         {"x": float(x), "density": float(d), "cdf": float(f)} for x, d, f in zip(xs, dens, cdf_values)
     ]
@@ -244,7 +250,7 @@ def _cmd_distance(args) -> int:
             fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], meta_a["N"]))
             fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], meta_b["N"]))
             cdfs.append((replica, fa, fb))
-        out = _out_dir(args.out)
+        out = _out_dir(args.out, args.format, "distances")
     rows = []
     for replica, fa, fb in cdfs:
         rows.append({"replica": replica, "metric": "ks", "value": ks_distance(fa, fb)})
@@ -259,7 +265,7 @@ def _cmd_selftest(args) -> int:
     with _input_errors(args):
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
-        out = _out_dir(args.out)
+        out = _out_dir(args.out, args.format, "selftest")
     report = selftest(seed=args.seed)
     rows = [
         {"check": c.name, "status": "PASS" if c.passed else "FAIL", "gap": float(c.gap), "bound": float(c.bound)}

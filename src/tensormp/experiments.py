@@ -210,7 +210,7 @@ class SweepResult:
         return out
 
 
-def _evaluate_replica(
+def evaluate_replica(
     params: ModelParams, replica: int, *, with_comparison: bool
 ) -> tuple[ReplicaRecord, np.ndarray, SpectralDistribution]:
     """One replica of a point: its record, and the m Gram eigenvalues
@@ -271,7 +271,7 @@ def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) 
 def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
     return SweepResult(
         records=tuple(
-            _evaluate_replica(params, replica, with_comparison=with_comparison)[0]
+            evaluate_replica(params, replica, with_comparison=with_comparison)[0]
             for params in plan.points
             for replica in range(params.replicas)
         )

@@ -9,16 +9,17 @@ A Gram is built from a BaseSample alone (its weights are the sample's
 Gram is the diagonal congruence D C D of the correlation Gram C, and
 ``model_spectra`` writes it into C's own buffer from C's strict lower
 triangle, which C's solve leaves as it was. Each level of a Gram is formed
-in that buffer, real ones by the syrk numpy ships with, and each solve of
-``model_spectra`` runs in the buffer itself, through the LAPACK numpy ships
-with, so a replica of every law holds one m x m block.
+in that buffer, and each solve of ``model_spectra`` runs in the buffer
+itself, made writable once, so a replica of every law holds one m x m
+block. Real levels and solves call numpy's bundled OpenBLAS through one
+binding, ``_openblas``; without it numpy's products and eigvalsh give the
+same bits.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, reduce
 from pathlib import Path
@@ -40,10 +41,6 @@ _PANEL_ROWS = 32  # rows per panel of the in-place Gram passes and checks
 _NEGATIVE_ZERO_BITS = np.iinfo(np.int64).min  # -0.0 read as an int64: the smallest one
 _LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout code for column-major storage
 _CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS = 101, 121, 111  # CBLAS enum codes
-_LAPACK_DRIVERS = {  # values-only Hermitian eigensolvers of numpy's bundled OpenBLAS (ILP64)
-    np.dtype(np.complex128): "scipy_LAPACKE_zheevd64_",
-    np.dtype(np.float64): "scipy_LAPACKE_dsyevd64_",
-}
 
 
 @dataclass(frozen=True)
@@ -70,17 +67,6 @@ class SpectralDistribution:
 def _row_panels(m: int) -> list[tuple[int, int]]:
     """(start, stop) of each run of _PANEL_ROWS rows of an m x m matrix."""
     return [(start, min(start + _PANEL_ROWS, m)) for start in range(0, m, _PANEL_ROWS)]
-
-
-@contextmanager
-def _writable(entries: np.ndarray):
-    """Lift an array's read-only flag for one in-place step, then restore it."""
-    writeable = entries.flags.writeable
-    entries.setflags(write=True)
-    try:
-        yield entries
-    finally:
-        entries.setflags(write=writeable)
 
 
 def _hermitize(product: np.ndarray, tau: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -124,26 +110,26 @@ def _divide_by_count(rows: np.ndarray, n: int) -> None:
         parts *= 1.0 / n
 
 
-def _syrk_upper(block: np.ndarray, product: np.ndarray) -> bool:
-    """Write block @ block.T into the upper triangle and diagonal of the
-    C-contiguous m x m float64 product and leave its strict lower triangle
-    as it was, or return False (writing nothing) where numpy's bundled
-    cblas_dsyrk is absent, block is not a BLAS-strided float64 array or
-    product is not such a matrix.
+def _syrk_upper(block: np.ndarray, product: np.ndarray) -> None:
+    """Write numpy's block @ block.T, bitwise, into the upper triangle and
+    diagonal of the m x m product, leaving its strict lower triangle as it was.
 
-    numpy forms a real A @ A.T by this same call (row-major, upper, no
-    transpose, alpha 1, beta 0) and copies the upper triangle down, so the
-    triangle written is bitwise numpy's.
+    numpy forms a real A @ A.T by its bundled cblas_dsyrk (row-major, upper,
+    no transpose, alpha 1, beta 0) and copies the upper triangle down. That
+    call writes the triangle here, in place, where the library is present,
+    block is a BLAS-strided float64 array and product a C-contiguous float64
+    matrix; otherwise (a hand-built BaseSample, or no library) it is copied
+    from numpy's product.
     """
     m, n = block.shape
     rows, cols = block.strides
     strided = block.dtype == np.float64 and cols == 8 and rows % 8 == 0 and rows // 8 >= n
     target = product.dtype == np.float64 and product.shape == (m, m) and product.flags.c_contiguous
-    syrk = _dsyrk() if strided and target else None
+    syrk = (_openblas() or {}).get("dsyrk") if strided and target else None
     if syrk is None:
-        return False
-    syrk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, m, n, 1.0, block.ctypes.data, rows // 8, 0.0, product.ctypes.data, m)
-    return True
+        np.copyto(product, block @ block.T, where=~np.tri(m, k=-1, dtype=bool))
+    else:
+        syrk(_CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS, m, n, 1.0, block.ctypes.data, rows // 8, 0.0, product.ctypes.data, m)
 
 
 def _mirror_upper_rows(product: np.ndarray, start: int, stop: int) -> None:
@@ -170,12 +156,11 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     numpy forms by gemv, differs at most below the diagonal and on it, which
     _hermitize overwrites). numpy forms a real A A^T by syrk, whose row
     panels would differ in the last bit, so each later real level is written
-    by that same syrk into the array's upper triangle while the running
-    product waits in the strict lower one. Each row panel then multiplies a
-    copy of its lower columns into its normalized upper part and, before a
-    further level, is mirrored down by copies. Where that syrk cannot be
-    called, a real level is numpy's whole product, a second array while it is
-    formed. Each level is normalized bitwise as inner / den.
+    by _syrk_upper into the array's upper triangle while the running product
+    waits in the strict lower one. Each row panel then multiplies a copy of
+    its lower columns into its normalized upper part and, before a further
+    level, is mirrored down by copies. Each level is normalized bitwise as
+    inner / den.
     """
     entries = sample.entries
     m, k, n = entries.shape
@@ -191,28 +176,27 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
         else:  # a real reciprocal multiply is not bitwise a division
             np.divide(rows, n, out=rows)
 
-    product = None
-    for level in range(k):
+    first = entries[:, 0, :]
+    product = first @ first.conj().T  # the conjugate of a real block is the block itself: numpy's syrk
+    for start, stop in _row_panels(m):
+        normalize(product[start:stop], start, stop, 0)
+    for level in range(1, k):
         block = entries[:, level, :]
-        if product is not None and _syrk_upper(block, product):
+        if np.iscomplexobj(block):
+            adjoint = block.conj().T
             for start, stop in _row_panels(m):
-                running = product[start:, start:stop].T.copy()  # read before the panel's rows are written
-                rows = product[start:stop, start:]
-                normalize(rows, start, stop, level, start)
-                rows *= running
-                if level < k - 1:
-                    _mirror_upper_rows(product, start, stop)
-            continue
-        adjoint = block.conj().T
-        whole = None if product is not None and np.iscomplexobj(block) else block @ adjoint
-        for start, stop in _row_panels(m):
-            rows = block[start:stop] @ adjoint if whole is None else whole[start:stop]
-            normalize(rows, start, stop, level)
-            if product is not None:
+                rows = block[start:stop] @ adjoint
+                normalize(rows, start, stop, level)
                 product[start:stop] *= rows
-        if product is None:
-            product = whole
-        del whole  # a real level's inner products go before the next level's are formed
+            continue
+        _syrk_upper(block, product)
+        for start, stop in _row_panels(m):
+            running = product[start:, start:stop].T.copy()  # read before the panel's rows are written
+            rows = product[start:stop, start:]
+            normalize(rows, start, stop, level, start)
+            rows *= running
+            if level < k - 1:
+                _mirror_upper_rows(product, start, stop)
     return product
 
 
@@ -243,15 +227,14 @@ def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
         return np.ones(m)
     d2 = np.prod(norm_profile(sample) / n, axis=1)
     d = np.sqrt(d2)
-    with _writable(entries):
-        for start, stop in _row_panels(m):
-            lower = entries[start:stop, :stop]
-            np.multiply(lower, np.outer(d[start:stop], d[:stop]), out=lower)
-            np.conjugate(lower[:, :start].T, out=entries[:start, start:stop])
-            block = entries[start:stop, start:stop]
-            upper = np.triu_indices(stop - start, 1)
-            block[upper] = np.conjugate(block.T[upper])
-        entries[np.diag_indices(m)] = sample.params.tau.as_array() * d2
+    for start, stop in _row_panels(m):
+        lower = entries[start:stop, :stop]
+        np.multiply(lower, np.outer(d[start:stop], d[:stop]), out=lower)
+        np.conjugate(lower[:, :start].T, out=entries[:start, start:stop])
+        block = entries[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        block[upper] = np.conjugate(block.T[upper])
+    entries[np.diag_indices(m)] = sample.params.tau.as_array() * d2
     return d2
 
 
@@ -281,9 +264,12 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
 
 
 @cache
-def _openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS (ILP64), or None where numpy carries none (a
-    numpy not built from a wheel).
+def _openblas() -> dict | None:
+    """The three calls of numpy's bundled OpenBLAS (ILP64) that tensormp
+    makes, with their argument types set: the values-only LAPACKE ?syevd and
+    ?heevd keyed by dtype, and cblas_dsyrk keyed "dsyrk". None where numpy
+    carries no such library (a numpy not built from a wheel) or it lacks any
+    of the three calls, so the calls are present together or not at all.
 
     numpy has mapped that library at its own import, and loading the same
     file again returns the same library: one thread pool, one thread count.
@@ -293,65 +279,46 @@ def _openblas() -> ctypes.CDLL | None:
     if len(libs) != 1:
         return None
     try:
-        return ctypes.CDLL(str(libs[0]))
-    except OSError:
+        lib = ctypes.CDLL(str(libs[0]))
+        calls = {
+            np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd64_,
+            np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd64_,
+            "dsyrk": lib.scipy_cblas_dsyrk64_,
+        }
+    except (OSError, AttributeError):  # an unloadable library, or a call it lacks
         return None
-
-
-@cache
-def _lapack_drivers() -> dict:
-    """numpy's bundled LAPACKE ?heevd and ?syevd by dtype, or {} where the
-    library or one of them is absent."""
-    lib = _openblas()
-    drivers = {}
-    for dtype, name in _LAPACK_DRIVERS.items():
-        driver = getattr(lib, name, None)
-        if driver is None:
-            return {}
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    for dtype in (np.float64, np.complex128):
         # (matrix_layout, jobz, uplo, n, a, lda, w) -> info, with 64-bit LAPACK integers
-        driver.argtypes = (
-            ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
-        )
-        driver.restype = ctypes.c_int64
-        drivers[dtype] = driver
-    return drivers
-
-
-@cache
-def _dsyrk():
-    """numpy's bundled cblas_dsyrk, or None where the library or it is absent."""
-    syrk = getattr(_openblas(), "scipy_cblas_dsyrk64_", None)
-    if syrk is not None:
-        # (order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), with 64-bit BLAS integers
-        syrk.argtypes = (
-            ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
-        )
-        syrk.restype = None
-    return syrk
+        calls[np.dtype(dtype)].argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr)
+        calls[np.dtype(dtype)].restype = i64
+    # (order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc), with 64-bit BLAS integers
+    calls["dsyrk"].argtypes = (
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, i64, i64, ctypes.c_double, ptr, i64, ctypes.c_double, ptr, i64
+    )
+    calls["dsyrk"].restype = None
+    return calls
 
 
 def _solve_in_place(buffer: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the square matrix buffer.T, computed in the
-    buffer itself: bitwise np.linalg.eigvalsh(buffer.T), which also solves it
-    (from a copy) where numpy's bundled LAPACK is absent, or the buffer is
-    not a C-contiguous float64 or complex128 array.
+    writable buffer itself: bitwise np.linalg.eigvalsh(buffer.T), which also
+    solves it (from a copy) where numpy's bundled OpenBLAS is absent, or the
+    buffer is not a C-contiguous float64 or complex128 array.
 
     LAPACK reads a C-order buffer in column-major order, that is as
     buffer.T. The values-only ?heevd/?syevd (jobz='N', uplo='L') reads the
     lower triangle of buffer.T, the upper triangle and diagonal of the
     buffer, and overwrites exactly those: the buffer's strict lower triangle
     is left as it was. For a Hermitian buffer, buffer.T is its conjugate,
-    whose eigenvalues LAPACK returns bitwise as the buffer's own. The
-    read-only flag is lifted for the solve only.
+    whose eigenvalues LAPACK returns bitwise as the buffer's own.
     """
-    driver = _lapack_drivers().get(buffer.dtype)
+    driver = (_openblas() or {}).get(buffer.dtype)
     if driver is None or not buffer.flags.c_contiguous:
         return np.linalg.eigvalsh(buffer.T)
     m = buffer.shape[0]
     w = np.empty(m)
-    with _writable(buffer):
-        info = driver(_LAPACK_COL_MAJOR, b"N", b"L", m, buffer.ctypes.data, max(1, m), w.ctypes.data)
+    info = driver(_LAPACK_COL_MAJOR, b"N", b"L", m, buffer.ctypes.data, max(1, m), w.ctypes.data)
     if info != 0:
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge (LAPACK info {info})")
     return w
@@ -417,12 +384,14 @@ def model_spectra(
     """Gram eigenvalues of each requested model of one sample, and d^2 (see
     _scale_to_covariance) if the covariance model is requested, else None.
     One m x m buffer, never seen by the caller, serves both, and each solve
-    runs in it: C is built and, if requested, solved; D C D is then written
-    into it from C's strict lower triangle, which the solve leaves as it was,
-    and solved, unless the law is unit-modulus and C was solved (D = I by the
-    law: one solve). The covariance solve gets the same bytes either way."""
+    runs in it: C is built, made writable and, if requested, solved; D C D is
+    then written into it from C's strict lower triangle, which the solve
+    leaves as it was, and solved, unless the law is unit-modulus and C was
+    solved (D = I by the law: one solve). The covariance solve gets the same
+    bytes either way."""
     models = {ModelKind(model) for model in models}
     gram = build_correlation_gram(sample)
+    gram.setflags(write=True)  # this call's own buffer, never handed out
     spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}
     if ModelKind.COVARIANCE not in models:
         return spectra, None

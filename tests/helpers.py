@@ -21,8 +21,10 @@ def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
 
 
 def covariance_gram(sample: BaseSample) -> np.ndarray:
-    """D C D of the sample: its correlation Gram, scaled in its own buffer by
-    the same call model_spectra makes before the covariance solve."""
+    """D C D of the sample: its correlation Gram, made writable and scaled in
+    its own buffer by the same calls model_spectra makes before the
+    covariance solve."""
     gram = build_correlation_gram(sample)
+    gram.setflags(write=True)
     _scale_to_covariance(gram, sample)
     return gram

@@ -209,7 +209,7 @@ def test_only_a_covariance_reading_run_derives_the_covariance_gram(monkeypatch):
 def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
     # tracemalloc sees numpy's arrays, not LAPACK's own workspace; a small
     # replica runs first, so one-time set-up is not counted
-    evaluate = tensormp.experiments._evaluate_replica
+    evaluate = tensormp.experiments.evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law_kind=law, model=model, seed=3)
     tracemalloc.start()
@@ -228,7 +228,7 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
 def test_a_complex_replica_holds_one_gram_sized_array(law, model):
     # each later level is formed one row panel at a time and each solve runs in the Gram's
     # buffer, whose LAPACK workspace is a few rows; tracemalloc would see a second numpy block
-    evaluate = tensormp.experiments._evaluate_replica
+    evaluate = tensormp.experiments.evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law_kind=law, model=model, seed=3)
     tracemalloc.start()
@@ -247,7 +247,7 @@ def test_a_complex_replica_holds_one_gram_sized_array(law, model):
 def test_a_real_replica_holds_one_gram_sized_array(law, model, n, k, c):
     # each later level is written by syrk into the Gram's buffer, whose strict lower triangle
     # holds the running product; tracemalloc would see numpy's second block of inner products
-    evaluate = tensormp.experiments._evaluate_replica
+    evaluate = tensormp.experiments.evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law_kind=law, model=model), 0, with_comparison=True)
     params = make_params(n, k, c, entry_law_kind=law, model=model, seed=3)
     tracemalloc.start()
@@ -272,17 +272,17 @@ def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
     params = make_params(9, 2, 0.5, entry_law_kind=law, model=model, seed=2)
-    tensormp.experiments._evaluate_replica(params, 0, with_comparison=True)
+    tensormp.experiments.evaluate_replica(params, 0, with_comparison=True)
     # D C D is scaled into C's buffer after C's solve; a unit-modulus law solves its one matrix once
     assert len(addresses) == (1 if params.entry_law.unit_modulus else 2)
     assert len(set(addresses)) == 1
     addresses.clear()
-    tensormp.experiments._evaluate_replica(params, 0, with_comparison=False)
+    tensormp.experiments.evaluate_replica(params, 0, with_comparison=False)
     assert len(addresses) == 1
 
 
 def _reference_replica(params, replica):
-    """_evaluate_replica's record fields and eigenvalues, from the out-of-place
+    """evaluate_replica's record fields and eigenvalues, from the out-of-place
     oracle Grams of both models, solved and compared by the same calls."""
     sample = sample_base(params, replica)
     solved = {model: eigenvalues(gram_out_of_place(sample, params.tau, model)) for model in ModelKind}
@@ -304,7 +304,7 @@ def _reference_replica(params, replica):
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_a_compared_replica_equals_the_out_of_place_reference_bitwise(law, model, tau):
     params = make_params(9, 2, 40 / 81, entry_law_kind=law, model=model, tau=tau, seed=6)
-    record, eigs, _ = tensormp.experiments._evaluate_replica(params, 1, with_comparison=True)
+    record, eigs, _ = tensormp.experiments.evaluate_replica(params, 1, with_comparison=True)
     values = np.array([record.ks_mp, record.levy_mp, record.levy_models, *record.moments])
     expected_values, expected_eigs = _reference_replica(params, 1)
     assert values.tobytes() == expected_values.tobytes()
@@ -514,13 +514,13 @@ def test_simulate_json_rows_match_csv_rows(tmp_path):
 
 def test_simulate_runs_the_replica_pipeline_once_per_replica(tmp_path, monkeypatch):
     calls = []
-    evaluate = tensormp.experiments._evaluate_replica
+    evaluate = tensormp.experiments.evaluate_replica
 
     def counted(params, replica, **kwargs):
         calls.append((replica, kwargs))
         return evaluate(params, replica, **kwargs)
 
-    monkeypatch.setattr(tensormp.cli, "_evaluate_replica", counted)
+    monkeypatch.setattr(tensormp.cli, "evaluate_replica", counted)
     _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "model": "covariance", "seed": 3, "replicas": 3}, "sim")
     assert calls == [(replica, {"with_comparison": False}) for replica in range(3)]
 
@@ -657,11 +657,12 @@ def test_cli_reports_an_unusable_out_before_any_work(tmp_path, capsys, monkeypat
     config = tmp_path / "config.json"
     if command == "sweep":
         config.write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 1, "replicas": 1}))
-        monkeypatch.setattr(tensormp.cli, "run_sweep", lambda plan: pytest.fail("the sweep ran"))
     else:
         config.write_text(json.dumps({"n": 6, "k": 2, "c": 0.5, "seed": 1, "replicas": 1}))
     dump = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
     capsys.readouterr()
+    for work in ("evaluate_replica", "run_sweep", "selftest"):
+        monkeypatch.setattr(tensormp.cli, work, lambda *args, name=work, **kwargs: pytest.fail(f"{name} ran"))
     flags = {
         "simulate": ["--config", str(config)],
         "sweep": ["--config", str(config)],
@@ -673,6 +674,21 @@ def test_cli_reports_an_unusable_out_before_any_work(tmp_path, capsys, monkeypat
     taken.write_text("a file, not a directory\n")
     _assert_input_error(capsys, [command, *flags, "--out", str(taken)], r"\[Errno 17\] File exists: '.*taken'")
     assert taken.read_text() == "a file, not a directory\n"
+    # each file the command writes, in either format, is checked along with the directory
+    written = {
+        "simulate": ["eigenvalues", "histogram"],
+        "sweep": ["sweep"],
+        "mp": ["mp_grid"],
+        "distance": ["distances"],
+        "selftest": ["selftest"],
+    }[command]
+    for fmt in ("csv", "json"):
+        for name in written:
+            out = tmp_path / f"{name}-{fmt}"
+            (out / f"{name}.{fmt}").mkdir(parents=True)
+            argv = [command, *flags, "--out", str(out), "--format", fmt]
+            _assert_input_error(capsys, argv, rf"output file .*{name}-{fmt}/{name}\.{fmt} is a directory")
+            assert [path.name for path in out.iterdir()] == [f"{name}.{fmt}"]
 
 
 @pytest.mark.parametrize(

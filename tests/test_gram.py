@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 import warnings
 
 import numpy as np
@@ -141,13 +142,11 @@ def test_in_place_solve_is_eigvalsh_bitwise_and_keeps_the_strict_lower_triangle(
         matrix = a + a.conj().T  # exactly Hermitian
         expected = np.linalg.eigvalsh(matrix)
         buffer = matrix.copy()
-        buffer.setflags(write=False)
         assert _solve_in_place(buffer).tobytes() == expected.tobytes()
         assert np.tril(buffer, -1).tobytes() == np.tril(matrix, -1).tobytes()
-        assert not buffer.flags.writeable  # read-only again after the solve
-        # without numpy's bundled LAPACK, eigvalsh solves a copy, to the same bits
+        # without numpy's bundled OpenBLAS, eigvalsh solves a copy, to the same bits
         with monkeypatch.context() as patch:
-            patch.setattr(tensormp.gram, "_lapack_drivers", lambda: {})
+            patch.setattr(tensormp.gram, "_openblas", lambda: None)
             assert _solve_in_place(matrix).tobytes() == expected.tobytes()
     for m in (33, 129):  # eigenvalues solves its copy as eigvalsh does, so even a matrix
         # Hermitian only to 1e-12 gets eigvalsh's bits
@@ -184,12 +183,12 @@ def test_syrk_built_real_levels_match_the_whole_product_formula(monkeypatch, law
             expected = gram_out_of_place(sample, params.tau, model).tobytes()
             built = covariance_gram(sample) if model is ModelKind.COVARIANCE else build_correlation_gram(sample)
             assert built.tobytes() == expected
-            # without numpy's bundled syrk each level is numpy's whole product, to the same bits
+            # without numpy's bundled OpenBLAS each level's triangle is copied from numpy's product
             with monkeypatch.context() as patch:
-                patch.setattr(tensormp.gram, "_dsyrk", lambda: None)
+                patch.setattr(tensormp.gram, "_openblas", lambda: None)
                 built = covariance_gram(sample) if model is ModelKind.COVARIANCE else build_correlation_gram(sample)
                 assert built.tobytes() == expected
-        # a block that is not BLAS-strided takes numpy's whole product too
+        # a block that is not BLAS-strided takes numpy's product too
         strided = dataclasses.replace(sample, entries=np.asfortranarray(sample.entries))
         expected = gram_out_of_place(strided, params.tau, ModelKind.CORRELATION).tobytes()
         assert build_correlation_gram(strided).tobytes() == expected
@@ -197,15 +196,60 @@ def test_syrk_built_real_levels_match_the_whole_product_formula(monkeypatch, law
         expected = np.triu(level_ratio_product_out_of_place(sample), 1)
         assert np.triu(_level_ratio_product(sample), 1).tobytes() == expected.tobytes()
         signed_zeros += np.count_nonzero((expected == 0.0) & np.signbit(expected))
-        # syrk writes numpy's A A^T into the upper triangle and diagonal and nothing below
-        block = sample.entries[:, k - 1, :]
-        buffer = np.full((m, m), -np.inf)
-        assert _syrk_upper(block, buffer)
+        # syrk, or the copy from numpy's product where the block is not BLAS-strided, writes
+        # numpy's A A^T into the upper triangle and diagonal and nothing below
         upper = np.triu_indices(m)
-        assert buffer[upper].tobytes() == (block @ block.T)[upper].tobytes()
-        assert np.all(buffer[np.tril_indices(m, -1)] == -np.inf)
-        assert not _syrk_upper(strided.entries[:, k - 1, :], buffer)
+        for block in (sample.entries[:, k - 1, :], strided.entries[:, k - 1, :]):
+            buffer = np.full((m, m), -np.inf)
+            _syrk_upper(block, buffer)
+            assert buffer[upper].tobytes() == (block @ block.T)[upper].tobytes()
+            assert np.all(buffer[np.tril_indices(m, -1)] == -np.inf)
     assert signed_zeros > 0 if law == "rademacher" else signed_zeros == 0
+
+
+def test_the_openblas_binding_is_all_or_nothing(monkeypatch):
+    gram = tensormp.gram
+    if gram._openblas() is None:
+        pytest.skip("this numpy carries no bundled OpenBLAS")
+    names = ("scipy_LAPACKE_dsyevd64_", "scipy_LAPACKE_zheevd64_", "scipy_cblas_dsyrk64_")
+
+    def library(*present):
+        """A stand-in for ctypes.CDLL whose library has only the calls present."""
+        return lambda path: types.SimpleNamespace(**{name: types.SimpleNamespace() for name in present})
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(gram.ctypes, "CDLL", library(*names))
+            gram._openblas.cache_clear()
+            calls = gram._openblas()
+            keys = (np.dtype(np.float64), np.dtype(np.complex128), "dsyrk")
+            assert set(calls) == set(keys) and [len(calls[key].argtypes) for key in keys] == [7, 7, 11]
+            for missing in names:  # the syrk among them
+                patch.setattr(gram.ctypes, "CDLL", library(*(name for name in names if name != missing)))
+                gram._openblas.cache_clear()
+                assert gram._openblas() is None
+    finally:
+        gram._openblas.cache_clear()
+    assert gram._openblas() is not None
+
+
+@pytest.mark.parametrize(
+    "models",
+    [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
+)
+@pytest.mark.parametrize("law", list(EntryLawKind))
+def test_a_replica_without_numpy_openblas_gets_the_same_bits(monkeypatch, law, models):
+    # m = 70 spans two whole row panels and a partial one; k = 3 mirrors a real level down
+    params = make_params(5, 3, 70 / 125, entry_law_kind=law, tau=two_point_tau(1.0, 2.0, 0.5, 70), seed=8)
+    sample = sample_base(params, 0)
+    assert params.sample_count == 70
+    spectra, d2 = model_spectra(sample, models)
+    monkeypatch.setattr(tensormp.gram, "_openblas", lambda: None)
+    fallback, fallback_d2 = model_spectra(sample, models)
+    assert {model: eigs.tobytes() for model, eigs in fallback.items()} == {
+        model: eigs.tobytes() for model, eigs in spectra.items()
+    }
+    assert (fallback_d2 is None and d2 is None) or fallback_d2.tobytes() == d2.tobytes()
 
 
 def _forged_real_valued_samples() -> list:
@@ -224,13 +268,14 @@ def test_the_covariance_step_reads_only_the_strict_lower_triangle(law):
     for sample in _forged_real_valued_samples() if law == "forged" else [_two_point_sample(law)]:
         params = sample.params
         fresh, solved = build_correlation_gram(sample), build_correlation_gram(sample)
+        fresh.setflags(write=True)
+        solved.setflags(write=True)
         built = fresh.copy()
         _solve_in_place(solved)
         assert solved.tobytes() != built.tobytes()
         left = solved.copy()
         d2 = _scale_to_covariance(fresh, sample)
         assert _scale_to_covariance(solved, sample).tobytes() == d2.tobytes()
-        assert not fresh.flags.writeable and not solved.flags.writeable
         if params.entry_law.unit_modulus:  # D = I by the law: each buffer is left as it is
             assert fresh.tobytes() == built.tobytes() and solved.tobytes() == left.tobytes()
             assert d2.tobytes() == np.ones(params.sample_count).tobytes()
@@ -320,14 +365,12 @@ def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
 )
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, models):
-    solves = []  # (buffer address, entries at the time of the solve, writeable flag after it)
+    solves = []  # (buffer address, entries at the time of the solve)
     solve = tensormp.gram._solve_in_place
 
     def recorded(gram):
-        address, entries = gram.__array_interface__["data"][0], gram.copy()
-        w = solve(gram)
-        solves.append((address, entries, gram.flags.writeable))
-        return w
+        solves.append((gram.__array_interface__["data"][0], gram.copy()))
+        return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
     tau = two_point_tau(1.0, 2.0, 0.5, 40)
@@ -338,11 +381,10 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
     unit = params.entry_law.unit_modulus
     both = len(models) == 2
     assert len(solves) == (1 if unit or not both else 2)  # D = I by the law: one matrix, one solve
-    assert len({address for address, *_ in solves}) == 1
-    assert not any(writeable for *_, writeable in solves)  # the buffer is read-only again after each solve
+    assert len({address for address, _ in solves}) == 1
     # each solve sees its model's Gram bitwise, so a covariance-only request never solves C
     solved_models = models if len(solves) == len(models) else models[:1]
-    for (_, entries, _), model in zip(solves, solved_models, strict=True):
+    for (_, entries), model in zip(solves, solved_models, strict=True):
         assert entries.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
     for model, eigs in spectra.items():
         assert eigs.tobytes() == np.linalg.eigvalsh(gram_out_of_place(sample, params.tau, model)).tobytes()

@@ -1,7 +1,9 @@
 """The Gram buffer stays behind `tensormp.gram`: the modules that run
-replicas reach it, and the one pass/fail rule in `tensormp.checks`, only
-through their public names. `tensormp.checks` sits below every other module,
-so it imports nothing from the package."""
+replicas reach it, the one pass/fail rule in `tensormp.checks` and the
+replica pipeline of `tensormp.experiments` only through their public names.
+`tensormp.checks` sits below every other module, so it imports nothing from
+the package, and `tensormp.gram` holds the one ctypes binding to numpy's
+OpenBLAS, so no other module imports ctypes."""
 
 import ast
 from pathlib import Path
@@ -12,7 +14,7 @@ import tensormp
 
 PACKAGE = Path(tensormp.__file__).resolve().parent
 ALLOWED_PRIVATE = {"_row_panels"}  # the sphere experiment's panel-wise Gram comparison
-GUARDED = ("gram", "checks")
+GUARDED = ("gram", "checks", "experiments")
 
 
 def _violations(path: Path) -> list[str]:
@@ -46,6 +48,17 @@ def _package_imports(path: Path) -> list[str]:
     return found
 
 
+def _ctypes_imports(path: Path) -> list[str]:
+    """Every import of path that names ctypes or a module inside it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        found += [f"line {node.lineno}: imports {name}" for name in names if name.split(".")[0] == "ctypes"]
+    return found
+
+
 @pytest.mark.parametrize("module", ["experiments.py", "cli.py"])
 def test_replica_runners_use_only_the_public_gram_surface(module):
     assert _violations(PACKAGE / module) == []
@@ -56,15 +69,19 @@ def test_the_boundary_check_sees_each_kind_of_violation(tmp_path):
     source.write_text(
         "from .gram import _row_panels, _scale_to_covariance, eigenvalues\n"
         "from .checks import Check, _private\n"
+        "from .experiments import evaluate_replica, _run\n"
         "from . import gram\n"
         "gram._PANEL_ROWS\n"
         "array.setflags(write=True)\n"
+        "experiments._check_levy_models\n"
     )
     assert _violations(source) == [
         "line 1: imports gram._scale_to_covariance",
         "line 2: imports checks._private",
-        "line 4: reads gram._PANEL_ROWS",
-        "line 5: calls setflags",
+        "line 3: imports experiments._run",
+        "line 5: reads gram._PANEL_ROWS",
+        "line 6: calls setflags",
+        "line 7: reads experiments._check_levy_models",
     ]
 
 
@@ -73,3 +90,10 @@ def test_checks_imports_nothing_from_the_package(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("import numpy as np\nfrom . import gram\nfrom .config import ModelKind\nimport tensormp.mp\n")
     assert _package_imports(source) == ["line 2: from . import", "line 3: from .config import", "line 4: import tensormp.mp"]
+
+
+def test_only_gram_imports_ctypes(tmp_path):
+    assert {path.name for path in PACKAGE.glob("*.py") if _ctypes_imports(path)} == {"gram.py"}
+    source = tmp_path / "probe.py"
+    source.write_text("import numpy, ctypes\nfrom ctypes import CDLL\nimport ctypes.util as u\nfrom .ctypes import x\n")
+    assert _ctypes_imports(source) == ["line 1: imports ctypes", "line 2: imports ctypes", "line 3: imports ctypes.util"]
