@@ -77,16 +77,22 @@ def _hermitize(product: np.ndarray, tau: np.ndarray, diag: np.ndarray) -> np.nda
     conjugation, so Hermitian symmetry is exact rather than approximate. The
     result is bitwise U + U^H with U = triu(sqrt(tau tau^T) * product, 1): the
     additions of zero reproduce that sum's signed zeros. It runs one row panel
-    at a time, so no temporary is larger than a panel.
+    at a time, so no temporary is larger than a panel. Both x * 1.0 and
+    x + zero are x for a finite x with no -0.0 part, so where every tau is 1
+    a panel with no such part skips both steps.
     """
     m = product.shape[0]
     zero = np.conj(np.zeros((), product.dtype))  # what U^H adds above the diagonal: +0, or +0 - 0j
+    weighted = not np.all(tau == 1.0)
     for start, stop in _row_panels(m):
         right = product[start:stop, start:]
-        np.multiply(np.sqrt(np.outer(tau[start:stop], tau[start:])), right, out=right)
+        unchanged = not weighted and right.view(np.int64).min() != _NEGATIVE_ZERO_BITS  # no -0.0 part
+        if not unchanged:
+            np.multiply(np.sqrt(np.outer(tau[start:stop], tau[start:])), right, out=right)
         upper = np.triu(product[start:stop, start:stop], 1)
         product[start:stop, start:stop] = upper + upper.conj().T
-        product[start:stop, stop:] += zero
+        if not unchanged:
+            product[start:stop, stop:] += zero
         lower = product[start:stop, :start]
         np.conjugate(product[:start, start:stop].T, out=lower)
         lower += 0.0
@@ -149,18 +155,20 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     Each factor has modulus <= 1 by Cauchy-Schwarz, which makes the k-fold
     product overflow-proof. For unit-modulus laws ||y^(l)||^2 = n almost
     surely, and the exact value n is used, so the covariance Gram of such a
-    law is this correlation Gram bitwise. The first level's ratio, numpy's
-    whole product, is the one m x m array every law holds. Each later
-    complex level is formed one row panel at a time, and each panel's rows
-    are bitwise those of the whole product (a trailing one-row panel, which
-    numpy forms by gemv, differs at most below the diagonal and on it, which
-    _hermitize overwrites). numpy forms a real A A^T by syrk, whose row
-    panels would differ in the last bit, so each later real level is written
-    by _syrk_upper into the array's upper triangle while the running product
-    waits in the strict lower one. Each row panel then multiplies a copy of
-    its lower columns into its normalized upper part and, before a further
-    level, is mirrored down by copies. Each level is normalized bitwise as
-    inner / den.
+    law is this correlation Gram bitwise. Each level is normalized bitwise as
+    inner / den, and the levels are multiplied in level order.
+
+    A complex level is formed only in each row panel's upper part
+    [start:stop, start:]: the first straight into the m x m array, each later
+    one into a reused panel. Those are bitwise the entries of numpy's whole
+    product (a trailing one-row panel, formed by gemv, is a diagonal entry,
+    which _hermitize overwrites), and the strict lower triangle is never
+    written. numpy forms a real A A^T by syrk, whose row panels would differ
+    in the last bit, so each later real level is written by _syrk_upper into
+    the array's upper triangle while the running product waits in the
+    strict lower one. Each row panel then multiplies a copy of its lower
+    columns into its normalized upper part and, before a further level, is
+    mirrored down by copies.
     """
     entries = sample.entries
     m, k, n = entries.shape
@@ -176,19 +184,25 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
         else:  # a real reciprocal multiply is not bitwise a division
             np.divide(rows, n, out=rows)
 
+    if np.iscomplexobj(entries):
+        product = np.empty((m, m), dtype=entries.dtype)
+        scratch = np.empty(min(_PANEL_ROWS, m) * m, dtype=entries.dtype)  # contiguous: faster passes
+        for level in range(k):
+            adjoint = entries[:, level, :].conj().T
+            for start, stop in _row_panels(m):
+                upper = product[start:stop, start:]
+                rows = scratch[: upper.size].reshape(upper.shape) if level else upper
+                np.matmul(entries[start:stop, level, :], adjoint[:, start:], out=rows)
+                normalize(rows, start, stop, level, start)
+                if level:
+                    upper *= rows
+        return product
     first = entries[:, 0, :]
-    product = first @ first.conj().T  # the conjugate of a real block is the block itself: numpy's syrk
+    product = first @ first.T  # numpy's syrk
     for start, stop in _row_panels(m):
         normalize(product[start:stop], start, stop, 0)
     for level in range(1, k):
         block = entries[:, level, :]
-        if np.iscomplexobj(block):
-            adjoint = block.conj().T
-            for start, stop in _row_panels(m):
-                rows = block[start:stop] @ adjoint
-                normalize(rows, start, stop, level)
-                product[start:stop] *= rows
-            continue
         _syrk_upper(block, product)
         for start, stop in _row_panels(m):
             running = product[start:, start:stop].T.copy()  # read before the panel's rows are written

@@ -75,16 +75,16 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _hash(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    # uint32 array times a Python int below 2**32 stays uint32 and wraps
+def _hash(value, const: int, mult: int):
+    # a Python int below 2**32 or a uint32 array, which wraps by itself
     value = value ^ const
     const = (const * mult) & _MASK32
-    value = value * const
+    value = value * const & _MASK32
     return value ^ (value >> 16), const
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+def _mix(x, y):
+    out = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
     return out ^ (out >> 16)
 
 
@@ -94,14 +94,15 @@ def _philox_keys(seed: int, replica: int, m: int, k: int) -> np.ndarray:
     Entry [alpha, level] equals ``SeedSequence(entropy=seed, spawn_key=(replica,
     alpha, level)).generate_state(2, np.uint64)``: the entropy is the seed's
     words zero-padded to the pool size, then the replica's words, then alpha,
-    then level. Every word is an (m, k) uint32 array, so no stream is looped
-    over and all wrapping arithmetic is array arithmetic.
+    then level. The seed and replica words, the same for every key, are
+    hashed and mixed once as Python ints; the pool becomes an (m, 1) uint32
+    array at the alpha word and an (m, k) one at the level word.
     """
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
-    alpha, level = np.indices((m, k), dtype=np.uint32)
-    entropy = [np.full((m, k), word, dtype=np.uint32) for word in run + _uint32_words(replica)]
-    entropy += [alpha, level]
+    alpha = np.arange(m, dtype=np.uint32)[:, None]
+    level = np.arange(k, dtype=np.uint32)
+    entropy = run + _uint32_words(replica) + [alpha, level]
 
     const = _INIT_A
     pool = []
@@ -126,21 +127,29 @@ def _philox_keys(seed: int, replica: int, m: int, k: int) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
+def _u64(*values: int) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(value, dtype=np.uint64) for value in values)
+
+
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-# SC'11), the bijection behind numpy's Philox: round multipliers, key bumps
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# SC'11), the bijection behind numpy's Philox: round multipliers, each with its
+# 32-bit halves, and key bumps; 0-d arrays are cheaper operands than Python ints
+_PHILOX_M0, _PHILOX_M1 = (_u64(c, c & _MASK32, c >> 32) for c in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W0, _PHILOX_W1 = _u64(0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_LOW32, _SHIFT32 = _u64(_MASK32, 32)
 
 
-def _mulhilo(const: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products const * x over a uint64 array,
-    the high word through 32-bit halves (every wrap happens on arrays)."""
-    c_lo, c_hi = const & _MASK32, const >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    lh, hl = x_hi * c_lo, x_lo * c_hi
-    carry = ((x_lo * c_lo >> 32) + (lh & _MASK32) + (hl & _MASK32)) >> 32
-    return x_hi * c_hi + (lh >> 32) + (hl >> 32) + carry, x * const
+def _mulhilo(const: tuple[np.ndarray, ...], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products c * x over a uint64 array,
+    for const = (c, cl, ch): with x = xh 2**32 + xl and c = ch 2**32 + cl,
+    the high word is xh ch + (u >> 32) + (v >> 32) for u = xl ch + (xl cl >> 32)
+    and v = xh cl + (u & 0xFFFFFFFF), and no partial sum reaches 2**64."""
+    c, c_lo, c_hi = const
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    u = (x_lo * c_lo >> _SHIFT32) + x_lo * c_hi
+    v = (u & _LOW32) + x_hi * c_lo
+    return x_hi * c_hi + (u >> _SHIFT32) + (v >> _SHIFT32), x * c
 
 
 def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
@@ -150,14 +159,15 @@ def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
     The generator increments its counter before it generates, so block j
     (j = 1..blocks) is the ten-round bijection of counter (j, 0, 0, 0) under
     the key: all blocks of all keys are one array pass, with no re-keying.
+    Round 0 multiplies the counters alone, once for every key, and skips the
+    zero x2 word.
     """
     shape = keys.shape[:-1] + (blocks,)
     key0, key1 = keys[..., :1], keys[..., 1:]
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0, key1 = key0 + _PHILOX_W0, key1 + _PHILOX_W1
+    hi0, lo0 = _mulhilo(_PHILOX_M0, np.arange(1, blocks + 1, dtype=np.uint64))
+    x0, x1, x2, x3 = np.broadcast_to(key0, shape), 0, hi0 ^ key1, lo0
+    for _ in range(1, _PHILOX_ROUNDS):
+        key0, key1 = key0 + _PHILOX_W0, key1 + _PHILOX_W1
         hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, x2)
         x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
@@ -186,7 +196,9 @@ def _transform(law: EntryLaw, raw: np.ndarray) -> np.ndarray:
 
     ``raw`` has the layout of ``_raw_shape`` (complex Gaussian: re/im planes on
     axis 0, possibly a strided view). Each law allocates at most the complex
-    output and one float temporary.
+    output and one float temporary. The unit circle's cos and sin are written
+    into the output's parts: bitwise 1j * sin + cos, which only a -0.0 sine
+    would tell apart, and no angle 2 pi u, u >= 0, has one.
     """
     kind = law.kind
     if kind is EntryLawKind.COMPLEX_GAUSSIAN:
@@ -202,8 +214,9 @@ def _transform(law: EntryLaw, raw: np.ndarray) -> np.ndarray:
         return raw
     theta = raw
     theta *= 2.0 * np.pi
-    z = np.multiply(1j, np.sin(theta))
-    z += np.cos(theta)
+    z = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
     return z
 
 

@@ -1,5 +1,5 @@
-"""Shared test fixtures: forged samples with hand-chosen entries, and the
-covariance Gram as model_spectra solves it."""
+"""Shared test fixtures: forged samples with hand-chosen entries, the
+covariance Gram as model_spectra solves it, and the plain Levy bisection."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from tensormp.config import make_params
 from tensormp.gram import _scale_to_covariance, build_correlation_gram
+from tensormp.metrics import LEVY_TOL, _canonical, _levy_feasible, _steps, ks_distance
 from tensormp.sampling import BaseSample
 
 
@@ -28,3 +29,23 @@ def covariance_gram(sample: BaseSample) -> np.ndarray:
     gram.setflags(write=True)
     _scale_to_covariance(gram, sample)
     return gram
+
+
+def levy_bisection(f, g) -> float:
+    """metrics.levy_distance as a plain bisection, every mid decided by the
+    package's own feasibility scan: the reference that the limit-law
+    distance's verified bracket must reproduce bitwise (it shares the scan,
+    so it is no independent oracle; see oracles.levy_bruteforce)."""
+    f, g = _canonical(f, g)
+    hi = ks_distance(f, g)
+    if hi == 0.0:
+        return 0.0
+    lo = 0.0
+    at, before = _steps(f)
+    while hi - lo > LEVY_TOL:
+        mid = 0.5 * (lo + hi)
+        if _levy_feasible(f, at, before, g, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

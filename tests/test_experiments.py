@@ -14,6 +14,7 @@ import tensormp.cli
 import tensormp.experiments
 import tensormp.gram
 import tensormp.mp
+from helpers import levy_bisection
 from oracles import gram_out_of_place
 from tensormp.checks import Check, require
 from tensormp.cli import main, read_eigenvalue_csv
@@ -34,11 +35,12 @@ from tensormp.experiments import (
     schedule_k,
     selftest,
     sweep_plan_from_json,
+    sweep_rows,
 )
 from tensormp.gram import eigenvalues, esd, model_spectra, tensor_vector
 from tensormp.metrics import EmpiricalCDF, empirical_moment, ks_distance, levy_distance, levy_distance_trace_bound
 from tensormp.mp import MPLaw
-from tensormp.sampling import sample_base
+from tensormp.sampling import BaseSample, _draw, _stream, sample_base
 
 
 def test_k_schedules():
@@ -339,6 +341,31 @@ def test_levy_models_stays_within_the_trace_bound_on_the_workload_plans(monkeypa
             assert record.levy_models == 0.0 and bound == 0.0
         else:
             assert record.levy_models**4 < bound  # by a wide margin at these sizes
+
+
+def _per_key_sample(params, replica):
+    """sample_base's reference: one freshly keyed generator per level vector."""
+    seed, law, n = params.seed, params.entry_law, params.n
+    vectors = [
+        [_draw(law, _stream(seed, replica, alpha, level), n) for level in range(params.k)]
+        for alpha in range(params.sample_count)
+    ]
+    entries = np.array(vectors)
+    entries.setflags(write=False)
+    return BaseSample(entries=entries, params=params, replica=replica)
+
+
+def test_the_workload_plans_give_the_reference_paths_bytes(monkeypatch):
+    # every fast path of a replica (keyed sampling, the in-place Gram, the Levy bracket) against
+    # the slow reference it must reproduce bitwise, on one machine and BLAS thread count
+    def rows():
+        return [repr(sweep_rows(run_sweep(sweep_plan_from_json({**WORKLOADS[name]["plan"], "seed": 4})))) for name in sorted(WORKLOADS)]
+
+    shipped = rows()
+    monkeypatch.setattr(tensormp.experiments, "sample_base", _per_key_sample)
+    monkeypatch.setattr(tensormp.gram, "build_correlation_gram", lambda s: gram_out_of_place(s, s.params.tau, ModelKind.CORRELATION))
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", levy_bisection)
+    assert rows() == shipped
 
 
 @pytest.mark.parametrize("tau", ["constant_one", {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}])

@@ -158,10 +158,14 @@ def test_in_place_solve_is_eigvalsh_bitwise_and_keeps_the_strict_lower_triangle(
 
 
 @pytest.mark.parametrize("law", ["complex_gaussian", "unit_circle"])
-@pytest.mark.parametrize("m", [96, 97, 98])  # m = 0, 1 and 2 (mod 32): whole, 1-row and 2-row last panels
-def test_panel_built_levels_match_the_whole_product_formula(law, m):
-    assert m % _PANEL_ROWS in (0, 1, 2)
-    tau = two_point_tau(1.0, 2.0, 0.5, m)
+@pytest.mark.parametrize(  # one panel; last panels of 31, 32, 1 and 2 rows; tau = 1 skips _hermitize's multiply
+    "m, weights",
+    [pytest.param(m, "two_point", id=str(m)) for m in (1, 2, 31, 32, 33, 96, 97, 98)]
+    + [pytest.param(m, "constant_one", id=f"{m}-constant_one") for m in (1, 2, 31, 32, 33, 96, 97, 98)],
+)
+def test_panel_built_levels_match_the_whole_product_formula(law, m, weights):
+    assert m % _PANEL_ROWS in (0, 1, 2, 31)
+    tau = two_point_tau(1.0, 2.0, 0.5, m) if weights == "two_point" and m > 1 else "constant_one"
     params = make_params(5, 3, m / 125, entry_law_kind=law, tau=tau, seed=m)
     sample = sample_base(params, 0)
     assert params.sample_count == m
@@ -313,6 +317,27 @@ def test_reciprocal_division_keeps_numpy_signed_zeros():
     sample = forged_sample(entries, law_kind="unit_circle")
     expected = gram_out_of_place(sample, sample.params.tau, ModelKind.CORRELATION)
     assert build_correlation_gram(sample).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("weights", ["two_point", "constant_one"])
+def test_hermitize_is_its_formula_bitwise_with_signed_zero_parts(dtype, weights):
+    # with every tau 1 the sqrt(tau_a tau_b) multiply is skipped, except in a complex row panel
+    # that holds a -0.0 part, which 1 + 0j would turn into +0.0
+    m = 2 * _PANEL_ROWS + 3
+    parts = np.array([0.0, -0.0, 1.5, -1.5, 0.25])
+    rng = np.random.Generator(np.random.Philox(3))
+    product = np.zeros((m, m), dtype)
+    product.real = rng.choice(parts, (m, m))
+    if np.iscomplexobj(product):
+        product.imag = rng.choice(parts, (m, m))
+        product[_PANEL_ROWS:, :] = np.abs(product[_PANEL_ROWS:, :]) + 1j  # panels with no -0.0 part
+        assert np.count_nonzero(np.signbit(product.real) & (product.real == 0.0)) > 0
+    tau = (two_point_tau(1.0, 2.0, 0.5, m) if weights == "two_point" else explicit_tau(np.ones(m))).as_array()
+    upper = np.triu(np.sqrt(np.outer(tau, tau)) * product, 1)
+    expected = upper + upper.conj().T
+    expected[np.diag_indices(m)] = tau
+    assert tensormp.gram._hermitize(product.copy(), tau, tau).tobytes() == expected.tobytes()
 
 
 def _hermitian_spanning_panels(dtype):

@@ -1,12 +1,18 @@
 """Distribution distances and the executable matrix identities."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tensormp.metrics
+from helpers import levy_bisection
 from oracles import ks_law_scan, levy_bruteforce, levy_law_scan, mp_moment_closed_form
 from tensormp import mp
 from tensormp.config import make_params
-from tensormp.gram import build_correlation_gram, eigenvalues, esd
+from tensormp.experiments import sweep_plan_from_json
+from tensormp.gram import build_correlation_gram, eigenvalues, esd, model_spectra
 from tensormp.metrics import (
     EmpiricalCDF,
     column_normalization_identity,
@@ -43,6 +49,13 @@ def test_empirical_cdf_validation():
         EmpiricalCDF(np.array([0.0, 1.0]), np.array([0.7, 0.5]))
     with pytest.raises(ValueError):
         EmpiricalCDF(np.array([0.0]), np.array([0.9]))
+    # non-finite input, which comparisons that fail open on NaN used to accept
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        EmpiricalCDF(np.array([0.5, np.nan]), np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        EmpiricalCDF(np.array([0.5, np.inf]), np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="cumulative must be"):
+        EmpiricalCDF(np.array([0.5, 1.0, 2.0]), np.array([0.5, np.nan, 1.0]))
 
 
 def test_mp_law_evaluate_and_left_limit_keep_the_atom():
@@ -230,3 +243,89 @@ def test_distances_to_the_law_match_a_dense_quadpack_scan():
     # a scan-feasible eps is within one grid spacing of truly feasible
     assert scan - 1e-8 <= levy <= scan + spacing + 1e-8
     assert 0.0 < levy <= ks
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+
+
+def _plan_cdfs(name, seeds):
+    """(F, law) of every replica of a benchmark workload's plan at each seed."""
+    plan_doc = json.loads(WORKLOADS.read_text())[name]["plan"]
+    out = []
+    for seed in seeds:
+        for params in sweep_plan_from_json({**plan_doc, "seed": seed}).points:
+            law = mp.MPLaw.from_ratio(params.c)
+            for replica in range(params.replicas):
+                spectra, _ = model_spectra(sample_base(params, replica), (params.model,))
+                out.append((EmpiricalCDF.from_spectral(esd(spectra[params.model], params.ambient_dim)), law))
+    return out
+
+
+@pytest.fixture(scope="module")
+def plan_cdfs():
+    """108 replicas: fold_pool_uc at seeds 1-3 and sweep_c05 at seed 1.
+    point_real_tp has two-point tau, so no limit law to measure against."""
+    return {"fold_pool_uc": _plan_cdfs("fold_pool_uc", (1, 2, 3)), "sweep_c05": _plan_cdfs("sweep_c05", (1,))}
+
+
+def test_levy_to_the_law_replays_the_bisection_bitwise_on_the_plans(plan_cdfs, monkeypatch):
+    cases = plan_cdfs["fold_pool_uc"] + plan_cdfs["sweep_c05"]
+    assert len(cases) >= 100
+    for f, law in cases:
+        assert levy_distance(f, law) == levy_bisection(f, law)
+    # the verified bracket spares the scans: about 20 per distance for the plain bisection
+    calls = []
+    scan = tensormp.metrics._levy_feasible
+    monkeypatch.setattr(tensormp.metrics, "_levy_feasible", lambda *args: calls.append(args) or scan(*args))
+    for f, law in plan_cdfs["fold_pool_uc"]:
+        levy_distance(f, law)
+    assert len(calls) <= 3 * len(plan_cdfs["fold_pool_uc"])
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda e: 0.5 * e,
+        lambda e: 1.5 * e,
+        lambda e: e + 3e-13,
+        lambda e: e - 3e-13,
+        lambda e: e + 1e-12,
+        lambda e: e - 1e-12,
+        lambda e: 0.0,
+        lambda e: -e,
+        lambda e: 1e6 * e,
+        lambda e: np.inf,
+        lambda e: np.nan,
+    ],
+)
+def test_a_wrong_levy_estimate_costs_scans_not_bits(plan_cdfs, monkeypatch, wrong):
+    estimate = tensormp.metrics._levy_estimate
+    monkeypatch.setattr(tensormp.metrics, "_levy_estimate", lambda *args: wrong(estimate(*args)))
+    for f, law in plan_cdfs["fold_pool_uc"][:8] + plan_cdfs["sweep_c05"][::3]:
+        assert levy_distance(f, law) == levy_bisection(f, law)
+
+
+def _edge_cdfs(rng, law):
+    """Step functions that put breakpoints where the estimate's branches
+    change: below lambda_minus, on the support, above lambda_plus, at 0 with
+    an atom, a single atom, and the ESD of an m > N sample."""
+    low, high = law.lambda_minus, law.lambda_plus
+    cdfs = [EmpiricalCDF(np.array([x]), np.array([1.0])) for x in (0.0, 0.5 * low, low, 0.5 * (low + high), high + 0.3)]
+    for _ in range(6):
+        points = np.unique(np.concatenate([[0.0], rng.uniform(-0.3, high + 1.0, int(rng.integers(1, 25)))]))
+        cumulative = np.sort(rng.uniform(0.0, 1.0, points.size))
+        cumulative[-1] = 1.0
+        cdfs.append(EmpiricalCDF(points, cumulative))
+    for m, ambient in ((30, 40), (40, 40), (60, 40), (7, 3)):
+        x = rng.standard_normal((ambient, m))
+        eigs = np.linalg.eigvalsh(x.T @ x / ambient)
+        cdfs.append(EmpiricalCDF.from_spectral(esd(np.where(eigs < 1e-9, 0.0, eigs), ambient)))
+    return cdfs
+
+
+@pytest.mark.parametrize("c", [0.05, 0.3, 1.0, 2.5])  # c < 1: an atom at 0; c = 1: lambda_minus = 0; c > 1: no atom
+def test_levy_to_the_law_replays_the_bisection_on_edge_cases(c):
+    rng = np.random.Generator(np.random.Philox(int(c * 100)))
+    law = mp.MPLaw.from_ratio(c)
+    for f in _edge_cdfs(rng, law):
+        assert levy_distance(f, law) == levy_bisection(f, law)

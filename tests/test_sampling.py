@@ -19,6 +19,7 @@ from tensormp.sampling import (
     _draw,
     _philox_keys,
     _stream,
+    _transform,
     norm_moment_check,
     norm_profile,
     sample_base,
@@ -59,7 +60,7 @@ def test_repeat_draw_is_bitwise_identical():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
-@pytest.mark.parametrize("replica", [0, 3, _SPHERE_STREAM_OFFSET + 2])
+@pytest.mark.parametrize("replica", [0, 3, _SPHERE_STREAM_OFFSET + 2, 2**32 + 7])  # the last has two words
 def test_philox_keys_match_seed_sequence(seed, replica):
     keys = _philox_keys(seed, replica, 9, 3)
     assert keys.shape == (9, 3, 2) and keys.dtype == np.uint64
@@ -111,6 +112,16 @@ def test_concurrent_sample_base_calls_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_unit_circle_transform_is_the_sin_cos_sum_bitwise():
+    # the angles of both sampling paths are 2 pi u with u >= 0; the edges, and a random spread
+    rng = np.random.Generator(np.random.Philox(8))
+    u = np.concatenate([[0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53], rng.random(4096)])
+    theta = u * (2.0 * np.pi)
+    expected = np.multiply(1j, np.sin(theta)) + np.cos(theta)
+    law = make_params(2, 1, 0.5, entry_law_kind="unit_circle").entry_law
+    assert _transform(law, u.copy()).tobytes() == expected.tobytes()
 
 
 def test_unit_circle_support():
