@@ -8,14 +8,11 @@ from .config import (
     ModelParams,
     TauKind,
     TauScheme,
-    constant_tau,
     entry_law,
-    explicit_tau,
     make_params,
     make_tau,
     params_from_json,
     params_to_json,
-    two_point_tau,
 )
 from .sampling import (
     BaseSample,
@@ -46,11 +43,8 @@ from .metrics import (
     levy_distance_trace_bound,
 )
 from .experiments import (
-    FixedK,
-    PowerK,
     SweepPlan,
     SweepResult,
-    make_sweep_plan,
     run_convergence,
     run_sphere_model,
     run_sweep,

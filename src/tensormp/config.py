@@ -71,8 +71,8 @@ class TauKind(str, enum.Enum):
 class TauScheme:
     """A materialized sequence of positive weights, one per sample vector.
 
-    ``two_point`` keeps the generating (a, b, weight) triple when the scheme
-    was built by :func:`two_point_tau`, so serialization round-trips exactly.
+    ``two_point`` keeps the generating (a, b, weight) triple of a two-point
+    scheme built by :func:`make_tau`, so serialization round-trips exactly.
     """
 
     kind: TauKind
@@ -96,29 +96,6 @@ class TauScheme:
     @property
     def is_constant_one(self) -> bool:
         return all(v == 1.0 for v in self.values)
-
-
-def constant_tau(m: int) -> TauScheme:
-    return TauScheme(TauKind.CONSTANT_ONE, (1.0,) * m)
-
-
-def two_point_tau(a: float, b: float, weight: float, m: int) -> TauScheme:
-    """First floor(weight*m) weights equal a, the rest equal b.
-
-    The fill is deterministic on purpose: no randomness enters the weights, so
-    their empirical moments are exact rational functions of (a, b, weight).
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("two-point values must be positive")
-    if not 0.0 < weight < 1.0:
-        raise ValueError("two-point weight must lie in (0, 1)")
-    na = int(math.floor(weight * m))
-    values = (float(a),) * na + (float(b),) * (m - na)
-    return TauScheme(TauKind.TWO_POINT, values, two_point=(float(a), float(b), float(weight)))
-
-
-def explicit_tau(values) -> TauScheme:
-    return TauScheme(TauKind.EXPLICIT, tuple(float(v) for v in values))
 
 
 _TAU_KEYS = {
@@ -172,32 +149,37 @@ def json_numbers(doc: dict, key: str, what: str, kind: type = float) -> list:
 
 
 def make_tau(scheme, m: int) -> TauScheme:
-    """Materialize a tau scheme of length m from a short description.
+    """Materialize a tau document to a scheme of length m.
 
     Accepted forms: ``"constant_one"``, ``{"kind": "constant_one"}``,
     ``{"kind": "two_point", "a": .., "b": .., "weight": ..}``, and
     ``{"kind": "explicit", "values": [..]}`` (values must have length m).
-    A TauScheme passes through unchanged after a length check.
+    The two-point fill is deterministic on purpose: the first
+    floor(weight*m) weights equal a and the rest b, so no randomness enters
+    the weights and their empirical moments are exact rational functions of
+    (a, b, weight).
     """
     if m < 1:
         raise ValueError("tau length must be at least 1")
-    if isinstance(scheme, TauScheme):
-        if len(scheme) != m:
-            raise ValueError(f"tau scheme has length {len(scheme)}, expected {m}")
-        return scheme
     if isinstance(scheme, str):
         scheme = {"kind": scheme}
     check_keys(scheme, "tau", ("kind",), ("a", "b", "weight", "values"))
     kind = TauKind(scheme["kind"])
     check_keys(scheme, f"{kind.value} tau", _TAU_KEYS[kind])
     if kind is TauKind.CONSTANT_ONE:
-        return constant_tau(m)
+        return TauScheme(kind, (1.0,) * m)
     if kind is TauKind.TWO_POINT:
-        return two_point_tau(*(json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight")), m)
+        a, b, weight = (json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight"))
+        if a <= 0 or b <= 0:
+            raise ValueError("two-point values must be positive")
+        if not 0.0 < weight < 1.0:
+            raise ValueError("two-point weight must lie in (0, 1)")
+        na = math.floor(weight * m)
+        return TauScheme(kind, (a,) * na + (b,) * (m - na), two_point=(a, b, weight))
     values = json_numbers(scheme, "values", "explicit tau")
     if len(values) != m:
         raise ValueError(f"explicit tau has length {len(values)}, expected {m}")
-    return explicit_tau(values)
+    return TauScheme(kind, tuple(values))
 
 
 def ambient_dim(n: int, k: int) -> int:
@@ -213,10 +195,14 @@ def ambient_dim(n: int, k: int) -> int:
 
 
 def sample_count(c: float, dim: int) -> int:
-    """Deterministic rounding m = floor(c*N + 0.5) of the target ratio."""
+    """Deterministic rounding m = floor(c*N + 0.5) of the target ratio; the
+    rounding is done in float64, so c*N + 0.5 must stay below 2^53 as N does."""
     if not (c > 0 and math.isfinite(c)):
         raise ValueError("target ratio c must be positive and finite")
-    m = int(math.floor(c * dim + 0.5))
+    scaled = c * dim + 0.5
+    if not scaled < MAX_AMBIENT_DIM:
+        raise ValueError(f"sample count c*N + 0.5 = {scaled:g} is not below 2^53")
+    m = int(math.floor(scaled))
     if m < 1:
         raise ValueError("sample count rounds to zero; increase c or the dimensions")
     return m
@@ -224,9 +210,9 @@ def sample_count(c: float, dim: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full configuration of one experiment point, checked once here: n^k fits
-    a float64 exactly, m rounds to at least 1, tau has length m, and the seed
-    and replica count are in range."""
+    """Full configuration of one experiment point, checked once here: n, k,
+    seed and replicas are integers, n^k fits a float64 exactly, m rounds to at
+    least 1, tau has length m, and the seed and replica count are in range."""
 
     n: int
     k: int
@@ -238,6 +224,10 @@ class ModelParams:
     replicas: int = 1
 
     def __post_init__(self):
+        for name in ("n", "k", "seed", "replicas"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"ModelParams field {name!r} must be an integer, got {value!r}")
         dim = ambient_dim(self.n, self.k)
         m = sample_count(self.c, dim)
         if len(self.tau) != m:

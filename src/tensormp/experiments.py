@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +50,7 @@ from .metrics import (
     levy_distance,
     levy_distance_trace_bound,
 )
-from .sampling import norm_moment_check, norm_profile, sample_base
+from .sampling import _draw, _stream, norm_moment_check, norm_profile, sample_base
 
 # regression bounds frozen from the first calibration run (measured mean
 # times 1.5); see the acceptance suite
@@ -59,30 +60,6 @@ COMPARISON_LEVY_BOUND = 0.016  # mean coupled Levy distance at the same point, t
 _SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs
 
 SWEEP_COLUMNS = ("n", "k", "m", "N", "c", "replica", "ks_mp", "levy_mp", "levy_models", "m1", "m2", "m3", "m4_emp", "ms")
-
-
-@dataclass(frozen=True)
-class FixedK:
-    k: int
-
-
-@dataclass(frozen=True)
-class PowerK:
-    """k = ceil(n^gamma) with gamma in (0, 1), so k/n -> 0 along a sweep."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-
-
-def schedule_k(schedule, n: int) -> int:
-    if isinstance(schedule, FixedK):
-        return schedule.k
-    if isinstance(schedule, PowerK):
-        return max(1, math.ceil(n**schedule.gamma))
-    raise TypeError(f"unknown k schedule {schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -99,25 +76,26 @@ class SweepPlan:
             raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
 
 
-def make_sweep_plan(ns, *, k_schedule=FixedK(2), replicas: int = 5, **point) -> SweepPlan:
-    """One point per n, with k = schedule_k(k_schedule, n); ``point`` holds
-    make_params's other keywords (c, model, entry_law_kind, tau, seed)."""
-    return SweepPlan(points=tuple(make_params(n, schedule_k(k_schedule, n), replicas=replicas, **point) for n in ns))
-
-
 _K_SCHEDULE_KEYS = {"fixed": ("kind", "k"), "power": ("kind", "gamma")}
 
 
-def _k_schedule_from_json(doc) -> FixedK | PowerK:
+def _k_schedule_from_json(doc) -> Callable[[int], int]:
+    """k as a function of n under a grid plan's k_schedule: a fixed k (2 when
+    the document is absent), or k = ceil(n^gamma) with gamma in (0, 1), so
+    that k/n -> 0 along a sweep."""
     if doc is None:
-        return FixedK(2)
+        return lambda n: 2
     check_keys(doc, "k_schedule", ("kind",), ("k", "gamma"))
     if doc["kind"] not in _K_SCHEDULE_KEYS:
         raise ValueError(f"unknown k_schedule {doc!r}")
     check_keys(doc, f"{doc['kind']} k_schedule", _K_SCHEDULE_KEYS[doc["kind"]])
     if doc["kind"] == "power":
-        return PowerK(json_number(doc, "gamma", "power k_schedule"))
-    return FixedK(json_number(doc, "k", "fixed k_schedule", int))
+        gamma = json_number(doc, "gamma", "power k_schedule")
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"power k_schedule key 'gamma' must lie in (0, 1), got {gamma!r}")
+        return lambda n: max(1, math.ceil(n**gamma))
+    k = json_number(doc, "k", "fixed k_schedule", int)
+    return lambda n: k
 
 
 def sweep_plan_from_json(doc: dict) -> SweepPlan:
@@ -136,9 +114,9 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
     else:
         optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
         check_keys(doc, "sweep plan", ("ns", "c"), optional)
-        schedule = _k_schedule_from_json(doc.get("k_schedule"))
+        k_of_n = _k_schedule_from_json(doc.get("k_schedule"))
         shared = {key: value for key, value in doc.items() if key not in ("ns", "k_schedule", "out")}
-        points = [{**shared, "n": n, "k": schedule_k(schedule, n)} for n in json_numbers(doc, "ns", "sweep plan", int)]
+        points = [{**shared, "n": n, "k": k_of_n(n)} for n in json_numbers(doc, "ns", "sweep plan", int)]
     replicas = json_number(doc, "replicas", "sweep plan", int, default=5)
     points = tuple(params_from_json({"replicas": replicas, **point}) for point in points)
     for index, point in enumerate(points):
@@ -447,7 +425,7 @@ def _check_unit_modulus_collapse(seed: int) -> Check:
 
 
 def _check_column_identity(seed: int) -> Check:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1,))))
+    rng = _stream(seed, 1)
     gaps = []
     for _ in range(100):
         n = int(rng.integers(2, 9))
@@ -460,7 +438,7 @@ def _check_column_identity(seed: int) -> Check:
 
 
 def _check_levy_bound(seed: int) -> Check:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(2,))))
+    rng = _stream(seed, 2)
     gaps, bounds = [], []
     for _ in range(100):
         a = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
@@ -472,7 +450,7 @@ def _check_levy_bound(seed: int) -> Check:
 
 
 def _check_levy_ks_domination(seed: int) -> Check:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(3,))))
+    rng = _stream(seed, 3)
     gaps, bounds = [], []
     for _ in range(50):
         na, nb = int(rng.integers(1, 12)), int(rng.integers(1, 12))
@@ -508,8 +486,6 @@ def _check_mp_cdf_monotone(_: int) -> Check:
 
 
 def _check_entry_laws(seed: int) -> Check:
-    from .sampling import _draw, _stream
-
     gaps, bounds = [], []
     trials = 1_000_000
     for index, kind in enumerate(EntryLawKind):

@@ -44,7 +44,6 @@ class BaseSample:
 
     entries: np.ndarray
     params: ModelParams
-    replica: int
 
     def __post_init__(self):
         expected = (self.params.sample_count, self.params.k, self.params.n)
@@ -292,7 +291,7 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
         raw = _rekeyed_raw(law, keys, params.n)
     entries = _transform(law, raw)
     entries.setflags(write=False)
-    return BaseSample(entries=entries, params=params, replica=replica_index)
+    return BaseSample(entries=entries, params=params)
 
 
 def norm_profile(sample: BaseSample) -> np.ndarray:

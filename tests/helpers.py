@@ -18,7 +18,7 @@ def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
     params = make_params(n, k, m / n**k, entry_law_kind=law_kind, seed=seed)
     assert params.sample_count == m
     entries.setflags(write=False)
-    return BaseSample(entries=entries, params=params, replica=0)
+    return BaseSample(entries=entries, params=params)
 
 
 def covariance_gram(sample: BaseSample) -> np.ndarray:

@@ -21,10 +21,10 @@ from tensormp.config import ModelKind, make_params
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     CONVERGENCE_KS_BOUND,
-    make_sweep_plan,
     run_convergence,
     run_sphere_model,
     run_sweep,
+    sweep_plan_from_json,
 )
 from tensormp.gram import (
     build_correlation_gram,
@@ -44,7 +44,7 @@ def _criterion(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def convergence():
-    plan = make_sweep_plan([10, 20, 30], c=0.5, seed=0, replicas=5)
+    plan = sweep_plan_from_json({"ns": [10, 20, 30], "c": 0.5, "seed": 0, "replicas": 5})
     start = time.perf_counter()
     result = run_convergence(plan)
     elapsed = time.perf_counter() - start
@@ -170,14 +170,14 @@ def test_criterion_07_convergence_to_the_limit_law(convergence):
 
 
 def test_criterion_08_model_comparison():
-    plan = make_sweep_plan([10, 30], c=0.5, seed=0, replicas=5)
+    plan = sweep_plan_from_json({"ns": [10, 30], "c": 0.5, "seed": 0, "replicas": 5})
     result = run_sweep(plan)
     summaries = {s.params.n: s for s in result.summaries()}
     levy_10 = summaries[10].levy_models_mean
     levy_30 = summaries[30].levy_models_mean
     zeros_ok = True
     for law in ("rademacher", "unit_circle"):
-        unit_plan = make_sweep_plan([10], c=0.5, entry_law_kind=law, seed=0, replicas=3)
+        unit_plan = sweep_plan_from_json({"ns": [10], "c": 0.5, "entry_law": law, "seed": 0, "replicas": 3})
         zeros_ok &= all(r.levy_models == 0.0 for r in run_sweep(unit_plan).records)
     _criterion(
         8,

@@ -10,14 +10,11 @@ from tensormp.config import (
     ModelKind,
     TauKind,
     ambient_dim,
-    constant_tau,
     entry_law,
-    explicit_tau,
     make_params,
     make_tau,
     params_from_json,
     params_to_json,
-    two_point_tau,
 )
 from tensormp.sampling import _draw, _stream
 
@@ -73,36 +70,55 @@ def test_seed_and_replica_bounds():
     with pytest.raises(ValueError):
         make_params(4, 2, 0.5, replicas=0)
     make_params(4, 2, 0.5, seed=2**64 - 1)
+    # the fields a run indexes with must be integers, whatever their value
+    with pytest.raises(ValueError, match=r"ModelParams field 'n' must be an integer, got 6\.5"):
+        make_params(6.5, 2, 0.5)
+    with pytest.raises(ValueError, match=r"ModelParams field 'k' must be an integer, got 2\.0"):
+        make_params(4, 2.0, 0.5)
+    with pytest.raises(ValueError, match=r"ModelParams field 'seed' must be an integer, got 1\.5"):
+        make_params(4, 2, 0.5, seed=1.5)
+    with pytest.raises(ValueError, match=r"ModelParams field 'replicas' must be an integer, got 2\.5"):
+        make_params(4, 2, 0.5, replicas=2.5)
+    with pytest.raises(ValueError, match=r"ModelParams field 'seed' must be an integer, got True"):
+        make_params(4, 2, 0.5, seed=True)
+    assert make_params(4, np.int64(2), 0.5, seed=np.uint64(7)).seed == 7
 
 
 def test_constant_tau_is_exact_ones():
-    tau = constant_tau(5)
+    tau = make_tau("constant_one", 5)
     assert tau.values == (1.0, 1.0, 1.0, 1.0, 1.0)
     for q in range(1, 21):
         assert np.mean(tau.as_array() ** q) == 1.0
 
 
+def _two_point(a, b, weight, m):
+    return make_tau({"kind": "two_point", "a": a, "b": b, "weight": weight}, m)
+
+
 def test_two_point_fill_is_deterministic():
-    assert two_point_tau(1, 2, 0.5, 4).values == (1.0, 1.0, 2.0, 2.0)
-    assert two_point_tau(1, 2, 0.5, 5).values == (1.0, 1.0, 2.0, 2.0, 2.0)
-    assert np.mean(two_point_tau(1, 2, 0.5, 2).as_array() ** 3) == 4.5
+    assert _two_point(1, 2, 0.5, 4).values == (1.0, 1.0, 2.0, 2.0)
+    assert _two_point(1, 2, 0.5, 5).values == (1.0, 1.0, 2.0, 2.0, 2.0)
+    assert np.mean(_two_point(1, 2, 0.5, 2).as_array() ** 3) == 4.5
+    assert _two_point(1, 2, 0.5, 5).two_point == (1.0, 2.0, 0.5)
 
 
 def test_explicit_tau_moment():
-    tau = explicit_tau([1, 1, 4])
+    tau = make_tau({"kind": "explicit", "values": [1, 1, 4]}, 3)
     assert tau.values == (1.0, 1.0, 4.0)
     assert np.mean(tau.as_array() ** 2) == 6.0
 
 
 def test_tau_validation_errors():
-    with pytest.raises(ValueError):
-        two_point_tau(-1, 2, 0.5, 4)
-    with pytest.raises(ValueError):
-        two_point_tau(1, 0, 0.5, 4)
-    with pytest.raises(ValueError):
-        two_point_tau(1, 2, 1.0, 4)
-    with pytest.raises(ValueError):
-        explicit_tau([1, 0, 2])
+    with pytest.raises(ValueError, match="two-point values must be positive"):
+        _two_point(-1, 2, 0.5, 4)
+    with pytest.raises(ValueError, match="two-point values must be positive"):
+        _two_point(1, 0, 0.5, 4)
+    with pytest.raises(ValueError, match=r"two-point weight must lie in \(0, 1\)"):
+        _two_point(1, 2, 1.0, 4)
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_tau({"kind": "explicit", "values": [1, 0, 2]}, 3)
+    with pytest.raises(ValueError, match="tau must be a JSON object"):
+        make_tau(make_tau("constant_one", 3), 3)  # a built scheme is not a tau document
     with pytest.raises(ValueError):
         make_tau({"kind": "explicit", "values": [1, 2]}, 3)
     with pytest.raises(ValueError):

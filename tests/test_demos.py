@@ -1,15 +1,22 @@
 """Every demo script runs to completion against the package in src/, with
-every warning an error as in the rest of the suite."""
+every warning an error as in the rest of the suite, and every JSON example of
+README.md is a document the shipped readers accept."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tensormp.config import params_from_json
+from tensormp.experiments import sweep_plan_from_json
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_JSON = re.findall(r"^```json\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -20,3 +27,16 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_json_examples():
+    assert len(README_JSON) >= 2  # a point configuration and a sweep plan
+
+
+@pytest.mark.parametrize("block", README_JSON)
+def test_readme_json_examples_parse_through_the_shipped_readers(block):
+    doc = json.loads(block)
+    if "ns" in doc or "points" in doc:
+        assert sweep_plan_from_json(doc).points
+    else:
+        assert params_from_json(doc).sample_count >= 1

@@ -22,17 +22,13 @@ from tensormp.config import EntryLawKind, ModelKind, make_params, params_from_js
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     SWEEP_COLUMNS,
-    FixedK,
-    PowerK,
     ReplicaRecord,
     SweepPlan,
     SweepResult,
     _check_levy_models,
-    make_sweep_plan,
     run_convergence,
     run_sphere_model,
     run_sweep,
-    schedule_k,
     selftest,
     sweep_plan_from_json,
     sweep_rows,
@@ -42,35 +38,43 @@ from tensormp.metrics import EmpiricalCDF, empirical_moment, ks_distance, levy_d
 from tensormp.mp import MPLaw
 from tensormp.sampling import BaseSample, _draw, _stream, sample_base
 
+TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
+POWER_HALF = {"kind": "power", "gamma": 0.5}  # k = ceil(sqrt(n))
+
+def _k_of_n(k_schedule, n):
+    """The k that a grid plan with this k_schedule document gives the point at
+    n, read by the plan reader's own schedule reader: most of these (n, k)
+    have n^k beyond 2^53, which no point may have."""
+    return tensormp.experiments._k_schedule_from_json(k_schedule)(n)
+
 
 def test_k_schedules():
-    assert schedule_k(FixedK(3), 100) == 3
-    assert schedule_k(PowerK(0.5), 10) == 4
-    assert schedule_k(PowerK(0.5), 100) == 10
-    assert schedule_k(PowerK(0.5), 101) > 10
-    with pytest.raises(ValueError):
-        PowerK(1.0)
-    with pytest.raises(ValueError):
-        PowerK(0.0)
-    with pytest.raises(TypeError):
-        schedule_k("fixed", 10)
+    assert _k_of_n({"kind": "fixed", "k": 3}, 100) == 3
+    assert _k_of_n(None, 100) == 2
+    assert _k_of_n(POWER_HALF, 10) == 4
+    assert _k_of_n(POWER_HALF, 100) == 10
+    assert _k_of_n(POWER_HALF, 101) > 10
+    assert [p.k for p in sweep_plan_from_json({"ns": [10], "c": 0.5, "k_schedule": POWER_HALF}).points] == [4]
+    for gamma in (1.0, 0.0):
+        with pytest.raises(ValueError, match=r"power k_schedule key 'gamma' must lie in \(0, 1\)"):
+            sweep_plan_from_json({"ns": [10], "c": 0.5, "k_schedule": {"kind": "power", "gamma": gamma}})
 
 
 def test_power_schedule_shrinks_fold_ratio():
-    ratios = [schedule_k(PowerK(0.6), n) / n for n in (10, 40, 160, 640)]
+    ratios = [_k_of_n({"kind": "power", "gamma": 0.6}, n) / n for n in (10, 40, 160, 640)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
 def test_plan_builders():
-    plan = make_sweep_plan([10, 20], c=0.5, k_schedule=PowerK(0.5), replicas=3)
+    plan = sweep_plan_from_json({"ns": [10, 20], "c": 0.5, "k_schedule": POWER_HALF, "replicas": 3})
     assert [p.k for p in plan.points] == [4, 5]
     assert [p.replicas for p in plan.points] == [3, 3]
-    with pytest.raises(ValueError):
-        make_sweep_plan([], c=0.5)
-    with pytest.raises(ValueError):
-        make_sweep_plan([10], c=0.5, replicas=0)
+    with pytest.raises(ValueError, match="at least one point"):
+        sweep_plan_from_json({"ns": [], "c": 0.5})
+    with pytest.raises(ValueError, match="replicas must be at least 1"):
+        sweep_plan_from_json({"ns": [10], "c": 0.5, "replicas": 0})
     with pytest.raises(ValueError, match="same point twice"):
-        make_sweep_plan([10, 10], c=0.5)
+        sweep_plan_from_json({"ns": [10, 10], "c": 0.5})
     with pytest.raises(ValueError, match="same point twice"):
         SweepPlan(points=(make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)))
     # replica r of a point draws the same sample whatever the point's replicas
@@ -121,13 +125,12 @@ def test_plan_from_json_grid_and_points():
 
 @pytest.mark.parametrize("k_schedule", [{"kind": "fixed", "k": 2}, {"kind": "power", "gamma": 0.6}])
 def test_a_grid_plan_equals_the_points_plan_it_lists(k_schedule):
+    # the ks of n = 6 and 9; ceil(6^0.6) = ceil(2.93) = 3 and ceil(9^0.6) = ceil(3.74) = 4
+    ks = (2, 2) if k_schedule["kind"] == "fixed" else (3, 4)
     shared = {"c": 0.5, "model": "covariance", "entry_law": "rademacher", "tau": "constant_one", "seed": 3}
     grid = sweep_plan_from_json({"ns": [6, 9], "k_schedule": k_schedule, "replicas": 2, **shared})
-    schedule = tensormp.experiments._k_schedule_from_json(k_schedule)
-    points = [{**shared, "n": n, "k": schedule_k(schedule, n)} for n in (6, 9)]
+    points = [{**shared, "n": n, "k": k} for n, k in zip((6, 9), ks)]
     assert grid == sweep_plan_from_json({"points": points, "replicas": 2})
-    keywords = {"c": 0.5, "model": "covariance", "entry_law_kind": "rademacher", "seed": 3}
-    assert grid == make_sweep_plan([6, 9], k_schedule=schedule, replicas=2, **keywords)
 
 
 @pytest.mark.parametrize(
@@ -185,12 +188,10 @@ def test_points_plan_runs_the_plan_replicas_of_every_point():
 
 
 def test_convergence_preconditions():
-    tau_plan = make_sweep_plan(
-        [6], c=0.5, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, replicas=1
-    )
+    tau_plan = sweep_plan_from_json({"ns": [6], "c": 0.5, "tau": TWO_POINT_TAU, "replicas": 1})
     with pytest.raises(ValueError, match="tau identically"):
         run_convergence(tau_plan)
-    cov_plan = make_sweep_plan([6], c=0.5, model="covariance", replicas=1)
+    cov_plan = sweep_plan_from_json({"ns": [6], "c": 0.5, "model": "covariance", "replicas": 1})
     with pytest.raises(ValueError, match="correlation"):
         run_convergence(cov_plan)
 
@@ -199,7 +200,7 @@ def test_only_a_covariance_reading_run_derives_the_covariance_gram(monkeypatch):
     calls = []
     derive = tensormp.gram._scale_to_covariance
     monkeypatch.setattr(tensormp.gram, "_scale_to_covariance", lambda *args: calls.append(1) or derive(*args))
-    plan = make_sweep_plan([6, 8], c=0.5, replicas=2)
+    plan = sweep_plan_from_json({"ns": [6, 8], "c": 0.5, "replicas": 2})
     run_convergence(plan)
     assert len(calls) == 0
     run_sweep(plan)
@@ -315,7 +316,7 @@ def test_a_compared_replica_equals_the_out_of_place_reference_bitwise(law, model
 
 def test_model_comparison_unit_modulus_is_exactly_zero():
     for law in ("rademacher", "unit_circle"):
-        plan = make_sweep_plan([8], c=0.5, entry_law_kind=law, seed=0, replicas=3)
+        plan = sweep_plan_from_json({"ns": [8], "c": 0.5, "entry_law": law, "seed": 0, "replicas": 3})
         result = run_sweep(plan)
         assert all(r.levy_models == 0.0 for r in result.records)
 
@@ -352,7 +353,7 @@ def _per_key_sample(params, replica):
     ]
     entries = np.array(vectors)
     entries.setflags(write=False)
-    return BaseSample(entries=entries, params=params, replica=replica)
+    return BaseSample(entries=entries, params=params)
 
 
 def test_the_workload_plans_give_the_reference_paths_bytes(monkeypatch):
@@ -393,8 +394,8 @@ def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
     monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
     for law in ("complex_gaussian", "unit_circle"):
         with pytest.raises(ValueError, match="breaks the trace bound"):
-            run_sweep(make_sweep_plan([6], c=0.5, entry_law_kind=law, seed=2, replicas=1))
-    record = run_convergence(make_sweep_plan([6], c=0.5, seed=2, replicas=1)).records[0]
+            run_sweep(sweep_plan_from_json({"ns": [6], "c": 0.5, "entry_law": law, "seed": 2, "replicas": 1}))
+    record = run_convergence(sweep_plan_from_json({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1})).records[0]
     assert record.levy_mp == 1.0 and np.isnan(record.levy_models)  # only a coupled replica is checked
 
 
@@ -409,21 +410,19 @@ def test_sweep_solves_one_matrix_per_unit_modulus_replica(monkeypatch, law, solv
         return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", counted)
-    plan = make_sweep_plan([6, 8], c=0.5, entry_law_kind=law, seed=3, replicas=2)
+    plan = sweep_plan_from_json({"ns": [6, 8], "c": 0.5, "entry_law": law, "seed": 3, "replicas": 2})
     result = run_sweep(plan)
     assert len(calls) == solves * len(result.records)
 
 
 def test_model_comparison_two_point_regression_bound():
-    plan = make_sweep_plan(
-        [30], c=0.5, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, seed=0, replicas=5
-    )
+    plan = sweep_plan_from_json({"ns": [30], "c": 0.5, "tau": TWO_POINT_TAU, "seed": 0, "replicas": 5})
     summary = run_sweep(plan).summaries()[0]
     assert summary.levy_models_mean < COMPARISON_LEVY_BOUND
 
 
 def test_sweep_records_and_summaries():
-    plan = make_sweep_plan([6, 8], c=0.5, seed=1, replicas=2)
+    plan = sweep_plan_from_json({"ns": [6, 8], "c": 0.5, "seed": 1, "replicas": 2})
     result = run_sweep(plan)
     assert len(result.records) == 4
     assert [(r.params.n, r.replica) for r in result.records] == [(6, 0), (6, 1), (8, 0), (8, 1)]
@@ -454,9 +453,7 @@ def test_summaries_group_records_by_equal_params():
 
 
 def test_sweep_without_constant_tau_has_nan_mp_distances():
-    plan = make_sweep_plan(
-        [6], c=0.5, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, replicas=1
-    )
+    plan = sweep_plan_from_json({"ns": [6], "c": 0.5, "tau": TWO_POINT_TAU, "replicas": 1})
     record = run_sweep(plan).records[0]
     assert np.isnan(record.ks_mp) and np.isnan(record.levy_mp)
     assert 0.0 <= record.levy_models <= 1.0
@@ -647,6 +644,11 @@ def test_distance_rejects_a_json_dump(tmp_path, capsys):
         ("sweep", '{"ns": [6] "c": 0.5}', [], r".*config\.json: Expecting ',' delimiter.*"),
         ("sweep", {"ns": [6], "c": 0.5, "out": 3}, [], r"sweep plan key 'out' must be a string, got 3"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", "0"], r"--bins must be at least 1, got 0"),
+        # m = floor(c*N + 0.5) is rounded in float64: an infinite, unindexable or unallocatable m
+        ("simulate", {"n": 10, "k": 10, "c": 1e308}, [], r"sample count c\*N \+ 0\.5 = inf is not below 2\^53"),
+        ("simulate", {"n": 2, "k": 1, "c": 1e300}, [], r"sample count c\*N \+ 0\.5 = 2e\+300 is not below 2\^53"),
+        ("simulate", {"n": 2, "k": 1, "c": 1e18}, [], r"sample count c\*N \+ 0\.5 = 2e\+18 is not below 2\^53"),
+        ("sweep", {"ns": [2], "c": 1e18, "k_schedule": {"kind": "fixed", "k": 1}}, [], r"sample count .* not below 2\^53"),
     ],
 )
 def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, document, flags, pattern):
@@ -845,7 +847,8 @@ def test_a_nan_gap_fails_its_selftest_row(monkeypatch):
 
 
 def test_single_fold_reduces_to_classical_model():
-    plan = make_sweep_plan([24], c=0.5, k_schedule=FixedK(1), seed=4, replicas=2)
+    k_schedule = {"kind": "fixed", "k": 1}
+    plan = sweep_plan_from_json({"ns": [24], "c": 0.5, "k_schedule": k_schedule, "seed": 4, "replicas": 2})
     result = run_convergence(plan)
     summary = result.summaries()[0]
     assert summary.ks_mp_mean < 0.2

@@ -12,7 +12,7 @@ import tensormp.gram
 from helpers import covariance_gram, forged_sample
 from oracles import gram_out_of_place, hermitian_eigen_bisect, level_ratio_product_out_of_place
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import EntryLawKind, ModelKind, explicit_tau, make_params, two_point_tau
+from tensormp.config import EntryLawKind, ModelKind, make_params, make_tau
 from tensormp.gram import (
     _PANEL_ROWS,
     _divide_by_count,
@@ -32,6 +32,7 @@ from tensormp.gram import (
 from tensormp.metrics import EmpiricalCDF
 from tensormp.sampling import norm_profile, sample_base
 
+TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
 
 def test_rank_one_gram_is_unit():
     params = make_params(4, 2, 1 / 16, seed=1)
@@ -42,11 +43,10 @@ def test_rank_one_gram_is_unit():
 
 
 def test_correlation_diagonal_is_tau_exactly():
-    tau = two_point_tau(1.0, 2.0, 0.5, 8)
-    params = make_params(5, 2, 8 / 25, tau=tau, seed=4)
+    params = make_params(5, 2, 8 / 25, tau=TWO_POINT_TAU, seed=4)
     sample = sample_base(params, 0)
     gram = build_correlation_gram(sample)
-    assert np.array_equal(np.diag(gram), tau.as_array().astype(complex))
+    assert np.array_equal(np.diag(gram), params.tau.as_array().astype(complex))
 
 
 def test_gram_is_exactly_hermitian_with_bounded_entries():
@@ -165,7 +165,7 @@ def test_in_place_solve_is_eigvalsh_bitwise_and_keeps_the_strict_lower_triangle(
 )
 def test_panel_built_levels_match_the_whole_product_formula(law, m, weights):
     assert m % _PANEL_ROWS in (0, 1, 2, 31)
-    tau = two_point_tau(1.0, 2.0, 0.5, m) if weights == "two_point" and m > 1 else "constant_one"
+    tau = TWO_POINT_TAU if weights == "two_point" and m > 1 else "constant_one"
     params = make_params(5, 3, m / 125, entry_law_kind=law, tau=tau, seed=m)
     sample = sample_base(params, 0)
     assert params.sample_count == m
@@ -179,7 +179,7 @@ def test_panel_built_levels_match_the_whole_product_formula(law, m, weights):
 def test_syrk_built_real_levels_match_the_whole_product_formula(monkeypatch, law, n, k):
     signed_zeros = 0
     for m in (1, 2, 31, 32, 33, 97, 205):
-        tau = two_point_tau(1.0, 2.0, 0.5, m) if m > 1 else "constant_one"
+        tau = TWO_POINT_TAU if m > 1 else "constant_one"
         params = make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=m + k)
         sample = sample_base(params, 0)
         assert params.sample_count == m
@@ -244,7 +244,7 @@ def test_the_openblas_binding_is_all_or_nothing(monkeypatch):
 @pytest.mark.parametrize("law", list(EntryLawKind))
 def test_a_replica_without_numpy_openblas_gets_the_same_bits(monkeypatch, law, models):
     # m = 70 spans two whole row panels and a partial one; k = 3 mirrors a real level down
-    params = make_params(5, 3, 70 / 125, entry_law_kind=law, tau=two_point_tau(1.0, 2.0, 0.5, 70), seed=8)
+    params = make_params(5, 3, 70 / 125, entry_law_kind=law, tau=TWO_POINT_TAU, seed=8)
     sample = sample_base(params, 0)
     assert params.sample_count == 70
     spectra, d2 = model_spectra(sample, models)
@@ -263,7 +263,7 @@ def _forged_real_valued_samples() -> list:
 
 def _two_point_sample(law, seed=3):
     """A sampled replica of m=70 (two whole row panels and a partial one) with two-point tau."""
-    params = make_params(10, 2, 0.7, entry_law_kind=law, tau=two_point_tau(1.0, 2.0, 0.5, 70), seed=seed)
+    params = make_params(10, 2, 0.7, entry_law_kind=law, tau=TWO_POINT_TAU, seed=seed)
     return sample_base(params, 0)
 
 
@@ -333,7 +333,7 @@ def test_hermitize_is_its_formula_bitwise_with_signed_zero_parts(dtype, weights)
         product.imag = rng.choice(parts, (m, m))
         product[_PANEL_ROWS:, :] = np.abs(product[_PANEL_ROWS:, :]) + 1j  # panels with no -0.0 part
         assert np.count_nonzero(np.signbit(product.real) & (product.real == 0.0)) > 0
-    tau = (two_point_tau(1.0, 2.0, 0.5, m) if weights == "two_point" else explicit_tau(np.ones(m))).as_array()
+    tau = make_tau(TWO_POINT_TAU if weights == "two_point" else {"kind": "explicit", "values": [1.0] * m}, m).as_array()
     upper = np.triu(np.sqrt(np.outer(tau, tau)) * product, 1)
     expected = upper + upper.conj().T
     expected[np.diag_indices(m)] = tau
@@ -398,8 +398,7 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
         return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
-    tau = two_point_tau(1.0, 2.0, 0.5, 40)
-    params = make_params(9, 2, 40 / 81, entry_law_kind=law, tau=tau, seed=7)
+    params = make_params(9, 2, 40 / 81, entry_law_kind=law, tau=TWO_POINT_TAU, seed=7)
     sample = sample_base(params, 0)
     spectra, d2 = model_spectra(sample, models)
     assert set(spectra) == set(models)
@@ -521,8 +520,7 @@ def test_gram_and_dense_share_nonzero_spectrum():
 
 
 def test_dense_trace_equals_tau_sum():
-    tau = explicit_tau([1.0, 2.0, 0.5, 1.5])
-    params = make_params(3, 2, 4 / 9, tau=tau, seed=2)
+    params = make_params(3, 2, 4 / 9, tau={"kind": "explicit", "values": [1.0, 2.0, 0.5, 1.5]}, seed=2)
     sample = sample_base(params, 0)
     dense = materialize_dense(sample, ModelKind.CORRELATION)
     assert np.trace(dense).real == pytest.approx(5.0, abs=1e-10)

@@ -47,7 +47,7 @@ def test_sample_rejects_entries_of_another_shape_than_its_params():
     params = make_params(5, 1, 1.0)
     entries = np.ones((4, 1, 5), dtype=complex)
     with pytest.raises(ValueError, match=r"shape \(4, 1, 5\), but params give \(m, k, n\) = \(5, 1, 5\)"):
-        BaseSample(entries=entries, params=params, replica=0)
+        BaseSample(entries=entries, params=params)
 
 
 def test_repeat_draw_is_bitwise_identical():
