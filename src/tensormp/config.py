@@ -170,8 +170,9 @@ def make_tau(scheme, m: int) -> TauScheme:
         return TauScheme(kind, (1.0,) * m)
     if kind is TauKind.TWO_POINT:
         a, b, weight = (json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight"))
-        if a <= 0 or b <= 0:
-            raise ValueError("two-point values must be positive")
+        # phrased so that a NaN fails: a value with an empty share reaches no TauScheme check
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError("two-point values must be positive and finite")
         if not 0.0 < weight < 1.0:
             raise ValueError("two-point weight must lie in (0, 1)")
         na = math.floor(weight * m)

@@ -205,11 +205,13 @@ def evaluate_replica(
     if params.tau.is_constant_one:
         reference = mp.MPLaw.from_ratio(params.c)
         ks_mp = ks_distance(cdf, reference)
-        levy_mp = levy_distance(cdf, reference)
+        levy_mp = levy_distance(cdf, reference, ks=ks_mp)
     if with_comparison:
         (other_eigs,) = spectra.values()
-        other_cdf = cdf if other_eigs is eigs else EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim))
-        levy_models = levy_distance(cdf, other_cdf)
+        if other_eigs is eigs:  # a unit-modulus law: both models share the spectrum
+            levy_models = 0.0
+        else:
+            levy_models = levy_distance(cdf, EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim)))
         _check_levy_models(levy_models, params, d2)
     moments = tuple(empirical_moment(dist, q) for q in (1, 2, 3, 4))
     ms = (time.perf_counter() - start) * 1000.0

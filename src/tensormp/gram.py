@@ -164,11 +164,11 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     product (a trailing one-row panel, formed by gemv, is a diagonal entry,
     which _hermitize overwrites), and the strict lower triangle is never
     written. numpy forms a real A A^T by syrk, whose row panels would differ
-    in the last bit, so each later real level is written by _syrk_upper into
-    the array's upper triangle while the running product waits in the
-    strict lower one. Each row panel then multiplies a copy of its lower
-    columns into its normalized upper part and, before a further level, is
-    mirrored down by copies.
+    in the last bit, so each real level is written by _syrk_upper into the
+    array's upper triangle while the running product waits in the strict
+    lower one. Each row panel normalizes its upper part, multiplies in a
+    copy of its lower columns from the second level on and, before a
+    further level, is mirrored down by copies.
     """
     entries = sample.entries
     m, k, n = entries.shape
@@ -197,18 +197,18 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
                 if level:
                     upper *= rows
         return product
-    first = entries[:, 0, :]
-    product = first @ first.T  # numpy's syrk
-    for start, stop in _row_panels(m):
-        normalize(product[start:stop], start, stop, 0)
-    for level in range(1, k):
-        block = entries[:, level, :]
-        _syrk_upper(block, product)
+    # zeros, not garbage, below the diagonal of each diagonal block: a
+    # panel's arithmetic reads that part, though nothing uses it
+    product = np.zeros((m, m))
+    for level in range(k):
+        _syrk_upper(entries[:, level, :], product)
         for start, stop in _row_panels(m):
-            running = product[start:, start:stop].T.copy()  # read before the panel's rows are written
             rows = product[start:stop, start:]
+            if level:
+                running = product[start:, start:stop].T.copy()  # read before the panel's rows are written
             normalize(rows, start, stop, level, start)
-            rows *= running
+            if level:
+                rows *= running
             if level < k - 1:
                 _mirror_upper_rows(product, start, stop)
     return product

@@ -62,6 +62,10 @@ class EmpiricalCDF:
         padded = np.concatenate([[0.0], self.cumulative])
         return padded[idx]
 
+    def sides(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) and F(x-)."""
+        return self.evaluate(x), self.left_limit(x)
+
 
 def _canonical(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw):
     """Two step functions in a fixed order, so that both distances are exactly
@@ -87,11 +91,9 @@ def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
     scanning F's breakpoints alone is exact.
     """
     f, g = _canonical(f, g)
-    b = f.breakpoints
     at, before = _steps(f)
-    after_gap = np.max(np.abs(at - g.evaluate(b)))
-    before_gap = np.max(np.abs(before - g.left_limit(b)))
-    return float(max(after_gap, before_gap))
+    g_at, g_before = g.sides(f.breakpoints)
+    return float(max(np.max(np.abs(at - g_at)), np.max(np.abs(before - g_before))))
 
 
 def _levy_feasible(f: EmpiricalCDF, at, before, g: EmpiricalCDF | mp.MPLaw, eps: float) -> bool:
@@ -128,13 +130,14 @@ def _levy_estimate(f: EmpiricalCDF, at: np.ndarray, before: np.ndarray, law: mp.
     return float(max(np.max(u[: b.size] - b), np.max(b - u[b.size :])))
 
 
-def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
+def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, *, ks: float | None = None) -> float:
     """inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, for a
     step function F and a step function or limit law G.
 
     Feasibility of a given eps is decided exactly by scanning F's breakpoints
     against G shifted by +-eps; only eps itself is bisected (to absolute
-    tolerance 1e-9), starting from the KS distance, which is always feasible.
+    tolerance 1e-9), starting from the KS distance, which is always feasible:
+    ``ks`` is ``ks_distance(f, g)`` where the caller has it already.
     Identical step functions give exactly 0, and step-function arguments are
     put in a canonical order first, so the distance is exactly symmetric.
 
@@ -144,7 +147,7 @@ def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
     result has the plain bisection's bits, and a poor estimate only costs scans.
     """
     f, g = _canonical(f, g)
-    hi = ks_distance(f, g)
+    hi = ks_distance(f, g) if ks is None else ks
     if hi == 0.0:
         return 0.0
     lo = 0.0

@@ -25,8 +25,8 @@ MAX_MOMENT = 20
 class MPLaw:
     """Limit law for the constant-tau case: support endpoints and zero atom.
 
-    `evaluate` and `left_limit` mirror `metrics.EmpiricalCDF`, so the law can
-    stand in as the reference of an exact KS or Levy distance.
+    `evaluate`, `left_limit` and `sides` mirror `metrics.EmpiricalCDF`, so
+    the law can stand in as the reference of an exact KS or Levy distance.
     """
 
     c: float
@@ -50,9 +50,14 @@ class MPLaw:
         return np.asarray(cdf(self, x))
 
     def left_limit(self, x) -> np.ndarray:
-        """F(x-): the law is continuous except for the atom at zero."""
+        return self.sides(x)[1]
+
+    def sides(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) and F(x-), from one evaluation of the law: it is continuous
+        except for the atom at zero."""
         arr = np.asarray(x, dtype=float)
-        return np.where(arr > 0.0, cdf(self, arr), 0.0)
+        value = np.asarray(cdf(self, arr))
+        return value, np.where(arr > 0.0, value, 0.0)
 
 
 def density(law: MPLaw, x) -> np.ndarray | float:

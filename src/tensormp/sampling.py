@@ -6,21 +6,25 @@ the batch or in what order. The per-key reference is
 ``Generator(Philox(SeedSequence(seed, spawn_key=(replica, sample, level))))``
 (``_stream``/``_draw``); ``sample_base`` draws bitwise the same values but
 derives all m*k Philox keys of a replica in one vectorized pass of
-SeedSequence's hash. The uniform laws (unit circle, Rademacher) then run
-Philox4x64-10 itself, vectorized over every (sample, level, block) counter of
-the replica, and touch no ``numpy.random`` API; the Gaussian laws, whose
-ziggurat tables are private to numpy, re-key a single generator for each level
-vector. No tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever formed, since it
-grows like n^k: consumers multiply the per-level ratios ||y^(l)||^2 / n, which
-stay near 1.
+SeedSequence's hash, then runs Philox4x64-10 itself, vectorized over every
+(sample, level, block) counter, and transforms the words as numpy's
+generator would: a uniform law (unit circle, Rademacher) reads one word per
+entry or per two, and a Gaussian law runs numpy's 256-layer ziggurat
+(``random_standard_normal``, with its tables in ``tensormp._ziggurat``) over
+each key's words in order. No sampling path imports ``numpy.random``; only
+the reference and the selftest do. No tensor norm ||Y||^2 = prod_l
+||y^(l)||^2 is ever formed, since it grows like n^k: consumers multiply the
+per-level ratios ||y^(l)||^2 / n, which stay near 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._ziggurat import FI, KI, NEG_INV_R, R, WI
 from .checks import Check
 from .config import EntryLaw, EntryLawKind, ModelParams
 
@@ -231,40 +235,173 @@ def _draw(law: EntryLaw, rng: np.random.Generator, shape) -> np.ndarray:
 _HALF_TOP_BITS = np.array([31, 63], dtype=np.uint64)
 
 
+def _uniform(words):
+    """numpy's next_double of each word, a Python int or a uint64 array: its
+    top 53 bits times 2**-53."""
+    return (words >> 11) * 2.0**-53
+
+
 def _uniform_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
     """The (m, k, n) raw draws of a uniform law, as ``_fill`` makes them from a
     fresh generator per key: ``random()`` is (u64 >> 11) * 2**-53, one word
     per entry; ``integers(0, 2)`` is the top bit of each uint32 half, low
     half first, two entries per word."""
     if law.kind is EntryLawKind.UNIT_CIRCLE:
-        words = _philox_words(keys, -(-n // 4))[..., :n]
-        return (words >> 11) * 2.0**-53
+        return _uniform(_philox_words(keys, -(-n // 4))[..., :n])
     words = _philox_words(keys, -(-n // 8))
     bits = (words[..., None] >> _HALF_TOP_BITS) & 1
     return bits.reshape(keys.shape[:-1] + (-1,))[..., :n].astype(np.float64)
 
 
-def _rekeyed_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
-    """The raw draws of any law, one generator re-keyed per level vector
-    (counter 0, empty buffer, as freshly constructed)."""
+# numpy's random_standard_normal reads a draw's first word as a layer (bits
+# 0-7), a sign (bit 8) and a 52-bit magnitude rabs (bits 9-60): x is
+# +-rabs * wi[layer], taken at once if rabs < ki[layer]. The tables here are
+# indexed by sign and layer together, wi negated for the sign: rabs * -wi is
+# -(rabs * wi) bitwise, -0.0 included.
+_SIGNED_WI = np.concatenate([WI, -WI])
+_KI_TWICE = np.concatenate([KI, KI])
+_SIGN_LAYER_BITS, _LAYER_BITS, _MAGNITUDE_BITS, _SHIFT9 = _u64(0x1FF, 0xFF, 2**52 - 1, 9)
+# the words drawn at once, a whole number of samples' worth: a replica's
+# words never exist at once, and a chunk's arrays stay in cache
+_CHUNK_WORDS = 2**15
+
+
+def _first_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each word read as a normal draw's first word: its x, and whether the
+    fast path takes it."""
+    index = (words & _SIGN_LAYER_BITS).astype(np.intp)
+    rabs = words >> _SHIFT9
+    rabs &= _MAGNITUDE_BITS
+    x = rabs.astype(np.float64)
+    x *= np.take(_SIGNED_WI, index)
+    return x, rabs < np.take(_KI_TWICE, index)
+
+
+def _wedge_accepts(layer: np.ndarray, x: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """The wedge test of each rejected first word: with u the next word's
+    double, (fi[layer-1] - fi[layer]) u + fi[layer] < exp(-x^2/2), decided by
+    libm's exponential through ``math``, as numpy's C calls it. np.exp
+    differs from it by an ulp or so, far inside the 1e-14 band in which a
+    comparison is re-decided by libm."""
+    edge = FI[layer]
+    threshold = (FI[layer - 1] - edge) * _uniform(word) + edge
+    exponent = -0.5 * x * x
+    density = np.exp(exponent)
+    close = np.flatnonzero(np.abs(threshold - density) <= 1e-14 * density)
+    density[close] = [math.exp(v) for v in exponent[close].tolist()]
+    return threshold < density
+
+
+def _resolve_in_order(words, x, keep, events, accepts, width: int) -> None:
+    """Resolve the rejected first words at the ascending flat ``events`` of
+    (rows, width) word arrays in word order, as numpy's loop reads them,
+    writing ``keep`` and ``x`` in place.
+
+    An event that an earlier event of its row read as a uniform is skipped.
+    A wedge keeps its x if it ``accepts`` and its uniform is dropped; the tail
+    (layer 0) reads uniform pairs until yy + yy > xx^2, with xx = -log1p(-u1)
+    / r and yy = -log1p(-u2) from libm, and keeps +-(r + xx). Words an event
+    would read past its row's end are dropped, so the row comes up short.
+    """
+    pos = 0
+    for event, accept in zip(events.tolist(), accepts.tolist()):
+        if event < pos:
+            continue
+        end = event - event % width + width
+        word = int(words[event])
+        if word & 0xFF:
+            if event + 1 < end:
+                keep[event] = accept
+                keep[event + 1] = False
+            pos = min(event + 2, end)
+            continue
+        pos = event + 1
+        while pos + 1 < end:
+            xx = NEG_INV_R * math.log1p(-_uniform(int(words[pos])))
+            yy = -math.log1p(-_uniform(int(words[pos + 1])))
+            pos += 2
+            if yy + yy > xx * xx:
+                x[event] = -(R + xx) if word >> 17 & 1 else R + xx
+                keep[event] = True
+                break
+        else:
+            pos = end
+        keep[event + 1 : pos] = False
+
+
+def _normals(keys: np.ndarray, out: np.ndarray, blocks: int) -> np.ndarray:
+    """Fill each row of the (rows, draws) ``out`` with numpy's
+    ``standard_normal`` from a fresh Philox under the matching (rows, 2) key,
+    reading the first ``blocks`` blocks of each key's words; return the rows
+    whose words ran out first, which hold no draws.
+
+    Every word is first read as a draw's first word. A rejected one that no
+    earlier event reads is a wedge or the tail; in a row with no tail and no
+    two adjacent rejections, each is a wedge whose uniform is the next word,
+    with the next draw at the word after, and these rows are resolved as
+    arrays. The other rows are resolved in word order. A row's draws are its
+    first ``draws`` kept words, so only the kept words past its first
+    ``draws`` words need trimming.
+    """
+    rows, draws = out.shape
+    words = _philox_words(keys, blocks)
+    x, keep = _first_words(words)
+    width = words.shape[1]
+    flat_words, flat_x, flat_keep = words.reshape(-1), x.reshape(-1), keep.reshape(-1)
+
+    events = np.flatnonzero(~flat_keep)
+    layer = (flat_words[events] & _LAYER_BITS).astype(np.intp)
+    accepts = _wedge_accepts(layer, flat_x[events], flat_words[np.minimum(events + 1, words.size - 1)])
+    row = events // width
+    in_order = layer == 0
+    in_order[1:] |= events[1:] == events[:-1] + 1
+    walked_rows = np.zeros(rows, dtype=bool)
+    walked_rows[row[in_order]] = True
+    walked = walked_rows[row]
+    _resolve_in_order(flat_words, flat_x, flat_keep, events[walked], accepts[walked], width)
+    wedges = ~walked & (events % width < width - 1)
+    flat_keep[events[wedges]] = accepts[wedges]
+    flat_keep[events[wedges] + 1] = False
+
+    need = draws - np.count_nonzero(keep[:, :draws], axis=1)
+    past = keep[:, draws:]
+    got = np.cumsum(past, axis=1)
+    past &= got <= need[:, None]
+    short = got[:, -1] < need
+    keep[short] = np.arange(width) < draws
+    out[...] = x[keep].reshape(rows, draws)
+    return np.flatnonzero(short)
+
+
+def _gaussian_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
+    """The raw draws of a Gaussian law, as ``_fill`` makes them from a fresh
+    generator per key: n normals per key, or 2n for the complex law, whose
+    first n are the real plane.
+
+    Each key first gets a few spare words past its draws, rounded up to a
+    whole block, and the words are drawn a chunk of samples at a time; the
+    few keys whose rejections need more are drawn again together, from twice
+    the blocks.
+    """
     m, k = keys.shape[:2]
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    fresh = np.zeros(4, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": fresh, "key": None},
-        "buffer": fresh,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    raw = np.empty((m, k) + _raw_shape(law, (n,)))
-    for alpha in range(m):
-        for level in range(k):
-            state["state"]["key"] = keys[alpha, level]
-            bitgen.state = state
-            _fill(law, rng, raw[alpha, level])
+    shape = _raw_shape(law, (n,))
+    draws = math.prod(shape)
+    raw = np.empty((m, k) + shape)
+    out = raw.reshape(m * k, draws)
+    keys = keys.reshape(-1, 2)
+    # a key's rejections take about 2.2% more words than its draws; with
+    # 4 + draws/32 spare words, at most about 1.5 keys in 100 run short
+    blocks = -(-(draws + 4 + draws // 32) // 4)
+    chunk = k * max(1, _CHUNK_WORDS // (4 * blocks * k))
+    retry = np.concatenate(
+        [start + _normals(keys[start : start + chunk], out[start : start + chunk], blocks) for start in range(0, m * k, chunk)]
+    )
+    while retry.size:
+        blocks *= 2
+        redo = np.empty((retry.size, draws))
+        short = _normals(keys[retry], redo, blocks)
+        out[retry] = redo
+        retry = retry[short]
     if law.kind is EntryLawKind.COMPLEX_GAUSSIAN:
         raw = np.moveaxis(raw, 2, 0)  # re/im planes first, as _transform expects
     return raw
@@ -277,9 +414,9 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     always yields the same level vector, bitwise, regardless of execution
     order or worker count: entry [alpha, level] is
     ``_draw(law, _stream(seed, replica_index, alpha, level), n)``. The keys are
-    derived together; the uniform laws then run one counter-mode Philox pass
-    over the whole replica, and the Gaussian laws re-key one generator, local
-    to the call, per level vector.
+    derived together, and every law reads them through one counter-mode
+    Philox pass: over the whole replica for the uniform laws, a chunk of
+    samples at a time for the Gaussian laws.
     """
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")
@@ -288,7 +425,7 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     if law.kind is EntryLawKind.UNIT_CIRCLE or law.kind is EntryLawKind.RADEMACHER:
         raw = _uniform_raw(law, keys, params.n)
     else:
-        raw = _rekeyed_raw(law, keys, params.n)
+        raw = _gaussian_raw(law, keys, params.n)
     entries = _transform(law, raw)
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params)

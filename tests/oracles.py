@@ -2,19 +2,22 @@
 
 Nothing here shares a computation path with the package: eigenvalues come
 from inertia counting plus bisection, KS and Levy distances from brute-force
-scans, the limit-law values from closed forms or QUADPACK, and Gram entries
+scans, the limit-law values from closed forms or QUADPACK, Gram entries
 from explicitly formed tensor vectors, or from the builders' arithmetic
-written with whole-matrix temporaries.
+written with whole-matrix temporaries, and normal draws from a scalar
+ziggurat reading one word at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
-from math import comb, sqrt
+from math import comb, exp, log1p, sqrt
 
 import numpy as np
 from scipy import integrate
 
+from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
 from tensormp.config import ModelKind
 
 
@@ -223,3 +226,46 @@ def levy_law_scan(f, c: float, xs, tol: float = 1e-12) -> float:
         else:
             lo = mid
     return hi
+
+
+def ziggurat_normals(words, count: int) -> tuple[np.ndarray, Counter]:
+    """``count`` draws of numpy's random_standard_normal from the uint64
+    stream ``words``, one word at a time as numpy's C loop reads them, and a
+    tally of the events on the way: "tail" and "wedge" rejections of a first
+    word, "wedge_rejected" wedges that start a new draw, and "words" read.
+    It shares the package's tables, which the comparisons with numpy's own
+    generator check."""
+    stream = map(int, words)
+    events = Counter()
+
+    def word() -> int:
+        events["words"] += 1
+        return next(stream)
+
+    def uniform() -> float:
+        return (word() >> 11) * 2.0**-53
+
+    values = []
+    while len(values) < count:
+        r = word()
+        layer, rabs = r & 0xFF, (r >> 9) & (2**52 - 1)
+        x = rabs * float(WI[layer])
+        if r >> 8 & 1:
+            x = -x
+        if rabs < int(KI[layer]):
+            values.append(x)
+        elif layer == 0:
+            events["tail"] += 1
+            while True:
+                xx = NEG_INV_R * log1p(-uniform())
+                yy = -log1p(-uniform())
+                if yy + yy > xx * xx:
+                    break
+            values.append(-(R + xx) if rabs >> 8 & 1 else R + xx)
+        else:
+            events["wedge"] += 1
+            if (float(FI[layer - 1]) - float(FI[layer])) * uniform() + float(FI[layer]) < exp(-0.5 * x * x):
+                values.append(x)
+            else:
+                events["wedge_rejected"] += 1
+    return np.array(values), events

@@ -1,5 +1,6 @@
 """Configuration layer: derived dimensions, tau schemes, entry-law moments."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,14 @@ def test_two_point_fill_is_deterministic():
     assert _two_point(1, 2, 0.5, 5).values == (1.0, 1.0, 2.0, 2.0, 2.0)
     assert np.mean(_two_point(1, 2, 0.5, 2).as_array() ** 3) == 4.5
     assert _two_point(1, 2, 0.5, 5).two_point == (1.0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_two_point_rejects_a_non_finite_value_even_with_an_empty_share(bad):
+    # floor(0.2 * 4) = 0 weights take a: no weight holds it, but params_to_json would write it
+    for a, b in ((bad, 2.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="two-point values must be positive and finite"):
+            make_params(4, 1, 0.75, tau={"kind": "two_point", "a": a, "b": b, "weight": 0.2})
 
 
 def test_explicit_tau_moment():

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the package in src/, with
-every warning an error as in the rest of the suite, and every JSON example of
-README.md is a document the shipped readers accept."""
+every warning an error as in the rest of the suite and without importing
+numpy.random, and every JSON example of README.md is a document the shipped
+readers accept."""
 
 import json
 import os
@@ -24,9 +25,16 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", "-X", "importtime", str(demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "numpy" in imported and "numpy.random" not in imported  # every law samples from the package's Philox
 
 
 def test_readme_has_json_examples():

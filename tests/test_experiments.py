@@ -391,12 +391,16 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
 
 
 def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
-    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
-    for law in ("complex_gaussian", "unit_circle"):
-        with pytest.raises(ValueError, match="breaks the trace bound"):
-            run_sweep(sweep_plan_from_json({"ns": [6], "c": 0.5, "entry_law": law, "seed": 2, "replicas": 1}))
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g, ks=None: 1.0)
+    with pytest.raises(ValueError, match="breaks the trace bound"):
+        run_sweep(sweep_plan_from_json({"ns": [6], "c": 0.5, "entry_law": "complex_gaussian", "seed": 2, "replicas": 1}))
     record = run_convergence(sweep_plan_from_json({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1})).records[0]
     assert record.levy_mp == 1.0 and np.isnan(record.levy_models)  # only a coupled replica is checked
+    # a unit-modulus law shares one spectrum between the models: 0.0 with no distance taken, still checked
+    plan = sweep_plan_from_json({"ns": [6], "c": 0.5, "entry_law": "unit_circle", "seed": 2, "replicas": 1})
+    checked = []
+    monkeypatch.setattr(tensormp.experiments, "_check_levy_models", lambda levy, params, d2: checked.append(levy))
+    assert run_sweep(plan).records[0].levy_models == 0.0 and checked == [0.0]
 
 
 @pytest.mark.parametrize("law, solves", [("unit_circle", 1), ("complex_gaussian", 2)])
@@ -748,7 +752,7 @@ def test_distance_reports_dumps_without_a_shared_replica_in_one_line(tmp_path, c
 def test_cli_lets_an_error_of_the_computation_propagate(tmp_path, monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1}))
-    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g, ks=None: 1.0)
     with pytest.raises(ValueError, match="breaks the trace bound"):
         main(["sweep", "--config", str(plan_path), "--out", str(tmp_path)])
 

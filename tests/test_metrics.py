@@ -69,6 +69,20 @@ def test_mp_law_evaluate_and_left_limit_keep_the_atom():
     xs = np.array([-1.0, 0.0, 1.0, 3.0])
     assert np.array_equal(law.evaluate(xs), [0.0, 0.75, mp.cdf(law, 1.0), 1.0])
     assert np.array_equal(law.left_limit(xs), [0.0, 0.0, mp.cdf(law, 1.0), 1.0])
+    for cdf in (law, two_step(0.0, 0.5, 1.0)):
+        at, before = cdf.sides(xs)
+        assert at.tobytes() == cdf.evaluate(xs).tobytes() and before.tobytes() == cdf.left_limit(xs).tobytes()
+
+
+def test_ks_to_the_law_evaluates_it_once_and_levy_takes_the_ks_given(monkeypatch):
+    f = EmpiricalCDF.from_spectral(esd(np.array([0.2, 0.9, 0.9, 1.7, 2.5]), 8))
+    law = mp.MPLaw.from_ratio(0.5)
+    calls = []
+    cdf = mp.cdf
+    monkeypatch.setattr(mp, "cdf", lambda *args: calls.append(1) or cdf(*args))
+    ks = ks_distance(f, law)
+    assert len(calls) == 1
+    assert levy_distance(f, law, ks=ks) == levy_distance(f, law) == levy_bisection(f, law)
 
 
 def test_ks_examples():

@@ -175,3 +175,28 @@ def test_counter_mode_uniform_laws_equal_the_per_key_generator(law_kind, seed, r
         for level in range(k):
             expected = _draw(params.entry_law, _stream(seed, replica, alpha, level), n)
             assert entries[alpha, level].tobytes() == expected.tobytes(), (alpha, level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([EntryLawKind.REAL_GAUSSIAN, EntryLawKind.COMPLEX_GAUSSIAN]),
+    _seeds,
+    st.one_of(_replicas, st.just(2**32 + 7)),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(2, 45),
+)
+@example(EntryLawKind.REAL_GAUSSIAN, 2**33 + 9, 2**32 + 7, 3, 2, 5)  # a tail
+@example(EntryLawKind.COMPLEX_GAUSSIAN, 2**33 + 9, 2**32 + 7, 3, 2, 5)
+@example(EntryLawKind.REAL_GAUSSIAN, 2**33, 2**32 + 7, 4, 1, 3)  # a rejected wedge
+@example(EntryLawKind.COMPLEX_GAUSSIAN, 2**33, 2**32 + 7, 4, 1, 3)
+@example(EntryLawKind.REAL_GAUSSIAN, 2**33 + 11119, 2**32 + 7, 2, 1, 3)  # words past the first allocation
+@example(EntryLawKind.COMPLEX_GAUSSIAN, 2**33 + 11119, 2**32 + 7, 2, 1, 2)
+def test_ziggurat_gaussian_laws_equal_the_per_key_generator(law_kind, seed, replica, m, k, n):
+    params = make_params(n, k, m / n**k, entry_law_kind=law_kind, seed=seed)
+    assert params.sample_count == m
+    entries = sample_base(params, replica).entries
+    for alpha in range(m):
+        for level in range(k):
+            expected = _draw(params.entry_law, _stream(seed, replica, alpha, level), n)
+            assert entries[alpha, level].tobytes() == expected.tobytes(), (alpha, level)

@@ -1,9 +1,12 @@
 """Sampling layer: keyed streams, level norms, the norm-moment check."""
 
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,15 +14,19 @@ import numpy as np
 import pytest
 
 from helpers import forged_sample
-from tensormp.config import EntryLawKind, make_params
+from oracles import ziggurat_normals
+from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
+from tensormp.config import EntryLawKind, make_params, params_to_json
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.sampling import (
     BaseSample,
     DegenerateSampleError,
     _draw,
     _philox_keys,
+    _philox_words,
     _stream,
     _transform,
+    _wedge_accepts,
     norm_moment_check,
     norm_profile,
     sample_base,
@@ -195,18 +202,113 @@ def test_norm_moment_check_real_gaussian_quartic():
     assert report.passed
 
 
-@pytest.mark.parametrize("law, loads_random", [("unit_circle", False), ("rademacher", False), ("complex_gaussian", True)])
-def test_only_gaussian_sweeps_import_numpy_random(tmp_path, law, loads_random):
-    # the uniform laws run Philox in array arithmetic; numpy.random loads lazily, on the Gaussian path
-    plan = {"ns": [5], "c": 0.1, "k_schedule": {"kind": "fixed", "k": 3}, "entry_law": law, "replicas": 2, "seed": 3}
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
+def _imported_modules(tmp_path, *argv) -> set[str]:
+    """The modules a fresh ``python -m tensormp ...`` in tmp_path imports."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    command = [sys.executable, "-W", "error", "-X", "importtime", "-m", "tensormp", "sweep", "--config", "plan.json"]
+    command = [sys.executable, "-W", "error", "-X", "importtime", "-m", "tensormp", *argv]
     proc = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("law", [law.value for law in EntryLawKind])
+def test_no_sweep_imports_numpy_random(tmp_path, law):
+    # every law runs Philox in array arithmetic, the Gaussian laws numpy's ziggurat over its words
+    plan = {"ns": [5], "c": 0.1, "k_schedule": {"kind": "fixed", "k": 3}, "entry_law": law, "replicas": 2, "seed": 3}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    imported = _imported_modules(tmp_path, "sweep", "--config", "plan.json")
     assert (tmp_path / "sweep.csv").is_file()
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "tensormp.sampling" in imported
-    assert ("numpy.random" in imported) is loads_random
+    assert "numpy.random" not in imported
+
+
+@pytest.mark.parametrize("law", ["real_gaussian", "complex_gaussian"])
+def test_simulate_does_not_import_numpy_random(tmp_path, law):
+    (tmp_path / "point.json").write_text(json.dumps(params_to_json(make_params(6, 2, 0.5, entry_law_kind=law, seed=2))))
+    imported = _imported_modules(tmp_path, "simulate", "--config", "point.json")
+    assert (tmp_path / "eigenvalues.csv").is_file()
+    assert "tensormp.sampling" in imported
+    assert "numpy.random" not in imported
+
+
+def test_ziggurat_tables_hold_numpys_known_entries():
+    assert KI.shape == WI.shape == FI.shape == (256,)
+    assert KI.dtype == np.uint64 and WI.dtype == FI.dtype == np.float64
+    assert int(KI[0]) == 0x000EF33D8025EF6A and int(KI[1]) == 0
+    assert float(WI[0]).hex() == "0x1.f493b7815d979p-51"
+    assert float(FI[255]).hex() == "0x1.4a605b6b9f70fp-10" and FI[0] == 1.0
+    assert R.hex() == "0x1.d3bb48209ad33p+1" and NEG_INV_R == -1.0 / R
+
+
+def test_ziggurat_tables_are_the_installed_numpys(tmp_path):
+    # the extraction written out in tensormp._ziggurat, run on the installed numpy
+    library = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not library.is_file() or not all(shutil.which(tool) for tool in ("ar", "nm", "objcopy")):
+        pytest.skip("needs numpy's static random library and binutils")
+    member = "src_distributions_distributions.c.o"
+    subprocess.run(["ar", "x", str(library), member], cwd=tmp_path, check=True, timeout=60)
+    symbols = subprocess.run(["nm", "-S", member], cwd=tmp_path, check=True, capture_output=True, text=True, timeout=60)
+    found = {}
+    for line in symbols.stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 4 and fields[3] in ("ki_double", "wi_double", "fi_double"):
+            found[fields[3]] = (int(fields[0], 16), int(fields[1], 16))
+    for section in (".rodata", ".rodata.cst8"):
+        command = ["objcopy", "-O", "binary", f"--only-section={section}", member, f"{section}.bin"]
+        subprocess.run(command, cwd=tmp_path, check=True, timeout=60)
+    rodata = (tmp_path / ".rodata.bin").read_bytes()
+    for name, table in (("ki_double", KI), ("wi_double", WI), ("fi_double", FI)):
+        offset, size = found[name]
+        assert size == 0x800 and rodata[offset : offset + size] == table.tobytes(), name
+    doubles = np.frombuffer((tmp_path / ".rodata.cst8.bin").read_bytes(), dtype="<f8").tolist()
+    assert R in doubles and NEG_INV_R in doubles
+
+
+def test_wedge_test_decides_close_calls_with_libm():
+    # x within a few ulps of where exp(-x^2/2) meets each threshold, where np.exp and
+    # libm's exp, which numpy's C calls, disagree on some decisions
+    words = _philox_words(_philox_keys(5, 0, 64, 1), 8).reshape(-1)
+    layers = (words & np.uint64(0xFF)).astype(np.intp) % 255 + 1
+    thresholds = (FI[layers - 1] - FI[layers]) * ((words >> np.uint64(11)) * 2.0**-53) + FI[layers]
+    at = np.sqrt(-2.0 * np.log(thresholds))
+    xs = (at[:, None] + np.arange(-6, 7) * np.spacing(at)[:, None]).reshape(-1)
+    layers, words, thresholds = (np.repeat(a, 13) for a in (layers, words, thresholds))
+    libm = np.array([t < math.exp(-0.5 * x * x) for t, x in zip(thresholds.tolist(), xs.tolist())])
+    assert np.any((thresholds < np.exp(-0.5 * xs * xs)) != libm)
+    assert np.array_equal(_wedge_accepts(layers, xs, words), libm)
+
+
+def test_gaussian_sampling_exercises_every_ziggurat_event():
+    # 2500 keys of 80 normals: the fast path, wedges kept and rejected, tails, keys whose
+    # draws need words past their first allocation, and chunk edges, all bitwise numpy's
+    n, k, m, seed, replica = 80, 2, 1250, 9, 2**32 + 7
+    params = make_params(n, k, m / n**k, entry_law_kind="real_gaussian", seed=seed)
+    assert params.sample_count == m
+    entries = sample_base(params, replica).entries
+    words = _philox_words(_philox_keys(seed, replica, m, k), 32)
+    events = Counter()
+    for alpha in range(m):
+        for level in range(k):
+            values, tally = ziggurat_normals(words[alpha, level], n)
+            assert entries[alpha, level].tobytes() == values.tobytes(), (alpha, level)
+            events += tally
+    for alpha, level in ((0, 0), (m // 2, 1), (m - 1, 1)):
+        assert entries[alpha, level].tobytes() == _draw(params.entry_law, _stream(seed, replica, alpha, level), n).tobytes()
+    assert m * k * n >= 2 * 10**5
+    assert events["tail"] >= 20 and events["wedge"] >= 1000 and events["wedge_rejected"] >= 100
+
+
+def test_pinned_gaussian_examples_hit_each_event():
+    # the @examples of test_ziggurat_gaussian_laws_equal_the_per_key_generator, replica 2**32 + 7
+    def tallies(law, seed, m, k, n):
+        keys = _philox_keys(seed, 2**32 + 7, m, k).reshape(-1, 2)
+        return [ziggurat_normals(_philox_words(key, 16), n if law == "real_gaussian" else 2 * n)[1] for key in keys]
+
+    for law in ("real_gaussian", "complex_gaussian"):
+        assert any(t["tail"] for t in tallies(law, 2**33 + 9, 3, 2, 5))
+        assert any(t["wedge_rejected"] for t in tallies(law, 2**33, 4, 1, 3))
+    # 3 or 4 draws get two blocks of words first: 8 words
+    assert any(t["words"] > 8 for t in tallies("real_gaussian", 2**33 + 11119, 2, 1, 3))
+    assert any(t["words"] > 8 for t in tallies("complex_gaussian", 2**33 + 11119, 2, 1, 2))
