@@ -50,7 +50,7 @@ from .metrics import (
     levy_distance,
     levy_distance_trace_bound,
 )
-from .sampling import _draw, _stream, norm_moment_check, norm_profile, sample_base
+from .sampling import _philox_keys, _raw_draws, _transform, norm_moment_check, norm_profile, sample_base
 
 # regression bounds frozen from the first calibration run (measured mean
 # times 1.5); see the acceptance suite
@@ -58,6 +58,12 @@ CONVERGENCE_KS_BOUND = 0.0034  # mean KS to the limit law at n=30, k=2, c=0.5, 5
 COMPARISON_LEVY_BOUND = 0.016  # mean coupled Levy distance at the same point, two-point tau
 
 _SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs
+# The selftest's Monte Carlo rows draw (row, column) grids under the prefixes
+# (stream, 0), streams 1-4, whose zero word keeps them apart from every sweep
+# and sphere key; raw unit-circle draws are uniforms on [0, 1), raw real
+# Gaussian ones standard normals.
+_UNIFORM = entry_law(EntryLawKind.UNIT_CIRCLE)
+_NORMAL = entry_law(EntryLawKind.REAL_GAUSSIAN)
 
 SWEEP_COLUMNS = ("n", "k", "m", "N", "c", "replica", "ks_mp", "levy_mp", "levy_models", "m1", "m2", "m3", "m4_emp", "ms")
 
@@ -427,37 +433,43 @@ def _check_unit_modulus_collapse(seed: int) -> Check:
 
 
 def _check_column_identity(seed: int) -> Check:
-    rng = _stream(seed, 1)
+    # trial t reads uniforms (n, p, then the weights) under key (1, 0, t, 0),
+    # and the re/im planes of an 8 x 8 normal matrix under (1, 0, t, 1)
+    keys = _philox_keys(seed, (1, 0), 100, 2)
+    uniforms = _raw_draws(_UNIFORM, keys[:, :1], 10)[:, 0]
+    normals = _raw_draws(_NORMAL, keys[:, 1:], 128).reshape(100, 2, 8, 8)
     gaps = []
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        p = int(rng.integers(1, 9))
-        a = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
-        w = rng.random(p) + 0.1
+    for u, z in zip(uniforms, normals):
+        n, p = 2 + int(7 * u[0]), 1 + int(8 * u[1])  # in [2, 9) and [1, 9)
+        a = z[0, :n, :p] + 1j * z[1, :n, :p]
+        w = u[2 : 2 + p] + 0.1
         lhs, rhs = column_normalization_identity(a, w)
         gaps.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
     return nearest_failure("column_normalization_identity", gaps, 1e-10)
 
 
 def _check_levy_bound(seed: int) -> Check:
-    rng = _stream(seed, 2)
+    # trial t reads the re/im planes of two 5 x 8 matrices under key (2, 0, t, 0)
+    normals = _raw_draws(_NORMAL, _philox_keys(seed, (2, 0), 100, 1), 160).reshape(100, 4, 5, 8)
     gaps, bounds = [], []
-    for _ in range(100):
-        a = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-        b = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
-        lhs, rhs = levy_distance_trace_bound(a, b)
+    for z in normals:
+        lhs, rhs = levy_distance_trace_bound(z[0] + 1j * z[1], z[2] + 1j * z[3])
         gaps.append(lhs)
         bounds.append(rhs + 1e-12)
     return nearest_failure("levy_trace_bound", gaps, bounds)
 
 
+def _random_cdf(u: np.ndarray) -> EmpiricalCDF:
+    """The ESD of 1-11 atoms on [0, 3) among 0-3 more zeros, from 13 uniforms."""
+    count = 1 + int(11 * u[0])
+    return EmpiricalCDF.from_spectral(esd(np.sort(u[2 : 2 + count] * 3.0), count + int(4 * u[1])))
+
+
 def _check_levy_ks_domination(seed: int) -> Check:
-    rng = _stream(seed, 3)
+    # trial t reads its two distributions' uniforms under keys (3, 0, t, 0) and (3, 0, t, 1)
     gaps, bounds = [], []
-    for _ in range(50):
-        na, nb = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-        fa = EmpiricalCDF.from_spectral(esd(np.sort(rng.random(na) * 3.0), na + int(rng.integers(0, 4))))
-        fb = EmpiricalCDF.from_spectral(esd(np.sort(rng.random(nb) * 3.0), nb + int(rng.integers(0, 4))))
+    for u in _raw_draws(_UNIFORM, _philox_keys(seed, (3, 0), 50, 2), 13):
+        fa, fb = _random_cdf(u[0]), _random_cdf(u[1])
         gaps.append(levy_distance(fa, fb))
         bounds.append(ks_distance(fa, fb) + 1e-9)
     return nearest_failure("levy_ks_domination", gaps, bounds)
@@ -488,11 +500,13 @@ def _check_mp_cdf_monotone(_: int) -> Check:
 
 
 def _check_entry_laws(seed: int) -> Check:
-    gaps, bounds = [], []
+    # 1000 draws under each of the 1000 keys (4, 0, row, law index) of a law
+    keys = _philox_keys(seed, (4, 0), 1000, len(EntryLawKind))
     trials = 1_000_000
+    gaps, bounds = [], []
     for index, kind in enumerate(EntryLawKind):
         law = entry_law(kind)
-        draws = _draw(law, _stream(seed, 4, index), trials)
+        draws = _transform(law, _raw_draws(law, keys[:, index : index + 1], 1000)).reshape(-1)
         mean = np.mean(draws)
         se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1))) / np.sqrt(trials)
         sq = np.abs(draws) ** 2

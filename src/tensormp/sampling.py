@@ -1,20 +1,20 @@
 """Base-vector sampling with keyed, order-independent random streams.
 
-Every (seed, replica, sample, level) tuple keys its own counter-based Philox
-stream, so a level vector's entries never depend on how many workers generated
-the batch or in what order. The per-key reference is
-``Generator(Philox(SeedSequence(seed, spawn_key=(replica, sample, level))))``
-(``_stream``/``_draw``); ``sample_base`` draws bitwise the same values but
-derives all m*k Philox keys of a replica in one vectorized pass of
-SeedSequence's hash, then runs Philox4x64-10 itself, vectorized over every
-(sample, level, block) counter, and transforms the words as numpy's
-generator would: a uniform law (unit circle, Rademacher) reads one word per
-entry or per two, and a Gaussian law runs numpy's 256-layer ziggurat
-(``random_standard_normal``, with its tables in ``tensormp._ziggurat``) over
-each key's words in order. No sampling path imports ``numpy.random``; only
-the reference and the selftest do. No tensor norm ||Y||^2 = prod_l
-||y^(l)||^2 is ever formed, since it grows like n^k: consumers multiply the
-per-level ratios ||y^(l)||^2 / n, which stay near 1.
+Every draw is keyed: a seed and a SeedSequence spawn key, a prefix and a
+(row, column) pair, name one Philox stream, so a value never depends on how
+many workers drew the batch or in what order; a level vector's key is
+(replica, sample, level). ``sample_base`` draws bitwise the values of the
+per-key reference ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``
+of tests/oracles.py (``_stream``/``_draw``), but derives all m*k Philox
+keys of a replica in one vectorized pass of SeedSequence's hash, runs
+Philox4x64-10 itself over every (sample, level, block) counter, and
+transforms the words as numpy's generator would: a uniform law (unit
+circle, Rademacher) reads one word per entry or per two, and a Gaussian law
+runs numpy's 256-layer ziggurat (``random_standard_normal``, tables in
+``tensormp._ziggurat``) over each key's words in order. The norm-moment
+check and the selftest draw through the same dispatch, ``_raw_draws``. No
+tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever formed, since it grows
+like n^k: consumers multiply the per-level ratios ||y^(l)||^2 / n.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from ._ziggurat import FI, KI, NEG_INV_R, R, WI
 from .checks import Check
 from .config import EntryLaw, EntryLawKind, ModelParams
 
-# spawn-key namespace for the Monte Carlo moment check, disjoint from the
-# three-component (replica, sample, level) keys used by sample_base
-_MOMENT_STREAM = 0x4D43
+# key prefix of the moment check's (trial, level) grid; its trailing zero word
+# keeps it apart from every sample_base key (replica, sample, level), since a
+# replica's uint32 words end in a zero word only for the single word of 0
+_MOMENT_KEY = (0x4D43, 0)
 
 
 class DegenerateSampleError(RuntimeError):
@@ -54,11 +55,6 @@ class BaseSample:
         shape = np.shape(self.entries)
         if shape != expected:
             raise ValueError(f"sample entries have shape {shape}, but params give (m, k, n) = {expected}")
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
 
 
 # numpy's SeedSequence hash (pool of four uint32 words); the constants, and
@@ -91,21 +87,23 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _philox_keys(seed: int, replica: int, m: int, k: int) -> np.ndarray:
-    """The (m, k, 2) uint64 Philox keys of every (alpha, level) of a replica.
+def _philox_keys(seed: int, prefix: tuple[int, ...], m: int, k: int) -> np.ndarray:
+    """The (m, k, 2) uint64 Philox keys of every (row, column) under a
+    spawn-key prefix of any length, such as (replica,) for a replica's
+    (alpha, level) grid.
 
-    Entry [alpha, level] equals ``SeedSequence(entropy=seed, spawn_key=(replica,
-    alpha, level)).generate_state(2, np.uint64)``: the entropy is the seed's
-    words zero-padded to the pool size, then the replica's words, then alpha,
-    then level. The seed and replica words, the same for every key, are
-    hashed and mixed once as Python ints; the pool becomes an (m, 1) uint32
-    array at the alpha word and an (m, k) one at the level word.
+    Entry [row, column] equals ``SeedSequence(entropy=seed, spawn_key=prefix
+    + (row, column)).generate_state(2, np.uint64)``: the entropy is the seed's
+    words zero-padded to the pool size, then each prefix component's words,
+    then row, then column. The seed and prefix words, the same for every key,
+    are hashed and mixed once as Python ints; the pool becomes an (m, 1)
+    uint32 array at the row word and an (m, k) one at the column word.
     """
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
-    alpha = np.arange(m, dtype=np.uint32)[:, None]
-    level = np.arange(k, dtype=np.uint32)
-    entropy = run + _uint32_words(replica) + [alpha, level]
+    row = np.arange(m, dtype=np.uint32)[:, None]
+    column = np.arange(k, dtype=np.uint32)
+    entropy = run + [word for part in prefix for word in _uint32_words(part)] + [row, column]
 
     const = _INIT_A
     pool = []
@@ -163,12 +161,12 @@ def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
     (j = 1..blocks) is the ten-round bijection of counter (j, 0, 0, 0) under
     the key: all blocks of all keys are one array pass, with no re-keying.
     Round 0 multiplies the counters alone, once for every key, and skips the
-    zero x2 word.
+    zero x2 word; round 1 multiplies the x0 word, which is the key alone,
+    once per key.
     """
-    shape = keys.shape[:-1] + (blocks,)
     key0, key1 = keys[..., :1], keys[..., 1:]
     hi0, lo0 = _mulhilo(_PHILOX_M0, np.arange(1, blocks + 1, dtype=np.uint64))
-    x0, x1, x2, x3 = np.broadcast_to(key0, shape), 0, hi0 ^ key1, lo0
+    x0, x1, x2, x3 = key0, 0, hi0 ^ key1, lo0
     for _ in range(1, _PHILOX_ROUNDS):
         key0, key1 = key0 + _PHILOX_W0, key1 + _PHILOX_W1
         hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
@@ -177,31 +175,14 @@ def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
     return np.stack([x0, x1, x2, x3], axis=-1).reshape(keys.shape[:-1] + (4 * blocks,))
 
 
-def _raw_shape(law: EntryLaw, shape: tuple) -> tuple:
-    """Shape of the raw draws behind ``shape`` entries: re and im planes for
-    the complex Gaussian, one value per entry otherwise."""
-    return (2,) + shape if law.kind is EntryLawKind.COMPLEX_GAUSSIAN else shape
-
-
-def _fill(law: EntryLaw, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Draw one stream's raw values into the contiguous float64 array ``out``."""
-    kind = law.kind
-    if kind is EntryLawKind.COMPLEX_GAUSSIAN or kind is EntryLawKind.REAL_GAUSSIAN:
-        rng.standard_normal(out=out)
-    elif kind is EntryLawKind.RADEMACHER:
-        out[...] = rng.integers(0, 2, size=out.shape)
-    else:
-        rng.random(out=out)
-
-
 def _transform(law: EntryLaw, raw: np.ndarray) -> np.ndarray:
     """Entries from raw draws, reusing ``raw`` where the law's dtype allows.
 
-    ``raw`` has the layout of ``_raw_shape`` (complex Gaussian: re/im planes on
-    axis 0, possibly a strided view). Each law allocates at most the complex
-    output and one float temporary. The unit circle's cos and sin are written
-    into the output's parts: bitwise 1j * sin + cos, which only a -0.0 sine
-    would tell apart, and no angle 2 pi u, u >= 0, has one.
+    ``raw`` holds one value per entry, or for the complex Gaussian re and im
+    planes on axis 0, possibly a strided view. Each law allocates at most
+    the complex output and one float temporary. The unit circle's cos and
+    sin are written into the output's parts: bitwise 1j * sin + cos, which
+    only a -0.0 sine would tell apart, and no angle 2 pi u, u >= 0, has one.
     """
     kind = law.kind
     if kind is EntryLawKind.COMPLEX_GAUSSIAN:
@@ -223,14 +204,6 @@ def _transform(law: EntryLaw, raw: np.ndarray) -> np.ndarray:
     return z
 
 
-def _draw(law: EntryLaw, rng: np.random.Generator, shape) -> np.ndarray:
-    if isinstance(shape, int):
-        shape = (shape,)
-    raw = np.empty(_raw_shape(law, shape))
-    _fill(law, rng, raw)
-    return _transform(law, raw)
-
-
 # bit offsets of the top bits of a uint64's low and high uint32 halves
 _HALF_TOP_BITS = np.array([31, 63], dtype=np.uint64)
 
@@ -242,10 +215,11 @@ def _uniform(words):
 
 
 def _uniform_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
-    """The (m, k, n) raw draws of a uniform law, as ``_fill`` makes them from a
-    fresh generator per key: ``random()`` is (u64 >> 11) * 2**-53, one word
-    per entry; ``integers(0, 2)`` is the top bit of each uint32 half, low
-    half first, two entries per word."""
+    """The (..., n) raw draws of a uniform law under each key of the (..., 2)
+    ``keys``, as numpy's generator makes them from a fresh Philox per key:
+    ``random()`` is (u64 >> 11) * 2**-53, one word per entry; ``integers(0,
+    2)`` is the top bit of each uint32 half, low half first, two entries per
+    word."""
     if law.kind is EntryLawKind.UNIT_CIRCLE:
         return _uniform(_philox_words(keys, -(-n // 4))[..., :n])
     words = _philox_words(keys, -(-n // 8))
@@ -374,9 +348,10 @@ def _normals(keys: np.ndarray, out: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _gaussian_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
-    """The raw draws of a Gaussian law, as ``_fill`` makes them from a fresh
-    generator per key: n normals per key, or 2n for the complex law, whose
-    first n are the real plane.
+    """The raw draws of a Gaussian law under each key of the (m, k, 2)
+    ``keys``, as numpy's ``standard_normal`` makes them from a fresh Philox
+    per key: n normals per key, or 2n for the complex law, whose first n are
+    the real plane.
 
     Each key first gets a few spare words past its draws, rounded up to a
     whole block, and the words are drawn a chunk of samples at a time; the
@@ -384,10 +359,9 @@ def _gaussian_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
     the blocks.
     """
     m, k = keys.shape[:2]
-    shape = _raw_shape(law, (n,))
-    draws = math.prod(shape)
-    raw = np.empty((m, k) + shape)
-    out = raw.reshape(m * k, draws)
+    complex_law = law.kind is EntryLawKind.COMPLEX_GAUSSIAN
+    draws = 2 * n if complex_law else n
+    out = np.empty((m * k, draws))
     keys = keys.reshape(-1, 2)
     # a key's rejections take about 2.2% more words than its draws; with
     # 4 + draws/32 spare words, at most about 1.5 keys in 100 run short
@@ -402,9 +376,18 @@ def _gaussian_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
         short = _normals(keys[retry], redo, blocks)
         out[retry] = redo
         retry = retry[short]
-    if law.kind is EntryLawKind.COMPLEX_GAUSSIAN:
-        raw = np.moveaxis(raw, 2, 0)  # re/im planes first, as _transform expects
-    return raw
+    if complex_law:  # re/im planes first, as _transform expects
+        return np.moveaxis(out.reshape(m, k, 2, n), 2, 0)
+    return out.reshape(m, k, n)
+
+
+def _raw_draws(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
+    """The raw draws of n entries of ``law`` under each key of the (m, k, 2)
+    ``keys``, which ``_transform`` makes entries: the one dispatch on the law
+    behind every draw of the package."""
+    if law.kind is EntryLawKind.UNIT_CIRCLE or law.kind is EntryLawKind.RADEMACHER:
+        return _uniform_raw(law, keys, n)
+    return _gaussian_raw(law, keys, n)
 
 
 def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
@@ -412,21 +395,17 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
 
     The stream key is (seed, replica_index, alpha, level), so the same key
     always yields the same level vector, bitwise, regardless of execution
-    order or worker count: entry [alpha, level] is
-    ``_draw(law, _stream(seed, replica_index, alpha, level), n)``. The keys are
-    derived together, and every law reads them through one counter-mode
-    Philox pass: over the whole replica for the uniform laws, a chunk of
-    samples at a time for the Gaussian laws.
+    order or worker count: entry [alpha, level] is the reference
+    ``_draw(law, _stream(seed, replica_index, alpha, level), n)`` of
+    tests/oracles.py. The keys are derived together, and every law reads
+    them through one counter-mode Philox pass: over the whole replica for
+    the uniform laws, a chunk of samples at a time for the Gaussian laws.
     """
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")
     law = params.entry_law
-    keys = _philox_keys(params.seed, replica_index, params.sample_count, params.k)
-    if law.kind is EntryLawKind.UNIT_CIRCLE or law.kind is EntryLawKind.RADEMACHER:
-        raw = _uniform_raw(law, keys, params.n)
-    else:
-        raw = _gaussian_raw(law, keys, params.n)
-    entries = _transform(law, raw)
+    keys = _philox_keys(params.seed, (replica_index,), params.sample_count, params.k)
+    entries = _transform(law, _raw_draws(law, keys, params.n))
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params)
 
@@ -482,14 +461,15 @@ class MomentReport:
 def norm_moment_check(params: ModelParams, trials: int) -> MomentReport:
     """Estimate E||Y||^2 and E||Y||^4 over independent tensor samples.
 
+    Trial t's level l is drawn as sample_base draws a level vector, under the
+    spawn key (0x4D43, 0, t, l): ``_MOMENT_KEY``, then the trial and level.
     Per-trial statistics are products of the normalized per-level ratios
     ||y^(l)||^2 / n, so nothing of size n^k is ever exponentiated.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    rng = _stream(params.seed, _MOMENT_STREAM)
-    n, k = params.n, params.k
-    e = _draw(params.entry_law, rng, (trials, k, n))
+    law, n, k = params.entry_law, params.n, params.k
+    e = _transform(law, _raw_draws(law, _philox_keys(params.seed, _MOMENT_KEY, trials, k), n))
     ratios = np.einsum("tlj,tlj->tl", e, e.conj()).real / n
     x = np.prod(ratios, axis=1)
     x2 = x * x

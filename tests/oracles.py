@@ -6,6 +6,14 @@ scans, the limit-law values from closed forms or QUADPACK, Gram entries
 from explicitly formed tensor vectors, or from the builders' arithmetic
 written with whole-matrix temporaries, and normal draws from a scalar
 ziggurat reading one word at a time.
+
+The numpy reference of every keyed draw is here too: ``_stream(seed,
+*key)`` is ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``,
+``_fill`` draws a law's raw values from it with numpy's own ``random``,
+``integers`` and ``standard_normal``, and ``_draw`` makes them entries. The
+package's draws (``sample_base``, ``norm_moment_check``, the selftest) read
+the same Philox words without numpy's generator, and are tested against
+these bitwise.
 """
 
 from __future__ import annotations
@@ -18,7 +26,41 @@ import numpy as np
 from scipy import integrate
 
 from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
-from tensormp.config import ModelKind
+from tensormp.config import EntryLaw, EntryLawKind, ModelKind
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def _fill(law: EntryLaw, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Draw one stream's raw values into the contiguous float64 array ``out``."""
+    kind = law.kind
+    if kind is EntryLawKind.COMPLEX_GAUSSIAN or kind is EntryLawKind.REAL_GAUSSIAN:
+        rng.standard_normal(out=out)
+    elif kind is EntryLawKind.RADEMACHER:
+        out[...] = rng.integers(0, 2, size=out.shape)
+    else:
+        rng.random(out=out)
+
+
+def _draw(law: EntryLaw, rng: np.random.Generator, shape) -> np.ndarray:
+    """Entries of ``law`` from one stream: (re + i im) / sqrt(2) of a real
+    and then an imaginary plane of normals, a normal, 2b - 1 of a bit b, or
+    cos + i sin of the angle 2 pi u."""
+    if isinstance(shape, int):
+        shape = (shape,)
+    kind = law.kind
+    raw = np.empty((2,) + shape if kind is EntryLawKind.COMPLEX_GAUSSIAN else shape)
+    _fill(law, rng, raw)
+    if kind is EntryLawKind.COMPLEX_GAUSSIAN:
+        return (np.multiply(1j, raw[1]) + raw[0]) / np.sqrt(2.0)
+    if kind is EntryLawKind.REAL_GAUSSIAN:
+        return raw
+    if kind is EntryLawKind.RADEMACHER:
+        return raw * 2.0 - 1.0
+    theta = raw * (2.0 * np.pi)
+    return np.multiply(1j, np.sin(theta)) + np.cos(theta)
 
 
 def gram_direct(sample, tau, model: ModelKind) -> np.ndarray:

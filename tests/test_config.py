@@ -17,7 +17,7 @@ from tensormp.config import (
     params_from_json,
     params_to_json,
 )
-from tensormp.sampling import _draw, _stream
+from tensormp.sampling import _philox_keys, _raw_draws, _transform
 
 
 def test_validate_small_grid():
@@ -149,8 +149,11 @@ def test_entry_law_table():
 
 @pytest.mark.parametrize("kind", list(EntryLawKind))
 def test_entry_law_monte_carlo_moments(kind):
+    # the package's keyed draws: 1000 keys (99, row, 0) under seed 123, 1000 draws each
     trials = 1_000_000
-    draws = _draw(entry_law(kind), _stream(123, 99), trials)
+    law = entry_law(kind)
+    draws = _transform(law, _raw_draws(law, _philox_keys(123, (99,), 1000, 1), 1000)).reshape(-1)
+    assert draws.size == trials
     se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1)))
     se_mean /= np.sqrt(trials)
     assert abs(np.mean(draws)) <= 4.0 * se_mean + 1e-12

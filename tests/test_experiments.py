@@ -15,7 +15,7 @@ import tensormp.experiments
 import tensormp.gram
 import tensormp.mp
 from helpers import levy_bisection
-from oracles import gram_out_of_place
+from oracles import _draw, _stream, gram_out_of_place
 from tensormp.checks import Check, require
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLawKind, ModelKind, make_params, params_from_json
@@ -36,7 +36,7 @@ from tensormp.experiments import (
 from tensormp.gram import eigenvalues, esd, model_spectra, tensor_vector
 from tensormp.metrics import EmpiricalCDF, empirical_moment, ks_distance, levy_distance, levy_distance_trace_bound
 from tensormp.mp import MPLaw
-from tensormp.sampling import BaseSample, _draw, _stream, sample_base
+from tensormp.sampling import BaseSample, sample_base
 
 TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
 POWER_HALF = {"kind": "power", "gamma": 0.5}  # k = ceil(sqrt(n))

@@ -2,8 +2,9 @@
 replicas reach it, the one pass/fail rule in `tensormp.checks` and the
 replica pipeline of `tensormp.experiments` only through their public names.
 `tensormp.checks` sits below every other module, so it imports nothing from
-the package, and `tensormp.gram` holds the one ctypes binding to numpy's
-OpenBLAS, so no other module imports ctypes."""
+the package, `tensormp.gram` holds the one ctypes binding to numpy's
+OpenBLAS, so no other module imports ctypes, and every draw runs the
+package's own keyed Philox, so no module uses numpy's random module."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,25 @@ def _ctypes_imports(path: Path) -> list[str]:
     return found
 
 
+def _numpy_random_uses(path: Path) -> list[str]:
+    """Every import of numpy's random module in path, and every read of it
+    as an attribute of np or numpy, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numpy":
+            names = [f"numpy.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            names = [f"numpy.{node.attr}"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[:2] == ["numpy", "random"]]
+    return [f"line {line}: uses {name}" for line, name in sorted(found)]
+
+
 @pytest.mark.parametrize("module", ["experiments.py", "cli.py"])
 def test_replica_runners_use_only_the_public_gram_surface(module):
     assert _violations(PACKAGE / module) == []
@@ -97,3 +117,28 @@ def test_only_gram_imports_ctypes(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("import numpy, ctypes\nfrom ctypes import CDLL\nimport ctypes.util as u\nfrom .ctypes import x\n")
     assert _ctypes_imports(source) == ["line 1: imports ctypes", "line 2: imports ctypes", "line 3: imports ctypes.util"]
+
+
+def test_no_module_uses_numpy_random(tmp_path):
+    assert {path.name for path in PACKAGE.glob("*.py") if _numpy_random_uses(path)} == set()
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import numpy.random\n"
+        "import numpy, numpy.random.bit_generator as bits\n"
+        "from numpy import random\n"
+        "from numpy import linalg, random as rand\n"
+        "from numpy.random import Generator\n"
+        "np.random.default_rng(0)\n"
+        "numpy.random\n"
+        "np.randomize, numpy.linalg, rng.random(), from_numpy.random\n"
+        "from .numpy import random\n"
+    )
+    assert _numpy_random_uses(source) == [
+        "line 1: uses numpy.random",
+        "line 2: uses numpy.random.bit_generator",
+        "line 3: uses numpy.random",
+        "line 4: uses numpy.random",
+        "line 5: uses numpy.random",
+        "line 6: uses numpy.random",
+        "line 7: uses numpy.random",
+    ]

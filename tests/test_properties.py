@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import covariance_gram
-from oracles import gram_direct, gram_out_of_place
+from oracles import _draw, _stream, gram_direct, gram_out_of_place
 from tensormp import mp
 from tensormp.config import EntryLawKind, ModelKind, make_params
 from tensormp.gram import (
@@ -17,7 +17,7 @@ from tensormp.gram import (
 )
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.metrics import EmpiricalCDF, ks_distance, levy_distance
-from tensormp.sampling import _draw, _stream, sample_base
+from tensormp.sampling import sample_base
 
 # a coarse lattice next to free floats makes shared breakpoints between two
 # step functions likely

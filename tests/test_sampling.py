@@ -14,17 +14,15 @@ import numpy as np
 import pytest
 
 from helpers import forged_sample
-from oracles import ziggurat_normals
+from oracles import _draw, _stream, ziggurat_normals
 from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
 from tensormp.config import EntryLawKind, make_params, params_to_json
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.sampling import (
     BaseSample,
     DegenerateSampleError,
-    _draw,
     _philox_keys,
     _philox_words,
-    _stream,
     _transform,
     _wedge_accepts,
     norm_moment_check,
@@ -66,14 +64,18 @@ def test_repeat_draw_is_bitwise_identical():
     assert not np.array_equal(a.entries, c.entries)
 
 
+_REPLICA_PREFIXES = [(0,), (3,), (_SPHERE_STREAM_OFFSET + 2,), (2**32 + 7,)]  # the last has two words
+_OTHER_PREFIXES = [(), (4,), (4, 2), (0x4D43, 0), (2**32 + 7, 1, 9)]  # lengths 0 to 3
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
-@pytest.mark.parametrize("replica", [0, 3, _SPHERE_STREAM_OFFSET + 2, 2**32 + 7])  # the last has two words
-def test_philox_keys_match_seed_sequence(seed, replica):
-    keys = _philox_keys(seed, replica, 9, 3)
+@pytest.mark.parametrize("prefix", _REPLICA_PREFIXES + _OTHER_PREFIXES)
+def test_philox_keys_match_seed_sequence(seed, prefix):
+    keys = _philox_keys(seed, prefix, 9, 3)
     assert keys.shape == (9, 3, 2) and keys.dtype == np.uint64
     for alpha in range(9):
         for level in range(3):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(replica, alpha, level))
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=prefix + (alpha, level))
             assert np.array_equal(keys[alpha, level], ss.generate_state(2, np.uint64))
 
 
@@ -195,6 +197,17 @@ def test_norm_moment_check_complex_gaussian():
     assert report.passed
 
 
+@pytest.mark.parametrize("law", [law.value for law in EntryLawKind])
+def test_norm_moment_check_draws_the_keyed_reference(law):
+    # trial t's level l is numpy's draw under the spawn key (0x4D43, 0, t, l)
+    params = make_params(3, 2, 0.5, entry_law_kind=law, seed=2**32 + 5)
+    report = norm_moment_check(params, 1000)
+    law, seed = params.entry_law, params.seed
+    e = np.array([[_draw(law, _stream(seed, 0x4D43, 0, t, level), 3) for level in range(2)] for t in range(1000)])
+    x = np.prod(np.einsum("tlj,tlj->tl", e, e.conj()).real / 3, axis=1)
+    assert report.sq_mean == float(np.mean(x)) and report.quartic_mean == float(np.mean(x * x))
+
+
 def test_norm_moment_check_real_gaussian_quartic():
     # raw fourth-moment target n^2 (1 + (m4-1)/n) = 16 * 1.5 = 24 at n=4, k=1
     report = norm_moment_check(make_params(4, 1, 0.5, entry_law_kind="real_gaussian"), 5000)
@@ -220,6 +233,14 @@ def test_no_sweep_imports_numpy_random(tmp_path, law):
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     imported = _imported_modules(tmp_path, "sweep", "--config", "plan.json")
     assert (tmp_path / "sweep.csv").is_file()
+    assert "tensormp.sampling" in imported
+    assert "numpy.random" not in imported
+
+
+def test_selftest_does_not_import_numpy_random(tmp_path):
+    # its Monte Carlo rows draw keyed grids through the sweeps' Philox
+    imported = _imported_modules(tmp_path, "selftest", "--seed", "3")
+    assert (tmp_path / "selftest.csv").is_file()
     assert "tensormp.sampling" in imported
     assert "numpy.random" not in imported
 
@@ -269,7 +290,7 @@ def test_ziggurat_tables_are_the_installed_numpys(tmp_path):
 def test_wedge_test_decides_close_calls_with_libm():
     # x within a few ulps of where exp(-x^2/2) meets each threshold, where np.exp and
     # libm's exp, which numpy's C calls, disagree on some decisions
-    words = _philox_words(_philox_keys(5, 0, 64, 1), 8).reshape(-1)
+    words = _philox_words(_philox_keys(5, (0,), 64, 1), 8).reshape(-1)
     layers = (words & np.uint64(0xFF)).astype(np.intp) % 255 + 1
     thresholds = (FI[layers - 1] - FI[layers]) * ((words >> np.uint64(11)) * 2.0**-53) + FI[layers]
     at = np.sqrt(-2.0 * np.log(thresholds))
@@ -287,7 +308,7 @@ def test_gaussian_sampling_exercises_every_ziggurat_event():
     params = make_params(n, k, m / n**k, entry_law_kind="real_gaussian", seed=seed)
     assert params.sample_count == m
     entries = sample_base(params, replica).entries
-    words = _philox_words(_philox_keys(seed, replica, m, k), 32)
+    words = _philox_words(_philox_keys(seed, (replica,), m, k), 32)
     events = Counter()
     for alpha in range(m):
         for level in range(k):
@@ -303,7 +324,7 @@ def test_gaussian_sampling_exercises_every_ziggurat_event():
 def test_pinned_gaussian_examples_hit_each_event():
     # the @examples of test_ziggurat_gaussian_laws_equal_the_per_key_generator, replica 2**32 + 7
     def tallies(law, seed, m, k, n):
-        keys = _philox_keys(seed, 2**32 + 7, m, k).reshape(-1, 2)
+        keys = _philox_keys(seed, (2**32 + 7,), m, k).reshape(-1, 2)
         return [ziggurat_normals(_philox_words(key, 16), n if law == "real_gaussian" else 2 * n)[1] for key in keys]
 
     for law in ("real_gaussian", "complex_gaussian"):
