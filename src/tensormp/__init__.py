@@ -3,12 +3,10 @@ matrices built from k-fold tensor products of random vectors."""
 
 from .config import (
     EntryLaw,
-    EntryLawKind,
     ModelKind,
     ModelParams,
     TauKind,
     TauScheme,
-    entry_law,
     make_params,
     make_tau,
     params_from_json,

@@ -189,12 +189,9 @@ def _cmd_sweep(args) -> int:
     with _input_errors(args):
         doc = _load_json(args.config)
         plan = sweep_plan_from_json(doc)
-        plan_out = doc.get("out")
-        if not isinstance(plan_out, (str, type(None))):
-            raise ValueError(f"sweep plan key 'out' must be a string, got {plan_out!r}")
         if args.seed is not None:  # a grid plan has one seed, a points plan one per point
             plan = replace(plan, points=tuple(replace(point, seed=args.seed) for point in plan.points))
-        out = _out_dir(plan_out if args.out is None else args.out, args.format, "sweep")  # an explicit --out wins
+        out = _out_dir(doc.get("out") if args.out is None else args.out, args.format, "sweep")  # an explicit --out wins
     for point in plan.points:
         _warn_regime(point)
     result = run_sweep(plan)
@@ -266,14 +263,16 @@ def _cmd_selftest(args) -> int:
         if not 0 <= args.seed < 2**64:
             raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
         out = _out_dir(args.out, args.format, "selftest")
-    report = selftest(seed=args.seed)
     rows = [
         {"check": c.name, "status": "PASS" if c.passed else "FAIL", "gap": float(c.gap), "bound": float(c.bound)}
-        for c in report.checks
+        for c in selftest(seed=args.seed)
     ]
     _write(out, "selftest", args.format, rows)
-    print(report.table())
-    return 0 if report.passed else 1
+    width = max(len(row["check"]) for row in rows)
+    print(f"{'check':<{width}}  status  {'gap':<10}  bound")
+    for row in rows:
+        print(f"{row['check']:<{width}}  {row['status']:<6}  {row['gap']:<10.3e}  {row['bound']:.3e}")
+    return 0 if all(row["status"] == "PASS" for row in rows) else 1
 
 
 def main(argv=None) -> int:

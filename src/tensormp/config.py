@@ -26,39 +26,29 @@ class ModelKind(str, enum.Enum):
     COVARIANCE = "covariance"  # global 1/n^k rescaling (Wishart-type)
 
 
-class EntryLawKind(str, enum.Enum):
-    COMPLEX_GAUSSIAN = "complex_gaussian"
-    REAL_GAUSSIAN = "real_gaussian"
-    RADEMACHER = "rademacher"
-    UNIT_CIRCLE = "unit_circle"
-
-
-@dataclass(frozen=True)
-class EntryLaw:
+class EntryLaw(str, enum.Enum):
     """Law of a single base-vector entry: centered, unit second absolute moment.
 
     ``m4`` is the fourth absolute moment E|xi|^4. ``unit_modulus`` is True
     exactly for the laws with |xi| = 1 almost surely, which force every level
     norm to equal n and make the correlation and covariance constructions
-    coincide.
+    coincide; given E|xi|^2 = 1, those are the laws with m4 = 1.
     """
 
-    kind: EntryLawKind
-    m4: float
-    unit_modulus: bool
+    COMPLEX_GAUSSIAN = "complex_gaussian", 2.0
+    REAL_GAUSSIAN = "real_gaussian", 3.0
+    RADEMACHER = "rademacher", 1.0
+    UNIT_CIRCLE = "unit_circle", 1.0
 
+    def __new__(cls, value: str, m4: float):
+        law = str.__new__(cls, value)
+        law._value_ = value
+        law.m4 = m4
+        return law
 
-_ENTRY_LAWS = {
-    EntryLawKind.COMPLEX_GAUSSIAN: EntryLaw(EntryLawKind.COMPLEX_GAUSSIAN, 2.0, False),
-    EntryLawKind.REAL_GAUSSIAN: EntryLaw(EntryLawKind.REAL_GAUSSIAN, 3.0, False),
-    EntryLawKind.RADEMACHER: EntryLaw(EntryLawKind.RADEMACHER, 1.0, True),
-    EntryLawKind.UNIT_CIRCLE: EntryLaw(EntryLawKind.UNIT_CIRCLE, 1.0, True),
-}
-
-
-def entry_law(kind: EntryLawKind | str) -> EntryLaw:
-    """Canonical EntryLaw instance for a law kind (string or enum)."""
-    return _ENTRY_LAWS[EntryLawKind(kind)]
+    @property
+    def unit_modulus(self) -> bool:
+        return self.m4 == 1.0
 
 
 class TauKind(str, enum.Enum):
@@ -212,8 +202,10 @@ def sample_count(c: float, dim: int) -> int:
 @dataclass(frozen=True)
 class ModelParams:
     """Full configuration of one experiment point, checked once here: n, k,
-    seed and replicas are integers, n^k fits a float64 exactly, m rounds to at
-    least 1, tau has length m, and the seed and replica count are in range."""
+    seed and replicas are integers, the entry law is an EntryLaw member (the
+    pipeline dispatches on it by identity), n^k fits a float64 exactly, m
+    rounds to at least 1, tau has length m, and the seed and replica count
+    are in range."""
 
     n: int
     k: int
@@ -229,6 +221,8 @@ class ModelParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"ModelParams field {name!r} must be an integer, got {value!r}")
+        if not isinstance(self.entry_law, EntryLaw):
+            raise ValueError(f"ModelParams field 'entry_law' must be an EntryLaw, got {self.entry_law!r}")
         dim = ambient_dim(self.n, self.k)
         m = sample_count(self.c, dim)
         if len(self.tau) != m:
@@ -264,12 +258,15 @@ def make_params(
     c: float,
     *,
     model: ModelKind | str = ModelKind.CORRELATION,
-    entry_law_kind: EntryLawKind | str = EntryLawKind.COMPLEX_GAUSSIAN,
+    entry_law: EntryLaw | str = EntryLaw.COMPLEX_GAUSSIAN,
     tau="constant_one",
     seed: int = 0,
     replicas: int = 1,
 ) -> ModelParams:
-    """Build a ModelParams with the tau sequence materialized to length m."""
+    """Build a ModelParams with the tau sequence materialized to length m.
+
+    The keywords are the keys of a point document (params_from_json), and
+    these defaults are the defaults of its optional keys."""
     dim = ambient_dim(n, k)
     m = sample_count(c, dim)
     return ModelParams(
@@ -277,7 +274,7 @@ def make_params(
         k=k,
         c=float(c),
         model=ModelKind(model),
-        entry_law=entry_law(entry_law_kind),
+        entry_law=EntryLaw(entry_law),
         tau=make_tau(tau, m),
         seed=seed,
         replicas=replicas,
@@ -300,25 +297,21 @@ def params_to_json(params: ModelParams) -> dict:
         "k": params.k,
         "c": params.c,
         "model": params.model.value,
-        "entry_law": params.entry_law.kind.value,
+        "entry_law": params.entry_law.value,
         "tau": tau_to_json(params.tau),
         "seed": params.seed,
         "replicas": params.replicas,
     }
 
 
+_POINT_NUMBERS = {"n": int, "k": int, "c": float, "seed": int, "replicas": int}
+
+
 def params_from_json(doc: dict) -> ModelParams:
     """The inverse of params_to_json; n, k and c are required, and any key
-    it does not write, or a value of the wrong JSON type, raises ValueError."""
+    it does not write, or a value of the wrong JSON type, raises ValueError.
+    The keys are make_params' keywords, and its signature holds the defaults."""
     what = "point config"
     check_keys(doc, what, ("n", "k", "c"), ("model", "entry_law", "tau", "seed", "replicas"))
-    return make_params(
-        n=json_number(doc, "n", what, int),
-        k=json_number(doc, "k", what, int),
-        c=json_number(doc, "c", what),
-        model=doc.get("model", "correlation"),
-        entry_law_kind=doc.get("entry_law", "complex_gaussian"),
-        tau=doc.get("tau", "constant_one"),
-        seed=json_number(doc, "seed", what, int, default=0),
-        replicas=json_number(doc, "replicas", what, int, default=1),
-    )
+    numbers = {key: json_number(doc, key, what, kind) for key, kind in _POINT_NUMBERS.items() if key in doc}
+    return make_params(**{**doc, **numbers})

@@ -20,11 +20,10 @@ import numpy as np
 from . import mp
 from .checks import Check, nearest_failure, require
 from .config import (
-    EntryLawKind,
+    EntryLaw,
     ModelKind,
     ModelParams,
     check_keys,
-    entry_law,
     json_number,
     json_numbers,
     make_params,
@@ -62,8 +61,8 @@ _SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs
 # (stream, 0), streams 1-4, whose zero word keeps them apart from every sweep
 # and sphere key; raw unit-circle draws are uniforms on [0, 1), raw real
 # Gaussian ones standard normals.
-_UNIFORM = entry_law(EntryLawKind.UNIT_CIRCLE)
-_NORMAL = entry_law(EntryLawKind.REAL_GAUSSIAN)
+_UNIFORM = EntryLaw.UNIT_CIRCLE
+_NORMAL = EntryLaw.REAL_GAUSSIAN
 
 SWEEP_COLUMNS = ("n", "k", "m", "N", "c", "replica", "ks_mp", "levy_mp", "levy_models", "m1", "m2", "m3", "m4_emp", "ms")
 
@@ -110,7 +109,8 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
     point shares. Each point is read by params_from_json and runs the plan's
     "replicas" (default 5); a point that sets other "replicas" raises
     ValueError, as do a key or JSON type either reader rejects. A points plan
-    has no plan-wide seed: each point carries its own. "out" is the CLI's.
+    has no plan-wide seed: each point carries its own. "out", the CLI's
+    output directory, must be a string when present.
     """
     if isinstance(doc, dict) and "points" in doc:
         check_keys(doc, "sweep plan", ("points",), ("replicas", "out"))
@@ -128,6 +128,8 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
     for index, point in enumerate(points):
         if point.replicas != replicas:
             raise ValueError(f"point {index} sets replicas={point.replicas}, but the plan runs {replicas}")
+    if not isinstance(doc.get("out", ""), str):
+        raise ValueError(f"sweep plan key 'out' must be a string, got {doc['out']!r}")
     return SweepPlan(points=points)
 
 
@@ -321,7 +323,7 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     the convergence sweeps, so the comparison of the two experiments is
     statistically independent.
     """
-    if params.entry_law.kind is not EntryLawKind.COMPLEX_GAUSSIAN:
+    if params.entry_law is not EntryLaw.COMPLEX_GAUSSIAN:
         raise ValueError("the unit-sphere construction requires the complex Gaussian law")
     _require_limit_law_point(params)
 
@@ -370,23 +372,6 @@ def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
-    checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def table(self) -> str:
-        width = max(len(c.name) for c in self.checks)
-        lines = [f"{'check':<{width}}  status  {'gap':<10}  bound"]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{c.name:<{width}}  {status:<6}  {c.gap:<10.3e}  {c.bound:.3e}")
-        return "\n".join(lines)
-
-
 def _check_gram_oracle(seed: int) -> Check:
     gaps = []
     for n, k, m in [(2, 1, 3), (2, 2, 2), (3, 2, 4), (2, 3, 5), (3, 1, 1)]:
@@ -408,7 +393,7 @@ def _check_trace_identity(seed: int) -> Check:
     cases = [
         make_params(6, 2, 0.5, seed=seed),
         make_params(5, 2, 0.8, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, seed=seed),
-        make_params(8, 1, 0.75, entry_law_kind="rademacher", seed=seed),
+        make_params(8, 1, 0.75, entry_law="rademacher", seed=seed),
     ]
     for params in cases:
         sample = sample_base(params, 0)
@@ -422,7 +407,7 @@ def _check_unit_modulus_collapse(seed: int) -> Check:
     # why a unit-modulus law may share its correlation Gram as the covariance Gram
     gaps = []
     for law in ("rademacher", "unit_circle"):
-        params = make_params(6, 2, 0.25, entry_law_kind=law, seed=seed)
+        params = make_params(6, 2, 0.25, entry_law=law, seed=seed)
         sample = sample_base(params, 0)
         corr = materialize_dense(sample, ModelKind.CORRELATION)
         cov = materialize_dense(sample, ModelKind.COVARIANCE)
@@ -500,19 +485,22 @@ def _check_mp_cdf_monotone(_: int) -> Check:
 
 
 def _check_entry_laws(seed: int) -> Check:
-    # 1000 draws under each of the 1000 keys (4, 0, row, law index) of a law
-    keys = _philox_keys(seed, (4, 0), 1000, len(EntryLawKind))
+    # 1000 draws under each of the 1000 keys (4, 0, row, law index) of a law;
+    # a unit-modulus law's |xi|^2 is 1 by the law, which unit_modulus_collapse
+    # pins, so only the Gaussian laws' second moments are Monte Carlo bands
+    keys = _philox_keys(seed, (4, 0), 1000, len(EntryLaw))
     trials = 1_000_000
     gaps, bounds = [], []
-    for index, kind in enumerate(EntryLawKind):
-        law = entry_law(kind)
+    for index, law in enumerate(EntryLaw):
         draws = _transform(law, _raw_draws(law, keys[:, index : index + 1], 1000)).reshape(-1)
-        mean = np.mean(draws)
         se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1))) / np.sqrt(trials)
-        sq = np.abs(draws) ** 2
-        se_sq = float(np.std(sq, ddof=1)) / np.sqrt(trials)
-        gaps += [abs(mean), abs(float(np.mean(sq)) - 1.0)]
-        bounds += [4.0 * se_mean + 1e-12, 4.0 * se_sq + 1e-12]
+        gaps.append(abs(np.mean(draws)))
+        bounds.append(4.0 * se_mean + 1e-12)
+        if not law.unit_modulus:
+            sq = np.abs(draws) ** 2
+            se_sq = float(np.std(sq, ddof=1)) / np.sqrt(trials)
+            gaps.append(abs(float(np.mean(sq)) - 1.0))
+            bounds.append(4.0 * se_sq + 1e-12)
     return nearest_failure("entry_law_moments", gaps, bounds)
 
 
@@ -543,6 +531,6 @@ _SELFTEST_CHECKS = (
 )
 
 
-def selftest(seed: int = 0) -> SelfTestReport:
-    """Run every module's invariant suite and collect one row per check."""
-    return SelfTestReport(checks=tuple(check(seed) for check in _SELFTEST_CHECKS))
+def selftest(seed: int = 0) -> tuple[Check, ...]:
+    """Run every module's invariant suite: one Check row per check."""
+    return tuple(check(seed) for check in _SELFTEST_CHECKS)

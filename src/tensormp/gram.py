@@ -19,7 +19,6 @@ same bits.
 from __future__ import annotations
 
 import ctypes
-import logging
 from dataclasses import dataclass
 from functools import cache, reduce
 from pathlib import Path
@@ -29,8 +28,6 @@ import numpy as np
 from .checks import require
 from .config import ModelKind
 from .sampling import BaseSample, norm_profile
-
-log = logging.getLogger(__name__)
 
 DENSE_DIM_CAP = 4096
 HERMITIAN_RTOL = 1e-12
@@ -444,9 +441,7 @@ def esd(eigs, ambient_dim: int) -> SpectralDistribution:
     scale = max(float(atoms[-1]), 1.0)
     depth = NEGATIVE_CLAMP_REL * scale  # how far below zero an eigenvalue may be clamped
     require("clamp_floor", float(-atoms[0]), depth, f"eigenvalue {atoms[0]:.3e} below the clamp floor {-depth:.3e}")
-    negatives = int(np.sum(atoms < 0.0))
-    if negatives:
-        log.debug("clamping %d small negative eigenvalues to zero", negatives)
+    if atoms[0] < 0.0:
         atoms = np.where(atoms < 0.0, 0.0, atoms)
     if m > ambient_dim:
         structural = m - ambient_dim

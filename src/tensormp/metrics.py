@@ -218,6 +218,6 @@ def levy_distance_trace_bound(a: np.ndarray, b: np.ndarray) -> tuple[float, floa
 
 def empirical_moment(dist: SpectralDistribution, q: int) -> float:
     """(1/N) sum atoms^q; the implied zeros contribute nothing for q >= 1."""
-    if not 1 <= q <= 20:
-        raise ValueError("moment order must be in [1, 20]")
+    if not 1 <= q <= mp.MAX_MOMENT:
+        raise ValueError(f"moment order must be in [1, {mp.MAX_MOMENT}]")
     return float(np.sum(np.asarray(dist.atoms, dtype=float) ** q) / dist.ambient_dim)

@@ -15,7 +15,7 @@ def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
     """Wrap an explicit (m, k, n) array as a BaseSample with matching params."""
     entries = np.array(entries, dtype=np.complex128)
     m, k, n = entries.shape
-    params = make_params(n, k, m / n**k, entry_law_kind=law_kind, seed=seed)
+    params = make_params(n, k, m / n**k, entry_law=law_kind, seed=seed)
     assert params.sample_count == m
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate
 
 from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
-from tensormp.config import EntryLaw, EntryLawKind, ModelKind
+from tensormp.config import EntryLaw, ModelKind
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -35,10 +35,9 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 def _fill(law: EntryLaw, rng: np.random.Generator, out: np.ndarray) -> None:
     """Draw one stream's raw values into the contiguous float64 array ``out``."""
-    kind = law.kind
-    if kind is EntryLawKind.COMPLEX_GAUSSIAN or kind is EntryLawKind.REAL_GAUSSIAN:
+    if law is EntryLaw.COMPLEX_GAUSSIAN or law is EntryLaw.REAL_GAUSSIAN:
         rng.standard_normal(out=out)
-    elif kind is EntryLawKind.RADEMACHER:
+    elif law is EntryLaw.RADEMACHER:
         out[...] = rng.integers(0, 2, size=out.shape)
     else:
         rng.random(out=out)
@@ -50,14 +49,13 @@ def _draw(law: EntryLaw, rng: np.random.Generator, shape) -> np.ndarray:
     cos + i sin of the angle 2 pi u."""
     if isinstance(shape, int):
         shape = (shape,)
-    kind = law.kind
-    raw = np.empty((2,) + shape if kind is EntryLawKind.COMPLEX_GAUSSIAN else shape)
+    raw = np.empty((2,) + shape if law is EntryLaw.COMPLEX_GAUSSIAN else shape)
     _fill(law, rng, raw)
-    if kind is EntryLawKind.COMPLEX_GAUSSIAN:
+    if law is EntryLaw.COMPLEX_GAUSSIAN:
         return (np.multiply(1j, raw[1]) + raw[0]) / np.sqrt(2.0)
-    if kind is EntryLawKind.REAL_GAUSSIAN:
+    if law is EntryLaw.REAL_GAUSSIAN:
         return raw
-    if kind is EntryLawKind.RADEMACHER:
+    if law is EntryLaw.RADEMACHER:
         return raw * 2.0 - 1.0
     theta = raw * (2.0 * np.pi)
     return np.multiply(1j, np.sin(theta)) + np.cos(theta)

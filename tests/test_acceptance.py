@@ -82,9 +82,9 @@ def test_criterion_02_trace_identity():
     cases = [
         make_params(6, 2, 0.5, seed=0),
         make_params(5, 2, 0.8, tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, seed=0),
-        make_params(8, 1, 0.75, entry_law_kind="rademacher", seed=0),
+        make_params(8, 1, 0.75, entry_law="rademacher", seed=0),
         make_params(4, 3, 0.4, tau={"kind": "two_point", "a": 0.5, "b": 3.0, "weight": 0.3}, seed=1),
-        make_params(10, 2, 0.3, entry_law_kind="real_gaussian", seed=2),
+        make_params(10, 2, 0.3, entry_law="real_gaussian", seed=2),
     ]
     for params in cases:
         sample = sample_base(params, 0)
@@ -119,8 +119,8 @@ def test_criterion_04_levy_trace_bound():
 
 
 def test_criterion_05_tensor_norm_moments():
-    rademacher = norm_moment_check(make_params(6, 3, 0.1, entry_law_kind="rademacher", seed=0), 2000)
-    unit_circle = norm_moment_check(make_params(6, 3, 0.1, entry_law_kind="unit_circle", seed=0), 2000)
+    rademacher = norm_moment_check(make_params(6, 3, 0.1, entry_law="rademacher", seed=0), 2000)
+    unit_circle = norm_moment_check(make_params(6, 3, 0.1, entry_law="unit_circle", seed=0), 2000)
     exact = (
         rademacher.sq_mean == 1.0
         and rademacher.sq_se == 0.0

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from tensormp.config import (
-    EntryLawKind,
+    EntryLaw,
     ModelKind,
     TauKind,
     ambient_dim,
-    entry_law,
     make_params,
     make_tau,
     params_from_json,
@@ -85,6 +84,13 @@ def test_seed_and_replica_bounds():
     assert make_params(4, np.int64(2), 0.5, seed=np.uint64(7)).seed == 7
 
 
+def test_model_params_holds_an_entry_law_member():
+    assert make_params(4, 2, 0.5, entry_law="rademacher").entry_law is EntryLaw.RADEMACHER
+    # a plain string would miss every identity dispatch on the law
+    with pytest.raises(ValueError, match=r"ModelParams field 'entry_law' must be an EntryLaw, got 'rademacher'"):
+        replace(make_params(4, 2, 0.5), entry_law="rademacher")
+
+
 def test_constant_tau_is_exact_ones():
     tau = make_tau("constant_one", 5)
     assert tau.values == (1.0, 1.0, 1.0, 1.0, 1.0)
@@ -136,22 +142,22 @@ def test_tau_validation_errors():
 
 def test_entry_law_table():
     table = {
-        EntryLawKind.COMPLEX_GAUSSIAN: (2.0, False),
-        EntryLawKind.REAL_GAUSSIAN: (3.0, False),
-        EntryLawKind.RADEMACHER: (1.0, True),
-        EntryLawKind.UNIT_CIRCLE: (1.0, True),
+        EntryLaw.COMPLEX_GAUSSIAN: (2.0, False),
+        EntryLaw.REAL_GAUSSIAN: (3.0, False),
+        EntryLaw.RADEMACHER: (1.0, True),
+        EntryLaw.UNIT_CIRCLE: (1.0, True),
     }
     for kind, (m4, unit) in table.items():
-        law = entry_law(kind)
+        law = EntryLaw(kind)
         assert law.m4 == m4
         assert law.unit_modulus is unit
 
 
-@pytest.mark.parametrize("kind", list(EntryLawKind))
+@pytest.mark.parametrize("kind", list(EntryLaw))
 def test_entry_law_monte_carlo_moments(kind):
     # the package's keyed draws: 1000 keys (99, row, 0) under seed 123, 1000 draws each
     trials = 1_000_000
-    law = entry_law(kind)
+    law = EntryLaw(kind)
     draws = _transform(law, _raw_draws(law, _philox_keys(123, (99,), 1000, 1), 1000)).reshape(-1)
     assert draws.size == trials
     se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1)))
@@ -168,7 +174,7 @@ def test_json_round_trip():
         2,
         0.5,
         model="covariance",
-        entry_law_kind="rademacher",
+        entry_law="rademacher",
         tau={"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5},
         seed=42,
         replicas=3,
@@ -183,7 +189,7 @@ def test_json_round_trip():
 def test_json_defaults_and_explicit_tau():
     params = params_from_json({"n": 4, "k": 1, "c": 0.75})
     assert params.model is ModelKind.CORRELATION
-    assert params.entry_law.kind is EntryLawKind.COMPLEX_GAUSSIAN
+    assert params.entry_law is EntryLaw.COMPLEX_GAUSSIAN
     assert params.tau.kind is TauKind.CONSTANT_ONE
     assert params.seed == 0 and params.replicas == 1
 

@@ -1,7 +1,7 @@
 """Every demo script runs to completion against the package in src/, with
 every warning an error as in the rest of the suite and without importing
-numpy.random, and every JSON example of README.md is a document the shipped
-readers accept."""
+numpy.random or logging, and every JSON example of README.md is a document
+the shipped readers accept."""
 
 import json
 import os
@@ -35,6 +35,7 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "numpy" in imported and "numpy.random" not in imported  # every law samples from the package's Philox
+    assert "logging" not in imported
 
 
 def test_readme_has_json_examples():

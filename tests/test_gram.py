@@ -12,7 +12,7 @@ import tensormp.gram
 from helpers import covariance_gram, forged_sample
 from oracles import gram_out_of_place, hermitian_eigen_bisect, level_ratio_product_out_of_place
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import EntryLawKind, ModelKind, make_params, make_tau
+from tensormp.config import EntryLaw, ModelKind, make_params, make_tau
 from tensormp.gram import (
     _PANEL_ROWS,
     _divide_by_count,
@@ -73,7 +73,7 @@ def test_covariance_diagonal_and_rank_one_case():
 def test_unit_modulus_laws_collapse_the_two_models():
     # the premise on which the covariance Gram of these laws is the correlation Gram
     for law in ("rademacher", "unit_circle"):
-        params = make_params(6, 2, 0.25, entry_law_kind=law, seed=5)
+        params = make_params(6, 2, 0.25, entry_law=law, seed=5)
         sample = sample_base(params, 0)
         corr = materialize_dense(sample, ModelKind.CORRELATION)
         cov = materialize_dense(sample, ModelKind.COVARIANCE)
@@ -166,7 +166,7 @@ def test_in_place_solve_is_eigvalsh_bitwise_and_keeps_the_strict_lower_triangle(
 def test_panel_built_levels_match_the_whole_product_formula(law, m, weights):
     assert m % _PANEL_ROWS in (0, 1, 2, 31)
     tau = TWO_POINT_TAU if weights == "two_point" and m > 1 else "constant_one"
-    params = make_params(5, 3, m / 125, entry_law_kind=law, tau=tau, seed=m)
+    params = make_params(5, 3, m / 125, entry_law=law, tau=tau, seed=m)
     sample = sample_base(params, 0)
     assert params.sample_count == m
     for model in ModelKind:
@@ -180,7 +180,7 @@ def test_syrk_built_real_levels_match_the_whole_product_formula(monkeypatch, law
     signed_zeros = 0
     for m in (1, 2, 31, 32, 33, 97, 205):
         tau = TWO_POINT_TAU if m > 1 else "constant_one"
-        params = make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=m + k)
+        params = make_params(n, k, m / n**k, entry_law=law, tau=tau, seed=m + k)
         sample = sample_base(params, 0)
         assert params.sample_count == m
         for model in ModelKind:
@@ -241,10 +241,10 @@ def test_the_openblas_binding_is_all_or_nothing(monkeypatch):
     "models",
     [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
 )
-@pytest.mark.parametrize("law", list(EntryLawKind))
+@pytest.mark.parametrize("law", list(EntryLaw))
 def test_a_replica_without_numpy_openblas_gets_the_same_bits(monkeypatch, law, models):
     # m = 70 spans two whole row panels and a partial one; k = 3 mirrors a real level down
-    params = make_params(5, 3, 70 / 125, entry_law_kind=law, tau=TWO_POINT_TAU, seed=8)
+    params = make_params(5, 3, 70 / 125, entry_law=law, tau=TWO_POINT_TAU, seed=8)
     sample = sample_base(params, 0)
     assert params.sample_count == 70
     spectra, d2 = model_spectra(sample, models)
@@ -263,11 +263,11 @@ def _forged_real_valued_samples() -> list:
 
 def _two_point_sample(law, seed=3):
     """A sampled replica of m=70 (two whole row panels and a partial one) with two-point tau."""
-    params = make_params(10, 2, 0.7, entry_law_kind=law, tau=TWO_POINT_TAU, seed=seed)
+    params = make_params(10, 2, 0.7, entry_law=law, tau=TWO_POINT_TAU, seed=seed)
     return sample_base(params, 0)
 
 
-@pytest.mark.parametrize("law", [kind.value for kind in EntryLawKind] + ["forged"])
+@pytest.mark.parametrize("law", [kind.value for kind in EntryLaw] + ["forged"])
 def test_the_covariance_step_reads_only_the_strict_lower_triangle(law):
     for sample in _forged_real_valued_samples() if law == "forged" else [_two_point_sample(law)]:
         params = sample.params
@@ -388,7 +388,7 @@ def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
     "models",
     [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
 )
-@pytest.mark.parametrize("law", list(EntryLawKind))
+@pytest.mark.parametrize("law", list(EntryLaw))
 def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, models):
     solves = []  # (buffer address, entries at the time of the solve)
     solve = tensormp.gram._solve_in_place
@@ -398,7 +398,7 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
         return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
-    params = make_params(9, 2, 40 / 81, entry_law_kind=law, tau=TWO_POINT_TAU, seed=7)
+    params = make_params(9, 2, 40 / 81, entry_law=law, tau=TWO_POINT_TAU, seed=7)
     sample = sample_base(params, 0)
     spectra, d2 = model_spectra(sample, models)
     assert set(spectra) == set(models)
@@ -510,7 +510,7 @@ def test_hand_vectors_match_dense_computation():
 def test_gram_and_dense_share_nonzero_spectrum():
     for model in ModelKind:
         for law in ("complex_gaussian", "real_gaussian", "rademacher"):
-            params = make_params(3, 2, 4 / 9, entry_law_kind=law, seed=6)
+            params = make_params(3, 2, 4 / 9, entry_law=law, seed=6)
             sample = sample_base(params, 0)
             dense = materialize_dense(sample, model)
             nz_dense = np.sort(nonzero_eigenvalues(eigenvalues(dense)))

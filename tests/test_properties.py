@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import covariance_gram
 from oracles import _draw, _stream, gram_direct, gram_out_of_place
 from tensormp import mp
-from tensormp.config import EntryLawKind, ModelKind, make_params
+from tensormp.config import EntryLaw, ModelKind, make_params
 from tensormp.gram import (
     _PANEL_ROWS,
     _scale_to_covariance,
@@ -81,7 +81,7 @@ def gram_points(draw):
     n = draw(st.integers(2, 9))
     k = draw(st.integers(1, max(k for k in range(1, 13) if n**k <= 4096)))
     m = draw(st.integers(1, 24))
-    law = draw(st.sampled_from(list(EntryLawKind)))
+    law = draw(st.sampled_from(list(EntryLaw)))
     tau = draw(
         st.one_of(
             st.just("constant_one"),
@@ -93,7 +93,7 @@ def gram_points(draw):
             ),
         )
     )
-    return make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=draw(st.integers(0, 2**32)))
+    return make_params(n, k, m / n**k, entry_law=law, tau=tau, seed=draw(st.integers(0, 2**32)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +122,7 @@ def panel_points(draw):
     n = draw(st.integers(2, 40))
     k = draw(st.integers(1, 4))
     m = draw(st.integers(1, min(4 * _PANEL_ROWS + 3, n**k)))
-    law = draw(st.sampled_from(list(EntryLawKind)))
+    law = draw(st.sampled_from(list(EntryLaw)))
     tau = draw(
         st.one_of(
             st.just("constant_one"),
@@ -134,7 +134,7 @@ def panel_points(draw):
             ),
         )
     )
-    return make_params(n, k, m / n**k, entry_law_kind=law, tau=tau, seed=draw(st.integers(0, 2**32)))
+    return make_params(n, k, m / n**k, entry_law=law, tau=tau, seed=draw(st.integers(0, 2**32)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -156,19 +156,19 @@ _replicas = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda r: _SPHE
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([EntryLawKind.UNIT_CIRCLE, EntryLawKind.RADEMACHER]),
+    st.sampled_from([EntryLaw.UNIT_CIRCLE, EntryLaw.RADEMACHER]),
     _seeds,
     _replicas,
     st.integers(1, 12),
     st.integers(1, 4),
     st.integers(2, 19),
 )
-@example(EntryLawKind.UNIT_CIRCLE, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
-@example(EntryLawKind.RADEMACHER, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
-@example(EntryLawKind.UNIT_CIRCLE, 2**33 + 5, 1, 5, 3, 7)  # n not a multiple of 4: a part block
-@example(EntryLawKind.RADEMACHER, 2**33 + 5, 1, 5, 3, 13)  # n not a multiple of 8: a part word
+@example(EntryLaw.UNIT_CIRCLE, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
+@example(EntryLaw.RADEMACHER, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
+@example(EntryLaw.UNIT_CIRCLE, 2**33 + 5, 1, 5, 3, 7)  # n not a multiple of 4: a part block
+@example(EntryLaw.RADEMACHER, 2**33 + 5, 1, 5, 3, 13)  # n not a multiple of 8: a part word
 def test_counter_mode_uniform_laws_equal_the_per_key_generator(law_kind, seed, replica, m, k, n):
-    params = make_params(n, k, m / n**k, entry_law_kind=law_kind, seed=seed)
+    params = make_params(n, k, m / n**k, entry_law=law_kind, seed=seed)
     assert params.sample_count == m
     entries = sample_base(params, replica).entries
     for alpha in range(m):
@@ -179,21 +179,21 @@ def test_counter_mode_uniform_laws_equal_the_per_key_generator(law_kind, seed, r
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([EntryLawKind.REAL_GAUSSIAN, EntryLawKind.COMPLEX_GAUSSIAN]),
+    st.sampled_from([EntryLaw.REAL_GAUSSIAN, EntryLaw.COMPLEX_GAUSSIAN]),
     _seeds,
     st.one_of(_replicas, st.just(2**32 + 7)),
     st.integers(1, 12),
     st.integers(1, 4),
     st.integers(2, 45),
 )
-@example(EntryLawKind.REAL_GAUSSIAN, 2**33 + 9, 2**32 + 7, 3, 2, 5)  # a tail
-@example(EntryLawKind.COMPLEX_GAUSSIAN, 2**33 + 9, 2**32 + 7, 3, 2, 5)
-@example(EntryLawKind.REAL_GAUSSIAN, 2**33, 2**32 + 7, 4, 1, 3)  # a rejected wedge
-@example(EntryLawKind.COMPLEX_GAUSSIAN, 2**33, 2**32 + 7, 4, 1, 3)
-@example(EntryLawKind.REAL_GAUSSIAN, 2**33 + 11119, 2**32 + 7, 2, 1, 3)  # words past the first allocation
-@example(EntryLawKind.COMPLEX_GAUSSIAN, 2**33 + 11119, 2**32 + 7, 2, 1, 2)
+@example(EntryLaw.REAL_GAUSSIAN, 2**33 + 9, 2**32 + 7, 3, 2, 5)  # a tail
+@example(EntryLaw.COMPLEX_GAUSSIAN, 2**33 + 9, 2**32 + 7, 3, 2, 5)
+@example(EntryLaw.REAL_GAUSSIAN, 2**33, 2**32 + 7, 4, 1, 3)  # a rejected wedge
+@example(EntryLaw.COMPLEX_GAUSSIAN, 2**33, 2**32 + 7, 4, 1, 3)
+@example(EntryLaw.REAL_GAUSSIAN, 2**33 + 11119, 2**32 + 7, 2, 1, 3)  # words past the first allocation
+@example(EntryLaw.COMPLEX_GAUSSIAN, 2**33 + 11119, 2**32 + 7, 2, 1, 2)
 def test_ziggurat_gaussian_laws_equal_the_per_key_generator(law_kind, seed, replica, m, k, n):
-    params = make_params(n, k, m / n**k, entry_law_kind=law_kind, seed=seed)
+    params = make_params(n, k, m / n**k, entry_law=law_kind, seed=seed)
     assert params.sample_count == m
     entries = sample_base(params, replica).entries
     for alpha in range(m):
