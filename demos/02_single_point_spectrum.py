@@ -44,5 +44,6 @@ for i, count in enumerate(counts):
     print(f"  [{left:5.2f},{right:5.2f})  {empirical:9.4f}   {mid_density:13.4f}   {bar}")
 
 empirical_cdf = EmpiricalCDF.from_spectral(dist)
-print(f"\nKS distance to the limit law:   {ks_distance(empirical_cdf, law):.5f}")
-print(f"Levy distance to the limit law: {levy_distance(empirical_cdf, law):.5f}")
+ks = ks_distance(empirical_cdf, law)
+print(f"\nKS distance to the limit law:   {ks:.5f}")
+print(f"Levy distance to the limit law: {levy_distance(empirical_cdf, law, ks=ks):.5f}")

@@ -16,11 +16,11 @@ result = run_convergence(plan)
 
 print(f"{'n':>4} {'N':>5} {'m':>5} {'KS mean':>10} {'KS se':>9} {'Levy mean':>10} {'Levy se':>9}")
 for summary in result.summaries():
-    p = summary.params
+    p, mean, se = summary.params, summary.mean, summary.se
     print(
         f"{p.n:>4} {p.ambient_dim:>5} {p.sample_count:>5} "
-        f"{summary.ks_mp_mean:>10.5f} {summary.ks_mp_se:>9.5f} "
-        f"{summary.levy_mp_mean:>10.5f} {summary.levy_mp_se:>9.5f}"
+        f"{mean['ks_mp']:>10.5f} {se['ks_mp']:>9.5f} "
+        f"{mean['levy_mp']:>10.5f} {se['levy_mp']:>9.5f}"
     )
 
 print("\nBoth distance columns decrease monotonically in n: the spectrum is")

@@ -19,7 +19,7 @@ for summary in run_sweep(plan).summaries():
     p = summary.params
     print(
         f"  n={p.n:>3}  coupled Levy distance: "
-        f"{summary.levy_models_mean:.5f} (se {summary.levy_models_se:.5f})"
+        f"{summary.mean['levy_models']:.5f} (se {summary.se['levy_models']:.5f})"
     )
 
 print("\nUnit-modulus entries collapse the two constructions exactly:")

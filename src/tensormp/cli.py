@@ -197,11 +197,11 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(plan)
     _write(out, "sweep", args.format, sweep_rows(result, timings=args.timings))
     for summary in result.summaries():
-        p = summary.params
+        p, mean, se = summary.params, summary.mean, summary.se
         print(
             f"n={p.n} k={p.k} m={p.sample_count} N={p.ambient_dim}: "
-            f"ks_mp={summary.ks_mp_mean:.5f}(se {summary.ks_mp_se:.5f}) "
-            f"levy_models={summary.levy_models_mean:.5f}(se {summary.levy_models_se:.5f})"
+            f"ks_mp={mean['ks_mp']:.5f}(se {se['ks_mp']:.5f}) "
+            f"levy_models={mean['levy_models']:.5f}(se {se['levy_models']:.5f})"
         )
     return 0
 
@@ -250,8 +250,9 @@ def _cmd_distance(args) -> int:
         out = _out_dir(args.out, args.format, "distances")
     rows = []
     for replica, fa, fb in cdfs:
-        rows.append({"replica": replica, "metric": "ks", "value": ks_distance(fa, fb)})
-        rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb)})
+        ks = ks_distance(fa, fb)
+        rows.append({"replica": replica, "metric": "ks", "value": ks})
+        rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb, ks=ks)})
     _write(out, "distances", args.format, rows)
     for row in rows:
         print(f"replica {row['replica']}: {row['metric']}={row['value']:.6f}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,8 +63,6 @@ _SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs
 # Gaussian ones standard normals.
 _UNIFORM = EntryLaw.UNIT_CIRCLE
 _NORMAL = EntryLaw.REAL_GAUSSIAN
-
-SWEEP_COLUMNS = ("n", "k", "m", "N", "c", "replica", "ks_mp", "levy_mp", "levy_models", "m1", "m2", "m3", "m4_emp", "ms")
 
 
 @dataclass(frozen=True)
@@ -135,27 +133,36 @@ def sweep_plan_from_json(doc: dict) -> SweepPlan:
 
 @dataclass(frozen=True)
 class ReplicaRecord:
+    """One replica of a point. Each field after params is a column of
+    sweep.csv under its own name, and each after replica a measurement."""
+
     params: ModelParams
     replica: int
     ks_mp: float
     levy_mp: float
     levy_models: float
-    moments: tuple[float, float, float, float]
+    m1: float
+    m2: float
+    m3: float
+    m4_emp: float
     ms: float
+
+
+# sweep.csv column -> ModelParams attribute, for the columns of a row's point
+_POINT_COLUMNS = {"n": "n", "k": "k", "m": "sample_count", "N": "ambient_dim", "c": "c"}
+SWEEP_COLUMNS = (*_POINT_COLUMNS, *(field.name for field in fields(ReplicaRecord)[1:]))
+MEASURED_COLUMNS = SWEEP_COLUMNS[SWEEP_COLUMNS.index("replica") + 1 :]
 
 
 @dataclass(frozen=True)
 class PointSummary:
+    """The replicas of one point: mean and standard error of each of its
+    MEASURED_COLUMNS, keyed by the column."""
+
     params: ModelParams
     replicas: int
-    ks_mp_mean: float
-    ks_mp_se: float
-    levy_mp_mean: float
-    levy_mp_se: float
-    levy_models_mean: float
-    levy_models_se: float
-    moment_means: tuple[float, float, float, float]
-    moment_ses: tuple[float, float, float, float]
+    mean: dict[str, float]
+    se: dict[str, float]
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -175,24 +182,10 @@ class SweepResult:
             by_point.setdefault(record.params, []).append(record)
         out = []
         for params, group in by_point.items():
-            ks_mean, ks_se = _mean_se([r.ks_mp for r in group])
-            levy_mean, levy_se = _mean_se([r.levy_mp for r in group])
-            models_mean, models_se = _mean_se([r.levy_models for r in group])
-            moment_stats = [_mean_se([r.moments[i] for r in group]) for i in range(4)]
-            out.append(
-                PointSummary(
-                    params=params,
-                    replicas=len(group),
-                    ks_mp_mean=ks_mean,
-                    ks_mp_se=ks_se,
-                    levy_mp_mean=levy_mean,
-                    levy_mp_se=levy_se,
-                    levy_models_mean=models_mean,
-                    levy_models_se=models_se,
-                    moment_means=tuple(s[0] for s in moment_stats),
-                    moment_ses=tuple(s[1] for s in moment_stats),
-                )
-            )
+            stats = {column: _mean_se([getattr(r, column) for r in group]) for column in MEASURED_COLUMNS}
+            mean = {column: m for column, (m, _) in stats.items()}
+            se = {column: s for column, (_, s) in stats.items()}
+            out.append(PointSummary(params=params, replicas=len(group), mean=mean, se=se))
         return out
 
 
@@ -215,24 +208,15 @@ def evaluate_replica(
         ks_mp = ks_distance(cdf, reference)
         levy_mp = levy_distance(cdf, reference, ks=ks_mp)
     if with_comparison:
-        (other_eigs,) = spectra.values()
-        if other_eigs is eigs:  # a unit-modulus law: both models share the spectrum
+        if params.entry_law.unit_modulus:  # D = I by the law: both models have one spectrum
             levy_models = 0.0
         else:
+            (other_eigs,) = spectra.values()
             levy_models = levy_distance(cdf, EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim)))
         _check_levy_models(levy_models, params, d2)
-    moments = tuple(empirical_moment(dist, q) for q in (1, 2, 3, 4))
+    moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
     ms = (time.perf_counter() - start) * 1000.0
-    record = ReplicaRecord(
-        params=params,
-        replica=replica,
-        ks_mp=ks_mp,
-        levy_mp=levy_mp,
-        levy_models=levy_models,
-        moments=moments,
-        ms=ms,
-    )
-    return record, eigs, dist
+    return ReplicaRecord(params, replica, ks_mp, levy_mp, levy_models, *moments, ms), eigs, dist
 
 
 def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) -> float:
@@ -293,23 +277,20 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 
 
 @dataclass(frozen=True)
-class SphereReplica:
-    replica: int
-    gram_deviation: float
-    ks_mp: float
-
-
-@dataclass(frozen=True)
 class SphereReport:
+    """Per replica, in order: the entrywise deviation of the normalized-level
+    Gram from the correlation Gram, and the KS distance to the limit law."""
+
     params: ModelParams
-    records: tuple[SphereReplica, ...]
+    gram_deviations: tuple[float, ...]
+    ks_distances: tuple[float, ...]
 
     @property
     def max_gram_deviation(self) -> float:
-        return max(r.gram_deviation for r in self.records)
+        return max(self.gram_deviations)
 
     def ks_stats(self) -> tuple[float, float]:
-        return _mean_se([r.ks_mp for r in self.records])
+        return _mean_se(self.ks_distances)
 
 
 def run_sphere_model(params: ModelParams) -> SphereReport:
@@ -328,7 +309,7 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     _require_limit_law_point(params)
 
     law = mp.MPLaw.from_ratio(params.c)
-    records = []
+    deviations, distances = [], []
     for replica in range(params.replicas):
         sample = sample_base(params, replica + _SPHERE_STREAM_OFFSET)
         # solve one Gram before the other is built, compare them one row panel at a
@@ -337,11 +318,10 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
         dist = esd(eigenvalues(normalized), params.ambient_dim)
         correlation = build_correlation_gram(sample)
         panels = _row_panels(params.sample_count)
-        deviation = float(np.max([np.max(np.abs(normalized[a:b] - correlation[a:b])) for a, b in panels]))
+        deviations.append(float(np.max([np.max(np.abs(normalized[a:b] - correlation[a:b])) for a, b in panels])))
         del normalized, correlation
-        ks = ks_distance(EmpiricalCDF.from_spectral(dist), law)
-        records.append(SphereReplica(replica=replica, gram_deviation=deviation, ks_mp=ks))
-    return SphereReport(params=params, records=tuple(records))
+        distances.append(ks_distance(EmpiricalCDF.from_spectral(dist), law))
+    return SphereReport(params=params, gram_deviations=tuple(deviations), ks_distances=tuple(distances))
 
 
 def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
@@ -354,21 +334,11 @@ def sweep_rows(result: SweepResult, *, timings: bool = False) -> list[dict]:
     """
     rows = []
     for record in result.records:
-        p = record.params
-        values = (
-            p.n,
-            p.k,
-            p.sample_count,
-            p.ambient_dim,
-            p.c,
-            record.replica,
-            record.ks_mp,
-            record.levy_mp,
-            record.levy_models,
-            *record.moments,
-            record.ms if timings else 0.0,
-        )
-        rows.append(dict(zip(SWEEP_COLUMNS, values, strict=True)))
+        row = {column: getattr(record.params, name) for column, name in _POINT_COLUMNS.items()}
+        row.update((column, getattr(record, column)) for column in SWEEP_COLUMNS[len(_POINT_COLUMNS) :])
+        if not timings:
+            row["ms"] = 0.0
+        rows.append(row)
     return rows
 
 
@@ -455,8 +425,9 @@ def _check_levy_ks_domination(seed: int) -> Check:
     gaps, bounds = [], []
     for u in _raw_draws(_UNIFORM, _philox_keys(seed, (3, 0), 50, 2), 13):
         fa, fb = _random_cdf(u[0]), _random_cdf(u[1])
-        gaps.append(levy_distance(fa, fb))
-        bounds.append(ks_distance(fa, fb) + 1e-9)
+        ks = ks_distance(fa, fb)
+        gaps.append(levy_distance(fa, fb, ks=ks))
+        bounds.append(ks + 1e-9)
     return nearest_failure("levy_ks_domination", gaps, bounds)
 
 

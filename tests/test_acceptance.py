@@ -160,8 +160,8 @@ def test_criterion_06_limit_law_analytics():
 def test_criterion_07_convergence_to_the_limit_law(convergence):
     result, elapsed = convergence
     summaries = {s.params.n: s for s in result.summaries()}
-    ks_10 = summaries[10].ks_mp_mean
-    ks_30 = summaries[30].ks_mp_mean
+    ks_10 = summaries[10].mean["ks_mp"]
+    ks_30 = summaries[30].mean["ks_mp"]
     _criterion(
         7,
         ks_30 < CONVERGENCE_KS_BOUND and ks_30 < ks_10 and elapsed < 30.0,
@@ -173,8 +173,8 @@ def test_criterion_08_model_comparison():
     plan = sweep_plan_from_json({"ns": [10, 30], "c": 0.5, "seed": 0, "replicas": 5})
     result = run_sweep(plan)
     summaries = {s.params.n: s for s in result.summaries()}
-    levy_10 = summaries[10].levy_models_mean
-    levy_30 = summaries[30].levy_models_mean
+    levy_10 = summaries[10].mean["levy_models"]
+    levy_30 = summaries[30].mean["levy_models"]
     zeros_ok = True
     for law in ("rademacher", "unit_circle"):
         unit_plan = sweep_plan_from_json({"ns": [10], "c": 0.5, "entry_law": law, "seed": 0, "replicas": 3})
@@ -192,8 +192,8 @@ def test_criterion_09_unit_sphere_construction(convergence):
     params = make_params(30, 2, 0.5, seed=0, replicas=5)
     report = run_sphere_model(params)
     mean, se = report.ks_stats()
-    pooled = float(np.hypot(se, summary.ks_mp_se))
-    gap = abs(mean - summary.ks_mp_mean)
+    pooled = float(np.hypot(se, summary.se["ks_mp"]))
+    gap = abs(mean - summary.mean["ks_mp"])
     _criterion(
         9,
         report.max_gram_deviation <= 1e-12 and gap <= 2.0 * pooled,
@@ -206,13 +206,13 @@ def test_criterion_10_empirical_moments(convergence):
     summary = {s.params.n: s for s in result.summaries()}[30]
     params = summary.params
     ratio = params.sample_count / params.ambient_dim
-    first_exact = abs(summary.moment_means[0] - ratio) <= 1e-9 * ratio
+    first_exact = abs(summary.mean["m1"] - ratio) <= 1e-9 * ratio
     law = mp.MPLaw.from_ratio(params.c)
     deviations = []
     ok = first_exact
-    for q in (2, 3, 4):
-        gap = abs(summary.moment_means[q - 1] - mp.moment(law, q))
-        se = summary.moment_ses[q - 1]
+    for q, column in ((2, "m2"), (3, "m3"), (4, "m4_emp")):
+        gap = abs(summary.mean[column] - mp.moment(law, q))
+        se = summary.se[column]
         deviations.append(gap / se)
         ok &= gap <= 3.0 * se
     _criterion(

@@ -21,6 +21,7 @@ from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLaw, ModelKind, make_params, params_from_json
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
+    MEASURED_COLUMNS,
     SWEEP_COLUMNS,
     ReplicaRecord,
     SweepPlan,
@@ -310,7 +311,7 @@ def _reference_replica(params, replica):
 def test_a_compared_replica_equals_the_out_of_place_reference_bitwise(law, model, tau):
     params = make_params(9, 2, 40 / 81, entry_law=law, model=model, tau=tau, seed=6)
     record, eigs, _ = tensormp.experiments.evaluate_replica(params, 1, with_comparison=True)
-    values = np.array([record.ks_mp, record.levy_mp, record.levy_models, *record.moments])
+    values = np.array([record.ks_mp, record.levy_mp, record.levy_models, record.m1, record.m2, record.m3, record.m4_emp])
     expected_values, expected_eigs = _reference_replica(params, 1)
     assert values.tobytes() == expected_values.tobytes()
     assert eigs.tobytes() == expected_eigs.tobytes()
@@ -424,7 +425,7 @@ def test_sweep_solves_one_matrix_per_unit_modulus_replica(monkeypatch, law, solv
 def test_model_comparison_two_point_regression_bound():
     plan = sweep_plan_from_json({"ns": [30], "c": 0.5, "tau": TWO_POINT_TAU, "seed": 0, "replicas": 5})
     summary = run_sweep(plan).summaries()[0]
-    assert summary.levy_models_mean < COMPARISON_LEVY_BOUND
+    assert summary.mean["levy_models"] < COMPARISON_LEVY_BOUND
 
 
 def test_sweep_records_and_summaries():
@@ -436,12 +437,12 @@ def test_sweep_records_and_summaries():
         assert 0.0 <= record.ks_mp <= 1.0
         assert 0.0 <= record.levy_mp <= 1.0
         assert 0.0 <= record.levy_models <= 1.0
-        assert all(np.isfinite(record.moments))
+        assert all(np.isfinite([record.m1, record.m2, record.m3, record.m4_emp]))
         assert record.ms > 0.0
     summaries = result.summaries()
     assert summaries[0].replicas == 2
     expected = np.mean([r.ks_mp for r in result.records[:2]])
-    assert summaries[0].ks_mp_mean == pytest.approx(expected, abs=1e-15)
+    assert summaries[0].mean["ks_mp"] == pytest.approx(expected, abs=1e-15)
 
 
 def test_summaries_group_records_by_equal_params():
@@ -449,13 +450,13 @@ def test_summaries_group_records_by_equal_params():
     first, second = make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)
     assert first is not second
     records = tuple(
-        ReplicaRecord(params=p, replica=r, ks_mp=ks, levy_mp=ks, levy_models=0.0, moments=(0.5, 0.75, 1.4, 2.8), ms=0.0)
+        ReplicaRecord(p, r, ks_mp=ks, levy_mp=ks, levy_models=0.0, m1=0.5, m2=0.75, m3=1.4, m4_emp=2.8, ms=0.0)
         for p, r, ks in ((first, 0, 0.1), (second, 1, 0.3))
     )
     (summary,) = SweepResult(records=records).summaries()
     assert summary.replicas == 2
-    assert summary.ks_mp_mean == pytest.approx(0.2, abs=1e-15)
-    assert summary.ks_mp_se == pytest.approx(0.1, abs=1e-15)
+    assert summary.mean["ks_mp"] == pytest.approx(0.2, abs=1e-15)
+    assert summary.se["ks_mp"] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_sweep_without_constant_tau_has_nan_mp_distances():
@@ -514,6 +515,26 @@ def test_sweep_json_rows_match_csv_columns(tmp_path):
     records = json.loads(json_path.read_text())
     assert len(records) == 2 and all(set(record) == set(SWEEP_COLUMNS) for record in records)
     _assert_json_rows_match_csv(records, csv_path)
+
+
+def test_sweep_prints_each_points_mean_and_se_of_its_json_rows(tmp_path, capsys):
+    plan = {"ns": [6, 8], "c": 0.5, "seed": 7, "replicas": 3}
+    rows = json.loads((_run_sweep_cli(tmp_path, plan, "json", "--format", "json") / "sweep.json").read_text())
+    expected = []
+    for n in (6, 8):
+        point = [row for row in rows if row["n"] == n]
+        assert len(point) == 3
+        first = point[0]
+        line = f"n={n} k={first['k']} m={first['m']} N={first['N']}:"
+        for column in ("ks_mp", "levy_models"):
+            values = np.array([row[column] for row in point])
+            mean, se = float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
+            line += f" {column}={mean:.5f}(se {se:.5f})"
+        expected.append(line)
+    assert capsys.readouterr().out.splitlines() == expected
+    summaries = run_sweep(sweep_plan_from_json(plan)).summaries()
+    assert MEASURED_COLUMNS == SWEEP_COLUMNS[SWEEP_COLUMNS.index("replica") + 1 :]
+    assert all(tuple(s.mean) == tuple(s.se) == MEASURED_COLUMNS for s in summaries)
 
 
 def _simulate(tmp_path, config, name, *flags) -> Path:
@@ -857,7 +878,7 @@ def test_single_fold_reduces_to_classical_model():
     plan = sweep_plan_from_json({"ns": [24], "c": 0.5, "k_schedule": k_schedule, "seed": 4, "replicas": 2})
     result = run_convergence(plan)
     summary = result.summaries()[0]
-    assert summary.ks_mp_mean < 0.2
+    assert summary.mean["ks_mp"] < 0.2
     assert all(np.isfinite(r.ks_mp) for r in result.records)
 
 

@@ -83,6 +83,10 @@ def test_ks_to_the_law_evaluates_it_once_and_levy_takes_the_ks_given(monkeypatch
     ks = ks_distance(f, law)
     assert len(calls) == 1
     assert levy_distance(f, law, ks=ks) == levy_distance(f, law) == levy_bisection(f, law)
+    # step vs step, in both orders: the ks handed in is the one levy_distance takes
+    g = EmpiricalCDF.from_spectral(esd(np.array([0.4, 1.1, 1.3, 2.2]), 6))
+    for a, b in ((f, g), (g, f)):
+        assert levy_distance(a, b, ks=ks_distance(a, b)) == levy_distance(a, b)
 
 
 def test_ks_examples():
