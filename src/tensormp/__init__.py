@@ -5,12 +5,13 @@ from .config import (
     EntryLaw,
     ModelKind,
     ModelParams,
-    TauKind,
+    SweepPlan,
     TauScheme,
     make_params,
     make_tau,
     params_from_json,
     params_to_json,
+    sweep_plan_from_json,
 )
 from .sampling import (
     BaseSample,
@@ -40,14 +41,6 @@ from .metrics import (
     levy_distance,
     levy_distance_trace_bound,
 )
-from .experiments import (
-    SweepPlan,
-    SweepResult,
-    run_convergence,
-    run_sphere_model,
-    run_sweep,
-    selftest,
-    sweep_plan_from_json,
-)
+from .experiments import SweepResult, run_convergence, run_sphere_model, run_sweep, selftest
 
 __version__ = "0.1.0"

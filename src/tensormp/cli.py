@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mp
-from .config import params_from_json
+from .config import params_from_json, sweep_plan_from_json
 from .gram import esd
 from .metrics import EmpiricalCDF, ks_distance, levy_distance
-from .experiments import evaluate_replica, run_sweep, selftest, sweep_plan_from_json, sweep_rows
+from .experiments import evaluate_replica, run_sweep, selftest, sweep_rows
 
 
 def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None:
@@ -133,13 +133,20 @@ def read_eigenvalue_csv(path) -> tuple[dict, dict[int, np.ndarray]]:
 
 def _histogram_rows(dists, bins: int) -> list[dict]:
     """Pooled spectral histogram over replicas, zeros included, with the
-    density estimate normalized so the bar masses sum to one."""
-    pooled = np.concatenate([np.concatenate([d.atoms, np.zeros(d.implied_zeros)]) for d in dists])
-    counts, edges = np.histogram(pooled, bins=bins)
+    density estimate normalized so the bar masses sum to one. The implied
+    zeros enter as one 0.0 weighted by their count, so the memory is that of
+    the atoms however large N is."""
+    zeros = sum(d.implied_zeros for d in dists)
+    values = np.concatenate([d.atoms for d in dists] + [np.zeros(1 if zeros else 0)])
+    weights = np.ones(values.size)
+    if zeros:
+        weights[-1] = zeros
+    counts, edges = np.histogram(values, bins=bins, weights=weights)
+    total = sum(d.ambient_dim for d in dists)
     rows = []
     for left, right, count in zip(edges[:-1], edges[1:], counts):
         width = right - left
-        density = count / (pooled.size * width) if width > 0 else 0.0
+        density = count / (total * width) if width > 0 else 0.0
         rows.append(
             dict(bin_left=float(left), bin_right=float(right), count=int(count), density_estimate=float(density))
         )

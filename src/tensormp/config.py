@@ -1,4 +1,5 @@
-"""Experiment configuration: dimensions, entry laws, and tau weight sequences.
+"""Experiment configuration: dimensions, entry laws, tau weight sequences and
+sweep plans, and the one reader of the JSON documents that state them.
 
 Everything here is immutable and pure. A ModelParams is validated once, at
 construction (``dataclasses.replace`` re-runs the checks), and building the
@@ -11,7 +12,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,21 +53,16 @@ class EntryLaw(str, enum.Enum):
         return self.m4 == 1.0
 
 
-class TauKind(str, enum.Enum):
-    CONSTANT_ONE = "constant_one"
-    TWO_POINT = "two_point"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class TauScheme:
     """A materialized sequence of positive weights, one per sample vector.
 
     ``two_point`` keeps the generating (a, b, weight) triple of a two-point
     scheme built by :func:`make_tau`, so serialization round-trips exactly.
+    The weights and that triple are the whole scheme: tau_to_json reads the
+    document's kind off them.
     """
 
-    kind: TauKind
     values: tuple[float, ...]
     two_point: tuple[float, float, float] | None = None
 
@@ -74,8 +71,6 @@ class TauScheme:
             raise ValueError("tau sequence must be non-empty")
         if any(not (v > 0 and math.isfinite(v)) for v in self.values):
             raise ValueError("all tau values must be positive and finite")
-        if self.kind is TauKind.CONSTANT_ONE and any(v != 1.0 for v in self.values):
-            raise ValueError("constant_one scheme requires every value to equal 1")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -89,13 +84,13 @@ class TauScheme:
 
 
 _TAU_KEYS = {
-    TauKind.CONSTANT_ONE: ("kind",),
-    TauKind.TWO_POINT: ("kind", "a", "b", "weight"),
-    TauKind.EXPLICIT: ("kind", "values"),
+    "constant_one": ("kind",),
+    "two_point": ("kind", "a", "b", "weight"),
+    "explicit": ("kind", "values"),
 }
 
 
-def check_keys(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+def _check_keys(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
     """Raise ValueError naming the keys of a JSON object that are missing
     from ``required`` or documented in neither tuple, so that a misspelt key
     is an error rather than a silent default."""
@@ -120,7 +115,7 @@ def _is_json_number(value, kind: type) -> bool:
     return kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
-def json_number(doc: dict, key: str, what: str, kind: type = float, default=None):
+def _json_number(doc: dict, key: str, what: str, kind: type = float, default=None):
     """doc[key] (default when absent) as kind, int or float; a value of another
     JSON type raises ValueError naming the key, where int() or float() would
     raise TypeError or accept a string."""
@@ -130,12 +125,23 @@ def json_number(doc: dict, key: str, what: str, kind: type = float, default=None
     return kind(value)
 
 
-def json_numbers(doc: dict, key: str, what: str, kind: type = float) -> list:
-    """doc[key], a list of numbers, as a list of kind, under json_number's rule."""
+def _json_numbers(doc: dict, key: str, what: str, kind: type = float) -> list:
+    """doc[key], a list of numbers, as a list of kind, under _json_number's rule."""
     values = doc[key]
     if not isinstance(values, (list, tuple)) or not all(_is_json_number(v, kind) for v in values):
         raise ValueError(f"{what} key {key!r} must be a list of {_KIND_NAMES[kind][1]}, got {values!r}")
     return [kind(v) for v in values]
+
+
+def _kind(doc: dict, what: str, kinds: dict[str, tuple[str, ...]]) -> str:
+    """doc["kind"], once it names one of kinds and doc has exactly that
+    kind's keys; any other value, a list or an object included, raises
+    ValueError naming the key and the known kinds."""
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in kinds:  # `in` would raise TypeError on a list
+        raise ValueError(f"{what} key 'kind' must be one of {', '.join(map(repr, kinds))}, got {kind!r}")
+    _check_keys(doc, f"{kind} {what}", kinds[kind])
+    return kind
 
 
 def make_tau(scheme, m: int) -> TauScheme:
@@ -153,24 +159,23 @@ def make_tau(scheme, m: int) -> TauScheme:
         raise ValueError("tau length must be at least 1")
     if isinstance(scheme, str):
         scheme = {"kind": scheme}
-    check_keys(scheme, "tau", ("kind",), ("a", "b", "weight", "values"))
-    kind = TauKind(scheme["kind"])
-    check_keys(scheme, f"{kind.value} tau", _TAU_KEYS[kind])
-    if kind is TauKind.CONSTANT_ONE:
-        return TauScheme(kind, (1.0,) * m)
-    if kind is TauKind.TWO_POINT:
-        a, b, weight = (json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight"))
+    _check_keys(scheme, "tau", ("kind",), ("a", "b", "weight", "values"))
+    kind = _kind(scheme, "tau", _TAU_KEYS)
+    if kind == "constant_one":
+        return TauScheme((1.0,) * m)
+    if kind == "two_point":
+        a, b, weight = (_json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight"))
         # phrased so that a NaN fails: a value with an empty share reaches no TauScheme check
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ValueError("two-point values must be positive and finite")
         if not 0.0 < weight < 1.0:
             raise ValueError("two-point weight must lie in (0, 1)")
         na = math.floor(weight * m)
-        return TauScheme(kind, (a,) * na + (b,) * (m - na), two_point=(a, b, weight))
-    values = json_numbers(scheme, "values", "explicit tau")
+        return TauScheme((a,) * na + (b,) * (m - na), two_point=(a, b, weight))
+    values = _json_numbers(scheme, "values", "explicit tau")
     if len(values) != m:
         raise ValueError(f"explicit tau has length {len(values)}, expected {m}")
-    return TauScheme(kind, tuple(values))
+    return TauScheme(tuple(values))
 
 
 def ambient_dim(n: int, k: int) -> int:
@@ -202,10 +207,10 @@ def sample_count(c: float, dim: int) -> int:
 @dataclass(frozen=True)
 class ModelParams:
     """Full configuration of one experiment point, checked once here: n, k,
-    seed and replicas are integers, the entry law is an EntryLaw member (the
-    pipeline dispatches on it by identity), n^k fits a float64 exactly, m
-    rounds to at least 1, tau has length m, and the seed and replica count
-    are in range."""
+    seed and replicas are integers, the model and the entry law are members
+    of ModelKind and EntryLaw (the pipeline dispatches on them by identity),
+    n^k fits a float64 exactly, m rounds to at least 1, tau has length m,
+    and the seed and replica count are in range."""
 
     n: int
     k: int
@@ -221,6 +226,8 @@ class ModelParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"ModelParams field {name!r} must be an integer, got {value!r}")
+        if not isinstance(self.model, ModelKind):
+            raise ValueError(f"ModelParams field 'model' must be a ModelKind, got {self.model!r}")
         if not isinstance(self.entry_law, EntryLaw):
             raise ValueError(f"ModelParams field 'entry_law' must be an EntryLaw, got {self.entry_law!r}")
         dim = ambient_dim(self.n, self.k)
@@ -282,11 +289,13 @@ def make_params(
 
 
 def tau_to_json(tau: TauScheme) -> dict:
-    if tau.kind is TauKind.CONSTANT_ONE:
-        return {"kind": "constant_one"}
-    if tau.kind is TauKind.TWO_POINT and tau.two_point is not None:
+    """The tau document of a scheme: two_point where it keeps its triple,
+    constant_one where every weight is 1, and explicit otherwise."""
+    if tau.two_point is not None:
         a, b, weight = tau.two_point
         return {"kind": "two_point", "a": a, "b": b, "weight": weight}
+    if tau.is_constant_one:
+        return {"kind": "constant_one"}
     return {"kind": "explicit", "values": list(tau.values)}
 
 
@@ -312,6 +321,69 @@ def params_from_json(doc: dict) -> ModelParams:
     it does not write, or a value of the wrong JSON type, raises ValueError.
     The keys are make_params' keywords, and its signature holds the defaults."""
     what = "point config"
-    check_keys(doc, what, ("n", "k", "c"), ("model", "entry_law", "tau", "seed", "replicas"))
-    numbers = {key: json_number(doc, key, what, kind) for key, kind in _POINT_NUMBERS.items() if key in doc}
+    _check_keys(doc, what, ("n", "k", "c"), ("model", "entry_law", "tau", "seed", "replicas"))
+    numbers = {key: _json_number(doc, key, what, kind) for key, kind in _POINT_NUMBERS.items() if key in doc}
     return make_params(**{**doc, **numbers})
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """The points of a sweep; each point runs its own ``replicas``."""
+
+    points: tuple[ModelParams, ...]
+
+    def __post_init__(self):
+        if not self.points:
+            raise ValueError("a sweep needs at least one point")
+        # two points that differ only in their replicas field draw the same samples
+        if len({replace(p, replicas=1) for p in self.points}) != len(self.points):
+            raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
+
+
+_K_SCHEDULE_KEYS = {"fixed": ("kind", "k"), "power": ("kind", "gamma")}
+
+
+def _k_schedule_from_json(doc) -> Callable[[int], int]:
+    """k as a function of n under a grid plan's k_schedule: a fixed k (2 when
+    the document is absent), or k = ceil(n^gamma) with gamma in (0, 1), so
+    that k/n -> 0 along a sweep."""
+    if doc is None:
+        return lambda n: 2
+    _check_keys(doc, "k_schedule", ("kind",), ("k", "gamma"))
+    if _kind(doc, "k_schedule", _K_SCHEDULE_KEYS) == "power":
+        gamma = _json_number(doc, "gamma", "power k_schedule")
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"power k_schedule key 'gamma' must lie in (0, 1), got {gamma!r}")
+        return lambda n: max(1, math.ceil(n**gamma))
+    k = _json_number(doc, "k", "fixed k_schedule", int)
+    return lambda n: k
+
+
+def sweep_plan_from_json(doc: dict) -> SweepPlan:
+    """Either an explicit {"points": [config, ...]} list or the grid shorthand
+    {"ns": [...], "c": .., "k_schedule": {...}, ...}, whose other keys every
+    point shares. Each point is read by params_from_json and runs the plan's
+    "replicas" (default 5); a point that sets other "replicas" raises
+    ValueError, as do a key or JSON type either reader rejects. A points plan
+    has no plan-wide seed: each point carries its own. "out", the CLI's
+    output directory, must be a string when present.
+    """
+    if isinstance(doc, dict) and "points" in doc:
+        _check_keys(doc, "sweep plan", ("points",), ("replicas", "out"))
+        points = doc["points"]
+        if not isinstance(points, list) or not all(isinstance(point, dict) for point in points):
+            raise ValueError(f"sweep plan key 'points' must be a list of JSON objects, got {points!r}")
+    else:
+        optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
+        _check_keys(doc, "sweep plan", ("ns", "c"), optional)
+        k_of_n = _k_schedule_from_json(doc.get("k_schedule"))
+        shared = {key: value for key, value in doc.items() if key not in ("ns", "k_schedule", "out")}
+        points = [{**shared, "n": n, "k": k_of_n(n)} for n in _json_numbers(doc, "ns", "sweep plan", int)]
+    replicas = _json_number(doc, "replicas", "sweep plan", int, default=5)
+    points = tuple(params_from_json({"replicas": replicas, **point}) for point in points)
+    for index, point in enumerate(points):
+        if point.replicas != replicas:
+            raise ValueError(f"point {index} sets replicas={point.replicas}, but the plan runs {replicas}")
+    if not isinstance(doc.get("out", ""), str):
+        raise ValueError(f"sweep plan key 'out' must be a string, got {doc['out']!r}")
+    return SweepPlan(points=points)

@@ -10,25 +10,14 @@ caller's thread and leave the cores to LAPACK, whose eigensolve dominates.
 
 from __future__ import annotations
 
-import math
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import mp
 from .checks import Check, nearest_failure, require
-from .config import (
-    EntryLaw,
-    ModelKind,
-    ModelParams,
-    check_keys,
-    json_number,
-    json_numbers,
-    make_params,
-    params_from_json,
-)
+from .config import EntryLaw, ModelKind, ModelParams, SweepPlan, make_params
 from .gram import (
     SpectralDistribution,
     _row_panels,
@@ -56,79 +45,13 @@ from .sampling import _philox_keys, _raw_draws, _transform, norm_moment_check, n
 CONVERGENCE_KS_BOUND = 0.0034  # mean KS to the limit law at n=30, k=2, c=0.5, 5 replicas, seed 0
 COMPARISON_LEVY_BOUND = 0.016  # mean coupled Levy distance at the same point, two-point tau
 
-_SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs
+_SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs, disjoint below 2^20 replicas
 # The selftest's Monte Carlo rows draw (row, column) grids under the prefixes
 # (stream, 0), streams 1-4, whose zero word keeps them apart from every sweep
 # and sphere key; raw unit-circle draws are uniforms on [0, 1), raw real
 # Gaussian ones standard normals.
 _UNIFORM = EntryLaw.UNIT_CIRCLE
 _NORMAL = EntryLaw.REAL_GAUSSIAN
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """The points of a sweep; each point runs its own ``replicas``."""
-
-    points: tuple[ModelParams, ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("a sweep needs at least one point")
-        # two points that differ only in their replicas field draw the same samples
-        if len({replace(p, replicas=1) for p in self.points}) != len(self.points):
-            raise ValueError("a sweep lists the same point twice; its replicas would repeat the same draws")
-
-
-_K_SCHEDULE_KEYS = {"fixed": ("kind", "k"), "power": ("kind", "gamma")}
-
-
-def _k_schedule_from_json(doc) -> Callable[[int], int]:
-    """k as a function of n under a grid plan's k_schedule: a fixed k (2 when
-    the document is absent), or k = ceil(n^gamma) with gamma in (0, 1), so
-    that k/n -> 0 along a sweep."""
-    if doc is None:
-        return lambda n: 2
-    check_keys(doc, "k_schedule", ("kind",), ("k", "gamma"))
-    if doc["kind"] not in _K_SCHEDULE_KEYS:
-        raise ValueError(f"unknown k_schedule {doc!r}")
-    check_keys(doc, f"{doc['kind']} k_schedule", _K_SCHEDULE_KEYS[doc["kind"]])
-    if doc["kind"] == "power":
-        gamma = json_number(doc, "gamma", "power k_schedule")
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"power k_schedule key 'gamma' must lie in (0, 1), got {gamma!r}")
-        return lambda n: max(1, math.ceil(n**gamma))
-    k = json_number(doc, "k", "fixed k_schedule", int)
-    return lambda n: k
-
-
-def sweep_plan_from_json(doc: dict) -> SweepPlan:
-    """Either an explicit {"points": [config, ...]} list or the grid shorthand
-    {"ns": [...], "c": .., "k_schedule": {...}, ...}, whose other keys every
-    point shares. Each point is read by params_from_json and runs the plan's
-    "replicas" (default 5); a point that sets other "replicas" raises
-    ValueError, as do a key or JSON type either reader rejects. A points plan
-    has no plan-wide seed: each point carries its own. "out", the CLI's
-    output directory, must be a string when present.
-    """
-    if isinstance(doc, dict) and "points" in doc:
-        check_keys(doc, "sweep plan", ("points",), ("replicas", "out"))
-        points = doc["points"]
-        if not isinstance(points, list) or not all(isinstance(point, dict) for point in points):
-            raise ValueError(f"sweep plan key 'points' must be a list of JSON objects, got {points!r}")
-    else:
-        optional = ("k_schedule", "model", "entry_law", "tau", "seed", "replicas", "out")
-        check_keys(doc, "sweep plan", ("ns", "c"), optional)
-        k_of_n = _k_schedule_from_json(doc.get("k_schedule"))
-        shared = {key: value for key, value in doc.items() if key not in ("ns", "k_schedule", "out")}
-        points = [{**shared, "n": n, "k": k_of_n(n)} for n in json_numbers(doc, "ns", "sweep plan", int)]
-    replicas = json_number(doc, "replicas", "sweep plan", int, default=5)
-    points = tuple(params_from_json({"replicas": replicas, **point}) for point in points)
-    for index, point in enumerate(points):
-        if point.replicas != replicas:
-            raise ValueError(f"point {index} sets replicas={point.replicas}, but the plan runs {replicas}")
-    if not isinstance(doc.get("out", ""), str):
-        raise ValueError(f"sweep plan key 'out' must be a string, got {doc['out']!r}")
-    return SweepPlan(points=points)
 
 
 @dataclass(frozen=True)
@@ -300,9 +223,11 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     Each replica verifies the normalized-level Gram against the correlation
     Gram entrywise and records the KS distance of its spectrum to the limit
     law, so it takes the points run_convergence takes: the correlation model
-    with tau identically 1. Replica streams live in a namespace disjoint from
-    the convergence sweeps, so the comparison of the two experiments is
-    statistically independent.
+    with tau identically 1. Sphere replica r draws under the replica index
+    r + 2^20 (_SPHERE_STREAM_OFFSET), so its streams are disjoint from those
+    of a sweep of the same point only while both run fewer than 2^20
+    replicas; beyond that, sphere replica r shares its keys with sweep
+    replica r + 2^20 and the two experiments stop being independent.
     """
     if params.entry_law is not EntryLaw.COMPLEX_GAUSSIAN:
         raise ValueError("the unit-sphere construction requires the complex Gaussian law")

@@ -463,8 +463,9 @@ def tensor_vector(sample: BaseSample, alpha: int) -> np.ndarray:
     return reduce(np.kron, levels)
 
 
-def materialize_dense(sample: BaseSample, model: ModelKind) -> np.ndarray:
+def materialize_dense(sample: BaseSample, model: ModelKind | str) -> np.ndarray:
     """Explicit ambient N x N matrix; the test oracle for the Gram path."""
+    model = ModelKind(model)
     m, k, n = sample.entries.shape
     dim = n**k
     if dim > DENSE_DIM_CAP:

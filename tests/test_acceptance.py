@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 
 from tensormp import mp
-from tensormp.config import ModelKind, make_params
+from tensormp.config import ModelKind, make_params, sweep_plan_from_json
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     CONVERGENCE_KS_BOUND,
     run_convergence,
     run_sphere_model,
     run_sweep,
-    sweep_plan_from_json,
 )
 from tensormp.gram import (
     build_correlation_gram,

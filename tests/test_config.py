@@ -9,7 +9,6 @@ import pytest
 from tensormp.config import (
     EntryLaw,
     ModelKind,
-    TauKind,
     ambient_dim,
     make_params,
     make_tau,
@@ -89,6 +88,13 @@ def test_model_params_holds_an_entry_law_member():
     # a plain string would miss every identity dispatch on the law
     with pytest.raises(ValueError, match=r"ModelParams field 'entry_law' must be an EntryLaw, got 'rademacher'"):
         replace(make_params(4, 2, 0.5), entry_law="rademacher")
+
+
+def test_model_params_holds_a_model_kind_member():
+    assert make_params(4, 2, 0.5, model="covariance").model is ModelKind.COVARIANCE
+    # a plain string would equal the member, hash like it, and miss every identity dispatch on the model
+    with pytest.raises(ValueError, match=r"ModelParams field 'model' must be a ModelKind, got 'correlation'"):
+        replace(make_params(4, 2, 0.5), model="correlation")
 
 
 def test_constant_tau_is_exact_ones():
@@ -190,8 +196,12 @@ def test_json_defaults_and_explicit_tau():
     params = params_from_json({"n": 4, "k": 1, "c": 0.75})
     assert params.model is ModelKind.CORRELATION
     assert params.entry_law is EntryLaw.COMPLEX_GAUSSIAN
-    assert params.tau.kind is TauKind.CONSTANT_ONE
+    assert params_to_json(params)["tau"] == {"kind": "constant_one"}
     assert params.seed == 0 and params.replicas == 1
+
+    # a scheme is its weights: explicit ones are constant_one, and are written so
+    ones = make_params(4, 1, 0.75, tau={"kind": "explicit", "values": [1, 1.0, 1]})
+    assert ones == params and params_to_json(ones)["tau"] == {"kind": "constant_one"}
 
     doc = params_to_json(make_params(4, 1, 0.75, tau={"kind": "explicit", "values": [1, 2, 3]}))
     assert doc["tau"] == {"kind": "explicit", "values": [1.0, 2.0, 3.0]}
@@ -246,6 +256,9 @@ def test_point_config_rejects_a_value_of_the_wrong_type(doc, message):
         params_from_json(doc)
 
 
+TAU_KINDS = r"tau key 'kind' must be one of 'constant_one', 'two_point', 'explicit'"
+
+
 @pytest.mark.parametrize(
     "tau, message",
     [
@@ -253,6 +266,12 @@ def test_point_config_rejects_a_value_of_the_wrong_type(doc, message):
         ({"kind": "explicit", "values": [1.0, "2"]}, r"explicit tau key 'values' must be a list of numbers"),
         ({"kind": "two_point", "a": "1", "b": 2.0, "weight": 0.5}, r"two_point tau key 'a' must be a number, got '1'"),
         ({"kind": "two_point", "a": 1.0, "b": 2.0, "weight": [0.5]}, r"two_point tau key 'weight' must be a number"),
+        # a list or an object as the kind is unhashable: it must not reach a dict lookup
+        ({"kind": ["x"]}, rf"{TAU_KINDS}, got \['x'\]"),
+        ({"kind": {"a": 1}}, rf"{TAU_KINDS}, got {{'a': 1}}"),
+        ({"kind": 3}, rf"{TAU_KINDS}, got 3"),
+        ({"kind": "bogus"}, rf"{TAU_KINDS}, got 'bogus'"),
+        ("bogus", rf"{TAU_KINDS}, got 'bogus'"),
     ],
 )
 def test_tau_dicts_reject_a_value_of_the_wrong_type(tau, message):

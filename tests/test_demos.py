@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tensormp.config import params_from_json
-from tensormp.experiments import sweep_plan_from_json
+from tensormp.config import sweep_plan_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

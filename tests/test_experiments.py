@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tensormp.cli
+import tensormp.config
 import tensormp.experiments
 import tensormp.gram
 import tensormp.mp
@@ -18,20 +19,18 @@ from helpers import levy_bisection
 from oracles import _draw, _stream, gram_out_of_place
 from tensormp.checks import Check, require
 from tensormp.cli import main, read_eigenvalue_csv
-from tensormp.config import EntryLaw, ModelKind, make_params, params_from_json
+from tensormp.config import EntryLaw, ModelKind, SweepPlan, make_params, params_from_json, sweep_plan_from_json
 from tensormp.experiments import (
     COMPARISON_LEVY_BOUND,
     MEASURED_COLUMNS,
     SWEEP_COLUMNS,
     ReplicaRecord,
-    SweepPlan,
     SweepResult,
     _check_levy_models,
     run_convergence,
     run_sphere_model,
     run_sweep,
     selftest,
-    sweep_plan_from_json,
     sweep_rows,
 )
 from tensormp.gram import eigenvalues, esd, model_spectra, tensor_vector
@@ -46,7 +45,7 @@ def _k_of_n(k_schedule, n):
     """The k that a grid plan with this k_schedule document gives the point at
     n, read by the plan reader's own schedule reader: most of these (n, k)
     have n^k beyond 2^53, which no point may have."""
-    return tensormp.experiments._k_schedule_from_json(k_schedule)(n)
+    return tensormp.config._k_schedule_from_json(k_schedule)(n)
 
 
 def test_k_schedules():
@@ -78,6 +77,10 @@ def test_plan_builders():
         sweep_plan_from_json({"ns": [10, 10], "c": 0.5})
     with pytest.raises(ValueError, match="same point twice"):
         SweepPlan(points=(make_params(6, 2, 0.5, seed=1), make_params(6, 2, 0.5, seed=1)))
+    # explicit ones are constant_one: same weights, same draws
+    ones = {"n": 2, "k": 1, "c": 1.5, "tau": {"kind": "explicit", "values": [1, 1, 1]}}
+    with pytest.raises(ValueError, match="same point twice"):
+        sweep_plan_from_json({"points": [ones, {**ones, "tau": "constant_one"}]})
     # replica r of a point draws the same sample whatever the point's replicas
     # field, so that field does not make it a different point
     point = make_params(6, 2, 0.5, seed=1)
@@ -148,6 +151,7 @@ def test_a_grid_plan_equals_the_points_plan_it_lists(k_schedule):
         ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "fixed"}}, r"fixed k_schedule lacks the required key\(s\) 'k'"),
         ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "power", "gamma": 0.5, "k": 2}}, r"power k_schedule has unknown"),
         ({"ns": [6], "c": 0.5, "k_schedule": {"kind": "fixed", "k": 2, "fold": 3}}, r"k_schedule has unknown key\(s\) 'fold'"),
+        ({"ns": [6], "c": 0.5, "k_schedule": {"kind": ["power"]}}, r"k_schedule key 'kind' must be one of 'fixed', 'power'"),
         ({"ns": [6], "c": 0.5, "tau": {"kind": "two_point", "a": 1.0, "b": 2.0}}, r"lacks the required key\(s\) 'weight'"),
     ],
 )
@@ -563,6 +567,46 @@ def test_simulate_json_rows_match_csv_rows(tmp_path):
     _assert_json_rows_match_csv(histogram, csv_out / "histogram.csv")
 
 
+def _materialized_histogram_rows(dists, bins):
+    """The simulate histogram with every implied zero written out as an array element."""
+    pooled = np.concatenate([np.concatenate([d.atoms, np.zeros(d.implied_zeros)]) for d in dists])
+    counts, edges = np.histogram(pooled, bins=bins)
+    rows = []
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
+        density = count / (pooled.size * (right - left)) if right > left else 0.0
+        rows.append(dict(bin_left=float(left), bin_right=float(right), count=int(count), density_estimate=float(density)))
+    return rows
+
+
+@pytest.mark.parametrize("bins", [1, 7, 50])
+@pytest.mark.parametrize(
+    "spectra",
+    [
+        [(np.array([0.25, 0.5, 1.75, 2.0]), 4)],  # no implied zero
+        [(np.zeros(3), 9), (np.zeros(2), 2)],  # every value 0: lo == hi
+        [(np.array([0.0, 0.3, 1.2]), 11), (np.array([0.7, 0.7, 2.5]), 3), (np.array([1.2, 4.0]), 30)],
+    ],
+    ids=["no_zeros", "all_zero", "three_replicas"],
+)
+def test_histogram_counts_the_implied_zeros_as_the_materialized_array_does(spectra, bins):
+    dists = [tensormp.gram.SpectralDistribution(atoms, dim) for atoms, dim in spectra]
+    assert repr(tensormp.cli._histogram_rows(dists, bins)) == repr(_materialized_histogram_rows(dists, bins))
+
+
+def test_histogram_memory_does_not_grow_with_the_implied_zeros():
+    # N = 10^6 implied zeros per replica would be 8 MB each as float64 elements
+    atoms = np.linspace(0.0, 3.0, 50)
+    dists = [tensormp.gram.SpectralDistribution(atoms, 10**6) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        rows = tensormp.cli._histogram_rows(dists, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(row["count"] for row in rows) == 3 * 10**6
+    assert peak < 100_000, peak
+
+
 def test_simulate_runs_the_replica_pipeline_once_per_replica(tmp_path, monkeypatch):
     calls = []
     evaluate = tensormp.experiments.evaluate_replica
@@ -671,6 +715,10 @@ def test_distance_rejects_a_json_dump(tmp_path, capsys):
         ("sweep", '{"ns": [6] "c": 0.5}', [], r".*config\.json: Expecting ',' delimiter.*"),
         ("sweep", {"ns": [6], "c": 0.5, "out": 3}, [], r"sweep plan key 'out' must be a string, got 3"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", "0"], r"--bins must be at least 1, got 0"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": ["x"]}}, [], r"tau key 'kind' must be one of .*, got \['x'\]"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": {"a": 1}}}, [], r"tau key 'kind' must be one of .*"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": 3}}, [], r"tau key 'kind' must be one of .*, got 3"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": "bogus"}, [], r"tau key 'kind' must be one of .*, got 'bogus'"),
         # m = floor(c*N + 0.5) is rounded in float64: an infinite, unindexable or unallocatable m
         ("simulate", {"n": 10, "k": 10, "c": 1e308}, [], r"sample count c\*N \+ 0\.5 = inf is not below 2\^53"),
         ("simulate", {"n": 2, "k": 1, "c": 1e300}, [], r"sample count c\*N \+ 0\.5 = 2e\+300 is not below 2\^53"),

@@ -527,6 +527,14 @@ def test_dense_trace_equals_tau_sum():
     assert abs(np.trace(dense).imag) <= 1e-12
 
 
+def test_dense_reads_a_model_named_by_its_string():
+    sample = sample_base(make_params(3, 2, 4 / 9, seed=2), 0)  # Gaussian: the two models differ
+    for model in ModelKind:
+        assert np.array_equal(materialize_dense(sample, model.value), materialize_dense(sample, model))
+    with pytest.raises(ValueError, match="'wishart' is not a valid ModelKind"):
+        materialize_dense(sample, "wishart")
+
+
 def test_dense_cap_enforced():
     params = make_params(2, 13, 1 / 2**13, seed=0)  # N = 8192 > 4096
     sample = sample_base(params, 0)

@@ -11,7 +11,7 @@ from helpers import levy_bisection
 from oracles import ks_law_scan, levy_bruteforce, levy_law_scan, mp_moment_closed_form
 from tensormp import mp
 from tensormp.config import make_params
-from tensormp.experiments import sweep_plan_from_json
+from tensormp.config import sweep_plan_from_json
 from tensormp.gram import build_correlation_gram, eigenvalues, esd, model_spectra
 from tensormp.metrics import (
     EmpiricalCDF,

@@ -1,6 +1,7 @@
 """The Gram buffer stays behind `tensormp.gram`: the modules that run
-replicas reach it, the one pass/fail rule in `tensormp.checks` and the
-replica pipeline of `tensormp.experiments` only through their public names.
+replicas reach it, the one pass/fail rule in `tensormp.checks`, the replica
+pipeline of `tensormp.experiments` and the input reader of `tensormp.config`
+only through their public names.
 `tensormp.checks` sits below every other module, so it imports nothing from
 the package, `tensormp.gram` holds the one ctypes binding to numpy's
 OpenBLAS, so no other module imports ctypes, and every draw runs the
@@ -15,7 +16,7 @@ import tensormp
 
 PACKAGE = Path(tensormp.__file__).resolve().parent
 ALLOWED_PRIVATE = {"_row_panels"}  # the sphere experiment's panel-wise Gram comparison
-GUARDED = ("gram", "checks", "experiments")
+GUARDED = ("gram", "checks", "experiments", "config")
 
 
 def _violations(path: Path) -> list[str]:
@@ -84,24 +85,33 @@ def test_replica_runners_use_only_the_public_gram_surface(module):
     assert _violations(PACKAGE / module) == []
 
 
+def test_no_module_reaches_a_private_name_of_the_input_layer():
+    found = {path.name: [v for v in _violations(path) if " config._" in v] for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_the_boundary_check_sees_each_kind_of_violation(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text(
         "from .gram import _row_panels, _scale_to_covariance, eigenvalues\n"
         "from .checks import Check, _private\n"
         "from .experiments import evaluate_replica, _run\n"
+        "from .config import SweepPlan, _check_keys\n"
         "from . import gram\n"
         "gram._PANEL_ROWS\n"
         "array.setflags(write=True)\n"
         "experiments._check_levy_models\n"
+        "config._json_number\n"
     )
     assert _violations(source) == [
         "line 1: imports gram._scale_to_covariance",
         "line 2: imports checks._private",
         "line 3: imports experiments._run",
-        "line 5: reads gram._PANEL_ROWS",
-        "line 6: calls setflags",
-        "line 7: reads experiments._check_levy_models",
+        "line 4: imports config._check_keys",
+        "line 6: reads gram._PANEL_ROWS",
+        "line 7: calls setflags",
+        "line 8: reads experiments._check_levy_models",
+        "line 9: reads config._json_number",
     ]
 
 
