@@ -10,7 +10,6 @@ the KS and Levy distances.
 import numpy as np
 
 from tensormp import (
-    EmpiricalCDF,
     MPLaw,
     build_correlation_gram,
     density,
@@ -43,7 +42,6 @@ for i, count in enumerate(counts):
     bar = "#" * int(round(empirical * 30))
     print(f"  [{left:5.2f},{right:5.2f})  {empirical:9.4f}   {mid_density:13.4f}   {bar}")
 
-empirical_cdf = EmpiricalCDF.from_spectral(dist)
-ks = ks_distance(empirical_cdf, law)
+ks = ks_distance(dist, law)
 print(f"\nKS distance to the limit law:   {ks:.5f}")
-print(f"Levy distance to the limit law: {levy_distance(empirical_cdf, law, ks=ks):.5f}")
+print(f"Levy distance to the limit law: {levy_distance(dist, law, ks=ks):.5f}")

@@ -34,7 +34,6 @@ from .gram import (
 )
 from .mp import MPLaw, cdf, density, density_mass, moment
 from .metrics import (
-    EmpiricalCDF,
     column_normalization_identity,
     empirical_moment,
     ks_distance,

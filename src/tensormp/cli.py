@@ -18,7 +18,7 @@ import numpy as np
 from . import mp
 from .config import params_from_json, sweep_plan_from_json
 from .gram import esd
-from .metrics import EmpiricalCDF, ks_distance, levy_distance
+from .metrics import ks_distance, levy_distance
 from .experiments import evaluate_replica, run_sweep, selftest, sweep_rows
 
 
@@ -249,14 +249,11 @@ def _cmd_distance(args) -> int:
         shared = sorted(set(eigs_a) & set(eigs_b))
         if not shared:
             raise ValueError("no shared replica indices between the two dumps")
-        cdfs = []
-        for replica in shared:  # esd rejects a spectrum that its dump's N cannot hold
-            fa = EmpiricalCDF.from_spectral(esd(eigs_a[replica], meta_a["N"]))
-            fb = EmpiricalCDF.from_spectral(esd(eigs_b[replica], meta_b["N"]))
-            cdfs.append((replica, fa, fb))
+        # esd rejects a spectrum that its dump's N cannot hold
+        dists = [(replica, esd(eigs_a[replica], meta_a["N"]), esd(eigs_b[replica], meta_b["N"])) for replica in shared]
         out = _out_dir(args.out, args.format, "distances")
     rows = []
-    for replica, fa, fb in cdfs:
+    for replica, fa, fb in dists:
         ks = ks_distance(fa, fb)
         rows.append({"replica": replica, "metric": "ks", "value": ks})
         rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb, ks=ks)})

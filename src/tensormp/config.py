@@ -13,7 +13,7 @@ import enum
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,13 +58,14 @@ class TauScheme:
     """A materialized sequence of positive weights, one per sample vector.
 
     ``two_point`` keeps the generating (a, b, weight) triple of a two-point
-    scheme built by :func:`make_tau`, so serialization round-trips exactly.
-    The weights and that triple are the whole scheme: tau_to_json reads the
-    document's kind off them.
+    scheme built by :func:`make_tau`, so serialization round-trips exactly;
+    tau_to_json reads the document's kind off the weights and that triple.
+    Schemes compare and hash by their weights alone: two with the same
+    weights draw the same samples, whatever triple either carries.
     """
 
     values: tuple[float, ...]
-    two_point: tuple[float, float, float] | None = None
+    two_point: tuple[float, float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.values:
@@ -209,8 +210,8 @@ class ModelParams:
     """Full configuration of one experiment point, checked once here: n, k,
     seed and replicas are integers, the model and the entry law are members
     of ModelKind and EntryLaw (the pipeline dispatches on them by identity),
-    n^k fits a float64 exactly, m rounds to at least 1, tau has length m,
-    and the seed and replica count are in range."""
+    n^k fits a float64 exactly, m rounds to at least 1, tau is a TauScheme
+    of length m, and the seed and replica count are in range."""
 
     n: int
     k: int
@@ -230,6 +231,8 @@ class ModelParams:
             raise ValueError(f"ModelParams field 'model' must be a ModelKind, got {self.model!r}")
         if not isinstance(self.entry_law, EntryLaw):
             raise ValueError(f"ModelParams field 'entry_law' must be an EntryLaw, got {self.entry_law!r}")
+        if not isinstance(self.tau, TauScheme):
+            raise ValueError(f"ModelParams field 'tau' must be a TauScheme, got {self.tau!r}")
         dim = ambient_dim(self.n, self.k)
         m = sample_count(self.c, dim)
         if len(self.tau) != m:

@@ -31,7 +31,6 @@ from .gram import (
 )
 from .metrics import (
     LEVY_TOL,
-    EmpiricalCDF,
     column_normalization_identity,
     empirical_moment,
     ks_distance,
@@ -124,18 +123,17 @@ def evaluate_replica(
     spectra, d2 = model_spectra(sample_base(params, replica), models)
     eigs = spectra.pop(params.model)
     dist = esd(eigs, params.ambient_dim)
-    cdf = EmpiricalCDF.from_spectral(dist)
     ks_mp = levy_mp = levy_models = float("nan")
     if params.tau.is_constant_one:
         reference = mp.MPLaw.from_ratio(params.c)
-        ks_mp = ks_distance(cdf, reference)
-        levy_mp = levy_distance(cdf, reference, ks=ks_mp)
+        ks_mp = ks_distance(dist, reference)
+        levy_mp = levy_distance(dist, reference, ks=ks_mp)
     if with_comparison:
         if params.entry_law.unit_modulus:  # D = I by the law: both models have one spectrum
             levy_models = 0.0
         else:
             (other_eigs,) = spectra.values()
-            levy_models = levy_distance(cdf, EmpiricalCDF.from_spectral(esd(other_eigs, params.ambient_dim)))
+            levy_models = levy_distance(dist, esd(other_eigs, params.ambient_dim))
         _check_levy_models(levy_models, params, d2)
     moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
     ms = (time.perf_counter() - start) * 1000.0
@@ -245,7 +243,7 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
         panels = _row_panels(params.sample_count)
         deviations.append(float(np.max([np.max(np.abs(normalized[a:b] - correlation[a:b])) for a, b in panels])))
         del normalized, correlation
-        distances.append(ks_distance(EmpiricalCDF.from_spectral(dist), law))
+        distances.append(ks_distance(dist, law))
     return SphereReport(params=params, gram_deviations=tuple(deviations), ks_distances=tuple(distances))
 
 
@@ -339,17 +337,17 @@ def _check_levy_bound(seed: int) -> Check:
     return nearest_failure("levy_trace_bound", gaps, bounds)
 
 
-def _random_cdf(u: np.ndarray) -> EmpiricalCDF:
+def _random_esd(u: np.ndarray) -> SpectralDistribution:
     """The ESD of 1-11 atoms on [0, 3) among 0-3 more zeros, from 13 uniforms."""
     count = 1 + int(11 * u[0])
-    return EmpiricalCDF.from_spectral(esd(np.sort(u[2 : 2 + count] * 3.0), count + int(4 * u[1])))
+    return esd(np.sort(u[2 : 2 + count] * 3.0), count + int(4 * u[1]))
 
 
 def _check_levy_ks_domination(seed: int) -> Check:
     # trial t reads its two distributions' uniforms under keys (3, 0, t, 0) and (3, 0, t, 1)
     gaps, bounds = [], []
     for u in _raw_draws(_UNIFORM, _philox_keys(seed, (3, 0), 50, 2), 13):
-        fa, fb = _random_cdf(u[0]), _random_cdf(u[1])
+        fa, fb = _random_esd(u[0]), _random_esd(u[1])
         ks = ks_distance(fa, fb)
         gaps.append(levy_distance(fa, fb, ks=ks))
         bounds.append(ks + 1e-9)
@@ -402,11 +400,10 @@ def _check_entry_laws(seed: int) -> Check:
 
 def _check_esd_counting(_: int) -> Check:
     dist = esd(np.array([0.9, 0.9, 1.2]), 4)
-    f = EmpiricalCDF.from_spectral(dist)
     gaps = [
-        abs(float(f.evaluate(0.0)) - 0.25),
-        abs(float(f.evaluate(1.0)) - 0.75),
-        abs(float(f.evaluate(1.2)) - 1.0),
+        abs(float(dist.evaluate(0.0)) - 0.25),
+        abs(float(dist.evaluate(1.0)) - 0.75),
+        abs(float(dist.evaluate(1.2)) - 1.0),
         abs(dist.zero_mass + len(dist.atoms) / dist.ambient_dim - 1.0),
     ]
     return nearest_failure("esd_counting", gaps, 0.0)

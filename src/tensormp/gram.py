@@ -19,8 +19,9 @@ same bits.
 from __future__ import annotations
 
 import ctypes
+import numbers
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,32 @@ _CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS = 101, 121, 111  # CBLAS enum co
 
 @dataclass(frozen=True)
 class SpectralDistribution:
-    """Eigenvalue atoms plus the implied point mass at zero.
+    """The empirical spectral distribution of N eigenvalues, and the
+    right-continuous step function F the KS and Levy distances read.
 
-    ``atoms`` carries the Gram eigenvalues actually present in the ambient
-    spectrum (when m > N the structural rank zeros have been removed), and
-    ``zero_mass`` the (N - m)/N of eigenvalues the rank bound pins at zero.
+    ``atoms``, a finite nondecreasing 1-d sequence of at most N values kept
+    as a read-only float64 copy, are the eigenvalues present in the ambient
+    spectrum (esd removes the structural rank zeros when m > N); the other
+    ``implied_zeros`` are pinned at zero by the rank bound. F is
+    cumulative[i] on [breakpoints[i], breakpoints[i+1]) and zero before the
+    first breakpoint; the breakpoints are the distinct atoms, and 0 where
+    zeros are implied, derived at their first read.
     """
 
     atoms: np.ndarray
     ambient_dim: int
+
+    def __post_init__(self):
+        atoms = np.array(self.atoms, dtype=float)
+        # each check is phrased so that a NaN fails it
+        if not (isinstance(self.ambient_dim, numbers.Integral) and self.ambient_dim >= 1):
+            raise ValueError(f"ambient dimension must be an integer of at least 1, got {self.ambient_dim!r}")
+        if atoms.ndim != 1 or atoms.size > self.ambient_dim:
+            raise ValueError(f"atoms must be a 1-d array of at most N={self.ambient_dim} values, got shape {atoms.shape}")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.diff(atoms) >= 0.0)):
+            raise ValueError("atoms must be finite and nondecreasing")
+        atoms.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def implied_zeros(self) -> int:
@@ -59,6 +77,39 @@ class SpectralDistribution:
     @property
     def zero_mass(self) -> float:
         return self.implied_zeros / self.ambient_dim
+
+    @cached_property
+    def _step_function(self) -> tuple[np.ndarray, np.ndarray]:
+        """The breakpoints, and F at each after a leading 0."""
+        values, counts = np.unique(self.atoms, return_counts=True)
+        if self.implied_zeros > 0:
+            at = int(np.searchsorted(values, 0.0))
+            if at == values.size or values[at] != 0.0:
+                values, counts = np.insert(values, at, 0.0), np.insert(counts, at, 0)
+            counts[at] += self.implied_zeros
+        # integer cumsum first: the final mass is then N/N = 1 exactly
+        padded = np.concatenate([[0.0], np.cumsum(counts) / self.ambient_dim])
+        values.setflags(write=False)
+        padded.setflags(write=False)
+        return values, padded
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        return self._step_function[0]
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        return self._step_function[1][1:]
+
+    def evaluate(self, x) -> np.ndarray:
+        return self._step_function[1][np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="right")]
+
+    def left_limit(self, x) -> np.ndarray:
+        return self._step_function[1][np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="left")]
+
+    def sides(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) and F(x-)."""
+        return self.evaluate(x), self.left_limit(x)
 
 
 def _row_panels(m: int) -> list[tuple[int, int]]:
@@ -449,7 +500,6 @@ def esd(eigs, ambient_dim: int) -> SpectralDistribution:
         message = "rank bound violated: too few near-zero eigenvalues for m > N"
         require("rank_bound", float(atoms[structural - 1]), threshold, message)  # the largest structural zero
         atoms = atoms[structural:]
-    atoms.setflags(write=False)
     return SpectralDistribution(atoms=atoms, ambient_dim=ambient_dim)
 
 

@@ -4,7 +4,6 @@ Levy fourth-power trace bound as executable, property-testable statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from . import mp
@@ -14,63 +13,10 @@ LEVY_TOL = 1e-9
 _LEVY_GUARD = 1e-12  # how far beyond a verified end a Levy bisection mid is decided without a scan
 
 
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Right-continuous step function: value cumulative[i] on
-    [breakpoints[i], breakpoints[i+1]), zero before the first breakpoint,
-    and exactly one from the last onwards."""
-
-    breakpoints: np.ndarray
-    cumulative: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        cm = np.asarray(self.cumulative, dtype=float)
-        if bp.ndim != 1 or bp.shape != cm.shape or bp.size == 0:
-            raise ValueError("breakpoints and cumulative must be equal-length 1-d arrays")
-        # each check is phrased so that a NaN fails it
-        if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0.0)):
-            raise ValueError("breakpoints must be finite and strictly increasing")
-        if not (np.all(np.diff(cm) >= 0.0) and cm[0] >= 0.0 and cm[-1] == 1.0):
-            raise ValueError("cumulative must be nondecreasing in [0, 1] and end at 1")
-        bp.setflags(write=False)
-        cm.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "cumulative", cm)
-
-    @classmethod
-    def from_spectral(cls, dist: SpectralDistribution) -> "EmpiricalCDF":
-        values, counts = np.unique(dist.atoms, return_counts=True)
-        zeros = dist.implied_zeros
-        if zeros > 0 and not (values.size and values[0] == 0.0):
-            values = np.concatenate([[0.0], values])
-            counts = np.concatenate([[0], counts])
-        if zeros > 0:
-            counts = counts.copy()
-            counts[values == 0.0] += zeros
-        # integer cumsum first: the final mass is then N/N = 1 exactly
-        cumulative = np.cumsum(counts) / dist.ambient_dim
-        return cls(breakpoints=values, cumulative=cumulative)
-
-    def evaluate(self, x) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="right")
-        padded = np.concatenate([[0.0], self.cumulative])
-        return padded[idx]
-
-    def left_limit(self, x) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="left")
-        padded = np.concatenate([[0.0], self.cumulative])
-        return padded[idx]
-
-    def sides(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """F(x) and F(x-)."""
-        return self.evaluate(x), self.left_limit(x)
-
-
-def _canonical(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw):
+def _canonical(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw):
     """Two step functions in a fixed order, so that both distances are exactly
     symmetric; a continuous reference stays second."""
-    if isinstance(g, EmpiricalCDF):
+    if isinstance(g, SpectralDistribution):
         fk = (f.breakpoints.tobytes(), f.cumulative.tobytes())
         gk = (g.breakpoints.tobytes(), g.cumulative.tobytes())
         if gk < fk:
@@ -78,12 +24,12 @@ def _canonical(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw):
     return f, g
 
 
-def _steps(f: EmpiricalCDF) -> tuple[np.ndarray, np.ndarray]:
+def _steps(f: SpectralDistribution) -> tuple[np.ndarray, np.ndarray]:
     """F(b) and F(b-) at F's own breakpoints b, read off the stored steps."""
     return f.cumulative, np.concatenate([[0.0], f.cumulative[:-1]])
 
 
-def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
+def ks_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw) -> float:
     """sup |F - G| for a step function F and a step function or limit law G.
 
     Between consecutive breakpoints of F it is constant while G is monotone,
@@ -96,7 +42,7 @@ def ks_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw) -> float:
     return float(max(np.max(np.abs(at - g_at)), np.max(np.abs(before - g_before))))
 
 
-def _levy_feasible(f: EmpiricalCDF, at, before, g: EmpiricalCDF | mp.MPLaw, eps: float) -> bool:
+def _levy_feasible(f: SpectralDistribution, at, before, g: SpectralDistribution | mp.MPLaw, eps: float) -> bool:
     # with z = x + eps and y = x - eps the sandwich reads G(z-eps) <= F(z)+eps
     # and F(y)-eps <= G(y+eps). F is constant between its breakpoints and G
     # is nondecreasing, so the first binds just before a breakpoint b of F
@@ -107,7 +53,7 @@ def _levy_feasible(f: EmpiricalCDF, at, before, g: EmpiricalCDF | mp.MPLaw, eps:
     return not np.any(at - eps > g.evaluate(b + eps))
 
 
-def _levy_estimate(f: EmpiricalCDF, at: np.ndarray, before: np.ndarray, law: mp.MPLaw) -> float:
+def _levy_estimate(f: SpectralDistribution, at: np.ndarray, before: np.ndarray, law: mp.MPLaw) -> float:
     """The Levy distance from F to the law, but for the error of at most four
     Newton steps. With H(u) = G(u) + u, of slope >= 1, the constraints of
     _levy_feasible at a breakpoint b read eps >= H^-1(F(b) + b) - b and
@@ -130,7 +76,7 @@ def _levy_estimate(f: EmpiricalCDF, at: np.ndarray, before: np.ndarray, law: mp.
     return float(max(np.max(u[: b.size] - b), np.max(b - u[b.size :])))
 
 
-def levy_distance(f: EmpiricalCDF, g: EmpiricalCDF | mp.MPLaw, *, ks: float | None = None) -> float:
+def levy_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw, *, ks: float | None = None) -> float:
     """inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, for a
     step function F and a step function or limit law G.
 
@@ -209,8 +155,8 @@ def levy_distance_trace_bound(a: np.ndarray, b: np.ndarray) -> tuple[float, floa
     p = a.shape[0]
     ga = a @ a.conj().T
     gb = b @ b.conj().T
-    fa = EmpiricalCDF.from_spectral(esd(eigenvalues(0.5 * (ga + ga.conj().T)), p))
-    fb = EmpiricalCDF.from_spectral(esd(eigenvalues(0.5 * (gb + gb.conj().T)), p))
+    fa = esd(eigenvalues(0.5 * (ga + ga.conj().T)), p)
+    fb = esd(eigenvalues(0.5 * (gb + gb.conj().T)), p)
     lhs = levy_distance(fa, fb) ** 4
     rhs = float(2.0 / p**2 * np.sum(np.abs(a - b) ** 2) * (np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)))
     return lhs, rhs
@@ -220,4 +166,4 @@ def empirical_moment(dist: SpectralDistribution, q: int) -> float:
     """(1/N) sum atoms^q; the implied zeros contribute nothing for q >= 1."""
     if not 1 <= q <= mp.MAX_MOMENT:
         raise ValueError(f"moment order must be in [1, {mp.MAX_MOMENT}]")
-    return float(np.sum(np.asarray(dist.atoms, dtype=float) ** q) / dist.ambient_dim)
+    return float(np.sum(dist.atoms**q) / dist.ambient_dim)

@@ -25,8 +25,9 @@ MAX_MOMENT = 20
 class MPLaw:
     """Limit law for the constant-tau case: support endpoints and zero atom.
 
-    `evaluate`, `left_limit` and `sides` mirror `metrics.EmpiricalCDF`, so
-    the law can stand in as the reference of an exact KS or Levy distance.
+    `evaluate`, `left_limit` and `sides` mirror those of
+    `gram.SpectralDistribution`, so the law can stand in as the reference of
+    an exact KS or Levy distance.
     """
 
     c: float

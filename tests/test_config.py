@@ -14,6 +14,7 @@ from tensormp.config import (
     make_tau,
     params_from_json,
     params_to_json,
+    tau_to_json,
 )
 from tensormp.sampling import _philox_keys, _raw_draws, _transform
 
@@ -95,6 +96,22 @@ def test_model_params_holds_a_model_kind_member():
     # a plain string would equal the member, hash like it, and miss every identity dispatch on the model
     with pytest.raises(ValueError, match=r"ModelParams field 'model' must be a ModelKind, got 'correlation'"):
         replace(make_params(4, 2, 0.5), model="correlation")
+
+
+def test_model_params_holds_a_tau_scheme():
+    # a bare tuple of the right length would pass the length check and fail later, in params_to_json
+    with pytest.raises(ValueError, match=r"ModelParams field 'tau' must be a TauScheme, got \(1\.0,"):
+        replace(make_params(6, 2, 0.5), tau=(1.0,) * 18)
+
+
+def test_tau_schemes_compare_by_their_weights_and_keep_their_triple():
+    flat = {"kind": "two_point", "a": 1.0, "b": 1.0, "weight": 0.5}
+    assert make_params(4, 1, 0.75, tau=flat) == make_params(4, 1, 0.75)
+    assert hash(make_params(4, 1, 0.75, tau=flat)) == hash(make_params(4, 1, 0.75))
+    assert params_to_json(make_params(4, 1, 0.75, tau=flat))["tau"] == flat
+    low, high = (_two_point(1.0, 2.0, weight, 10) for weight in (0.5, 0.55))
+    assert low == high and low.two_point != high.two_point
+    assert tau_to_json(high) == {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.55}
 
 
 def test_constant_tau_is_exact_ones():

@@ -34,7 +34,7 @@ from tensormp.experiments import (
     sweep_rows,
 )
 from tensormp.gram import eigenvalues, esd, model_spectra, tensor_vector
-from tensormp.metrics import EmpiricalCDF, empirical_moment, ks_distance, levy_distance, levy_distance_trace_bound
+from tensormp.metrics import empirical_moment, ks_distance, levy_distance, levy_distance_trace_bound
 from tensormp.mp import MPLaw
 from tensormp.sampling import BaseSample, sample_base
 
@@ -81,6 +81,14 @@ def test_plan_builders():
     ones = {"n": 2, "k": 1, "c": 1.5, "tau": {"kind": "explicit", "values": [1, 1, 1]}}
     with pytest.raises(ValueError, match="same point twice"):
         sweep_plan_from_json({"points": [ones, {**ones, "tau": "constant_one"}]})
+    # a scheme is its weights: a two-point tau with a == b is constant_one, and
+    # two weights with the same floor(weight * m) fill the same weights (m = 10)
+    flat = {"kind": "two_point", "a": 1.0, "b": 1.0, "weight": 0.5}
+    with pytest.raises(ValueError, match="same point twice"):
+        sweep_plan_from_json({"points": [{**ones, "tau": flat}, {**ones, "tau": "constant_one"}]})
+    halves = [{"n": 4, "k": 1, "c": 2.5, "tau": {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": w}} for w in (0.5, 0.55)]
+    with pytest.raises(ValueError, match="same point twice"):
+        sweep_plan_from_json({"points": halves})
     # replica r of a point draws the same sample whatever the point's replicas
     # field, so that field does not make it a different point
     point = make_params(6, 2, 0.5, seed=1)
@@ -299,12 +307,11 @@ def _reference_replica(params, replica):
     eigs = solved[params.model]
     other = solved[ModelKind.COVARIANCE if params.model is ModelKind.CORRELATION else ModelKind.CORRELATION]
     dist = esd(eigs, params.ambient_dim)
-    cdf = EmpiricalCDF.from_spectral(dist)
     ks_mp = levy_mp = float("nan")
     if params.tau.is_constant_one:
         law = MPLaw.from_ratio(params.c)
-        ks_mp, levy_mp = ks_distance(cdf, law), levy_distance(cdf, law)
-    levy_models = levy_distance(cdf, EmpiricalCDF.from_spectral(esd(other, params.ambient_dim)))
+        ks_mp, levy_mp = ks_distance(dist, law), levy_distance(dist, law)
+    levy_models = levy_distance(dist, esd(other, params.ambient_dim))
     moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
     return np.array([ks_mp, levy_mp, levy_models, *moments]), eigs
 

@@ -29,7 +29,6 @@ from tensormp.gram import (
     nonzero_eigenvalues,
     tensor_vector,
 )
-from tensormp.metrics import EmpiricalCDF
 from tensormp.sampling import norm_profile, sample_base
 
 TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
@@ -438,19 +437,17 @@ def test_the_covariance_gram_does_not_depend_on_the_request(monkeypatch, law):
 def test_esd_counting_example():
     dist = esd(np.array([1.2, 0.9, 0.9]), 4)
     assert dist.zero_mass == 0.25
-    f = EmpiricalCDF.from_spectral(dist)
-    assert f.evaluate(0.0) == 0.25
-    assert f.evaluate(1.0) == 0.75
-    assert f.evaluate(1.2) == 1.0
-    assert f.evaluate(-0.1) == 0.0
+    assert dist.evaluate(0.0) == 0.25
+    assert dist.evaluate(1.0) == 0.75
+    assert dist.evaluate(1.2) == 1.0
+    assert dist.evaluate(-0.1) == 0.0
 
 
 def test_esd_full_rank_and_degenerate_step():
     dist = esd(np.array([1.0, 1.0]), 2)
     assert dist.zero_mass == 0.0
-    f = EmpiricalCDF.from_spectral(dist)
-    assert f.evaluate(0.999) == 0.0
-    assert f.evaluate(1.0) == 1.0
+    assert dist.evaluate(0.999) == 0.0
+    assert dist.evaluate(1.0) == 1.0
 
 
 def test_esd_clamps_small_negatives_only():
@@ -475,7 +472,7 @@ def test_esd_rank_bound_for_m_above_ambient():
     dist = esd(w, params.ambient_dim)
     assert len(dist.atoms) == 2
     assert dist.zero_mass == 0.0
-    assert EmpiricalCDF.from_spectral(dist).evaluate(np.max(w)) == 1.0
+    assert dist.evaluate(np.max(w)) == 1.0
     with pytest.raises(ValueError, match="rank bound"):
         esd(np.array([0.5, 1.0, 2.0]), 2)
 

@@ -1,6 +1,7 @@
 """Distribution distances and the executable matrix identities."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,12 @@ import pytest
 
 import tensormp.metrics
 from helpers import levy_bisection
-from oracles import ks_law_scan, levy_bruteforce, levy_law_scan, mp_moment_closed_form
+from oracles import ks_law_scan, levy_bruteforce, levy_law_scan, mp_moment_closed_form, step_eval
 from tensormp import mp
 from tensormp.config import make_params
 from tensormp.config import sweep_plan_from_json
-from tensormp.gram import build_correlation_gram, eigenvalues, esd, model_spectra
+from tensormp.gram import SpectralDistribution, build_correlation_gram, eigenvalues, esd, model_spectra
 from tensormp.metrics import (
-    EmpiricalCDF,
     column_normalization_identity,
     empirical_moment,
     ks_distance,
@@ -24,17 +24,22 @@ from tensormp.metrics import (
 from tensormp.sampling import sample_base
 
 
-def step(at, value=1.0):
-    return EmpiricalCDF(np.array([at]), np.array([value]))
+def step(at):
+    return SpectralDistribution(np.array([at]), 1)
 
 
-def two_step(x0, y0, x1):
-    return EmpiricalCDF(np.array([x0, x1]), np.array([y0, 1.0]))
+def two_step(x0, x1):
+    """Half the mass at x0 and half at x1."""
+    return SpectralDistribution(np.array([x0, x1]), 2)
 
 
-def test_empirical_cdf_from_spectral_counting():
-    dist = esd(np.array([0.9, 0.9, 1.2]), 4)
-    f = EmpiricalCDF.from_spectral(dist)
+def from_counts(points, counts):
+    """The step function with mass counts[i] / sum(counts) at points[i]."""
+    return SpectralDistribution(np.repeat(points, counts), int(np.sum(counts)))
+
+
+def test_esd_step_function_counting():
+    f = esd(np.array([0.9, 0.9, 1.2]), 4)
     assert np.array_equal(f.breakpoints, [0.0, 0.9, 1.2])
     assert np.array_equal(f.cumulative, [0.25, 0.75, 1.0])
     assert f.evaluate(0.9) == 0.75
@@ -42,20 +47,34 @@ def test_empirical_cdf_from_spectral_counting():
     assert f.evaluate(-1.0) == 0.0
 
 
-def test_empirical_cdf_validation():
-    with pytest.raises(ValueError):
-        EmpiricalCDF(np.array([0.0, 0.0]), np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
-        EmpiricalCDF(np.array([0.0, 1.0]), np.array([0.7, 0.5]))
-    with pytest.raises(ValueError):
-        EmpiricalCDF(np.array([0.0]), np.array([0.9]))
-    # non-finite input, which comparisons that fail open on NaN used to accept
-    with pytest.raises(ValueError, match="breakpoints must be finite"):
-        EmpiricalCDF(np.array([0.5, np.nan]), np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match="breakpoints must be finite"):
-        EmpiricalCDF(np.array([0.5, np.inf]), np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match="cumulative must be"):
-        EmpiricalCDF(np.array([0.5, 1.0, 2.0]), np.array([0.5, np.nan, 1.0]))
+@pytest.mark.parametrize(
+    "atoms, dim, message",
+    [
+        (np.array([[0.5, 1.0]]), 2, "1-d array"),
+        (np.array([0.5, np.nan]), 2, "finite and nondecreasing"),
+        (np.array([0.5, np.inf]), 2, "finite and nondecreasing"),
+        (np.array([-np.inf, 0.5]), 2, "finite and nondecreasing"),
+        (np.array([1.0, 0.5]), 2, "finite and nondecreasing"),
+        (np.array([0.5, 1.0, 2.0]), 2, "at most N=2 values"),
+        (np.array([0.5]), 0, "at least 1"),
+        (np.array([0.5]), 2.5, "integer"),
+    ],
+    ids=["two_d", "nan", "inf", "minus_inf", "decreasing", "more_than_n", "n_zero", "n_fraction"],
+)
+def test_spectral_distribution_checks_direct_construction(atoms, dim, message):
+    with pytest.raises(ValueError, match=message):
+        SpectralDistribution(atoms, dim)
+
+
+def test_spectral_distribution_keeps_a_read_only_copy_of_the_atoms():
+    atoms = np.array([0.5, 1.0])
+    dist = SpectralDistribution(atoms, 3)
+    atoms[0] = 0.75
+    assert atoms.flags.writeable
+    assert not any(array.flags.writeable for array in (dist.atoms, dist.breakpoints, dist.cumulative))
+    assert np.array_equal(dist.breakpoints, [0.0, 0.5, 1.0])
+    # no sign rule: a negative atom sits below the implied zeros
+    assert np.array_equal(SpectralDistribution(np.array([-1.0, 2.0]), 4).cumulative, [0.25, 0.75, 1.0])
 
 
 def test_mp_law_evaluate_and_left_limit_keep_the_atom():
@@ -69,13 +88,13 @@ def test_mp_law_evaluate_and_left_limit_keep_the_atom():
     xs = np.array([-1.0, 0.0, 1.0, 3.0])
     assert np.array_equal(law.evaluate(xs), [0.0, 0.75, mp.cdf(law, 1.0), 1.0])
     assert np.array_equal(law.left_limit(xs), [0.0, 0.0, mp.cdf(law, 1.0), 1.0])
-    for cdf in (law, two_step(0.0, 0.5, 1.0)):
+    for cdf in (law, two_step(0.0, 1.0)):
         at, before = cdf.sides(xs)
         assert at.tobytes() == cdf.evaluate(xs).tobytes() and before.tobytes() == cdf.left_limit(xs).tobytes()
 
 
 def test_ks_to_the_law_evaluates_it_once_and_levy_takes_the_ks_given(monkeypatch):
-    f = EmpiricalCDF.from_spectral(esd(np.array([0.2, 0.9, 0.9, 1.7, 2.5]), 8))
+    f = esd(np.array([0.2, 0.9, 0.9, 1.7, 2.5]), 8)
     law = mp.MPLaw.from_ratio(0.5)
     calls = []
     cdf = mp.cdf
@@ -84,7 +103,7 @@ def test_ks_to_the_law_evaluates_it_once_and_levy_takes_the_ks_given(monkeypatch
     assert len(calls) == 1
     assert levy_distance(f, law, ks=ks) == levy_distance(f, law) == levy_bisection(f, law)
     # step vs step, in both orders: the ks handed in is the one levy_distance takes
-    g = EmpiricalCDF.from_spectral(esd(np.array([0.4, 1.1, 1.3, 2.2]), 6))
+    g = esd(np.array([0.4, 1.1, 1.3, 2.2]), 6)
     for a, b in ((f, g), (g, f)):
         assert levy_distance(a, b, ks=ks_distance(a, b)) == levy_distance(a, b)
 
@@ -92,7 +111,7 @@ def test_ks_to_the_law_evaluates_it_once_and_levy_takes_the_ks_given(monkeypatch
 def test_ks_examples():
     assert ks_distance(step(0.0), step(0.0)) == 0.0
     assert ks_distance(step(0.0), step(1.0)) == 1.0
-    assert ks_distance(two_step(0.0, 0.5, 1.0), step(0.0)) == 0.5
+    assert ks_distance(two_step(0.0, 1.0), step(0.0)) == 0.5
 
 
 def test_levy_examples_and_bruteforce_oracle():
@@ -102,7 +121,7 @@ def test_levy_examples_and_bruteforce_oracle():
     brute = levy_bruteforce(step(0.0), step(0.5), np.arange(0.0, 1.01, 0.01))
     assert brute == pytest.approx(0.5, abs=1e-12)
 
-    f = two_step(0.0, 0.5, 1.0)
+    f = two_step(0.0, 1.0)
     g = step(0.25)
     assert levy_distance(f, g) == pytest.approx(
         levy_bruteforce(f, g, np.arange(0.0, 1.0005, 0.0005)), abs=6e-4
@@ -114,7 +133,7 @@ def _random_cdfs(rng, count):
     for _ in range(count):
         atoms = np.sort(rng.random(int(rng.integers(1, 10))) * 3.0)
         ambient = len(atoms) + int(rng.integers(0, 4))
-        out.append(EmpiricalCDF.from_spectral(esd(atoms, ambient)))
+        out.append(esd(atoms, ambient))
     return out
 
 
@@ -246,9 +265,7 @@ def test_empirical_second_moment_tracks_the_limit_law():
 def test_distances_to_the_law_match_a_dense_quadpack_scan():
     params = make_params(20, 2, 0.5, seed=13)
     sample = sample_base(params, 0)
-    f = EmpiricalCDF.from_spectral(
-        esd(eigenvalues(build_correlation_gram(sample)), params.ambient_dim)
-    )
+    f = esd(eigenvalues(build_correlation_gram(sample)), params.ambient_dim)
     law = mp.MPLaw.from_ratio(0.5)
     grid = np.linspace(-0.5, law.lambda_plus + 0.5, 40_001)
     spacing = grid[1] - grid[0]
@@ -275,7 +292,7 @@ def _plan_cdfs(name, seeds):
             law = mp.MPLaw.from_ratio(params.c)
             for replica in range(params.replicas):
                 spectra, _ = model_spectra(sample_base(params, replica), (params.model,))
-                out.append((EmpiricalCDF.from_spectral(esd(spectra[params.model], params.ambient_dim)), law))
+                out.append((esd(spectra[params.model], params.ambient_dim), law))
     return out
 
 
@@ -328,16 +345,14 @@ def _edge_cdfs(rng, law):
     change: below lambda_minus, on the support, above lambda_plus, at 0 with
     an atom, a single atom, and the ESD of an m > N sample."""
     low, high = law.lambda_minus, law.lambda_plus
-    cdfs = [EmpiricalCDF(np.array([x]), np.array([1.0])) for x in (0.0, 0.5 * low, low, 0.5 * (low + high), high + 0.3)]
+    cdfs = [step(x) for x in (0.0, 0.5 * low, low, 0.5 * (low + high), high + 0.3)]
     for _ in range(6):
         points = np.unique(np.concatenate([[0.0], rng.uniform(-0.3, high + 1.0, int(rng.integers(1, 25)))]))
-        cumulative = np.sort(rng.uniform(0.0, 1.0, points.size))
-        cumulative[-1] = 1.0
-        cdfs.append(EmpiricalCDF(points, cumulative))
+        cdfs.append(from_counts(points, rng.integers(1, 10, points.size)))
     for m, ambient in ((30, 40), (40, 40), (60, 40), (7, 3)):
         x = rng.standard_normal((ambient, m))
         eigs = np.linalg.eigvalsh(x.T @ x / ambient)
-        cdfs.append(EmpiricalCDF.from_spectral(esd(np.where(eigs < 1e-9, 0.0, eigs), ambient)))
+        cdfs.append(esd(np.where(eigs < 1e-9, 0.0, eigs), ambient))
     return cdfs
 
 
@@ -347,3 +362,38 @@ def test_levy_to_the_law_replays_the_bisection_on_edge_cases(c):
     law = mp.MPLaw.from_ratio(c)
     for f in _edge_cdfs(rng, law):
         assert levy_distance(f, law) == levy_bisection(f, law)
+
+
+def _counted(atoms, dim):
+    """The atoms' distribution as breakpoints and cumulative masses, counted
+    with a Counter: the implied zeros join the count at 0."""
+    counter = Counter(float(a) for a in atoms)
+    counter[0.0] += dim - len(atoms)
+    points = sorted(point for point, count in counter.items() if count)
+    return np.array(points), np.cumsum([counter[point] for point in points]) / dim
+
+
+def _m_above_n_esd():
+    params = make_params(6, 2, 1.5, entry_law="rademacher", seed=2)  # m = 54 > N = 36
+    spectra, _ = model_spectra(sample_base(params, 0), (params.model,))
+    return esd(spectra[params.model], params.ambient_dim)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SpectralDistribution(np.array([0.3, 0.3, 0.3, 1.1, 2.0, 2.0]), 6),  # multiplicities, no zeros
+        lambda: SpectralDistribution(np.array([0.0, 0.0, 0.4, 0.4, 1.5]), 8),  # atoms at 0 beside 3 implied zeros
+        lambda: SpectralDistribution(np.array([0.2, 0.7]), 5),  # implied zeros alone at 0
+        _m_above_n_esd,
+    ],
+    ids=["multiplicities", "zero_atom_and_implied_zeros", "implied_zeros", "m_above_n"],
+)
+def test_step_function_matches_the_oracle(make):
+    dist = make()
+    breakpoints, cumulative = _counted(dist.atoms, dist.ambient_dim)
+    assert np.array_equal(dist.breakpoints, breakpoints) and np.array_equal(dist.cumulative, cumulative)
+    mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
+    xs = np.concatenate([breakpoints, mids, breakpoints - 1e-9, breakpoints + 1e-9, [-1.0, 0.0, 1e3]])
+    assert np.array_equal(dist.evaluate(xs), step_eval(breakpoints, cumulative, xs))
+    assert np.array_equal(dist.left_limit(xs), step_eval(breakpoints, cumulative, np.nextafter(xs, -np.inf)))

@@ -16,7 +16,8 @@ from tensormp.gram import (
     build_normalized_level_gram,
 )
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
-from tensormp.metrics import EmpiricalCDF, ks_distance, levy_distance
+from tensormp.gram import SpectralDistribution
+from tensormp.metrics import ks_distance, levy_distance
 from tensormp.sampling import sample_base
 
 # a coarse lattice next to free floats makes shared breakpoints between two
@@ -33,9 +34,8 @@ ratios = st.floats(0.0, 2.0, exclude_min=True, allow_nan=False)
 def step_functions(draw):
     breakpoints = sorted(draw(st.sets(_points, min_size=1, max_size=12)))
     counts = draw(st.lists(st.integers(1, 5), min_size=len(breakpoints), max_size=len(breakpoints)))
-    # integer cumsum first, so the final mass is exactly 1
-    cumulative = np.cumsum(counts) / sum(counts)
-    return EmpiricalCDF(np.array(breakpoints, dtype=float), cumulative)
+    # each breakpoint an atom of its count's multiplicity among N = sum(counts)
+    return SpectralDistribution(np.repeat(np.array(breakpoints, dtype=float), counts), sum(counts))
 
 
 _fast = settings(max_examples=150, deadline=None)
