@@ -135,9 +135,11 @@ def _json_numbers(doc: dict, key: str, what: str, kind: type = float) -> list:
 
 
 def _kind(doc: dict, what: str, kinds: dict[str, tuple[str, ...]]) -> str:
-    """doc["kind"], once it names one of kinds and doc has exactly that
-    kind's keys; any other value, a list or an object included, raises
-    ValueError naming the key and the known kinds."""
+    """doc["kind"], once doc has only keys some kind names, "kind" names one
+    of kinds and doc has exactly that kind's keys; any other value, a list or
+    an object included, raises ValueError naming the key and the known kinds."""
+    named = (key for keys in kinds.values() for key in keys if key != "kind")
+    _check_keys(doc, what, ("kind",), tuple(dict.fromkeys(named)))
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in kinds:  # `in` would raise TypeError on a list
         raise ValueError(f"{what} key 'kind' must be one of {', '.join(map(repr, kinds))}, got {kind!r}")
@@ -160,7 +162,6 @@ def make_tau(scheme, m: int) -> TauScheme:
         raise ValueError("tau length must be at least 1")
     if isinstance(scheme, str):
         scheme = {"kind": scheme}
-    _check_keys(scheme, "tau", ("kind",), ("a", "b", "weight", "values"))
     kind = _kind(scheme, "tau", _TAU_KEYS)
     if kind == "constant_one":
         return TauScheme((1.0,) * m)
@@ -352,7 +353,6 @@ def _k_schedule_from_json(doc) -> Callable[[int], int]:
     that k/n -> 0 along a sweep."""
     if doc is None:
         return lambda n: 2
-    _check_keys(doc, "k_schedule", ("kind",), ("k", "gamma"))
     if _kind(doc, "k_schedule", _K_SCHEDULE_KEYS) == "power":
         gamma = _json_number(doc, "gamma", "power k_schedule")
         if not 0.0 < gamma < 1.0:

@@ -41,7 +41,7 @@ _LAPACK_COL_MAJOR = 102  # LAPACKE's matrix_layout code for column-major storage
 _CBLAS_ROW_MAJOR, _CBLAS_UPPER, _CBLAS_NO_TRANS = 101, 121, 111  # CBLAS enum codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDistribution:
     """The empirical spectral distribution of N eigenvalues, and the
     right-continuous step function F the KS and Levy distances read.
@@ -52,8 +52,8 @@ class SpectralDistribution:
     ``implied_zeros`` are pinned at zero by the rank bound. F is
     cumulative[i] on [breakpoints[i], breakpoints[i+1]) and zero before the
     first breakpoint; the breakpoints are the distinct atoms, and 0 where
-    zeros are implied, derived at their first read.
-    """
+    zeros are implied, derived at their first read. Like its array, it
+    compares and hashes by identity."""
 
     atoms: np.ndarray
     ambient_dim: int

@@ -7,20 +7,22 @@ many workers drew the batch or in what order; a level vector's key is
 per-key reference ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``
 of tests/oracles.py (``_stream``/``_draw``), but derives all m*k Philox
 keys of a replica in one vectorized pass of SeedSequence's hash, runs
-Philox4x64-10 itself over every (sample, level, block) counter, and
-transforms the words as numpy's generator would: a uniform law (unit
-circle, Rademacher) reads one word per entry or per two, and a Gaussian law
-runs numpy's 256-layer ziggurat (``random_standard_normal``, tables in
-``tensormp._ziggurat``) over each key's words in order. The norm-moment
-check and the selftest draw through the same dispatch, ``_raw_draws``. No
-tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever formed, since it grows
-like n^k: consumers multiply the per-level ratios ||y^(l)||^2 / n.
+Philox4x64-10 itself over the (sample, level, block) counters of a tile of
+samples at a time, and transforms the words as numpy's generator would: a
+uniform law (unit circle, Rademacher) reads one word per entry or per two,
+and a Gaussian law runs numpy's 256-layer ziggurat
+(``random_standard_normal``, tables in ``tensormp._ziggurat``) over each
+key's words in order. The norm-moment check and the selftest draw through
+the same pass, ``_raw_draws``. No tensor norm ||Y||^2 = prod_l ||y^(l)||^2
+is ever formed, since it grows like n^k: consumers multiply the per-level
+ratios ||y^(l)||^2 / n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -213,17 +215,17 @@ def _uniform(words):
     return (words >> 11) * 2.0**-53
 
 
-def _uniform_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
-    """The (..., n) raw draws of a uniform law under each key of the (..., 2)
-    ``keys``, as numpy's generator makes them from a fresh Philox per key:
-    ``random()`` is (u64 >> 11) * 2**-53, one word per entry; ``integers(0,
-    2)`` is the top bit of each uint32 half, low half first, two entries per
-    word."""
-    if law is EntryLaw.UNIT_CIRCLE:
-        return _uniform(_philox_words(keys, -(-n // 4))[..., :n])
-    words = _philox_words(keys, -(-n // 8))
-    bits = (words[..., None] >> _HALF_TOP_BITS) & 1
-    return bits.reshape(keys.shape[:-1] + (-1,))[..., :n].astype(np.float64)
+def _uniform_fill(per_word: int, keys: np.ndarray, out: np.ndarray, blocks: int) -> np.ndarray:
+    """``_normals`` for a uniform law, which never runs short: ``random()``
+    is (u64 >> 11) * 2**-53, one word per entry; ``integers(0, 2)``, for
+    per_word = 2, is the top bit of each uint32 half, low half first."""
+    words = _philox_words(keys, blocks)
+    if per_word == 2:
+        words = ((words[..., None] >> _HALF_TOP_BITS) & 1).reshape(len(keys), -1)
+    else:
+        words = _uniform(words)
+    out[...] = words[:, : out.shape[1]]
+    return np.empty(0, dtype=np.intp)
 
 
 # numpy's random_standard_normal reads a draw's first word as a layer (bits
@@ -234,9 +236,6 @@ def _uniform_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
 _SIGNED_WI = np.concatenate([WI, -WI])
 _KI_TWICE = np.concatenate([KI, KI])
 _SIGN_LAYER_BITS, _LAYER_BITS, _MAGNITUDE_BITS, _SHIFT9 = _u64(0x1FF, 0xFF, 2**52 - 1, 9)
-# the words drawn at once, a whole number of samples' worth: a replica's
-# words never exist at once, and a chunk's arrays stay in cache
-_CHUNK_WORDS = 2**15
 
 
 def _first_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,47 +345,48 @@ def _normals(keys: np.ndarray, out: np.ndarray, blocks: int) -> np.ndarray:
     return np.flatnonzero(short)
 
 
-def _gaussian_raw(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
-    """The raw draws of a Gaussian law under each key of the (m, k, 2)
-    ``keys``, as numpy's ``standard_normal`` makes them from a fresh Philox
-    per key: n normals per key, or 2n for the complex law, whose first n are
-    the real plane.
+# the words drawn at once, a whole number of samples' worth where a sample
+# fits: a replica's words never exist at once, and a tile's arrays stay in cache
+_CHUNK_WORDS = 2**15
 
-    Each key first gets a few spare words past its draws, rounded up to a
-    whole block, and the words are drawn a chunk of samples at a time; the
-    few keys whose rejections need more are drawn again together, from twice
-    the blocks.
+
+def _tiled(fill, keys: np.ndarray, out: np.ndarray, blocks: int, group: int) -> np.ndarray:
+    # fill the rows of out a tile of whole groups of rows at a time; return the short rows
+    tile = group * max(1, _CHUNK_WORDS // (4 * blocks * group))
+    starts = range(0, len(keys), tile)
+    return np.concatenate([start + fill(keys[start : start + tile], out[start : start + tile], blocks) for start in starts])
+
+
+def _raw_draws(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
+    """The raw draws of n entries of ``law`` under each key of the (m, k, 2)
+    ``keys``, as (m, k, n), or for the complex Gaussian law re and im planes
+    on axis 0, which ``_transform`` makes entries: the one dispatch on the
+    law behind every draw of the package. Keys are read a tile of samples at
+    a time. A Gaussian key first gets 4 + draws/32 spare words, rounded up to
+    a whole block (its rejections take about 2.2% more words than its draws),
+    so at most about 1.5 keys in 100 run short; those are drawn again
+    together, from twice the blocks, until none is.
     """
     m, k = keys.shape[:2]
     complex_law = law is EntryLaw.COMPLEX_GAUSSIAN
     draws = 2 * n if complex_law else n
+    if law is EntryLaw.UNIT_CIRCLE or law is EntryLaw.RADEMACHER:
+        per_word = 2 if law is EntryLaw.RADEMACHER else 1
+        blocks, fill = -(-n // (4 * per_word)), partial(_uniform_fill, per_word)
+    else:
+        blocks, fill = -(-(draws + 4 + draws // 32) // 4), _normals
     out = np.empty((m * k, draws))
     keys = keys.reshape(-1, 2)
-    # a key's rejections take about 2.2% more words than its draws; with
-    # 4 + draws/32 spare words, at most about 1.5 keys in 100 run short
-    blocks = -(-(draws + 4 + draws // 32) // 4)
-    chunk = k * max(1, _CHUNK_WORDS // (4 * blocks * k))
-    retry = np.concatenate(
-        [start + _normals(keys[start : start + chunk], out[start : start + chunk], blocks) for start in range(0, m * k, chunk)]
-    )
+    retry = _tiled(fill, keys, out, blocks, k)
     while retry.size:
         blocks *= 2
         redo = np.empty((retry.size, draws))
-        short = _normals(keys[retry], redo, blocks)
+        short = _tiled(fill, keys[retry], redo, blocks, 1)
         out[retry] = redo
         retry = retry[short]
     if complex_law:  # re/im planes first, as _transform expects
         return np.moveaxis(out.reshape(m, k, 2, n), 2, 0)
     return out.reshape(m, k, n)
-
-
-def _raw_draws(law: EntryLaw, keys: np.ndarray, n: int) -> np.ndarray:
-    """The raw draws of n entries of ``law`` under each key of the (m, k, 2)
-    ``keys``, which ``_transform`` makes entries: the one dispatch on the law
-    behind every draw of the package."""
-    if law is EntryLaw.UNIT_CIRCLE or law is EntryLaw.RADEMACHER:
-        return _uniform_raw(law, keys, n)
-    return _gaussian_raw(law, keys, n)
 
 
 def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
@@ -397,8 +397,7 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     order or worker count: entry [alpha, level] is the reference
     ``_draw(law, _stream(seed, replica_index, alpha, level), n)`` of
     tests/oracles.py. The keys are derived together, and every law reads
-    them through one counter-mode Philox pass: over the whole replica for
-    the uniform laws, a chunk of samples at a time for the Gaussian laws.
+    them through one counter-mode Philox pass, a tile of samples at a time.
     """
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")

@@ -443,6 +443,13 @@ def test_esd_counting_example():
     assert dist.evaluate(-0.1) == 0.0
 
 
+def test_a_distribution_compares_and_hashes_by_identity():
+    # the generated __eq__ over the atoms array would raise on its ambiguous truth value
+    first, second = esd(np.array([1.0, 2.0]), 2), esd(np.array([1.0, 2.0]), 2)
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2
+
+
 def test_esd_full_rank_and_degenerate_step():
     dist = esd(np.array([1.0, 1.0]), 2)
     assert dist.zero_mass == 0.0

@@ -13,16 +13,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tensormp.sampling
 from helpers import forged_sample
 from oracles import _draw, _stream, ziggurat_normals
 from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
 from tensormp.config import EntryLaw, make_params, params_to_json
 from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.sampling import (
+    _CHUNK_WORDS,
     BaseSample,
     DegenerateSampleError,
     _philox_keys,
     _philox_words,
+    _raw_draws,
     _transform,
     _wedge_accepts,
     norm_moment_check,
@@ -107,6 +110,77 @@ def test_streams_are_order_and_thread_independent():
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for (alpha, level), vec in pool.map(one, keys):
                     assert vec.tobytes() == sample.entries[alpha, level].tobytes()
+
+
+def _record_philox_calls(monkeypatch) -> list:
+    """Patch the one Philox pass to record the (keys, blocks) of each call."""
+    calls = []
+
+    def recording(keys, blocks):
+        calls.append((keys.copy(), blocks))
+        return _philox_words(keys, blocks)
+
+    monkeypatch.setattr(tensormp.sampling, "_philox_words", recording)
+    return calls
+
+
+# (law, seed, m, k, n) grids of several tiles each; the Rademacher n is odd
+_TILED_GRIDS = [
+    ("complex_gaussian", 0, 60, 2, 300),
+    ("real_gaussian", 1, 50, 3, 400),
+    ("rademacher", 2, 40, 3, 1001),
+    ("unit_circle", 3, 45, 1, 1000),
+]
+
+
+@pytest.mark.parametrize("law, seed, m, k, n", _TILED_GRIDS)
+def test_a_grid_of_several_tiles_is_the_per_key_generator_bitwise(monkeypatch, law, seed, m, k, n):
+    calls = _record_philox_calls(monkeypatch)
+    law = EntryLaw(law)
+    entries = _transform(law, _raw_draws(law, _philox_keys(seed, (7,), m, k), n))
+    assert entries.shape == (m, k, n)
+    for alpha in range(m):
+        for level in range(k):
+            expected = _draw(law, _stream(seed, 7, alpha, level), n)
+            assert entries[alpha, level].tobytes() == expected.tobytes(), (alpha, level)
+    assert sum(blocks == calls[0][1] for _, blocks in calls) >= 2
+
+
+def test_short_keys_of_different_tiles_are_redrawn_together(monkeypatch):
+    # the complex Gaussian grid of _TILED_GRIDS: keys 13 and 64 run short, in tiles 0 and 1
+    calls = _record_philox_calls(monkeypatch)
+    keys = _philox_keys(0, (7,), 60, 2).reshape(-1, 2)
+    _raw_draws(EntryLaw.COMPLEX_GAUSSIAN, keys.reshape(60, 2, 2), 300)
+    blocks, tile = calls[0][1], len(calls[0][0])
+    retries = [(call_keys, b) for call_keys, b in calls if b != blocks]
+    assert tile == 52 and [b for _, b in retries] == [2 * blocks]
+    assert np.array_equal(retries[0][0], keys[[13, 64]])
+
+
+@pytest.mark.parametrize("law", [law.value for law in EntryLaw])
+def test_every_philox_call_reads_at_most_a_tile_of_words(monkeypatch, law):
+    # a call may exceed the tile only with one sample's keys, when that sample alone is larger
+    calls = _record_philox_calls(monkeypatch)
+    law = EntryLaw(law)
+    for m, k, n in ((300, 2, 64), (40, 3, 700), (2, 3, 12000)):
+        calls.clear()
+        _raw_draws(law, _philox_keys(4, (7,), m, k), n)
+        first = calls[0][1]
+        assert all(len(keys) % k == 0 for keys, blocks in calls if blocks == first)
+        assert all(len(keys) * 4 * blocks <= _CHUNK_WORDS or len(keys) <= k for keys, blocks in calls)
+        assert (len(calls[0][0]) == k) == (n == 12000)  # only a sample of 12000 entries outgrows a tile
+    calls.clear()
+    sample_base(make_params(50, 2, 0.5, entry_law=law), 0)
+    assert len(calls) > 1 and all(len(keys) * 4 * blocks <= _CHUNK_WORDS for keys, blocks in calls)
+
+
+def test_a_deep_fold_unit_circle_replica_reads_its_words_in_one_call(monkeypatch):
+    # 205 samples of 4 levels, 8 words each: 6560 words, one tile
+    calls = _record_philox_calls(monkeypatch)
+    params = make_params(8, 4, 0.05, entry_law="unit_circle")
+    for replica in range(3):
+        sample_base(params, replica)
+    assert [(len(keys), blocks) for keys, blocks in calls] == [(820, 2)] * 3
 
 
 def test_concurrent_sample_base_calls_match_serial():
