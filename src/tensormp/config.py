@@ -52,6 +52,10 @@ class EntryLaw(str, enum.Enum):
     def unit_modulus(self) -> bool:
         return self.m4 == 1.0
 
+    @property
+    def real_valued(self) -> bool:
+        return self in (EntryLaw.REAL_GAUSSIAN, EntryLaw.RADEMACHER)
+
 
 @dataclass(frozen=True)
 class TauScheme:

@@ -112,15 +112,16 @@ class SweepResult:
 
 
 def evaluate_replica(
-    params: ModelParams, replica: int, *, with_comparison: bool
+    params: ModelParams, replica: int, *, with_comparison: bool, buffer: np.ndarray | None = None
 ) -> tuple[ReplicaRecord, np.ndarray, SpectralDistribution]:
     """One replica of a point: its record, and the m Gram eigenvalues
     (structural zeros included) and spectral distribution of the point's own
     model. Limit-law distances are taken where tau is identically 1, the only
-    case where the law exists; the coupled model distance only on request."""
+    case where the law exists; the coupled model distance only on request.
+    The Gram is built in the flat buffer if one is given (see model_spectra)."""
     start = time.perf_counter()
     models = tuple(ModelKind) if with_comparison else (params.model,)
-    spectra, d2 = model_spectra(sample_base(params, replica), models)
+    spectra, d2 = model_spectra(sample_base(params, replica), models, buffer)
     eigs = spectra.pop(params.model)
     dist = esd(eigs, params.ambient_dim)
     ks_mp = levy_mp = levy_models = float("nan")
@@ -162,9 +163,13 @@ def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) 
 
 
 def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
+    # one Gram buffer for the sweep, so a freed Gram never stays resident under the next; no larger than
+    # its largest Gram, since numpy asks for huge pages and one straddling the Gram's end is faulted in whole
+    nbytes = max(point.sample_count**2 * (8 if point.entry_law.real_valued else 16) for point in plan.points)
+    buffer = np.empty(nbytes, dtype=np.uint8)
     return SweepResult(
         records=tuple(
-            evaluate_replica(params, replica, with_comparison=with_comparison)[0]
+            evaluate_replica(params, replica, with_comparison=with_comparison, buffer=buffer)[0]
             for params in plan.points
             for replica in range(params.replicas)
         )

@@ -11,9 +11,9 @@ Gram is the diagonal congruence D C D of the correlation Gram C, and
 triangle, which C's solve leaves as it was. Each level of a Gram is formed
 in that buffer, and each solve of ``model_spectra`` runs in the buffer
 itself, made writable once, so a replica of every law holds one m x m
-block. Real levels and solves call numpy's bundled OpenBLAS through one
-binding, ``_openblas``; without it numpy's products and eigvalsh give the
-same bits.
+block: in a sweep, the head of one flat buffer that every replica reuses.
+Real levels and solves call numpy's bundled OpenBLAS through one binding,
+``_openblas``; without it numpy's products and eigvalsh give the same bits.
 """
 
 from __future__ import annotations
@@ -195,7 +195,14 @@ def _mirror_upper_rows(product: np.ndarray, start: int, stop: int) -> None:
     np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
 
 
-def _level_ratio_product(sample: BaseSample) -> np.ndarray:
+def _gram_block(buffer: np.ndarray | None, m: int, dtype) -> np.ndarray:
+    """A C-contiguous (m, m) view of the head of the flat buffer, or a fresh block."""
+    if buffer is None:
+        return np.empty((m, m), dtype)
+    return buffer.view(np.uint8)[: m * m * np.dtype(dtype).itemsize].view(dtype).reshape(m, m)
+
+
+def _level_ratio_product(sample: BaseSample, buffer: np.ndarray | None = None) -> np.ndarray:
     """Entrywise product over levels of the normalized inner products
     <y_a^(l), y_b^(l)> / (||y_a^(l)|| ||y_b^(l)||), exact in the strict
     upper triangle, which is all _hermitize reads.
@@ -233,7 +240,7 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
             np.divide(rows, n, out=rows)
 
     if np.iscomplexobj(entries):
-        product = np.empty((m, m), dtype=entries.dtype)
+        product = _gram_block(buffer, m, entries.dtype)
         scratch = np.empty(min(_PANEL_ROWS, m) * m, dtype=entries.dtype)  # contiguous: faster passes
         for level in range(k):
             adjoint = entries[:, level, :].conj().T
@@ -245,9 +252,10 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
                 if level:
                     upper *= rows
         return product
-    # zeros, not garbage, below the diagonal of each diagonal block: a
-    # panel's arithmetic reads that part, though nothing uses it
-    product = np.zeros((m, m))
+    # zeros, not garbage (a reused buffer holds an earlier Gram's bytes), below the diagonal
+    # of each diagonal block: a panel's arithmetic reads that part, though nothing uses it
+    product = _gram_block(buffer, m, np.float64)
+    product.fill(0.0)
     for level in range(k):
         _syrk_upper(entries[:, level, :], product)
         for start, stop in _row_panels(m):
@@ -262,15 +270,16 @@ def _level_ratio_product(sample: BaseSample) -> np.ndarray:
     return product
 
 
-def build_correlation_gram(sample: BaseSample) -> np.ndarray:
+def build_correlation_gram(sample: BaseSample, buffer: np.ndarray | None = None) -> np.ndarray:
     """Read-only Gram of the unit-normalized model: sqrt(tau_a tau_b)
-    prod_l rho_l(a, b), (m, m) complex128, or float64 for real laws.
+    prod_l rho_l(a, b), (m, m) complex128, or float64 for real laws: a fresh
+    array, or a view of the head of a flat buffer that is given.
 
     The diagonal equals tau exactly; the trace of the whole ambient model is
     therefore sum(tau) with no stochastic term.
     """
     tau = sample.params.tau.as_array()
-    entries = _hermitize(_level_ratio_product(sample), tau, tau)
+    entries = _hermitize(_level_ratio_product(sample, buffer), tau, tau)
     entries.setflags(write=False)
     return entries
 
@@ -441,19 +450,19 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def model_spectra(
-    sample: BaseSample, models: tuple[ModelKind, ...]
+    sample: BaseSample, models: tuple[ModelKind, ...], buffer: np.ndarray | None = None
 ) -> tuple[dict[ModelKind, np.ndarray], np.ndarray | None]:
     """Gram eigenvalues of each requested model of one sample, and d^2 (see
     _scale_to_covariance) if the covariance model is requested, else None.
-    One m x m buffer, never seen by the caller, serves both, and each solve
-    runs in it: C is built, made writable and, if requested, solved; D C D is
-    then written into it from C's strict lower triangle, which the solve
-    leaves as it was, and solved, unless the law is unit-modulus and C was
-    solved (D = I by the law: one solve). The covariance solve gets the same
-    bytes either way."""
+    One m x m block, never seen by the caller, serves both, the head of the
+    flat buffer if one is given (a sweep's), and each solve runs in it: C is
+    built, made writable and, if requested, solved; D C D is then written
+    into it from C's strict lower triangle, which the solve leaves as it was,
+    and solved, unless the law is unit-modulus and C was solved (D = I by the
+    law: one solve). The covariance solve gets the same bytes either way."""
     models = {ModelKind(model) for model in models}
-    gram = build_correlation_gram(sample)
-    gram.setflags(write=True)  # this call's own buffer, never handed out
+    gram = build_correlation_gram(sample, buffer)
+    gram.setflags(write=True)  # this call's own block, never handed out
     spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}
     if ModelKind.COVARIANCE not in models:
         return spectra, None

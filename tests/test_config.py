@@ -176,6 +176,13 @@ def test_entry_law_table():
         assert law.unit_modulus is unit
 
 
+@pytest.mark.parametrize("law", list(EntryLaw))
+def test_a_real_valued_law_draws_float64_entries(law):
+    # a sweep sizes its one Gram buffer by this flag: 8 bytes per Gram entry, or 16
+    entries = _transform(law, _raw_draws(law, _philox_keys(5, (0,), 3, 2), 4))
+    assert entries.dtype == (np.float64 if law.real_valued else np.complex128)
+
+
 @pytest.mark.parametrize("kind", list(EntryLaw))
 def test_entry_law_monte_carlo_moments(kind):
     # the package's keyed draws: 1000 keys (99, row, 0) under seed 123, 1000 draws each

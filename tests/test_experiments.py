@@ -297,6 +297,45 @@ def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model)
     addresses.clear()
     tensormp.experiments.evaluate_replica(params, 0, with_comparison=False)
     assert len(addresses) == 1
+    # every solve of a multi-point sweep, of every replica of every point, runs in one buffer
+    addresses.clear()
+    plan = sweep_plan_from_json({"ns": [5, 7, 9], "c": 0.5, "entry_law": law.value, "model": model, "seed": 2, "replicas": 2})
+    run_sweep(plan)
+    assert len(addresses) == (1 if params.entry_law.unit_modulus else 2) * 6
+    assert len(set(addresses)) == 1
+
+
+@pytest.mark.parametrize("law", list(EntryLaw))
+def test_a_replica_given_the_sweeps_buffer_allocates_less_than_half_a_gram(law):
+    # the Gram and both solves run in the buffer; what is left is the sample, row panels and
+    # spectra, and the Gaussian laws' sampling tile, about 1.5 MB, so m is sweep_c05's largest
+    evaluate = tensormp.experiments.evaluate_replica
+    params = make_params(40, 2, 0.5, entry_law=law, model="covariance", seed=3)
+    itemsize = 8 if law.real_valued else 16
+    buffer = np.empty(params.sample_count**2 * itemsize, dtype=np.uint8)  # as run_sweep sizes it
+    evaluate(make_params(6, 2, 0.5, entry_law=law), 0, with_comparison=True, buffer=buffer)
+    tracemalloc.start()
+    try:
+        evaluate(params, 0, with_comparison=True, buffer=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.sample_count == 800
+    assert peak < 0.5 * params.sample_count**2 * itemsize, peak
+
+
+def test_a_largest_first_plan_gives_the_rows_of_the_ascending_plan():
+    # the later points reuse a buffer whose head holds a larger Gram's bytes; the complex point
+    # (m=35) has fewer rows than the Rademacher one (m=41) but more bytes, which the buffer must fit
+    points = (
+        make_params(5, 2, 0.5, entry_law="real_gaussian", tau=TWO_POINT_TAU, seed=6, replicas=2),
+        make_params(6, 2, 35 / 36, entry_law="complex_gaussian", seed=6, replicas=2),
+        make_params(9, 2, 0.5, entry_law="rademacher", seed=6, replicas=2),
+    )
+    assert [p.sample_count for p in points] == [13, 35, 41]
+    ascending = sweep_rows(run_sweep(SweepPlan(points=points)))
+    descending = sweep_rows(run_sweep(SweepPlan(points=points[::-1])))
+    assert repr(descending) == repr(ascending[4:] + ascending[2:4] + ascending[:2])
 
 
 def _reference_replica(params, replica):
@@ -378,7 +417,7 @@ def test_the_workload_plans_give_the_reference_paths_bytes(monkeypatch):
 
     shipped = rows()
     monkeypatch.setattr(tensormp.experiments, "sample_base", _per_key_sample)
-    monkeypatch.setattr(tensormp.gram, "build_correlation_gram", lambda s: gram_out_of_place(s, s.params.tau, ModelKind.CORRELATION))
+    monkeypatch.setattr(tensormp.gram, "build_correlation_gram", lambda s, buffer=None: gram_out_of_place(s, s.params.tau, ModelKind.CORRELATION))
     monkeypatch.setattr(tensormp.experiments, "levy_distance", levy_bisection)
     assert rows() == shipped
 

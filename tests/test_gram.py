@@ -434,6 +434,32 @@ def test_the_covariance_gram_does_not_depend_on_the_request(monkeypatch, law):
         assert correlation != covariance
 
 
+@pytest.mark.parametrize("tau", ["constant_one", TWO_POINT_TAU])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, _PANEL_ROWS - 1, _PANEL_ROWS, _PANEL_ROWS + 1, 205])
+@pytest.mark.parametrize(
+    "models",
+    [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
+)
+@pytest.mark.parametrize("law", list(EntryLaw))
+def test_model_spectra_never_reads_an_unwritten_entry_of_a_reused_buffer(law, models, m, k, tau):
+    # a buffer left full of NaN, +-1e308 or -0.0 gives the fresh block's bytes: a NaN read
+    # would spread, and an overflow (a real law's missing zero fill) is an error here
+    sample = sample_base(make_params(6, k, m / 6**k, entry_law=law, tau=tau, seed=5), 0)
+    assert sample.entries.shape[0] == m
+    expected_spectra, expected_d2 = model_spectra(sample, models)
+    buffer = np.empty(206**2, dtype=np.complex128)  # larger than any Gram here, as a sweep's is
+    for fill in (np.nan, 1e308, -1e308, -0.0):
+        buffer.view(np.float64).fill(fill)
+        spectra, d2 = model_spectra(sample, models, buffer)
+        assert {model: w.tobytes() for model, w in spectra.items()} == {
+            model: w.tobytes() for model, w in expected_spectra.items()
+        }
+        assert (d2 is None and expected_d2 is None) or d2.tobytes() == expected_d2.tobytes()
+        for w in (*spectra.values(), d2):  # the results are fresh arrays, not views of the buffer
+            assert w is None or not np.shares_memory(w, buffer)
+
+
 def test_esd_counting_example():
     dist = esd(np.array([1.2, 0.9, 0.9]), 4)
     assert dist.zero_mass == 0.25
