@@ -44,4 +44,4 @@ for i, count in enumerate(counts):
 
 ks = ks_distance(dist, law)
 print(f"\nKS distance to the limit law:   {ks:.5f}")
-print(f"Levy distance to the limit law: {levy_distance(dist, law, ks=ks):.5f}")
+print(f"Levy distance to the limit law: {levy_distance(dist, law):.5f}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -70,11 +71,14 @@ def _cell(value) -> str:
 
 
 def _write(out: Path, name: str, fmt: str, rows: list[dict], comment: str | None = None) -> None:
-    """Write rows to out/name.fmt: JSON holds them as objects; CSV is the
-    optional '#' comment line, the first row's keys, then one line per row,
-    floats in repr so that they read back exactly."""
+    """Write rows to out/name.fmt: JSON holds them as objects, a non-finite
+    float as null; CSV is the optional '#' comment line, the first row's
+    keys, then one line per row, floats in repr so that they read back
+    exactly (nan included)."""
     if fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        # strict JSON has no NaN or infinity
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()} for row in rows]
+        text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [] if comment is None else [f"# {comment}"]
         lines.append(",".join(rows[0]))
@@ -254,9 +258,8 @@ def _cmd_distance(args) -> int:
         out = _out_dir(args.out, args.format, "distances")
     rows = []
     for replica, fa, fb in dists:
-        ks = ks_distance(fa, fb)
-        rows.append({"replica": replica, "metric": "ks", "value": ks})
-        rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb, ks=ks)})
+        rows.append({"replica": replica, "metric": "ks", "value": ks_distance(fa, fb)})
+        rows.append({"replica": replica, "metric": "levy", "value": levy_distance(fa, fb)})
     _write(out, "distances", args.format, rows)
     for row in rows:
         print(f"replica {row['replica']}: {row['metric']}={row['value']:.6f}")

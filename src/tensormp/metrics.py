@@ -76,16 +76,16 @@ def _levy_estimate(f: SpectralDistribution, at: np.ndarray, before: np.ndarray, 
     return float(max(np.max(u[: b.size] - b), np.max(b - u[b.size :])))
 
 
-def levy_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw, *, ks: float | None = None) -> float:
+def levy_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw) -> float:
     """inf{eps > 0 : F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x}, for a
     step function F and a step function or limit law G.
 
     Feasibility of a given eps is decided exactly by scanning F's breakpoints
     against G shifted by +-eps; only eps itself is bisected (to absolute
-    tolerance 1e-9), starting from the KS distance, which is always feasible:
-    ``ks`` is ``ks_distance(f, g)`` where the caller has it already.
-    Identical step functions give exactly 0, and step-function arguments are
-    put in a canonical order first, so the distance is exactly symmetric.
+    tolerance 1e-9), starting from the pair's own KS distance, which is
+    always feasible: the distance depends on its two arguments alone.
+    Identical step functions give exactly 0, and step-function arguments
+    are put in a canonical order first, so the distance is exactly symmetric.
 
     Against a limit law the scan first runs at _levy_estimate +- 1e-12. Each
     end it verifies decides, with no scan, every mid beyond it by more than
@@ -93,7 +93,7 @@ def levy_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw, *
     result has the plain bisection's bits, and a poor estimate only costs scans.
     """
     f, g = _canonical(f, g)
-    hi = ks_distance(f, g) if ks is None else ks
+    hi = ks_distance(f, g)
     if hi == 0.0:
         return 0.0
     lo = 0.0

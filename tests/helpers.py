@@ -31,12 +31,11 @@ def covariance_gram(sample: BaseSample) -> np.ndarray:
     return gram
 
 
-def levy_bisection(f, g, *, ks=None) -> float:
+def levy_bisection(f, g) -> float:
     """metrics.levy_distance as a plain bisection, every mid decided by the
     package's own feasibility scan: the reference that the limit-law
     distance's verified bracket must reproduce bitwise (it shares the scan,
-    so it is no independent oracle; see oracles.levy_bruteforce). A caller's
-    ``ks`` is accepted, as levy_distance takes it, but recomputed."""
+    so it is no independent oracle; see oracles.levy_bruteforce)."""
     f, g = _canonical(f, g)
     hi = ks_distance(f, g)
     if hi == 0.0:

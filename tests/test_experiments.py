@@ -259,6 +259,13 @@ def test_a_complex_replica_holds_one_gram_sized_array(law, model):
     assert peak <= 1.5 * params.sample_count**2 * 16
 
 
+def _gram_blocks(bound: float) -> float:
+    """A bound in Gram-sized blocks for the path this numpy runs: as given where its bundled
+    OpenBLAS is bound, one block more on the fallback, whose real levels come from numpy's
+    whole product (see README's numerical design notes)."""
+    return bound if tensormp.gram._openblas() is not None else bound + 1.0
+
+
 @pytest.mark.parametrize("n, k, c", [(30, 2, 0.5), (9, 3, 0.6)])  # m = 450 and 437
 @pytest.mark.parametrize("model", ["correlation", "covariance"])
 @pytest.mark.parametrize("law", ["real_gaussian", "rademacher"])
@@ -275,7 +282,7 @@ def test_a_real_replica_holds_one_gram_sized_array(law, model, n, k, c):
     finally:
         tracemalloc.stop()
     assert params.sample_count in (450, 437)
-    assert peak <= 1.5 * params.sample_count**2 * 8
+    assert peak <= _gram_blocks(1.5) * params.sample_count**2 * 8
 
 
 @pytest.mark.parametrize("model", ["correlation", "covariance"])
@@ -321,7 +328,7 @@ def test_a_replica_given_the_sweeps_buffer_allocates_less_than_half_a_gram(law):
     finally:
         tracemalloc.stop()
     assert params.sample_count == 800
-    assert peak < 0.5 * params.sample_count**2 * itemsize, peak
+    assert peak < _gram_blocks(0.5) * params.sample_count**2 * itemsize, peak
 
 
 def test_a_largest_first_plan_gives_the_rows_of_the_ascending_plan():
@@ -444,7 +451,7 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
 
 
 def test_levy_models_beyond_the_trace_bound_raises(monkeypatch):
-    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g, ks=None: 1.0)
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
     with pytest.raises(ValueError, match="breaks the trace bound"):
         run_sweep(sweep_plan_from_json({"ns": [6], "c": 0.5, "entry_law": "complex_gaussian", "seed": 2, "replicas": 1}))
     record = run_convergence(sweep_plan_from_json({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1})).records[0]
@@ -546,30 +553,46 @@ def _csv_rows(path: Path) -> list[dict]:
     return [dict(zip(header.split(","), row.split(","), strict=True)) for row in rows]
 
 
+def _read_strict_json(path: Path):
+    """A written JSON file, parsed as a strict parser would: NaN, Infinity and -Infinity are rejected."""
+
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def _assert_json_rows_match_csv(json_rows: list[dict], csv_path: Path) -> None:
-    # value for value: every CSV field is the exact text of the JSON value
+    # value for value: every CSV field is the exact text of the JSON value, and a JSON null a CSV nan
     csv_rows = _csv_rows(csv_path)
     assert len(json_rows) == len(csv_rows) > 0
     for record, row in zip(json_rows, csv_rows):
         assert set(record) == set(row)
         for column, field in row.items():
             value = record[column]
-            assert field == (value if isinstance(value, str) else repr(value)), column
+            assert field == ("nan" if value is None else value if isinstance(value, str) else repr(value)), column
 
 
 def test_sweep_json_rows_match_csv_columns(tmp_path):
-    plan = {"ns": [6], "c": 0.5, "seed": 5, "replicas": 2}
-    csv_path = _run_sweep_cli(tmp_path, plan, "csv") / "sweep.csv"
-    json_path = _run_sweep_cli(tmp_path, plan, "json", "--format", "json") / "sweep.json"
-    assert tuple(csv_path.read_text().splitlines()[0].split(",")) == SWEEP_COLUMNS
-    records = json.loads(json_path.read_text())
-    assert len(records) == 2 and all(set(record) == set(SWEEP_COLUMNS) for record in records)
-    _assert_json_rows_match_csv(records, csv_path)
+    # two-point tau has no limit law: its ks_mp and levy_mp are nan in CSV and null in JSON
+    plans = {
+        "constant": {"ns": [6], "c": 0.5, "seed": 5, "replicas": 2},
+        "two_point": {"ns": [6], "c": 0.5, "tau": TWO_POINT_TAU, "seed": 5, "replicas": 2},
+    }
+    for name, plan in plans.items():
+        csv_path = _run_sweep_cli(tmp_path, plan, f"{name}-csv") / "sweep.csv"
+        json_path = _run_sweep_cli(tmp_path, plan, f"{name}-json", "--format", "json") / "sweep.json"
+        assert tuple(csv_path.read_text().splitlines()[0].split(",")) == SWEEP_COLUMNS
+        records = _read_strict_json(json_path)
+        assert len(records) == 2 and all(set(record) == set(SWEEP_COLUMNS) for record in records)
+        nulls = {column for record in records for column, value in record.items() if value is None}
+        assert nulls == (set() if name == "constant" else {"ks_mp", "levy_mp"})
+        _assert_json_rows_match_csv(records, csv_path)
 
 
 def test_sweep_prints_each_points_mean_and_se_of_its_json_rows(tmp_path, capsys):
     plan = {"ns": [6, 8], "c": 0.5, "seed": 7, "replicas": 3}
-    rows = json.loads((_run_sweep_cli(tmp_path, plan, "json", "--format", "json") / "sweep.json").read_text())
+    rows = _read_strict_json(_run_sweep_cli(tmp_path, plan, "json", "--format", "json") / "sweep.json")
     expected = []
     for n in (6, 8):
         point = [row for row in rows if row["n"] == n]
@@ -600,7 +623,7 @@ def test_simulate_json_rows_match_csv_rows(tmp_path):
     csv_out = _simulate(tmp_path, config, "csv", "--bins", "9")
     json_out = _simulate(tmp_path, config, "json", "--bins", "9", "--format", "json")
     assert sorted(p.name for p in json_out.iterdir()) == ["eigenvalues.json", "histogram.json"]
-    grouped = json.loads((json_out / "eigenvalues.json").read_text())
+    grouped = _read_strict_json(json_out / "eigenvalues.json")
     assert [group["replica"] for group in grouped] == [0, 1]
     flat = [
         {"replica": group["replica"], "index": index, "eigenvalue": value}
@@ -608,7 +631,7 @@ def test_simulate_json_rows_match_csv_rows(tmp_path):
         for index, value in enumerate(group["eigenvalues"])
     ]
     _assert_json_rows_match_csv(flat, csv_out / "eigenvalues.csv")
-    histogram = json.loads((json_out / "histogram.json").read_text())
+    histogram = _read_strict_json(json_out / "histogram.json")
     assert len(histogram) == 9
     _assert_json_rows_match_csv(histogram, csv_out / "histogram.csv")
 
@@ -678,7 +701,7 @@ def test_selftest_json_rows_match_csv_rows(tmp_path, capsys):
     for fmt in ("csv", "json"):
         assert main(["selftest", "--out", str(tmp_path), "--format", fmt]) == 0
     table = capsys.readouterr().out.splitlines()
-    records = json.loads((tmp_path / "selftest.json").read_text())
+    records = _read_strict_json(tmp_path / "selftest.json")
     assert [line.split()[:2] for line in table[1 : 1 + len(records)]] == [[r["check"], r["status"]] for r in records]
     assert table == 2 * table[: len(table) // 2]  # the printed table is the same for both formats
     _assert_json_rows_match_csv(records, tmp_path / "selftest.csv")
@@ -687,7 +710,7 @@ def test_selftest_json_rows_match_csv_rows(tmp_path, capsys):
 def test_mp_json_rows_match_csv_rows(tmp_path):
     for fmt in ("csv", "json"):
         assert main(["mp", "--c", "2.0", "--points", "17", "--out", str(tmp_path), "--format", fmt]) == 0
-    records = json.loads((tmp_path / "mp_grid.json").read_text())
+    records = _read_strict_json(tmp_path / "mp_grid.json")
     assert len(records) == 17
     _assert_json_rows_match_csv(records, tmp_path / "mp_grid.csv")
 
@@ -698,7 +721,7 @@ def test_distance_json_rows_match_csv_rows(tmp_path):
     dumps = ["--a", str(a / "eigenvalues.csv"), "--b", str(b / "eigenvalues.csv")]
     for fmt in ("csv", "json"):
         assert main(["distance", *dumps, "--out", str(tmp_path / "d"), "--format", fmt]) == 0
-    records = json.loads((tmp_path / "d" / "distances.json").read_text())
+    records = _read_strict_json(tmp_path / "d" / "distances.json")
     assert [(r["replica"], r["metric"]) for r in records] == [(0, "ks"), (0, "levy"), (1, "ks"), (1, "levy")]
     _assert_json_rows_match_csv(records, tmp_path / "d" / "distances.csv")
 
@@ -869,7 +892,7 @@ def test_distance_reports_dumps_without_a_shared_replica_in_one_line(tmp_path, c
 def test_cli_lets_an_error_of_the_computation_propagate(tmp_path, monkeypatch):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"ns": [6], "c": 0.5, "seed": 2, "replicas": 1}))
-    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g, ks=None: 1.0)
+    monkeypatch.setattr(tensormp.experiments, "levy_distance", lambda f, g: 1.0)
     with pytest.raises(ValueError, match="breaks the trace bound"):
         main(["sweep", "--config", str(plan_path), "--out", str(tmp_path)])
 
@@ -1032,7 +1055,7 @@ def test_cli_sweep_and_selftest(tmp_path):
     assert len(lines) == 5
 
     assert main(["sweep", "--config", str(plan_path), "--out", str(tmp_path), "--format", "json"]) == 0
-    records = json.loads((tmp_path / "sweep.json").read_text())
+    records = _read_strict_json(tmp_path / "sweep.json")
     assert len(records) == 4 and records[0]["ms"] == 0.0
 
     assert main(["selftest", "--out", str(tmp_path)]) == 0

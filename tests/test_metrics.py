@@ -1,5 +1,6 @@
 """Distribution distances and the executable matrix identities."""
 
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -93,19 +94,25 @@ def test_mp_law_evaluate_and_left_limit_keep_the_atom():
         assert at.tobytes() == cdf.evaluate(xs).tobytes() and before.tobytes() == cdf.left_limit(xs).tobytes()
 
 
-def test_ks_to_the_law_evaluates_it_once_and_levy_takes_the_ks_given(monkeypatch):
+def test_ks_to_the_law_evaluates_it_once_and_levy_is_the_plain_bisection(monkeypatch):
     f = esd(np.array([0.2, 0.9, 0.9, 1.7, 2.5]), 8)
     law = mp.MPLaw.from_ratio(0.5)
     calls = []
     cdf = mp.cdf
     monkeypatch.setattr(mp, "cdf", lambda *args: calls.append(1) or cdf(*args))
-    ks = ks_distance(f, law)
+    ks_distance(f, law)
     assert len(calls) == 1
-    assert levy_distance(f, law, ks=ks) == levy_distance(f, law) == levy_bisection(f, law)
-    # step vs step, in both orders: the ks handed in is the one levy_distance takes
+    assert levy_distance(f, law) == levy_bisection(f, law)
+    # step vs step, in both orders
     g = esd(np.array([0.4, 1.1, 1.3, 2.2]), 6)
     for a, b in ((f, g), (g, f)):
-        assert levy_distance(a, b, ks=ks_distance(a, b)) == levy_distance(a, b)
+        assert levy_distance(a, b) == levy_bisection(a, b)
+
+
+def test_a_distance_takes_its_two_distributions_and_nothing_else():
+    # the Levy bisection starts at the pair's own KS distance, so no caller can hand it a start
+    for distance in (ks_distance, levy_distance):
+        assert list(inspect.signature(distance).parameters) == ["f", "g"]
 
 
 def test_ks_examples():

@@ -1,7 +1,7 @@
 """The Gram buffer stays behind `tensormp.gram`: the modules that run
 replicas reach it, the one pass/fail rule in `tensormp.checks`, the replica
-pipeline of `tensormp.experiments` and the input reader of `tensormp.config`
-only through their public names.
+pipeline of `tensormp.experiments`, the input reader of `tensormp.config` and
+the distances of `tensormp.metrics` only through their public names.
 `tensormp.checks` sits below every other module, so it imports nothing from
 the package, `tensormp.gram` holds the one ctypes binding to numpy's
 OpenBLAS, so no other module imports ctypes, and every draw runs the
@@ -16,7 +16,7 @@ import tensormp
 
 PACKAGE = Path(tensormp.__file__).resolve().parent
 ALLOWED_PRIVATE = {"_row_panels"}  # the sphere experiment's panel-wise Gram comparison
-GUARDED = ("gram", "checks", "experiments", "config")
+GUARDED = ("gram", "checks", "experiments", "config", "metrics")
 
 
 def _violations(path: Path) -> list[str]:
@@ -97,21 +97,25 @@ def test_the_boundary_check_sees_each_kind_of_violation(tmp_path):
         "from .checks import Check, _private\n"
         "from .experiments import evaluate_replica, _run\n"
         "from .config import SweepPlan, _check_keys\n"
+        "from .metrics import levy_distance, _levy_estimate\n"
         "from . import gram\n"
         "gram._PANEL_ROWS\n"
         "array.setflags(write=True)\n"
         "experiments._check_levy_models\n"
         "config._json_number\n"
+        "metrics._canonical\n"
     )
     assert _violations(source) == [
         "line 1: imports gram._scale_to_covariance",
         "line 2: imports checks._private",
         "line 3: imports experiments._run",
         "line 4: imports config._check_keys",
-        "line 6: reads gram._PANEL_ROWS",
-        "line 7: calls setflags",
-        "line 8: reads experiments._check_levy_models",
-        "line 9: reads config._json_number",
+        "line 5: imports metrics._levy_estimate",
+        "line 7: reads gram._PANEL_ROWS",
+        "line 8: calls setflags",
+        "line 9: reads experiments._check_levy_models",
+        "line 10: reads config._json_number",
+        "line 11: reads metrics._canonical",
     ]
 
 
@@ -127,6 +131,11 @@ def test_only_gram_imports_ctypes(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("import numpy, ctypes\nfrom ctypes import CDLL\nimport ctypes.util as u\nfrom .ctypes import x\n")
     assert _ctypes_imports(source) == ["line 1: imports ctypes", "line 2: imports ctypes", "line 3: imports ctypes.util"]
+
+
+def test_no_module_names_the_test_plugin_that_switches_the_binding_off():
+    # tests/no_openblas.py makes gram._openblas return None for one test run; the package never loads it
+    assert {path.name for path in PACKAGE.glob("*.py") if "no_openblas" in path.read_text()} == set()
 
 
 def test_no_module_uses_numpy_random(tmp_path):
