@@ -118,10 +118,11 @@ def evaluate_replica(
     (structural zeros included) and spectral distribution of the point's own
     model. Limit-law distances are taken where tau is identically 1, the only
     case where the law exists; the coupled model distance only on request.
-    The Gram is built in the flat buffer if one is given (see model_spectra)."""
+    No sample is held here: model_spectra draws it and drops it before its
+    first solve, and builds the Gram in the flat buffer if one is given."""
     start = time.perf_counter()
     models = tuple(ModelKind) if with_comparison else (params.model,)
-    spectra, d2 = model_spectra(sample_base(params, replica), models, buffer)
+    spectra, d2 = model_spectra(params, replica, models, buffer)
     eigs = spectra.pop(params.model)
     dist = esd(eigs, params.ambient_dim)
     ks_mp = levy_mp = levy_models = float("nan")
@@ -276,9 +277,9 @@ def _check_gram_oracle(seed: int) -> Check:
         dim = n**k
         params = make_params(n, k, m / dim, seed=seed)
         sample = sample_base(params, 0)
-        for model in ModelKind:  # through model_spectra, the path every sweep runs
+        for model in ModelKind:  # through model_spectra, the path every sweep runs: it draws this sample again
             dense_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(materialize_dense(sample, model))))
-            gram_nonzero = np.sort(nonzero_eigenvalues(model_spectra(sample, (model,))[0][model]))
+            gram_nonzero = np.sort(nonzero_eigenvalues(model_spectra(params, 0, (model,))[0][model]))
             if len(dense_nonzero) != len(gram_nonzero):
                 gaps.append(1.0)  # a rank mismatch fails the row
                 continue

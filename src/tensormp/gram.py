@@ -8,10 +8,11 @@ A Gram is built from a BaseSample alone (its weights are the sample's
 ``params.tau``) and is returned as a read-only m x m array. The covariance
 Gram is the diagonal congruence D C D of the correlation Gram C, and
 ``model_spectra`` writes it into C's own buffer from C's strict lower
-triangle, which C's solve leaves as it was. Each level of a Gram is formed
-in that buffer, and each solve of ``model_spectra`` runs in the buffer
-itself, made writable once, so a replica of every law holds one m x m
-block: in a sweep, the head of one flat buffer that every replica reuses.
+triangle, which C's solve leaves as it was. ``model_spectra`` draws a
+replica's sample itself and drops it before the first solve. Each level of
+a Gram is formed in that buffer, and each solve runs in it, made writable
+once, so a replica of every law holds one m x m block: in a sweep, the head
+of one flat buffer that every replica reuses.
 Real levels and solves call numpy's bundled OpenBLAS through one binding,
 ``_openblas``; without it numpy's products and eigvalsh give the same bits.
 """
@@ -27,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import require
-from .config import ModelKind
-from .sampling import BaseSample, norm_profile
+from .config import ModelKind, ModelParams
+from .sampling import BaseSample, norm_profile, sample_base
 
 DENSE_DIM_CAP = 4096
 HERMITIAN_RTOL = 1e-12
@@ -284,29 +285,22 @@ def build_correlation_gram(sample: BaseSample, buffer: np.ndarray | None = None)
     return entries
 
 
-def _scale_to_covariance(entries: np.ndarray, sample: BaseSample) -> np.ndarray:
-    """Write D C D into the buffer of this sample's correlation Gram C and
-    return d^2, d_a^2 = ||Y_a||^2 / n^k = prod_l ||y_a^(l)||^2 / n. Only C's
-    strict lower triangle is read, which a solve leaves as it was, so a solved
-    and a fresh C give the same bytes. Each row panel scales its lower part by
-    d_a d_b and writes its conjugate above (exactly Hermitian: a zero imaginary
-    part is +0 below the diagonal, -0 above); the diagonal is tau d^2. For
-    unit-modulus laws D = I by the law: the buffer is left as it is and d^2 is
-    exactly 1."""
-    m, _, n = sample.entries.shape
-    if sample.params.entry_law.unit_modulus:
-        return np.ones(m)
-    d2 = np.prod(norm_profile(sample) / n, axis=1)
+def _scale_to_covariance(entries: np.ndarray, d2: np.ndarray, tau: np.ndarray) -> None:
+    """Write D C D into the buffer of a correlation Gram C, from d^2 and tau.
+    Only C's strict lower triangle is read, which a solve leaves as it was, so
+    a solved and a fresh C give the same bytes. Each row panel scales its
+    lower part by d_a d_b and writes its conjugate above (exactly Hermitian:
+    a zero imaginary part is +0 below the diagonal, -0 above); the diagonal
+    is tau d^2."""
     d = np.sqrt(d2)
-    for start, stop in _row_panels(m):
+    for start, stop in _row_panels(len(d2)):
         lower = entries[start:stop, :stop]
         np.multiply(lower, np.outer(d[start:stop], d[:stop]), out=lower)
         np.conjugate(lower[:, :start].T, out=entries[:start, start:stop])
         block = entries[start:stop, start:stop]
         upper = np.triu_indices(stop - start, 1)
         block[upper] = np.conjugate(block.T[upper])
-    entries[np.diag_indices(m)] = sample.params.tau.as_array() * d2
-    return d2
+    entries[np.diag_indices(len(d2))] = tau * d2
 
 
 def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
@@ -450,24 +444,29 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def model_spectra(
-    sample: BaseSample, models: tuple[ModelKind, ...], buffer: np.ndarray | None = None
+    params: ModelParams, replica: int, models: tuple[ModelKind, ...], buffer: np.ndarray | None = None
 ) -> tuple[dict[ModelKind, np.ndarray], np.ndarray | None]:
-    """Gram eigenvalues of each requested model of one sample, and d^2 (see
-    _scale_to_covariance) if the covariance model is requested, else None.
-    One m x m block, never seen by the caller, serves both, the head of the
-    flat buffer if one is given (a sweep's), and each solve runs in it: C is
-    built, made writable and, if requested, solved; D C D is then written
-    into it from C's strict lower triangle, which the solve leaves as it was,
-    and solved, unless the law is unit-modulus and C was solved (D = I by the
-    law: one solve). The covariance solve gets the same bytes either way."""
+    """Gram eigenvalues of each requested model of a replica, and d^2 (d_a^2 =
+    prod_l ||y_a^(l)||^2 / n, exactly 1 for a unit-modulus law) if the
+    covariance model is requested, else None. The sample is drawn here and
+    dropped once C is built and d^2 taken, before the first solve. One m x m
+    block, the flat buffer's head if one is given (a sweep's), serves both
+    models, and each solve runs in it: C is solved if requested, then D C D
+    is written into it from C's strict lower triangle, which the solve leaves
+    as it was, and solved. Where D = I by the law, C is solved once for both."""
     models = {ModelKind(model) for model in models}
+    sample = sample_base(params, replica)
     gram = build_correlation_gram(sample, buffer)
+    unit, d2 = params.entry_law.unit_modulus, None
+    if ModelKind.COVARIANCE in models:
+        d2 = np.ones(params.sample_count) if unit else np.prod(norm_profile(sample) / params.n, axis=1)
+    del sample  # only C and d^2 are read from here on
     gram.setflags(write=True)  # this call's own block, never handed out
     spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}
-    if ModelKind.COVARIANCE not in models:
+    if d2 is None:
         return spectra, None
-    d2 = _scale_to_covariance(gram, sample)
-    unit = sample.params.entry_law.unit_modulus
+    if not unit:
+        _scale_to_covariance(gram, d2, params.tau.as_array())
     spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if unit and spectra else _solve_checked(gram, gram)
     return spectra, d2
 

@@ -1,14 +1,17 @@
 """Shared test fixtures: forged samples with hand-chosen entries, the
-covariance Gram as model_spectra solves it, and the plain Levy bisection."""
+spectra and covariance Gram that model_spectra solves for a given sample,
+and the plain Levy bisection."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+import tensormp.gram
 from tensormp.config import make_params
-from tensormp.gram import _scale_to_covariance, build_correlation_gram
+from tensormp.gram import _scale_to_covariance, build_correlation_gram, model_spectra
 from tensormp.metrics import LEVY_TOL, _canonical, _levy_feasible, _steps, ks_distance
-from tensormp.sampling import BaseSample
+from tensormp.sampling import BaseSample, norm_profile
 
 
 def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
@@ -21,13 +24,28 @@ def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
     return BaseSample(entries=entries, params=params)
 
 
+def spectra_of(sample: BaseSample, models, buffer=None):
+    """model_spectra of a given sample: replica 0 of its params, with
+    tensormp.gram.sample_base, the binding model_spectra draws through,
+    returning this sample for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensormp.gram, "sample_base", lambda params, replica: sample)
+        return model_spectra(sample.params, 0, models, buffer)
+
+
+def covariance_scales(sample: BaseSample) -> np.ndarray:
+    """d^2 as model_spectra takes it from a sample of a law that is not unit-modulus."""
+    return np.prod(norm_profile(sample) / sample.params.n, axis=1)
+
+
 def covariance_gram(sample: BaseSample) -> np.ndarray:
     """D C D of the sample: its correlation Gram, made writable and scaled in
     its own buffer by the same calls model_spectra makes before the
-    covariance solve."""
+    covariance solve; none for a unit-modulus law, whose D = I by the law."""
     gram = build_correlation_gram(sample)
     gram.setflags(write=True)
-    _scale_to_covariance(gram, sample)
+    if not sample.params.entry_law.unit_modulus:
+        _scale_to_covariance(gram, covariance_scales(sample), sample.params.tau.as_array())
     return gram
 
 

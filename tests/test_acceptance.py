@@ -63,7 +63,7 @@ def test_criterion_01_gram_dense_oracle_equivalence():
                         params = make_params(n, k, m / dim, seed=seed)
                         sample = sample_base(params, 0)
                         dense = np.sort(nonzero_eigenvalues(eigenvalues(materialize_dense(sample, model))))
-                        gram = np.sort(nonzero_eigenvalues(model_spectra(sample, (model,))[0][model]))
+                        gram = np.sort(nonzero_eigenvalues(model_spectra(params, 0, (model,))[0][model]))
                         assert len(dense) == len(gram), (n, k, m, model, seed)
                         if len(dense):
                             worst = max(worst, float(np.max(np.abs(dense - gram))))

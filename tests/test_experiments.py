@@ -1,9 +1,13 @@
 """Sweep orchestration, the sphere construction, selftest, and the CLI."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import tensormp.config
 import tensormp.experiments
 import tensormp.gram
 import tensormp.mp
+import tensormp.sampling
 from helpers import levy_bisection
 from oracles import _draw, _stream, gram_out_of_place
 from tensormp.checks import Check, require
@@ -244,8 +249,9 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
 @pytest.mark.parametrize("model", ["correlation", "covariance"])
 @pytest.mark.parametrize("law", ["complex_gaussian", "unit_circle"])
 def test_a_complex_replica_holds_one_gram_sized_array(law, model):
-    # each later level is formed one row panel at a time and each solve runs in the Gram's
-    # buffer, whose LAPACK workspace is a few rows; tracemalloc would see a second numpy block
+    # each later level is formed one row panel at a time: tracemalloc would see a whole-matrix
+    # level as a second numpy block. It sees numpy's arrays only, not the copy eigvalsh makes,
+    # so the in-place solve is guarded by the resident-set test below, not by this one
     evaluate = tensormp.experiments.evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law=law, model=model, seed=3)
@@ -257,6 +263,36 @@ def test_a_complex_replica_holds_one_gram_sized_array(law, model):
         tracemalloc.stop()
     assert params.sample_count == 450
     assert peak <= 1.5 * params.sample_count**2 * 16
+
+
+_RSS_PROBE = """
+import resource, sys
+import tensormp.gram
+from tensormp.config import ModelKind, make_params
+from tensormp.gram import model_spectra
+
+if sys.argv[1] == "fallback":
+    tensormp.gram._openblas = lambda: None
+models = (ModelKind.CORRELATION, ModelKind.COVARIANCE)
+model_spectra(make_params(6, 2, 0.5), 0, models)  # one-time set-up: imports, LAPACK's code pages
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+params = make_params(40, 2, 0.5, seed=3)
+model_spectra(params, 0, models)
+print(params.sample_count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_a_complex_replica_solves_in_its_gram_with_no_second_resident_block():
+    # the resident-set peak sees what tracemalloc cannot: eigvalsh's copy of the matrix, which
+    # the fallback path makes (about 2.2 blocks) and the in-place solve does not (about 1.25)
+    fallback = tensormp.gram._openblas() is None
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(tensormp.gram.__file__).parents[1]), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", _RSS_PROBE, "fallback" if fallback else "binding"]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120, check=True)
+    m, growth_kb = map(int, proc.stdout.split())
+    assert m == 800
+    assert growth_kb * 1024 < (2.5 if fallback else 1.5) * m**2 * 16, growth_kb
 
 
 def _gram_blocks(bound: float) -> float:
@@ -312,10 +348,51 @@ def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model)
     assert len(set(addresses)) == 1
 
 
+def _watch_samples_at_each_solve(monkeypatch) -> tuple[list, list]:
+    """Keep a weak reference to every entries array that sampling._transform
+    returns, and check at every gram._solve_in_place that each is dead: the
+    refs and the solves seen, in order."""
+    refs, solves = [], []
+    transform, solve = tensormp.sampling._transform, tensormp.gram._solve_in_place
+
+    def watched(law, raw):
+        entries = transform(law, raw)
+        refs.append(weakref.ref(entries))
+        return entries
+
+    def checked(gram):
+        assert refs and all(ref() is None for ref in refs), "a sample is alive at a solve"
+        solves.append(len(refs))
+        return solve(gram)
+
+    monkeypatch.setattr(tensormp.sampling, "_transform", watched)
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", checked)
+    return refs, solves
+
+
+@pytest.mark.parametrize("with_comparison", [False, True])
+@pytest.mark.parametrize("model", ["correlation", "covariance"])
+@pytest.mark.parametrize("law", list(EntryLaw))
+def test_a_replica_drops_its_sample_before_its_first_solve(monkeypatch, law, model, with_comparison):
+    refs, solves = _watch_samples_at_each_solve(monkeypatch)
+    params = make_params(9, 2, 0.5, entry_law=law, model=model, tau=TWO_POINT_TAU, seed=2)
+    tensormp.experiments.evaluate_replica(params, 0, with_comparison=with_comparison)
+    two = with_comparison and not params.entry_law.unit_modulus
+    assert len(refs) == 1 and solves == [1] * (2 if two else 1)
+
+
+def test_a_sweep_drops_each_sample_before_its_replicas_first_solve(monkeypatch):
+    refs, solves = _watch_samples_at_each_solve(monkeypatch)
+    plan = sweep_plan_from_json({"ns": [5, 7, 9], "c": 0.5, "entry_law": "real_gaussian", "seed": 2, "replicas": 2})
+    run_sweep(plan)
+    assert len(refs) == 6 and solves == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+
+
 @pytest.mark.parametrize("law", list(EntryLaw))
 def test_a_replica_given_the_sweeps_buffer_allocates_less_than_half_a_gram(law):
-    # the Gram and both solves run in the buffer; what is left is the sample, row panels and
-    # spectra, and the Gaussian laws' sampling tile, about 1.5 MB, so m is sweep_c05's largest
+    # the Gram and both solves run in the buffer; what is left is the sample, dropped once the
+    # Gram is built and before the first solve, row panels and spectra, and the Gaussian laws'
+    # sampling tile, about 1.5 MB at the peak, so m is sweep_c05's largest
     evaluate = tensormp.experiments.evaluate_replica
     params = make_params(40, 2, 0.5, entry_law=law, model="covariance", seed=3)
     itemsize = 8 if law.real_valued else 16
@@ -423,10 +500,13 @@ def test_the_workload_plans_give_the_reference_paths_bytes(monkeypatch):
         return [repr(sweep_rows(run_sweep(sweep_plan_from_json({**WORKLOADS[name]["plan"], "seed": 4})))) for name in sorted(WORKLOADS)]
 
     shipped = rows()
-    monkeypatch.setattr(tensormp.experiments, "sample_base", _per_key_sample)
+    drawn = []  # the binding model_spectra draws through, so the reference does reach the sweep
+    monkeypatch.setattr(tensormp.gram, "sample_base", lambda params, replica: drawn.append(replica) or _per_key_sample(params, replica))
     monkeypatch.setattr(tensormp.gram, "build_correlation_gram", lambda s, buffer=None: gram_out_of_place(s, s.params.tau, ModelKind.CORRELATION))
     monkeypatch.setattr(tensormp.experiments, "levy_distance", levy_bisection)
     assert rows() == shipped
+    replicas = [point.replicas for name in WORKLOADS for point in sweep_plan_from_json(WORKLOADS[name]["plan"]).points]
+    assert len(drawn) == sum(replicas)
 
 
 @pytest.mark.parametrize("tau", ["constant_one", {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}])
@@ -435,7 +515,7 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
     # A holds the correlation model's tensor vectors, B = A D the covariance model's
     params = make_params(3, 2, 7 / 9, entry_law=law, tau=tau, seed=4)
     sample = sample_base(params, 0)
-    _, d2 = model_spectra(sample, (ModelKind.COVARIANCE,))
+    _, d2 = model_spectra(params, 0, (ModelKind.COVARIANCE,))
     ys = np.stack([tensor_vector(sample, alpha) for alpha in range(params.sample_count)], axis=1)
     weights = np.sqrt(params.tau.as_array())
     a = ys / np.linalg.norm(ys, axis=0) * weights

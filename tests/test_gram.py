@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tensormp.gram
-from helpers import covariance_gram, forged_sample
+from helpers import covariance_gram, covariance_scales, forged_sample, spectra_of
 from oracles import gram_out_of_place, hermitian_eigen_bisect, level_ratio_product_out_of_place
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLaw, ModelKind, make_params, make_tau
@@ -128,7 +128,7 @@ def test_eigenvalues_reject_a_corrupted_spectrum(monkeypatch, corrupt, identity)
     with pytest.raises(ValueError, match=identity):
         eigenvalues(gram)
     with pytest.raises(ValueError, match=identity):
-        model_spectra(sample_base(params, 0), (ModelKind.CORRELATION,))
+        model_spectra(params, 0, (ModelKind.CORRELATION,))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -244,11 +244,10 @@ def test_the_openblas_binding_is_all_or_nothing(monkeypatch):
 def test_a_replica_without_numpy_openblas_gets_the_same_bits(monkeypatch, law, models):
     # m = 70 spans two whole row panels and a partial one; k = 3 mirrors a real level down
     params = make_params(5, 3, 70 / 125, entry_law=law, tau=TWO_POINT_TAU, seed=8)
-    sample = sample_base(params, 0)
     assert params.sample_count == 70
-    spectra, d2 = model_spectra(sample, models)
+    spectra, d2 = model_spectra(params, 0, models)
     monkeypatch.setattr(tensormp.gram, "_openblas", lambda: None)
-    fallback, fallback_d2 = model_spectra(sample, models)
+    fallback, fallback_d2 = model_spectra(params, 0, models)
     assert {model: eigs.tobytes() for model, eigs in fallback.items()} == {
         model: eigs.tobytes() for model, eigs in spectra.items()
     }
@@ -277,17 +276,17 @@ def test_the_covariance_step_reads_only_the_strict_lower_triangle(law):
         _solve_in_place(solved)
         if tensormp.gram._openblas() is not None:  # the fallback's eigvalsh solves a copy
             assert solved.tobytes() != built.tobytes()
-        left = solved.copy()
-        d2 = _scale_to_covariance(fresh, sample)
-        assert _scale_to_covariance(solved, sample).tobytes() == d2.tobytes()
-        if params.entry_law.unit_modulus:  # D = I by the law: each buffer is left as it is
-            assert fresh.tobytes() == built.tobytes() and solved.tobytes() == left.tobytes()
-            assert d2.tobytes() == np.ones(params.sample_count).tobytes()
-            continue
+        unit = params.entry_law.unit_modulus
+        d2 = np.ones(params.sample_count) if unit else covariance_scales(sample)
+        for gram in (fresh, solved):
+            _scale_to_covariance(gram, d2, params.tau.as_array())
         assert solved.tobytes() == fresh.tobytes()
         assert np.array_equal(fresh, fresh.conj().T)
-        diagonal = params.tau.as_array() * np.prod(norm_profile(sample) / params.n, axis=1)
+        diagonal = params.tau.as_array() * d2
         assert fresh.diagonal().tobytes() == diagonal.astype(fresh.dtype).tobytes()
+        if unit:  # D = I by the law: the congruence gives C, so model_spectra skips it
+            assert np.array_equal(fresh, built)
+            continue
         expected = gram_out_of_place(sample, params.tau, ModelKind.COVARIANCE)
         if law != "forged":
             assert fresh.tobytes() == expected.tobytes()
@@ -399,8 +398,8 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
     params = make_params(9, 2, 40 / 81, entry_law=law, tau=TWO_POINT_TAU, seed=7)
-    sample = sample_base(params, 0)
-    spectra, d2 = model_spectra(sample, models)
+    sample = sample_base(params, 0)  # the sample model_spectra draws
+    spectra, d2 = model_spectra(params, 0, models)
     assert set(spectra) == set(models)
     unit = params.entry_law.unit_modulus
     both = len(models) == 2
@@ -428,8 +427,8 @@ def test_the_covariance_gram_does_not_depend_on_the_request(monkeypatch, law):
     samples = _forged_real_valued_samples() if law == "forged" else [_two_point_sample(law, seed) for seed in (1, 4)]
     for sample in samples:
         received.clear()
-        model_spectra(sample, (ModelKind.COVARIANCE,))
-        model_spectra(sample, (ModelKind.CORRELATION, ModelKind.COVARIANCE))
+        spectra_of(sample, (ModelKind.COVARIANCE,))
+        spectra_of(sample, (ModelKind.CORRELATION, ModelKind.COVARIANCE))
         covariance_only, correlation, covariance = received
         assert covariance == covariance_only
         assert correlation != covariance
@@ -446,13 +445,13 @@ def test_the_covariance_gram_does_not_depend_on_the_request(monkeypatch, law):
 def test_model_spectra_never_reads_an_unwritten_entry_of_a_reused_buffer(law, models, m, k, tau):
     # a buffer left full of NaN, +-1e308 or -0.0 gives the fresh block's bytes: a NaN read
     # would spread, and an overflow (a real law's missing zero fill) is an error here
-    sample = sample_base(make_params(6, k, m / 6**k, entry_law=law, tau=tau, seed=5), 0)
-    assert sample.entries.shape[0] == m
-    expected_spectra, expected_d2 = model_spectra(sample, models)
+    params = make_params(6, k, m / 6**k, entry_law=law, tau=tau, seed=5)
+    assert params.sample_count == m
+    expected_spectra, expected_d2 = model_spectra(params, 0, models)
     buffer = np.empty(206**2, dtype=np.complex128)  # larger than any Gram here, as a sweep's is
     for fill in (np.nan, 1e308, -1e308, -0.0):
         buffer.view(np.float64).fill(fill)
-        spectra, d2 = model_spectra(sample, models, buffer)
+        spectra, d2 = model_spectra(params, 0, models, buffer)
         assert {model: w.tobytes() for model, w in spectra.items()} == {
             model: w.tobytes() for model, w in expected_spectra.items()
         }
@@ -545,7 +544,7 @@ def test_gram_and_dense_share_nonzero_spectrum():
             sample = sample_base(params, 0)
             dense = materialize_dense(sample, model)
             nz_dense = np.sort(nonzero_eigenvalues(eigenvalues(dense)))
-            nz_gram = np.sort(nonzero_eigenvalues(model_spectra(sample, (model,))[0][model]))
+            nz_gram = np.sort(nonzero_eigenvalues(model_spectra(params, 0, (model,))[0][model]))
             assert len(nz_dense) == len(nz_gram)
             assert nz_dense == pytest.approx(nz_gram, abs=1e-9)
 

@@ -298,7 +298,7 @@ def _plan_cdfs(name, seeds):
         for params in sweep_plan_from_json({**plan_doc, "seed": seed}).points:
             law = mp.MPLaw.from_ratio(params.c)
             for replica in range(params.replicas):
-                spectra, _ = model_spectra(sample_base(params, replica), (params.model,))
+                spectra, _ = model_spectra(params, replica, (params.model,))
                 out.append((esd(spectra[params.model], params.ambient_dim), law))
     return out
 
@@ -382,7 +382,7 @@ def _counted(atoms, dim):
 
 def _m_above_n_esd():
     params = make_params(6, 2, 1.5, entry_law="rademacher", seed=2)  # m = 54 > N = 36
-    spectra, _ = model_spectra(sample_base(params, 0), (params.model,))
+    spectra, _ = model_spectra(params, 0, (params.model,))
     return esd(spectra[params.model], params.ambient_dim)
 
 

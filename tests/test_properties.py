@@ -5,13 +5,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import covariance_gram
+from helpers import covariance_gram, spectra_of
 from oracles import _draw, _stream, gram_direct, gram_out_of_place
 from tensormp import mp
 from tensormp.config import EntryLaw, ModelKind, make_params
 from tensormp.gram import (
     _PANEL_ROWS,
-    _scale_to_covariance,
     build_correlation_gram,
     build_normalized_level_gram,
 )
@@ -110,10 +109,10 @@ def test_gram_builders_match_the_explicit_tensor_oracle(params):
     for gram in (corr, cov, normalized):
         assert np.array_equal(gram, gram.conj().T)  # eigenvalues() relies on it
     if params.entry_law.unit_modulus:
-        # D = I by the law: the congruence leaves C's buffer as it is, so both Grams are C bitwise
-        before = corr.tobytes()
-        assert np.array_equal(_scale_to_covariance(corr, sample), np.ones(params.sample_count))
-        assert corr.tobytes() == before == cov.tobytes()
+        # D = I by the law: model_spectra takes d^2 as exactly 1 and solves C as the covariance Gram
+        spectra, d2 = spectra_of(sample, (ModelKind.COVARIANCE,))
+        assert d2.tobytes() == np.ones(params.sample_count).tobytes()
+        assert spectra[ModelKind.COVARIANCE].tobytes() == np.linalg.eigvalsh(corr).tobytes()
 
 
 @st.composite
