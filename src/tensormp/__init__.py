@@ -13,14 +13,7 @@ from .config import (
     params_to_json,
     sweep_plan_from_json,
 )
-from .sampling import (
-    BaseSample,
-    DegenerateSampleError,
-    MomentReport,
-    norm_moment_check,
-    norm_profile,
-    sample_base,
-)
+from .sampling import BaseSample, MomentReport, norm_moment_check, sample_base
 from .gram import (
     SpectralDistribution,
     build_correlation_gram,

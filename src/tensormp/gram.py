@@ -29,7 +29,7 @@ import numpy as np
 
 from .checks import require
 from .config import ModelKind, ModelParams
-from .sampling import BaseSample, norm_profile, sample_base
+from .sampling import BaseSample, sample_base
 
 DENSE_DIM_CAP = 4096
 HERMITIAN_RTOL = 1e-12
@@ -101,6 +101,11 @@ class SpectralDistribution:
     @property
     def cumulative(self) -> np.ndarray:
         return self._step_function[1][1:]
+
+    @property
+    def cumulative_before(self) -> np.ndarray:
+        """F just before each breakpoint: 0, then cumulative but its last."""
+        return self._step_function[1][:-1]
 
     def evaluate(self, x) -> np.ndarray:
         return self._step_function[1][np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="right")]
@@ -229,7 +234,7 @@ def _level_ratio_product(sample: BaseSample, buffer: np.ndarray | None = None) -
     entries = sample.entries
     m, k, n = entries.shape
     unit = sample.params.entry_law.unit_modulus
-    sq = None if unit else norm_profile(sample)
+    sq = None if unit else sample.level_norms
 
     def normalize(rows: np.ndarray, start: int, stop: int, level: int, first: int = 0) -> None:
         """Normalize rows, the entries of rows start:stop and columns first:."""
@@ -312,7 +317,7 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
     """
     k = sample.entries.shape[1]
     tau = sample.params.tau.as_array()
-    normed = sample.entries / np.sqrt(norm_profile(sample))[:, :, None]
+    normed = sample.entries / np.sqrt(sample.level_norms)[:, :, None]
     product = None
     for level in range(k):
         block = normed[:, level, :]
@@ -459,7 +464,7 @@ def model_spectra(
     gram = build_correlation_gram(sample, buffer)
     unit, d2 = params.entry_law.unit_modulus, None
     if ModelKind.COVARIANCE in models:
-        d2 = np.ones(params.sample_count) if unit else np.prod(norm_profile(sample) / params.n, axis=1)
+        d2 = np.ones(params.sample_count) if unit else np.prod(sample.level_norms / params.n, axis=1)
     del sample  # only C and d^2 are read from here on
     gram.setflags(write=True)  # this call's own block, never handed out
     spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}

@@ -24,11 +24,6 @@ def _canonical(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw):
     return f, g
 
 
-def _steps(f: SpectralDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """F(b) and F(b-) at F's own breakpoints b, read off the stored steps."""
-    return f.cumulative, np.concatenate([[0.0], f.cumulative[:-1]])
-
-
 def ks_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw) -> float:
     """sup |F - G| for a step function F and a step function or limit law G.
 
@@ -37,23 +32,22 @@ def ks_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw) -> 
     scanning F's breakpoints alone is exact.
     """
     f, g = _canonical(f, g)
-    at, before = _steps(f)
     g_at, g_before = g.sides(f.breakpoints)
-    return float(max(np.max(np.abs(at - g_at)), np.max(np.abs(before - g_before))))
+    return float(max(np.max(np.abs(f.cumulative - g_at)), np.max(np.abs(f.cumulative_before - g_before))))
 
 
-def _levy_feasible(f: SpectralDistribution, at, before, g: SpectralDistribution | mp.MPLaw, eps: float) -> bool:
+def _levy_feasible(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw, eps: float) -> bool:
     # with z = x + eps and y = x - eps the sandwich reads G(z-eps) <= F(z)+eps
     # and F(y)-eps <= G(y+eps). F is constant between its breakpoints and G
     # is nondecreasing, so the first binds just before a breakpoint b of F
-    # (z -> b-, where F takes the value `before`) and the second exactly at one (y = b).
+    # (z -> b-, where F takes the value cumulative_before) and the second exactly at one (y = b).
     b = f.breakpoints
-    if np.any(g.left_limit(b - eps) > before + eps):
+    if np.any(g.left_limit(b - eps) > f.cumulative_before + eps):
         return False
-    return not np.any(at - eps > g.evaluate(b + eps))
+    return not np.any(f.cumulative - eps > g.evaluate(b + eps))
 
 
-def _levy_estimate(f: SpectralDistribution, at: np.ndarray, before: np.ndarray, law: mp.MPLaw) -> float:
+def _levy_estimate(f: SpectralDistribution, law: mp.MPLaw) -> float:
     """The Levy distance from F to the law, but for the error of at most four
     Newton steps. With H(u) = G(u) + u, of slope >= 1, the constraints of
     _levy_feasible at a breakpoint b read eps >= H^-1(F(b) + b) - b and
@@ -61,7 +55,7 @@ def _levy_estimate(f: SpectralDistribution, at: np.ndarray, before: np.ndarray, 
     y - atom up to atom + lambda_minus and y - 1 from 1 + lambda_plus on; on
     the support it takes Newton steps from b (H' = 1 + density)."""
     b = f.breakpoints
-    y, start = np.concatenate([at + b, before + b]), np.concatenate([b, b])
+    y, start = np.concatenate([f.cumulative + b, f.cumulative_before + b]), np.concatenate([b, b])
     atom, low, high = law.atom_mass, law.lambda_minus, law.lambda_plus
     u = np.where(y < 0.0, y, np.maximum(y - atom, 0.0))
     u = np.where(y >= 1.0 + high, y - 1.0, u)
@@ -97,12 +91,11 @@ def levy_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw) -
     if hi == 0.0:
         return 0.0
     lo = 0.0
-    at, before = _steps(f)
     feasible, infeasible = np.inf, -np.inf  # the verified ends
     if isinstance(g, mp.MPLaw):
-        estimate = _levy_estimate(f, at, before, g)
+        estimate = _levy_estimate(f, g)
         for end in (estimate + _LEVY_GUARD, estimate - _LEVY_GUARD):
-            if _levy_feasible(f, at, before, g, end):
+            if _levy_feasible(f, g, end):
                 feasible = min(feasible, end)
             else:
                 infeasible = max(infeasible, end)
@@ -110,7 +103,7 @@ def levy_distance(f: SpectralDistribution, g: SpectralDistribution | mp.MPLaw) -
         mid = 0.5 * (lo + hi)
         if mid > feasible + _LEVY_GUARD:
             hi = mid
-        elif mid >= infeasible - _LEVY_GUARD and _levy_feasible(f, at, before, g, mid):
+        elif mid >= infeasible - _LEVY_GUARD and _levy_feasible(f, g, mid):
             hi = mid
         else:
             lo = mid

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from ._ziggurat import FI, KI, NEG_INV_R, R, WI
-from .checks import Check
+from .checks import Check, require
 from .config import EntryLaw, ModelParams
 
 # key prefix of the moment check's (trial, level) grid; its trailing zero word
@@ -36,18 +36,10 @@ from .config import EntryLaw, ModelParams
 _MOMENT_KEY = (0x4D43, 0)
 
 
-class DegenerateSampleError(RuntimeError):
-    """A level vector with zero norm; the replica is aborted, never resampled."""
-
-    def __init__(self, alpha: int, level: int):
-        super().__init__(f"degenerate sample: zero norm at sample {alpha}, level {level}")
-        self.alpha = alpha
-        self.level = level
-
-
 @dataclass(frozen=True)
 class BaseSample:
-    """The (m, k, n) array of base-vector entries; the only stored randomness."""
+    """The (m, k, n) array of base-vector entries; the only stored randomness,
+    and the one place its level norms are derived."""
 
     entries: np.ndarray
     params: ModelParams
@@ -57,6 +49,19 @@ class BaseSample:
         shape = np.shape(self.entries)
         if shape != expected:
             raise ValueError(f"sample entries have shape {shape}, but params give (m, k, n) = {expected}")
+
+    @cached_property
+    def level_norms(self) -> np.ndarray:
+        """The read-only (m, k) array of level squared norms ||y_alpha^(l)||^2,
+        derived at first read. A zero norm fails the checks row level_norms,
+        whose message names the first (alpha, level); the replica is aborted,
+        never resampled."""
+        sq = np.einsum("alj,alj->al", self.entries, self.entries.conj()).real
+        zeros = np.argwhere(sq <= 0.0).tolist()
+        alpha, level = zeros[0] if zeros else (0, 0)  # read only when the row fails
+        require("level_norms", len(zeros), 0, f"degenerate sample: zero norm at sample {alpha}, level {level}")
+        sq.setflags(write=False)
+        return sq
 
 
 # numpy's SeedSequence hash (pool of four uint32 words); the constants, and
@@ -406,19 +411,6 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     entries = _transform(law, _raw_draws(law, keys, params.n))
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params)
-
-
-def norm_profile(sample: BaseSample) -> np.ndarray:
-    """The read-only (m, k) array of level squared norms ||y_alpha^(l)||^2.
-
-    A zero norm raises DegenerateSampleError naming the first (alpha, level).
-    """
-    sq = np.einsum("alj,alj->al", sample.entries, sample.entries.conj()).real
-    if np.any(sq <= 0.0):
-        alpha, level = map(int, np.argwhere(sq <= 0.0)[0])
-        raise DegenerateSampleError(alpha, level)
-    sq.setflags(write=False)
-    return sq
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ import pytest
 import tensormp.gram
 from tensormp.config import make_params
 from tensormp.gram import _scale_to_covariance, build_correlation_gram, model_spectra
-from tensormp.metrics import LEVY_TOL, _canonical, _levy_feasible, _steps, ks_distance
-from tensormp.sampling import BaseSample, norm_profile
+from tensormp.metrics import LEVY_TOL, _canonical, _levy_feasible, ks_distance
+from tensormp.sampling import BaseSample
 
 
 def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
@@ -35,7 +35,7 @@ def spectra_of(sample: BaseSample, models, buffer=None):
 
 def covariance_scales(sample: BaseSample) -> np.ndarray:
     """d^2 as model_spectra takes it from a sample of a law that is not unit-modulus."""
-    return np.prod(norm_profile(sample) / sample.params.n, axis=1)
+    return np.prod(sample.level_norms / sample.params.n, axis=1)
 
 
 def covariance_gram(sample: BaseSample) -> np.ndarray:
@@ -59,10 +59,9 @@ def levy_bisection(f, g) -> float:
     if hi == 0.0:
         return 0.0
     lo = 0.0
-    at, before = _steps(f)
     while hi - lo > LEVY_TOL:
         mid = 0.5 * (lo + hi)
-        if _levy_feasible(f, at, before, g, mid):
+        if _levy_feasible(f, g, mid):
             hi = mid
         else:
             lo = mid

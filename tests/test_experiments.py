@@ -481,6 +481,56 @@ def test_levy_models_stays_within_the_trace_bound_on_the_workload_plans(monkeypa
             assert record.levy_models**4 < bound  # by a wide margin at these sizes
 
 
+# every checks.require row of a sweep, whichever module calls it: the safeguards a run can report
+PIPELINE_ROWS = (
+    "level_norms",
+    "hermitian",
+    "trace_identity",
+    "frobenius_identity",
+    "finite_spectrum",
+    "clamp_floor",
+    "rank_bound",
+    "levy_models_trace_bound",
+)
+
+
+def _require_runs(monkeypatch, plan) -> dict[str, int]:
+    """How many times run_sweep(plan) ran each pipeline row, 0 included;
+    a row outside PIPELINE_ROWS fails."""
+    names = []
+    for module in (tensormp.gram, tensormp.sampling, tensormp.experiments):
+        monkeypatch.setattr(module, "require", lambda name, *args: names.append(name) or require(name, *args))
+    run_sweep(plan)
+    assert set(names) <= set(PIPELINE_ROWS)
+    return {name: names.count(name) for name in PIPELINE_ROWS}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_the_workload_plans_run_each_require_row_a_known_number_of_times(monkeypatch, workload):
+    plan = sweep_plan_from_json({**WORKLOADS[workload]["plan"], "seed": 1})
+    expected = dict.fromkeys(PIPELINE_ROWS, 0)
+    for point in plan.points:
+        unit = point.entry_law.unit_modulus
+        solves = 1 if unit else 2  # D = I by the law: one matrix, one solve, one ESD
+        per_replica = dict.fromkeys(("hermitian", "trace_identity", "frobenius_identity", "finite_spectrum", "clamp_floor"), solves)
+        per_replica |= {"levy_models_trace_bound": 1, "level_norms": 0 if unit else 1}  # a unit-modulus law uses the exact n
+        for name, runs in per_replica.items():
+            expected[name] += runs * point.replicas
+    runs = _require_runs(monkeypatch, plan)
+    assert runs == expected
+    assert runs["rank_bound"] == 0  # c < 1: no structural zeros
+    assert (runs["level_norms"] == 0) == (workload == "fold_pool_uc")
+
+
+def test_a_point_beyond_its_ambient_dimension_runs_the_rank_bound_row(monkeypatch):
+    plan = sweep_plan_from_json({"ns": [4], "c": 1.5, "entry_law": "complex_gaussian", "seed": 1, "replicas": 2})
+    (point,) = plan.points
+    assert point.sample_count > point.ambient_dim
+    runs = _require_runs(monkeypatch, plan)
+    assert runs["rank_bound"] == runs["finite_spectrum"] == 4  # both ESDs of each of two replicas
+    assert runs["level_norms"] == 2
+
+
 def _per_key_sample(params, replica):
     """sample_base's reference: one freshly keyed generator per level vector."""
     seed, law, n = params.seed, params.entry_law, params.n

@@ -29,7 +29,7 @@ from tensormp.gram import (
     nonzero_eigenvalues,
     tensor_vector,
 )
-from tensormp.sampling import norm_profile, sample_base
+from tensormp.sampling import sample_base
 
 TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
 
@@ -65,7 +65,7 @@ def test_covariance_diagonal_and_rank_one_case():
     params = make_params(6, 2, 0.25, seed=3)
     drawn = sample_base(params, 0)
     gram = covariance_gram(drawn)
-    expected = np.prod(norm_profile(drawn) / params.n, axis=1)
+    expected = np.prod(drawn.level_norms / params.n, axis=1)
     assert np.allclose(np.diag(gram), expected, rtol=0, atol=1e-15)
 
 
@@ -77,8 +77,20 @@ def test_unit_modulus_laws_collapse_the_two_models():
         corr = materialize_dense(sample, ModelKind.CORRELATION)
         cov = materialize_dense(sample, ModelKind.COVARIANCE)
         assert np.max(np.abs(corr - cov)) <= 1e-12
-        ratio = np.prod(norm_profile(sample) / params.n, axis=1)
+        ratio = np.prod(sample.level_norms / params.n, axis=1)
         assert np.max(np.abs(ratio - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("law, passes", [("complex_gaussian", 1), ("real_gaussian", 1), ("unit_circle", 0), ("rademacher", 0)])
+def test_a_coupled_replica_takes_its_level_norms_at_most_once(monkeypatch, law, passes):
+    # a norm pass is the einsum of the entries with their conjugate; a unit-modulus law uses the exact n
+    subscripts = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda spec, *operands, **kwargs: subscripts.append(spec) or einsum(spec, *operands, **kwargs))
+    params = make_params(6, 2, 0.5, entry_law=law, tau=TWO_POINT_TAU, seed=2)
+    spectra, d2 = model_spectra(params, 0, tuple(ModelKind))
+    assert set(spectra) == set(ModelKind) and d2 is not None
+    assert subscripts.count("alj,alj->al") == passes
 
 
 def test_eigenvalues_of_diagonal_and_rank_one():
@@ -416,7 +428,7 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
     elif unit:
         assert d2.tobytes() == np.ones(params.sample_count).tobytes()
     else:
-        assert d2.tobytes() == np.prod(norm_profile(sample) / params.n, axis=1).tobytes()
+        assert d2.tobytes() == np.prod(sample.level_norms / params.n, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("law", ["complex_gaussian", "real_gaussian", "forged"])

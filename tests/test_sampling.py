@@ -22,14 +22,12 @@ from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.sampling import (
     _CHUNK_WORDS,
     BaseSample,
-    DegenerateSampleError,
     _philox_keys,
     _philox_words,
     _raw_draws,
     _transform,
     _wedge_accepts,
     norm_moment_check,
-    norm_profile,
     sample_base,
 )
 
@@ -218,7 +216,7 @@ def test_norm_profile_unit_modulus_exact():
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 4, 4 / 6**4, entry_law=law, seed=1)
         sample = sample_base(params, 0)
-        sq = norm_profile(sample)
+        sq = sample.level_norms
         assert sq.shape == (params.sample_count, params.k) and not sq.flags.writeable
         if law == "rademacher":
             assert np.all(sq == params.n)  # a sum of n ones
@@ -229,21 +227,19 @@ def test_norm_profile_unit_modulus_exact():
 def test_norm_profile_single_level_and_hand_case():
     params = make_params(5, 1, 0.4, seed=3)
     sample = sample_base(params, 0)
-    sq = norm_profile(sample)
+    sq = sample.level_norms
     assert np.allclose(sq[:, 0], np.linalg.norm(sample.entries[:, 0], axis=1) ** 2, rtol=1e-14, atol=0.0)
 
     sample = forged_sample([[[1.0, 1.0], [1.0, -1.0]]])
-    sq = norm_profile(sample)
+    sq = sample.level_norms
     assert np.array_equal(sq, [[2.0, 2.0]]) and np.prod(sq) == 4.0
 
 
 def test_degenerate_sample_error_names_indices():
     entries = np.ones((2, 2, 2), dtype=complex)
     entries[1, 0] = 0.0
-    with pytest.raises(DegenerateSampleError) as info:
-        norm_profile(forged_sample(entries))
-    assert info.value.alpha == 1
-    assert info.value.level == 0
+    with pytest.raises(ValueError, match=r"^degenerate sample: zero norm at sample 1, level 0$"):
+        forged_sample(entries).level_norms
 
 
 def test_norm_moment_check_trial_floor():
