@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import mp
-from .config import params_from_json, sweep_plan_from_json
+from .config import SweepPlan, params_from_json, sweep_plan_from_json
 from .gram import esd
 from .metrics import ks_distance, levy_distance
-from .experiments import evaluate_replica, run_sweep, selftest, sweep_rows
+from .experiments import run_replicas, run_sweep, selftest, sweep_rows
 
 
 def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None:
@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError(f"--bins must be at least 1, got {args.bins}")
         out = _out_dir(args.out, args.format, "eigenvalues", "histogram")
     _warn_regime(params)
-    runs = [evaluate_replica(params, replica, with_comparison=False) for replica in range(params.replicas)]
+    runs = list(run_replicas(SweepPlan(points=(params,)), with_comparison=False))
     spectra = [(record.replica, np.maximum(eigs, 0.0)) for record, eigs, _ in runs]
     if args.format == "json":  # grouped per replica
         rows = [{"replica": r, "eigenvalues": list(map(float, e))} for r, e in spectra]

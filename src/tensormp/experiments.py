@@ -11,7 +11,9 @@ caller's thread and leave the cores to LAPACK, whose eigensolve dominates.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -111,15 +113,13 @@ class SweepResult:
         return out
 
 
-def evaluate_replica(
+def _evaluate_replica(
     params: ModelParams, replica: int, *, with_comparison: bool, buffer: np.ndarray | None = None
 ) -> tuple[ReplicaRecord, np.ndarray, SpectralDistribution]:
-    """One replica of a point: its record, and the m Gram eigenvalues
-    (structural zeros included) and spectral distribution of the point's own
-    model. Limit-law distances are taken where tau is identically 1, the only
-    case where the law exists; the coupled model distance only on request.
-    No sample is held here: model_spectra draws it and drops it before its
-    first solve, and builds the Gram in the flat buffer if one is given."""
+    """One replica of a point: its record, and the m Gram eigenvalues (structural zeros included) and
+    spectral distribution of the point's own model. Limit-law distances are taken where tau is identically 1,
+    the only case where the law exists; the coupled model distance only on request. No sample is held here:
+    model_spectra draws it, drops it before its first solve, and builds the Gram in the buffer if one is given."""
     start = time.perf_counter()
     models = tuple(ModelKind) if with_comparison else (params.model,)
     spectra, d2 = model_spectra(params, replica, models, buffer)
@@ -163,18 +163,18 @@ def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) 
     return require("levy_models_trace_bound", excess, bound, message).bound
 
 
-def _run(plan: SweepPlan, *, with_comparison: bool) -> SweepResult:
-    # one Gram buffer for the sweep, so a freed Gram never stays resident under the next; no larger than
-    # its largest Gram, since numpy asks for huge pages and one straddling the Gram's end is faulted in whole
+def run_replicas(
+    plan: SweepPlan, *, with_comparison: bool
+) -> Iterator[tuple[ReplicaRecord, np.ndarray, SpectralDistribution]]:
+    """_evaluate_replica's result for each replica of each point, in plan order. A caller that keeps only the
+    records maps itemgetter(0) over it: a for target would keep a replica's spectra alive while the next runs.
+    One Gram buffer serves every replica, so a freed Gram never stays resident under the next; no larger than
+    the largest Gram, since numpy asks for huge pages and one straddling the Gram's end is faulted in whole."""
     nbytes = max(point.sample_count**2 * (8 if point.entry_law.real_valued else 16) for point in plan.points)
     buffer = np.empty(nbytes, dtype=np.uint8)
-    return SweepResult(
-        records=tuple(
-            evaluate_replica(params, replica, with_comparison=with_comparison, buffer=buffer)[0]
-            for params in plan.points
-            for replica in range(params.replicas)
-        )
-    )
+    for params in plan.points:
+        for replica in range(params.replicas):
+            yield _evaluate_replica(params, replica, with_comparison=with_comparison, buffer=buffer)
 
 
 def _require_limit_law_point(point: ModelParams) -> None:
@@ -189,7 +189,7 @@ def run_convergence(plan: SweepPlan) -> SweepResult:
     """Correlation spectrum against the limit law; requires tau identically 1."""
     for point in plan.points:
         _require_limit_law_point(point)
-    return _run(plan, with_comparison=False)
+    return SweepResult(tuple(map(itemgetter(0), run_replicas(plan, with_comparison=False))))
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
@@ -200,7 +200,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     the coupling of the two constructions; independent samples would only
     test equality of the limits, a strictly weaker statement.
     """
-    return _run(plan, with_comparison=True)
+    return SweepResult(tuple(map(itemgetter(0), run_replicas(plan, with_comparison=True))))
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class SphereReport:
 
     @property
     def max_gram_deviation(self) -> float:
-        return max(self.gram_deviations)
+        return float(np.max(self.gram_deviations))  # np.max, unlike max(), propagates a NaN
 
     def ks_stats(self) -> tuple[float, float]:
         return _mean_se(self.ks_distances)

@@ -1,0 +1,110 @@
+"""Pinned sha256 digests of the CLI's output bytes, keyed by the numerical environment.
+
+    PYTHONPATH=src python -m tests.golden           # print the fingerprint and digests
+    PYTHONPATH=src python -m tests.golden --write   # and write them to tests/golden.json
+
+Each run is one CLI command: the plan of every ``perfbench/workloads.json``
+workload swept at seed 4, a two-point-tau covariance point simulated under each
+entry law, and ``selftest --seed 3``. A run's digests are those of the files it
+writes and of its stdout. The bits of a spectrum depend on the numpy build, on
+the OpenBLAS that numpy bundles (its kernels and thread count), and on whether
+tensormp calls that OpenBLAS directly, so ``tests/test_golden.py`` compares
+digests only where ``fingerprint()`` equals the one stored with them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import ctypes
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import tensormp.gram
+from tensormp.cli import main as cli_main
+from tensormp.config import EntryLaw
+
+GOLDEN = Path(__file__).with_name("golden.json")
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+_TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
+
+
+def _runs() -> dict[str, tuple[str, dict | None, list[str], tuple[str, ...]]]:
+    """Run name -> (command, config document or None, flags, files written)."""
+    workloads = json.loads(_WORKLOADS.read_text())
+    runs = {f"sweep/{name}": ("sweep", w["plan"], ["--seed", "4"], ("sweep.csv",)) for name, w in workloads.items()}
+    for law in EntryLaw:
+        point = {"n": 12, "k": 2, "c": 0.6, "model": "covariance", "entry_law": law.value, "tau": _TWO_POINT_TAU}
+        runs[f"simulate/{law.value}"] = (
+            "simulate", {**point, "seed": 4, "replicas": 3}, [], ("eigenvalues.csv", "histogram.csv")
+        )
+    runs["selftest/3"] = ("selftest", None, ["--seed", "3"], ("selftest.csv",))
+    return runs
+
+
+RUNS = _runs()
+
+
+def fingerprint() -> dict:
+    """numpy's version; the build string and thread count of the OpenBLAS
+    library that tensormp.gram._openblas loads (None where numpy bundles no
+    such library or it lacks the call); whether tensormp binds that library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    config = threads = None
+    if len(libs) == 1:
+        try:
+            lib = ctypes.CDLL(str(libs[0]))
+            get_config, get_threads = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_num_threads64_
+            get_config.argtypes, get_config.restype = (), ctypes.c_char_p
+            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+            config, threads = get_config().decode(), get_threads()
+        except (OSError, AttributeError):
+            pass
+    binding = tensormp.gram._openblas() is not None
+    return {"numpy": np.__version__, "openblas_config": config, "openblas_threads": threads, "binding": binding}
+
+
+def digests(name: str, workdir: Path) -> dict[str, str]:
+    """The sha256 of each file that run `name` writes, and of its stdout
+    ("stdout"), running it in the existing directory workdir."""
+    command, config, flags, files = RUNS[name]
+    if config is not None:
+        path = workdir / "config.json"
+        path.write_text(json.dumps(config))
+        flags = ["--config", str(path), *flags]
+    out = workdir / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main([command, *flags, "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{name}: tensormp {command} exited with status {code}")
+    found = {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in files}
+    found["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python -m tests.golden", description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true", help=f"write the digests to {GOLDEN.name}")
+    args = parser.parse_args(argv)
+    found = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(RUNS):
+            workdir = Path(tmp) / name.replace("/", "-")
+            workdir.mkdir()
+            found[name] = digests(name, workdir)
+    text = json.dumps({"fingerprint": fingerprint(), "digests": found}, indent=2, sort_keys=True) + "\n"
+    if args.write:
+        GOLDEN.write_text(text)
+    else:
+        print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,6 +30,7 @@ from tensormp.experiments import (
     MEASURED_COLUMNS,
     SWEEP_COLUMNS,
     ReplicaRecord,
+    SphereReport,
     SweepResult,
     _check_levy_models,
     run_convergence,
@@ -232,7 +233,7 @@ def test_only_a_covariance_reading_run_derives_the_covariance_gram(monkeypatch):
 def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
     # tracemalloc sees numpy's arrays, not LAPACK's own workspace; a small
     # replica runs first, so one-time set-up is not counted
-    evaluate = tensormp.experiments.evaluate_replica
+    evaluate = tensormp.experiments._evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law=law, model=model, seed=3)
     tracemalloc.start()
@@ -252,7 +253,7 @@ def test_a_complex_replica_holds_one_gram_sized_array(law, model):
     # each later level is formed one row panel at a time: tracemalloc would see a whole-matrix
     # level as a second numpy block. It sees numpy's arrays only, not the copy eigvalsh makes,
     # so the in-place solve is guarded by the resident-set test below, not by this one
-    evaluate = tensormp.experiments.evaluate_replica
+    evaluate = tensormp.experiments._evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law=law, model=model, seed=3)
     tracemalloc.start()
@@ -308,7 +309,7 @@ def _gram_blocks(bound: float) -> float:
 def test_a_real_replica_holds_one_gram_sized_array(law, model, n, k, c):
     # each later level is written by syrk into the Gram's buffer, whose strict lower triangle
     # holds the running product; tracemalloc would see numpy's second block of inner products
-    evaluate = tensormp.experiments.evaluate_replica
+    evaluate = tensormp.experiments._evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law=law, model=model), 0, with_comparison=True)
     params = make_params(n, k, c, entry_law=law, model=model, seed=3)
     tracemalloc.start()
@@ -333,12 +334,12 @@ def test_both_solves_of_a_replica_share_one_gram_buffer(monkeypatch, law, model)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
     params = make_params(9, 2, 0.5, entry_law=law, model=model, seed=2)
-    tensormp.experiments.evaluate_replica(params, 0, with_comparison=True)
+    tensormp.experiments._evaluate_replica(params, 0, with_comparison=True)
     # D C D is scaled into C's buffer after C's solve; a unit-modulus law solves its one matrix once
     assert len(addresses) == (1 if params.entry_law.unit_modulus else 2)
     assert len(set(addresses)) == 1
     addresses.clear()
-    tensormp.experiments.evaluate_replica(params, 0, with_comparison=False)
+    tensormp.experiments._evaluate_replica(params, 0, with_comparison=False)
     assert len(addresses) == 1
     # every solve of a multi-point sweep, of every replica of every point, runs in one buffer
     addresses.clear()
@@ -376,7 +377,7 @@ def _watch_samples_at_each_solve(monkeypatch) -> tuple[list, list]:
 def test_a_replica_drops_its_sample_before_its_first_solve(monkeypatch, law, model, with_comparison):
     refs, solves = _watch_samples_at_each_solve(monkeypatch)
     params = make_params(9, 2, 0.5, entry_law=law, model=model, tau=TWO_POINT_TAU, seed=2)
-    tensormp.experiments.evaluate_replica(params, 0, with_comparison=with_comparison)
+    tensormp.experiments._evaluate_replica(params, 0, with_comparison=with_comparison)
     two = with_comparison and not params.entry_law.unit_modulus
     assert len(refs) == 1 and solves == [1] * (2 if two else 1)
 
@@ -388,12 +389,35 @@ def test_a_sweep_drops_each_sample_before_its_replicas_first_solve(monkeypatch):
     assert len(refs) == 6 and solves == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
 
 
+def test_a_sweep_drops_each_replicas_spectra_before_the_next_solve(monkeypatch):
+    # run_sweep keeps only the records: a replica's eigenvalues and ESD atoms, which
+    # _evaluate_replica returns with its record, are dead at every later solve
+    refs, solves = [], []
+    evaluate, solve = tensormp.experiments._evaluate_replica, tensormp.gram._solve_in_place
+
+    def watched(*args, **kwargs):
+        record, eigs, dist = evaluate(*args, **kwargs)
+        refs.append((weakref.ref(eigs), weakref.ref(dist.atoms)))
+        return record, eigs, dist
+
+    def checked(gram):
+        assert all(ref() is None for pair in refs for ref in pair), "an earlier replica's spectra are alive at a solve"
+        solves.append(len(refs))
+        return solve(gram)
+
+    monkeypatch.setattr(tensormp.experiments, "_evaluate_replica", watched)
+    monkeypatch.setattr(tensormp.gram, "_solve_in_place", checked)
+    plan = sweep_plan_from_json({"ns": [5, 7, 9], "c": 0.5, "seed": 2, "replicas": 2})
+    assert len(run_sweep(plan).records) == 6
+    assert len(refs) == 6 and solves == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
 @pytest.mark.parametrize("law", list(EntryLaw))
 def test_a_replica_given_the_sweeps_buffer_allocates_less_than_half_a_gram(law):
     # the Gram and both solves run in the buffer; what is left is the sample, dropped once the
     # Gram is built and before the first solve, row panels and spectra, and the Gaussian laws'
     # sampling tile, about 1.5 MB at the peak, so m is sweep_c05's largest
-    evaluate = tensormp.experiments.evaluate_replica
+    evaluate = tensormp.experiments._evaluate_replica
     params = make_params(40, 2, 0.5, entry_law=law, model="covariance", seed=3)
     itemsize = 8 if law.real_valued else 16
     buffer = np.empty(params.sample_count**2 * itemsize, dtype=np.uint8)  # as run_sweep sizes it
@@ -423,7 +447,7 @@ def test_a_largest_first_plan_gives_the_rows_of_the_ascending_plan():
 
 
 def _reference_replica(params, replica):
-    """evaluate_replica's record fields and eigenvalues, from the out-of-place
+    """_evaluate_replica's record fields and eigenvalues, from the out-of-place
     oracle Grams of both models, solved and compared by the same calls."""
     sample = sample_base(params, replica)
     solved = {model: eigenvalues(gram_out_of_place(sample, params.tau, model)) for model in ModelKind}
@@ -444,7 +468,7 @@ def _reference_replica(params, replica):
 @pytest.mark.parametrize("law", list(EntryLaw))
 def test_a_compared_replica_equals_the_out_of_place_reference_bitwise(law, model, tau):
     params = make_params(9, 2, 40 / 81, entry_law=law, model=model, tau=tau, seed=6)
-    record, eigs, _ = tensormp.experiments.evaluate_replica(params, 1, with_comparison=True)
+    record, eigs, _ = tensormp.experiments._evaluate_replica(params, 1, with_comparison=True)
     values = np.array([record.ks_mp, record.levy_mp, record.levy_models, record.m1, record.m2, record.m3, record.m4_emp])
     expected_values, expected_eigs = _reference_replica(params, 1)
     assert values.tobytes() == expected_values.tobytes()
@@ -808,15 +832,33 @@ def test_histogram_memory_does_not_grow_with_the_implied_zeros():
 
 def test_simulate_runs_the_replica_pipeline_once_per_replica(tmp_path, monkeypatch):
     calls = []
-    evaluate = tensormp.experiments.evaluate_replica
+    evaluate = tensormp.experiments._evaluate_replica
 
     def counted(params, replica, **kwargs):
-        calls.append((replica, kwargs))
+        calls.append((replica, kwargs["with_comparison"]))
         return evaluate(params, replica, **kwargs)
 
-    monkeypatch.setattr(tensormp.cli, "evaluate_replica", counted)
+    monkeypatch.setattr(tensormp.experiments, "_evaluate_replica", counted)
     _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "model": "covariance", "seed": 3, "replicas": 3}, "sim")
-    assert calls == [(replica, {"with_comparison": False}) for replica in range(3)]
+    assert calls == [(replica, False) for replica in range(3)]
+
+
+def test_every_replica_of_a_cli_command_builds_in_one_buffer(tmp_path, monkeypatch):
+    buffers = []
+    spectra = tensormp.experiments.model_spectra
+
+    def recorded(params, replica, models, buffer=None):
+        buffers.append(buffer)
+        return spectra(params, replica, models, buffer)
+
+    monkeypatch.setattr(tensormp.experiments, "model_spectra", recorded)
+    _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "model": "covariance", "seed": 3, "replicas": 3}, "sim")
+    assert len(buffers) == 3 and buffers[0] is not None and all(b is buffers[0] for b in buffers)
+    buffers.clear()
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"ns": [5, 7], "c": 0.5, "seed": 3, "replicas": 2}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")]) == 0
+    assert len(buffers) == 4 and buffers[0] is not None and all(b is buffers[0] for b in buffers)
 
 
 def test_simulate_prints_the_convergence_distances(tmp_path, capsys):
@@ -964,7 +1006,7 @@ def test_cli_reports_an_unusable_out_before_any_work(tmp_path, capsys, monkeypat
         config.write_text(json.dumps({"n": 6, "k": 2, "c": 0.5, "seed": 1, "replicas": 1}))
     dump = _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "seed": 3, "replicas": 1}, "good") / "eigenvalues.csv"
     capsys.readouterr()
-    for work in ("evaluate_replica", "run_sweep", "selftest"):
+    for work in ("run_replicas", "run_sweep", "selftest"):
         monkeypatch.setattr(tensormp.cli, work, lambda *args, name=work, **kwargs: pytest.fail(f"{name} ran"))
     flags = {
         "simulate": ["--config", str(config)],
@@ -1061,6 +1103,15 @@ def test_sphere_model_matches_correlation_gram():
     assert report.max_gram_deviation <= 1e-12
     mean, se = report.ks_stats()
     assert 0.0 <= mean <= 1.0 and se >= 0.0
+
+
+def test_a_nan_gram_deviation_is_the_sphere_reports_maximum():
+    # a NaN replica must fail the deviation bound wherever it falls, as np.max propagates it
+    params = make_params(8, 2, 0.5, replicas=3)
+    for deviations in [(0.0, float("nan"), 1e-15), (float("nan"), 0.0, 1e-15), (0.0, 1e-15, float("nan"))]:
+        report = SphereReport(params, gram_deviations=deviations, ks_distances=(0.1, 0.2, 0.3))
+        assert np.isnan(report.max_gram_deviation) and not report.max_gram_deviation <= 1e-12
+    assert SphereReport(params, (0.0, 2e-15, 1e-15), (0.1, 0.2, 0.3)).max_gram_deviation == 2e-15
 
 
 def test_a_sphere_replica_holds_at_most_three_gram_sized_arrays():

@@ -95,7 +95,7 @@ def test_the_boundary_check_sees_each_kind_of_violation(tmp_path):
     source.write_text(
         "from .gram import _row_panels, _scale_to_covariance, eigenvalues\n"
         "from .checks import Check, _private\n"
-        "from .experiments import evaluate_replica, _run\n"
+        "from .experiments import run_replicas, _evaluate_replica\n"
         "from .config import SweepPlan, _check_keys\n"
         "from .metrics import levy_distance, _levy_estimate\n"
         "from . import gram\n"
@@ -108,7 +108,7 @@ def test_the_boundary_check_sees_each_kind_of_violation(tmp_path):
     assert _violations(source) == [
         "line 1: imports gram._scale_to_covariance",
         "line 2: imports checks._private",
-        "line 3: imports experiments._run",
+        "line 3: imports experiments._evaluate_replica",
         "line 4: imports config._check_keys",
         "line 5: imports metrics._levy_estimate",
         "line 7: reads gram._PANEL_ROWS",
