@@ -225,7 +225,7 @@ class ModelParams:
     entry_law: EntryLaw
     tau: TauScheme
     seed: int
-    replicas: int = 1
+    replicas: int
 
     def __post_init__(self):
         for name in ("n", "k", "seed", "replicas"):

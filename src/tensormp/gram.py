@@ -13,8 +13,8 @@ replica's sample itself and drops it before the first solve. Each level of
 a Gram is formed in that buffer, and each solve runs in it, made writable
 once, so a replica of every law holds one m x m block: in a sweep, the head
 of one flat buffer that every replica reuses.
-Real levels and solves call numpy's bundled OpenBLAS through one binding,
-``_openblas``; without it numpy's products and eigvalsh give the same bits.
+Real levels and solves call numpy's bundled OpenBLAS (``_numpy_openblas``)
+through ``_openblas``; without it numpy's products and eigvalsh give the same bits.
 """
 
 from __future__ import annotations
@@ -334,28 +334,33 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
 
 
 @cache
-def _openblas() -> dict | None:
-    """The three calls of numpy's bundled OpenBLAS (ILP64) that tensormp
-    makes, with their argument types set: the values-only LAPACKE ?syevd and
-    ?heevd keyed by dtype, and cblas_dsyrk keyed "dsyrk". None where numpy
-    carries no such library (a numpy not built from a wheel) or it lacks any
-    of the three calls, so the calls are present together or not at all.
-
-    numpy has mapped that library at its own import, and loading the same
-    file again returns the same library: one thread pool, one thread count.
-    It is loaded at the first Gram build or solve, not at import.
-    """
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (ILP64), the one numpy.libs/libscipy_openblas64_*.so,
+    loaded at first use, not at import: the library numpy mapped at its own
+    import, so one thread pool and one thread count. None where numpy carries
+    no such library (a numpy not built from a wheel) or it does not load."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    if len(libs) != 1:
-        return None
     try:
-        lib = ctypes.CDLL(str(libs[0]))
+        return ctypes.CDLL(str(libs[0])) if len(libs) == 1 else None
+    except OSError:
+        return None
+
+
+@cache
+def _openblas() -> dict | None:
+    """The three calls of ``_numpy_openblas`` that tensormp makes, with their
+    argument types set: the values-only LAPACKE ?syevd and ?heevd keyed by
+    dtype, and cblas_dsyrk keyed "dsyrk". None where there is no library or
+    it lacks any of the three, so the calls are present together or not at all.
+    """
+    lib = _numpy_openblas()
+    try:
         calls = {
             np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd64_,
             np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd64_,
             "dsyrk": lib.scipy_cblas_dsyrk64_,
         }
-    except (OSError, AttributeError):  # an unloadable library, or a call it lacks
+    except AttributeError:  # no library (None), or a call it lacks
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for dtype in (np.float64, np.complex128):
@@ -368,6 +373,23 @@ def _openblas() -> dict | None:
     )
     calls["dsyrk"].restype = None
     return calls
+
+
+def blas_fingerprint() -> dict:
+    """What the bits of a spectrum depend on: the numpy version, and the build
+    string and thread count that ``_numpy_openblas`` reports, each None where
+    there is no such library or call. No sweep reads it."""
+    lib = _numpy_openblas()
+
+    def read(name: str, restype):
+        call = getattr(lib, name, None)
+        if call is not None:
+            call.argtypes, call.restype = (), restype
+            return call()
+
+    config = read("scipy_openblas_get_config64_", ctypes.c_char_p)
+    threads = read("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return {"numpy": np.__version__, "openblas_config": None if config is None else config.decode(), "openblas_threads": threads}
 
 
 def _solve_in_place(buffer: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Pinned sha256 digests of the CLI's output bytes, keyed by the numerical environment.
+"""Pinned sha256 digests of the CLI's output bytes, keyed by the numerical
+environment, and of the package's raw draws, which hold everywhere.
 
     PYTHONPATH=src python -m tests.golden           # print the fingerprint and digests
     PYTHONPATH=src python -m tests.golden --write   # and write them to tests/golden.json
@@ -6,17 +7,23 @@
 Each run is one CLI command: the plan of every ``perfbench/workloads.json``
 workload swept at seed 4, a two-point-tau covariance point simulated under each
 entry law, and ``selftest --seed 3``. A run's digests are those of the files it
-writes and of its stdout. The bits of a spectrum depend on the numpy build, on
-the OpenBLAS that numpy bundles (its kernels and thread count), and on whether
-tensormp calls that OpenBLAS directly, so ``tests/test_golden.py`` compares
-digests only where ``fingerprint()`` equals the one stored with them.
+writes and of its stdout. The bits of a spectrum depend on the numpy build and
+on the OpenBLAS that numpy bundles (its kernels and thread count), not on
+whether tensormp calls that OpenBLAS directly, so ``tests/test_golden.py``
+compares run digests, on both Gram paths, only where
+``tensormp.gram.blas_fingerprint()`` equals the one stored with them.
+
+The portable digests are those of ``sampling._raw_draws`` under each entry
+law at one small point: Philox words, uniforms and ziggurat normals, integer
+arithmetic and correctly rounded scaling with no BLAS, compared under every
+fingerprint. The unit circle's cos and sin, whose last bit may follow the CPU,
+are left out.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -25,13 +32,17 @@ from pathlib import Path
 
 import numpy as np
 
-import tensormp.gram
 from tensormp.cli import main as cli_main
 from tensormp.config import EntryLaw
+from tensormp.gram import blas_fingerprint
+from tensormp.sampling import _philox_keys, _raw_draws
 
 GOLDEN = Path(__file__).with_name("golden.json")
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 _TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
+# seed, samples m, levels k, entries n: both Gaussian laws reach the ziggurat's
+# tail, and two complex Gaussian keys run short and are drawn again
+_PORTABLE_POINT = (16, 24, 3, 40)
 
 
 def _runs() -> dict[str, tuple[str, dict | None, list[str], tuple[str, ...]]]:
@@ -50,23 +61,11 @@ def _runs() -> dict[str, tuple[str, dict | None, list[str], tuple[str, ...]]]:
 RUNS = _runs()
 
 
-def fingerprint() -> dict:
-    """numpy's version; the build string and thread count of the OpenBLAS
-    library that tensormp.gram._openblas loads (None where numpy bundles no
-    such library or it lacks the call); whether tensormp binds that library."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    config = threads = None
-    if len(libs) == 1:
-        try:
-            lib = ctypes.CDLL(str(libs[0]))
-            get_config, get_threads = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_num_threads64_
-            get_config.argtypes, get_config.restype = (), ctypes.c_char_p
-            get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-            config, threads = get_config().decode(), get_threads()
-        except (OSError, AttributeError):
-            pass
-    binding = tensormp.gram._openblas() is not None
-    return {"numpy": np.__version__, "openblas_config": config, "openblas_threads": threads, "binding": binding}
+def portable_digests() -> dict[str, str]:
+    """Entry law -> the sha256 of its raw draws at _PORTABLE_POINT."""
+    seed, m, k, n = _PORTABLE_POINT
+    keys = _philox_keys(seed, (0,), m, k)
+    return {law.value: hashlib.sha256(np.ascontiguousarray(_raw_draws(law, keys, n))).hexdigest() for law in EntryLaw}
 
 
 def digests(name: str, workdir: Path) -> dict[str, str]:
@@ -98,7 +97,8 @@ def main(argv=None) -> int:
             workdir = Path(tmp) / name.replace("/", "-")
             workdir.mkdir()
             found[name] = digests(name, workdir)
-    text = json.dumps({"fingerprint": fingerprint(), "digests": found}, indent=2, sort_keys=True) + "\n"
+    golden = {"fingerprint": blas_fingerprint(), "digests": found, "portable": portable_digests()}
+    text = json.dumps(golden, indent=2, sort_keys=True) + "\n"
     if args.write:
         GOLDEN.write_text(text)
     else:

@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,23 +233,49 @@ def test_the_openblas_binding_is_all_or_nothing(monkeypatch):
     names = ("scipy_LAPACKE_dsyevd64_", "scipy_LAPACKE_zheevd64_", "scipy_cblas_dsyrk64_")
 
     def library(*present):
-        """A stand-in for ctypes.CDLL whose library has only the calls present."""
-        return lambda path: types.SimpleNamespace(**{name: types.SimpleNamespace() for name in present})
+        """A stand-in for the loaded library, with only the calls present."""
+        return lambda: types.SimpleNamespace(**{name: types.SimpleNamespace() for name in present})
 
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(gram.ctypes, "CDLL", library(*names))
+            patch.setattr(gram, "_numpy_openblas", library(*names))
             gram._openblas.cache_clear()
             calls = gram._openblas()
             keys = (np.dtype(np.float64), np.dtype(np.complex128), "dsyrk")
             assert set(calls) == set(keys) and [len(calls[key].argtypes) for key in keys] == [7, 7, 11]
             for missing in names:  # the syrk among them
-                patch.setattr(gram.ctypes, "CDLL", library(*(name for name in names if name != missing)))
+                patch.setattr(gram, "_numpy_openblas", library(*(name for name in names if name != missing)))
                 gram._openblas.cache_clear()
                 assert gram._openblas() is None
+            patch.setattr(gram, "_numpy_openblas", lambda: None)  # no library at all
+            gram._openblas.cache_clear()
+            assert gram._openblas() is None
     finally:
         gram._openblas.cache_clear()
     assert gram._openblas() is not None
+
+
+def test_the_blas_fingerprint_reads_the_one_loaded_library(monkeypatch):
+    gram = tensormp.gram
+    here = gram.blas_fingerprint()
+    assert list(here) == ["numpy", "openblas_config", "openblas_threads"] and here["numpy"] == np.__version__
+    if gram._numpy_openblas() is None:
+        assert here["openblas_config"] is None and here["openblas_threads"] is None
+    else:
+        assert here["openblas_config"].startswith("OpenBLAS") and here["openblas_threads"] >= 1
+    monkeypatch.setattr(gram, "_numpy_openblas", lambda: types.SimpleNamespace())  # a library without the calls
+    assert gram.blas_fingerprint() == {"numpy": np.__version__, "openblas_config": None, "openblas_threads": None}
+    monkeypatch.setattr(gram, "_numpy_openblas", lambda: None)
+    assert gram.blas_fingerprint() == {"numpy": np.__version__, "openblas_config": None, "openblas_threads": None}
+
+
+def test_importing_the_cli_loads_no_blas_library():
+    # a fresh interpreter: this one has already built Grams
+    probe = "import tensormp.cli, tensormp.gram as g; print(g._numpy_openblas.cache_info(), g._openblas.cache_info())"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(tensormp.gram.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.count("currsize=0") == 2, proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -212,7 +212,7 @@ def test_unit_circle_support():
     assert np.all(np.abs(np.abs(sample.entries) - 1.0) < 1e-15)
 
 
-def test_norm_profile_unit_modulus_exact():
+def test_level_norms_unit_modulus_exact():
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 4, 4 / 6**4, entry_law=law, seed=1)
         sample = sample_base(params, 0)
@@ -224,7 +224,7 @@ def test_norm_profile_unit_modulus_exact():
             assert np.all(np.abs(sq - params.n) <= 4 * np.finfo(float).eps * params.n)
 
 
-def test_norm_profile_single_level_and_hand_case():
+def test_level_norms_single_level_and_hand_case():
     params = make_params(5, 1, 0.4, seed=3)
     sample = sample_base(params, 0)
     sq = sample.level_norms
