@@ -416,33 +416,30 @@ def _solve_in_place(buffer: np.ndarray) -> np.ndarray:
     return w
 
 
-def _checked_invariants(entries: np.ndarray) -> tuple[float, float]:
-    """Check that a square matrix is finite and Hermitian to 1e-12 relative,
-    and return Re tr G and ||G||_F^2 for the identities its spectrum obeys."""
-    # both scans run one row panel at a time, so no temporary is larger than a panel;
-    # np.max, unlike max(), propagates a NaN
-    panels = _row_panels(entries.shape[0])
-    scale = float(np.max([np.max(np.abs(entries[start:stop])) for start, stop in panels], initial=0.0))
-    if not np.isfinite(scale):  # max|G| is NaN or inf exactly when an entry is; checked before any subtraction
-        index = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
-        raise ValueError(f"matrix has a non-finite entry {entries[index]} at {index}")
-
-    def panel_asymmetry(start: int, stop: int) -> float:
-        # |G_ab - conj(G_ba)| = |G_ba - conj(G_ab)| bitwise, so the upper triangle covers every pair
-        return np.max(np.abs(entries[start:stop, start:] - entries[start:, start:stop].conj().T))
-
-    asym = float(np.max([panel_asymmetry(start, stop) for start, stop in panels], initial=0.0))
+def _solve_checked(entries: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """The checked eigenvalues (see eigenvalues) of the square matrix
+    entries, solved in place in buffer: a copy whose transpose is entries,
+    or a built Gram's own buffer (see _solve_in_place). One pass over the row
+    panels, no temporary larger than a panel, reads the checks before the
+    solve overwrites them: a panel's max |G| and, once that is finite, the
+    asymmetry of its lower part against rows already read, so no subtraction
+    meets a non-finite entry. |G_ab - conj(G_ba)| = |G_ba - conj(G_ab)|
+    bitwise, so the lower triangle covers every pair."""
+    scale, asym, nonfinite, message = 0.0, 0.0, 0, ""  # the message is written only when finite_gram fails
+    for start, stop in _row_panels(entries.shape[0]):
+        rows = entries[start:stop]
+        top = float(np.max(np.abs(rows)))  # NaN or inf exactly when an entry is
+        if not np.isfinite(top):
+            bad = np.argwhere(~np.isfinite(entries))
+            index = tuple(int(i) for i in bad[0])
+            nonfinite, message = len(bad), f"matrix has a non-finite entry {entries[index]} at {index}"
+            break
+        scale = max(scale, top)
+        asym = max(asym, float(np.max(np.abs(rows[:, :stop] - entries[:stop, start:stop].conj().T))))
+    require("finite_gram", nonfinite, 0, message)
     message = f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}"
     require("hermitian", asym, HERMITIAN_RTOL * max(scale, 1e-300), message)
-    return float(np.trace(entries).real), float(np.vdot(entries, entries).real)
-
-
-def _solve_checked(entries: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """The checked eigenvalues (see eigenvalues) of the Hermitian matrix
-    entries, solved in place in buffer: a copy whose transpose is entries,
-    or a built Gram's own buffer (see _solve_in_place). The checks, the trace
-    and the Frobenius norm are read before the solve overwrites them."""
-    identities = _checked_invariants(entries)
+    identities = float(np.trace(entries).real), float(np.vdot(entries, entries).real)
     w = _solve_in_place(buffer)
     norm = float(np.max(np.abs(w))) if w.size else 0.0
     for p, name, exact in zip((1, 2), ("trace", "Frobenius"), identities):
@@ -457,12 +454,12 @@ def eigenvalues(matrix) -> np.ndarray:
     np.linalg.eigvalsh.
 
     Delegates the values-only solve to LAPACK but verifies it: every input,
-    a built Gram included, must be finite and Hermitian to 1e-12 relative,
-    and every eigenvalue enters the identities sum w^p = Re tr G^p (p = 1, 2)
-    up to 1e-10 m max|w|^p. Each of these checks is a tensormp.checks row that
-    raises when it fails, so NaN never passes. The argument is never written
-    to: LAPACK solves a copy of it, stored column-major as eigvalsh stores
-    its own.
+    a built Gram included, must be finite (finite_gram) and Hermitian to
+    1e-12 relative (hermitian), both read in one pass over its row panels,
+    and the eigenvalues must meet sum w^p = Re tr G^p (p = 1, 2) up to 1e-10
+    m max|w|^p. Each check is a tensormp.checks row that raises when it
+    fails, so NaN never passes. The argument is never written to: LAPACK
+    solves a copy of it, stored column-major as eigvalsh stores its own.
     """
     entries = np.asarray(matrix)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:

@@ -6,7 +6,9 @@ environment, and of the package's raw draws, which hold everywhere.
 
 Each run is one CLI command: the plan of every ``perfbench/workloads.json``
 workload swept at seed 4, a two-point-tau covariance point simulated under each
-entry law, and ``selftest --seed 3``. A run's digests are those of the files it
+entry law, ``selftest --seed 3`` and ``--seed 0``, and in ``--format json`` the
+``point_real_tp`` sweep (its NaN distances written as null) and the complex
+Gaussian point. A run's digests are those of the files it
 writes and of its stdout. The bits of a spectrum depend on the numpy build and
 on the OpenBLAS that numpy bundles (its kernels and thread count), not on
 whether tensormp calls that OpenBLAS directly, so ``tests/test_golden.py``
@@ -55,6 +57,12 @@ def _runs() -> dict[str, tuple[str, dict | None, list[str], tuple[str, ...]]]:
             "simulate", {**point, "seed": 4, "replicas": 3}, [], ("eigenvalues.csv", "histogram.csv")
         )
     runs["selftest/3"] = ("selftest", None, ["--seed", "3"], ("selftest.csv",))
+    # the JSON writer, which writes a NaN distance as null, and the selftest's default seed
+    plan = workloads["point_real_tp"]["plan"]
+    runs["sweep-json/point_real_tp"] = ("sweep", plan, ["--seed", "4", "--format", "json"], ("sweep.json",))
+    _, point, _, _ = runs["simulate/complex_gaussian"]
+    runs["simulate-json/complex_gaussian"] = ("simulate", point, ["--format", "json"], ("eigenvalues.json", "histogram.json"))
+    runs["selftest/0"] = ("selftest", None, ["--seed", "0"], ("selftest.csv",))
     return runs
 
 

@@ -4,8 +4,9 @@ Nothing here shares a computation path with the package: eigenvalues come
 from inertia counting plus bisection, KS and Levy distances from brute-force
 scans, the limit-law values from closed forms or QUADPACK, Gram entries
 from explicitly formed tensor vectors, or from the builders' arithmetic
-written with whole-matrix temporaries, and normal draws from a scalar
-ziggurat reading one word at a time.
+written with whole-matrix temporaries, the Hermitian check from two scans
+(max |G|, then the upper triangle's asymmetry), and normal draws from a
+scalar ziggurat reading one word at a time.
 
 The numpy reference of every keyed draw is here too: ``_stream(seed,
 *key)`` is ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``,
@@ -27,6 +28,7 @@ from scipy import integrate
 
 from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
 from tensormp.config import EntryLaw, ModelKind
+from tensormp.gram import _PANEL_ROWS, HERMITIAN_RTOL
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -161,6 +163,23 @@ def hermitian_eigen_bisect(matrix, tol: float = 1e-10) -> np.ndarray:
                 lo = mid
         eigs[j] = 0.5 * (lo + hi)
     return eigs
+
+
+def hermitian_row_two_scan(matrix) -> tuple[float, float]:
+    """The (gap, bound) of the eigensolver's hermitian check, by two scans of
+    the row panels: max |G| over all of them first, then, only if it is
+    finite, the asymmetry of each panel's upper part against the columns
+    below it. A non-finite entry raises ValueError naming the first
+    row-major one."""
+    entries = np.asarray(matrix)
+    m = entries.shape[0]
+    panels = [(start, min(start + _PANEL_ROWS, m)) for start in range(0, m, _PANEL_ROWS)]
+    scale = float(np.max([np.max(np.abs(entries[start:stop])) for start, stop in panels], initial=0.0))
+    if not np.isfinite(scale):
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
+        raise ValueError(f"matrix has a non-finite entry {entries[index]} at {index}")
+    upper = [np.max(np.abs(entries[start:stop, start:] - entries[start:, start:stop].conj().T)) for start, stop in panels]
+    return float(np.max(upper, initial=0.0)), HERMITIAN_RTOL * max(scale, 1e-300)
 
 
 def step_eval(breakpoints, cumulative, x):

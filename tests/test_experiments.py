@@ -508,6 +508,7 @@ def test_levy_models_stays_within_the_trace_bound_on_the_workload_plans(monkeypa
 # every checks.require row of a sweep, whichever module calls it: the safeguards a run can report
 PIPELINE_ROWS = (
     "level_norms",
+    "finite_gram",
     "hermitian",
     "trace_identity",
     "frobenius_identity",
@@ -518,15 +519,14 @@ PIPELINE_ROWS = (
 )
 
 
-def _require_runs(monkeypatch, plan) -> dict[str, int]:
-    """How many times run_sweep(plan) ran each pipeline row, 0 included;
-    a row outside PIPELINE_ROWS fails."""
-    names = []
+def _require_runs(monkeypatch, plan) -> dict[str, list[float]]:
+    """The gap of each run of each pipeline row in run_sweep(plan), an empty
+    list for a row that never runs; a row outside PIPELINE_ROWS fails."""
+    gaps = {name: [] for name in PIPELINE_ROWS}
     for module in (tensormp.gram, tensormp.sampling, tensormp.experiments):
-        monkeypatch.setattr(module, "require", lambda name, *args: names.append(name) or require(name, *args))
+        monkeypatch.setattr(module, "require", lambda name, gap, *args: gaps[name].append(gap) or require(name, gap, *args))
     run_sweep(plan)
-    assert set(names) <= set(PIPELINE_ROWS)
-    return {name: names.count(name) for name in PIPELINE_ROWS}
+    return gaps
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -536,22 +536,26 @@ def test_the_workload_plans_run_each_require_row_a_known_number_of_times(monkeyp
     for point in plan.points:
         unit = point.entry_law.unit_modulus
         solves = 1 if unit else 2  # D = I by the law: one matrix, one solve, one ESD
-        per_replica = dict.fromkeys(("hermitian", "trace_identity", "frobenius_identity", "finite_spectrum", "clamp_floor"), solves)
+        per_solve = ("finite_gram", "hermitian", "trace_identity", "frobenius_identity", "finite_spectrum", "clamp_floor")
+        per_replica = dict.fromkeys(per_solve, solves)
         per_replica |= {"levy_models_trace_bound": 1, "level_norms": 0 if unit else 1}  # a unit-modulus law uses the exact n
         for name, runs in per_replica.items():
             expected[name] += runs * point.replicas
-    runs = _require_runs(monkeypatch, plan)
+    gaps = _require_runs(monkeypatch, plan)
+    runs = {name: len(row) for name, row in gaps.items()}
     assert runs == expected
     assert runs["rank_bound"] == 0  # c < 1: no structural zeros
     assert (runs["level_norms"] == 0) == (workload == "fold_pool_uc")
+    # every built Gram is finite and exactly Hermitian: _hermitize mirrors each pair by conjugation
+    assert all(gap == 0 for name in ("finite_gram", "hermitian") for gap in gaps[name])
 
 
 def test_a_point_beyond_its_ambient_dimension_runs_the_rank_bound_row(monkeypatch):
     plan = sweep_plan_from_json({"ns": [4], "c": 1.5, "entry_law": "complex_gaussian", "seed": 1, "replicas": 2})
     (point,) = plan.points
     assert point.sample_count > point.ambient_dim
-    runs = _require_runs(monkeypatch, plan)
-    assert runs["rank_bound"] == runs["finite_spectrum"] == 4  # both ESDs of each of two replicas
+    runs = {name: len(row) for name, row in _require_runs(monkeypatch, plan).items()}
+    assert runs["rank_bound"] == runs["finite_spectrum"] == runs["finite_gram"] == 4  # both solves of each of two replicas
     assert runs["level_norms"] == 2
 
 

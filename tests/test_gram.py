@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,7 +15,8 @@ import pytest
 
 import tensormp.gram
 from helpers import covariance_gram, covariance_scales, forged_sample, spectra_of
-from oracles import gram_out_of_place, hermitian_eigen_bisect, level_ratio_product_out_of_place
+from oracles import gram_out_of_place, hermitian_eigen_bisect, hermitian_row_two_scan, level_ratio_product_out_of_place
+from tensormp.checks import require
 from tensormp.cli import main, read_eigenvalue_csv
 from tensormp.config import EntryLaw, ModelKind, make_params, make_tau
 from tensormp.gram import (
@@ -408,6 +410,77 @@ def test_eigenvalues_checks_every_row_panel(dtype):
         with pytest.raises(ValueError, match=f"not Hermitian: asymmetry {asym:.3e}"):
             eigenvalues(matrix)
     assert eigenvalues(_hermitian_spanning_panels(dtype)).shape == (last + 1,)
+
+
+def _recorded_rows(monkeypatch) -> list[tuple]:
+    """The (name, gap, bound) of each checks row tensormp.gram runs from now
+    on, in order; each row still raises when it fails."""
+    rows = []
+
+    def recorded(name, gap, bound, message):
+        rows.append((name, gap, bound))
+        return require(name, gap, bound, message)
+
+    monkeypatch.setattr(tensormp.gram, "require", recorded)
+    return rows
+
+
+def _hermitian_with_negative_zeros(m: int, dtype) -> np.ndarray:
+    """A + A^H with -0.0 parts on its first diagonal entry and its corner pair."""
+    rng = np.random.Generator(np.random.Philox(m))
+    a = rng.standard_normal((m, m)).astype(dtype)
+    if np.iscomplexobj(a):
+        a += 1j * rng.standard_normal((m, m))
+    h = a + a.conj().T
+    if np.iscomplexobj(h):
+        h[0, 0], h[m - 1, 0] = complex(h[0, 0].real, -0.0), complex(-0.0, 0.0)
+    else:
+        h[0, 0] = h[m - 1, 0] = -0.0
+    h[0, m - 1] = np.conj(h[m - 1, 0])
+    return h
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 65, 97])
+def test_the_one_pass_hermitian_row_is_the_two_scan_row_bitwise(monkeypatch, m, dtype):
+    h = _hermitian_with_negative_zeros(m, dtype)
+    noise = np.random.Generator(np.random.Philox(m + 1)).standard_normal((m, m))
+    asymmetric = []  # one asymmetry entered above or below the diagonal
+    for index in ((0, m - 1), (m - 1, 0)):
+        matrix = h.copy()
+        matrix[index] += 1e-6 * (1 + 1j) if np.iscomplexobj(h) else 1e-6
+        asymmetric.append(matrix)
+    # exactly Hermitian, asymmetric within the bound in every pair, and asymmetric beyond it in one
+    for matrix in (h, h + 1e-14 * noise, *asymmetric):
+        rows = _recorded_rows(monkeypatch)
+        gap, bound = hermitian_row_two_scan(matrix)
+        if gap <= bound:
+            eigenvalues(matrix)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eigenvalues(matrix)
+        assert rows[0] == ("finite_gram", 0, 0)
+        assert rows[1][0] == "hermitian"
+        assert np.array(rows[1][1:]).view(np.int64).tolist() == np.array([gap, bound]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [31, 32, 33, 65, 97])
+def test_non_finite_entries_fail_the_finite_gram_row_with_the_two_scan_message(monkeypatch, m, dtype):
+    last = m - 1
+    for bad in ({(last, 1): np.nan, (1, last): np.inf}, {(last, 2): -np.inf, (2, last): -np.inf}):
+        matrix = _hermitian_with_negative_zeros(m, dtype)
+        for index, value in bad.items():
+            matrix[index] = value
+        with pytest.raises(ValueError) as two_scan:
+            hermitian_row_two_scan(matrix)
+        assert str(two_scan.value).endswith(f" at {min(bad)}")  # the first in row-major order
+        rows = _recorded_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no subtraction meets inf - inf
+            with pytest.raises(ValueError, match=re.escape(str(two_scan.value))):
+                eigenvalues(matrix)
+        assert rows == [("finite_gram", 2, 0)]
 
 
 def test_eigenvalues_reject_non_hermitian():
