@@ -185,13 +185,13 @@ def make_tau(scheme, m: int) -> TauScheme:
 
 
 def ambient_dim(n: int, k: int) -> int:
-    """n^k in exact integer arithmetic, capped so the value survives a float64."""
+    """n^k in exact integer arithmetic, capped so the value survives a float64;
+    n >= 2 makes n^k >= 2^k, so a k above 53 fails before the power is taken."""
     if n < 2:
         raise ValueError("base dimension n must be at least 2")
     if k < 1:
         raise ValueError("tensor fold k must be at least 1")
-    dim = n**k
-    if dim > MAX_AMBIENT_DIM:
+    if k > 53 or (dim := n**k) > MAX_AMBIENT_DIM:
         raise ValueError(f"ambient dimension {n}^{k} exceeds 2^53")
     return dim
 

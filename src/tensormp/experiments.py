@@ -22,12 +22,13 @@ from .checks import Check, nearest_failure, require
 from .config import EntryLaw, ModelKind, ModelParams, SweepPlan, make_params
 from .gram import (
     SpectralDistribution,
-    _row_panels,
     build_correlation_gram,
     build_normalized_level_gram,
     eigenvalues,
     esd,
+    gram_buffer,
     materialize_dense,
+    max_difference,
     model_spectra,
     nonzero_eigenvalues,
 )
@@ -118,8 +119,8 @@ def _evaluate_replica(
 ) -> tuple[ReplicaRecord, np.ndarray, SpectralDistribution]:
     """One replica of a point: its record, and the m Gram eigenvalues (structural zeros included) and
     spectral distribution of the point's own model. Limit-law distances are taken where tau is identically 1,
-    the only case where the law exists; the coupled model distance only on request. No sample is held here:
-    model_spectra draws it, drops it before its first solve, and builds the Gram in the buffer if one is given."""
+    the only case where the law exists; the coupled model distance only on request, 0.0 with none taken where
+    model_spectra returns one spectrum for both models (D = I). model_spectra draws and drops the sample."""
     start = time.perf_counter()
     models = tuple(ModelKind) if with_comparison else (params.model,)
     spectra, d2 = model_spectra(params, replica, models, buffer)
@@ -131,11 +132,8 @@ def _evaluate_replica(
         ks_mp = ks_distance(dist, reference)
         levy_mp = levy_distance(dist, reference)
     if with_comparison:
-        if params.entry_law.unit_modulus:  # D = I by the law: both models have one spectrum
-            levy_models = 0.0
-        else:
-            (other_eigs,) = spectra.values()
-            levy_models = levy_distance(dist, esd(other_eigs, params.ambient_dim))
+        (other,) = spectra.values()
+        levy_models = 0.0 if other is eigs else levy_distance(dist, esd(other, params.ambient_dim))
         _check_levy_models(levy_models, params, d2)
     moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
     ms = (time.perf_counter() - start) * 1000.0
@@ -168,10 +166,9 @@ def run_replicas(
 ) -> Iterator[tuple[ReplicaRecord, np.ndarray, SpectralDistribution]]:
     """_evaluate_replica's result for each replica of each point, in plan order. A caller that keeps only the
     records maps itemgetter(0) over it: a for target would keep a replica's spectra alive while the next runs.
-    One Gram buffer serves every replica, so a freed Gram never stays resident under the next; no larger than
-    the largest Gram, since numpy asks for huge pages and one straddling the Gram's end is faulted in whole."""
-    nbytes = max(point.sample_count**2 * (8 if point.entry_law.real_valued else 16) for point in plan.points)
-    buffer = np.empty(nbytes, dtype=np.uint8)
+    One Gram buffer, sized by gram.gram_buffer to the largest Gram, serves every replica, so a freed Gram never
+    stays resident under the next."""
+    buffer = gram_buffer(plan.points)
     for params in plan.points:
         for replica in range(params.replicas):
             yield _evaluate_replica(params, replica, with_comparison=with_comparison, buffer=buffer)
@@ -241,15 +238,11 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     deviations, distances = [], []
     for replica in range(params.replicas):
         sample = sample_base(params, replica + _SPHERE_STREAM_OFFSET)
-        # solve one Gram before the other is built, compare them one row panel at a
-        # time (np.max propagates a NaN), and drop both before the next replica
+        # solve one Gram before the other is built; drop both before the next replica
         normalized = build_normalized_level_gram(sample)
-        dist = esd(eigenvalues(normalized), params.ambient_dim)
-        correlation = build_correlation_gram(sample)
-        panels = _row_panels(params.sample_count)
-        deviations.append(float(np.max([np.max(np.abs(normalized[a:b] - correlation[a:b])) for a, b in panels])))
-        del normalized, correlation
-        distances.append(ks_distance(dist, law))
+        distances.append(ks_distance(esd(eigenvalues(normalized), params.ambient_dim), law))
+        deviations.append(max_difference(normalized, build_correlation_gram(sample)))
+        del normalized
     return SphereReport(params=params, gram_deviations=tuple(deviations), ks_distances=tuple(distances))
 
 
@@ -308,9 +301,7 @@ def _check_unit_modulus_collapse(seed: int) -> Check:
     for law in ("rademacher", "unit_circle"):
         params = make_params(6, 2, 0.25, entry_law=law, seed=seed)
         sample = sample_base(params, 0)
-        corr = materialize_dense(sample, ModelKind.CORRELATION)
-        cov = materialize_dense(sample, ModelKind.COVARIANCE)
-        gaps.append(float(np.max(np.abs(corr - cov))))
+        gaps.append(max_difference(*(materialize_dense(sample, model) for model in ModelKind)))
         ratio = np.prod(sample.level_norms / params.n, axis=1)
         gaps.append(float(np.max(np.abs(ratio - 1.0))))
     return nearest_failure("unit_modulus_collapse", gaps, 1e-12)

@@ -12,7 +12,7 @@ triangle, which C's solve leaves as it was. ``model_spectra`` draws a
 replica's sample itself and drops it before the first solve. Each level of
 a Gram is formed in that buffer, and each solve runs in it, made writable
 once, so a replica of every law holds one m x m block: in a sweep, the head
-of one flat buffer that every replica reuses.
+of the one flat buffer (``gram_buffer``) that every replica reuses.
 Real levels and solves call numpy's bundled OpenBLAS (``_numpy_openblas``)
 through ``_openblas``; without it numpy's products and eigvalsh give the same bits.
 """
@@ -123,6 +123,12 @@ def _row_panels(m: int) -> list[tuple[int, int]]:
     return [(start, min(start + _PANEL_ROWS, m)) for start in range(0, m, _PANEL_ROWS)]
 
 
+def max_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over two matrices of one shape, one row panel at a time, so
+    no temporary is larger than a panel; NaN where an entry is, as in np.max."""
+    return float(np.max([np.max(np.abs(a[start:stop] - b[start:stop])) for start, stop in _row_panels(len(a))]))
+
+
 def _hermitize(product: np.ndarray, tau: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Scale product by sqrt(tau_a tau_b), mirror the conjugate of its strict
     upper triangle into the lower one and set the diagonal, all in place.
@@ -199,6 +205,14 @@ def _mirror_upper_rows(product: np.ndarray, start: int, stop: int) -> None:
     product[stop:, start:stop] = product[start:stop, stop:].T
     block = product[start:stop, start:stop]
     np.copyto(block, block.T, where=np.tri(stop - start, k=-1, dtype=bool))
+
+
+def gram_buffer(points) -> np.ndarray:
+    """The flat buffer whose head holds each Gram of a run of the ModelParams
+    points: the bytes of the largest, m^2 float64s for a real law and m^2
+    complex128s otherwise, and no more, since numpy asks for huge pages and
+    one straddling the Gram's end is faulted in whole."""
+    return np.empty(max(p.sample_count**2 * (8 if p.entry_law.real_valued else 16) for p in points), dtype=np.uint8)
 
 
 def _gram_block(buffer: np.ndarray | None, m: int, dtype) -> np.ndarray:
@@ -318,16 +332,11 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
     k = sample.entries.shape[1]
     tau = sample.params.tau.as_array()
     normed = sample.entries / np.sqrt(sample.level_norms)[:, :, None]
-    product = None
-    for level in range(k):
-        block = normed[:, level, :]
-        if product is None:
-            product = block @ block.conj().T
-        else:
-            product *= block @ block.conj().T
-    diag = tau * np.prod(
-        np.einsum("alj,alj->al", normed, normed.conj()).real, axis=1
-    )
+    levels = (normed[:, level] @ normed[:, level].conj().T for level in range(k))
+    product = next(levels)
+    for factor in levels:
+        product *= factor
+    diag = tau * np.prod(np.einsum("alj,alj->al", normed, normed.conj()).real, axis=1)
     entries = _hermitize(product, tau, diag)
     entries.setflags(write=False)
     return entries
@@ -477,7 +486,7 @@ def model_spectra(
     block, the flat buffer's head if one is given (a sweep's), serves both
     models, and each solve runs in it: C is solved if requested, then D C D
     is written into it from C's strict lower triangle, which the solve leaves
-    as it was, and solved. Where D = I by the law, C is solved once for both."""
+    as it was, and solved. Where D = I by the law, both map to C's one spectrum array."""
     models = {ModelKind(model) for model in models}
     sample = sample_base(params, replica)
     gram = build_correlation_gram(sample, buffer)

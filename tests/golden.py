@@ -6,13 +6,17 @@ environment, and of the package's raw draws, which hold everywhere.
 
 Each run is one CLI command: the plan of every ``perfbench/workloads.json``
 workload swept at seed 4, a two-point-tau covariance point simulated under each
-entry law, ``selftest --seed 3`` and ``--seed 0``, and in ``--format json`` the
+entry law, ``selftest --seed 3`` and ``--seed 0``, in ``--format json`` the
 ``point_real_tp`` sweep (its NaN distances written as null) and the complex
-Gaussian point. A run's digests are those of the files it
-writes and of its stdout. The bits of a spectrum depend on the numpy build and
-on the OpenBLAS that numpy bundles (its kernels and thread count), not on
-whether tensormp calls that OpenBLAS directly, so ``tests/test_golden.py``
-compares run digests, on both Gram paths, only where
+Gaussian point, the limit law on a 64-point grid with its first four moments,
+and ``distance`` between the correlation and covariance dumps of that complex
+Gaussian point, written first by two ``simulate`` runs that are not pinned
+themselves. A run's digests are those of the files it writes and of its
+stdout. Each script in ``demos/`` is pinned by the digest of its stdout. The bits of a spectrum
+depend on the numpy build and on the OpenBLAS that numpy bundles (its kernels
+and thread count), not on whether tensormp calls that OpenBLAS directly, so
+``tests/test_golden.py`` compares run digests, on both Gram paths, and
+``tests/test_demos.py`` demo digests only where
 ``tensormp.gram.blas_fingerprint()`` equals the one stored with them.
 
 The portable digests are those of ``sampling._raw_draws`` under each entry
@@ -29,6 +33,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -40,15 +47,18 @@ from tensormp.gram import blas_fingerprint
 from tensormp.sampling import _philox_keys, _raw_draws
 
 GOLDEN = Path(__file__).with_name("golden.json")
-_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+_WORKLOADS = ROOT / "perfbench" / "workloads.json"
 _TWO_POINT_TAU = {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}
 # seed, samples m, levels k, entries n: both Gaussian laws reach the ziggurat's
 # tail, and two complex Gaussian keys run short and are drawn again
 _PORTABLE_POINT = (16, 24, 3, 40)
 
 
-def _runs() -> dict[str, tuple[str, dict | None, list[str], tuple[str, ...]]]:
-    """Run name -> (command, config document or None, flags, files written)."""
+def _runs() -> dict[str, tuple[str, dict | tuple[dict, dict] | None, list[str], tuple[str, ...]]]:
+    """Run name -> (command, config document or None, flags, files written);
+    a distance run's config is the pair of points whose dumps it compares."""
     workloads = json.loads(_WORKLOADS.read_text())
     runs = {f"sweep/{name}": ("sweep", w["plan"], ["--seed", "4"], ("sweep.csv",)) for name, w in workloads.items()}
     for law in EntryLaw:
@@ -63,36 +73,76 @@ def _runs() -> dict[str, tuple[str, dict | None, list[str], tuple[str, ...]]]:
     _, point, _, _ = runs["simulate/complex_gaussian"]
     runs["simulate-json/complex_gaussian"] = ("simulate", point, ["--format", "json"], ("eigenvalues.json", "histogram.json"))
     runs["selftest/0"] = ("selftest", None, ["--seed", "0"], ("selftest.csv",))
+    runs["mp/0.5"] = ("mp", None, ["--c", "0.5", "--points", "64", "--moments", "1,2,3,4"], ("mp_grid.csv",))
+    pair = ({**point, "model": "correlation"}, point)
+    runs["distance/complex_gaussian"] = ("distance", pair, [], ("distances.csv",))
     return runs
 
 
 RUNS = _runs()
 
 
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def portable_digests() -> dict[str, str]:
     """Entry law -> the sha256 of its raw draws at _PORTABLE_POINT."""
     seed, m, k, n = _PORTABLE_POINT
     keys = _philox_keys(seed, (0,), m, k)
-    return {law.value: hashlib.sha256(np.ascontiguousarray(_raw_draws(law, keys, n))).hexdigest() for law in EntryLaw}
+    return {law.value: sha256_hex(np.ascontiguousarray(_raw_draws(law, keys, n))) for law in EntryLaw}
+
+
+def _cli(argv: list[str]) -> str:
+    """Run the CLI in this process and return its stdout; a nonzero status raises."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv)
+    if code != 0:
+        raise RuntimeError(f"tensormp {' '.join(argv)} exited with status {code}")
+    return stdout.getvalue()
+
+
+def _config_flag(directory: Path, config: dict) -> list[str]:
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
 
 
 def digests(name: str, workdir: Path) -> dict[str, str]:
     """The sha256 of each file that run `name` writes, and of its stdout
     ("stdout"), running it in the existing directory workdir."""
     command, config, flags, files = RUNS[name]
-    if config is not None:
-        path = workdir / "config.json"
-        path.write_text(json.dumps(config))
-        flags = ["--config", str(path), *flags]
+    if command == "distance":  # its inputs are the eigenvalue dumps of two simulate runs
+        for side, point in zip("ab", config):
+            dump = workdir / side
+            dump.mkdir()
+            _cli(["simulate", *_config_flag(dump, point), "--out", str(dump)])
+            flags = [*flags, f"--{side}", str(dump / "eigenvalues.csv")]
+    elif config is not None:
+        flags = [*_config_flag(workdir, config), *flags]
     out = workdir / "out"
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli_main([command, *flags, "--out", str(out)])
-    if code != 0:
-        raise RuntimeError(f"{name}: tensormp {command} exited with status {code}")
-    found = {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in files}
-    found["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    stdout = _cli([command, *flags, "--out", str(out)])
+    found = {file: sha256_hex((out / file).read_bytes()) for file in files}
+    found["stdout"] = sha256_hex(stdout.encode())
     return found
+
+
+def run_demo(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
+    """Run one demo script against the package in src/, in directory cwd, with
+    every warning an error and the import timings on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-W", "error", "-X", "importtime", str(demo)]
+    return subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def fingerprint_mismatch(pinned: dict) -> str:
+    """The fields in which blas_fingerprint() differs from pinned, with both
+    values, or "" where the two are equal."""
+    here = blas_fingerprint()
+    differing = [field for field in sorted(pinned.keys() | here.keys()) if pinned.get(field) != here.get(field)]
+    return "; ".join(f"{field}: {pinned.get(field)!r} pinned, {here.get(field)!r} here" for field in differing)
 
 
 def main(argv=None) -> int:
@@ -105,7 +155,14 @@ def main(argv=None) -> int:
             workdir = Path(tmp) / name.replace("/", "-")
             workdir.mkdir()
             found[name] = digests(name, workdir)
-    golden = {"fingerprint": blas_fingerprint(), "digests": found, "portable": portable_digests()}
+        demos = {}
+        for demo in DEMOS:
+            (workdir := Path(tmp) / demo.stem).mkdir()
+            proc = run_demo(demo, workdir)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{demo.name} exited with status {proc.returncode}: {proc.stderr}")
+            demos[demo.name] = sha256_hex(proc.stdout.encode())
+    golden = {"fingerprint": blas_fingerprint(), "digests": found, "demos": demos, "portable": portable_digests()}
     text = json.dumps(golden, indent=2, sort_keys=True) + "\n"
     if args.write:
         GOLDEN.write_text(text)

@@ -1,6 +1,7 @@
 """Configuration layer: derived dimensions, tau schemes, entry-law moments."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,17 @@ def test_ambient_dim_overflow():
         ambient_dim(2, 60)
     with pytest.raises(ValueError):
         make_params(2, 60, 1.0)
+
+
+def test_a_huge_fold_is_rejected_before_its_power_is_taken():
+    # n >= 2 makes n^k >= 2^k, so k = 54 is the first fold rejected whatever n is; 3^(10^7)
+    # in full took about 2.4 s, and the cost grows faster than linearly in k
+    with pytest.raises(ValueError, match="2\\^54 exceeds 2\\^53"):
+        ambient_dim(2, 54)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="3\\^10000000 exceeds 2\\^53"):
+        params_from_json({"n": 3, "k": 10**7, "c": 0.5})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_degenerate_counts_rejected():

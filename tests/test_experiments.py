@@ -236,15 +236,15 @@ def test_a_replica_holds_at_most_two_gram_sized_arrays(law, model):
     evaluate = tensormp.experiments._evaluate_replica
     evaluate(make_params(6, 2, 0.5, entry_law=law, model=model), 0, with_comparison=True)
     params = make_params(30, 2, 0.5, entry_law=law, model=model, seed=3)
+    gram_bytes = tensormp.gram.gram_buffer([params]).nbytes  # allocated and freed before tracing starts
     tracemalloc.start()
     try:
         evaluate(params, 0, with_comparison=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    itemsize = 8 if law in (EntryLaw.REAL_GAUSSIAN, EntryLaw.RADEMACHER) else 16
     assert params.sample_count == 450
-    assert peak <= 2.5 * params.sample_count**2 * itemsize
+    assert peak <= 2.5 * gram_bytes
 
 
 @pytest.mark.parametrize("model", ["correlation", "covariance"])
@@ -419,8 +419,7 @@ def test_a_replica_given_the_sweeps_buffer_allocates_less_than_half_a_gram(law):
     # sampling tile, about 1.5 MB at the peak, so m is sweep_c05's largest
     evaluate = tensormp.experiments._evaluate_replica
     params = make_params(40, 2, 0.5, entry_law=law, model="covariance", seed=3)
-    itemsize = 8 if law.real_valued else 16
-    buffer = np.empty(params.sample_count**2 * itemsize, dtype=np.uint8)  # as run_sweep sizes it
+    buffer = tensormp.gram.gram_buffer([params])  # as run_replicas sizes it: one Gram's bytes
     evaluate(make_params(6, 2, 0.5, entry_law=law), 0, with_comparison=True, buffer=buffer)
     tracemalloc.start()
     try:
@@ -429,7 +428,7 @@ def test_a_replica_given_the_sweeps_buffer_allocates_less_than_half_a_gram(law):
     finally:
         tracemalloc.stop()
     assert params.sample_count == 800
-    assert peak < _gram_blocks(0.5) * params.sample_count**2 * itemsize, peak
+    assert peak < _gram_blocks(0.5) * buffer.nbytes, peak
 
 
 def test_a_largest_first_plan_gives_the_rows_of_the_ascending_plan():

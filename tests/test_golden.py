@@ -1,5 +1,6 @@
 """Every pinned CLI run writes the bytes whose digests tests/golden.json holds,
-and the package's raw draws hash to its portable digests.
+and the package's raw draws hash to its portable digests (tests/test_demos.py
+compares the demos' stdout digests).
 
 The run digests hold for the numpy and the bundled OpenBLAS and its thread
 count that ``tensormp.gram.blas_fingerprint()`` reports, on either Gram path:
@@ -13,15 +14,15 @@ import json
 
 import pytest
 
-from golden import GOLDEN, RUNS, digests, portable_digests
+from golden import DEMOS, GOLDEN, RUNS, digests, fingerprint_mismatch, portable_digests
 from tensormp.config import EntryLaw
-from tensormp.gram import blas_fingerprint
 
 _PINNED = json.loads(GOLDEN.read_text())
 
 
 def test_the_golden_file_pins_every_run():
     assert sorted(_PINNED["digests"]) == sorted(RUNS)
+    assert sorted(_PINNED["demos"]) == [demo.name for demo in DEMOS]
 
 
 def test_the_raw_draws_of_every_law_match_their_portable_digests():
@@ -31,9 +32,7 @@ def test_the_raw_draws_of_every_law_match_their_portable_digests():
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_a_runs_output_bytes_match_their_golden_digests(name, tmp_path):
-    pinned, here = _PINNED["fingerprint"], blas_fingerprint()
-    differing = [field for field in sorted(pinned.keys() | here.keys()) if pinned.get(field) != here.get(field)]
-    if differing:
-        fields = "; ".join(f"{field}: {pinned.get(field)!r} pinned, {here.get(field)!r} here" for field in differing)
+    fields = fingerprint_mismatch(_PINNED["fingerprint"])
+    if fields:
         pytest.skip(f"golden digests were written under another fingerprint ({fields})")
     assert digests(name, tmp_path) == _PINNED["digests"][name]

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -31,6 +32,7 @@ from tensormp.gram import (
     eigenvalues,
     esd,
     materialize_dense,
+    max_difference,
     model_spectra,
     nonzero_eigenvalues,
     tensor_vector,
@@ -410,6 +412,30 @@ def test_eigenvalues_checks_every_row_panel(dtype):
         with pytest.raises(ValueError, match=f"not Hermitian: asymmetry {asym:.3e}"):
             eigenvalues(matrix)
     assert eigenvalues(_hermitian_spanning_panels(dtype)).shape == (last + 1,)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_max_difference_reads_every_row_panel_and_holds_no_whole_matrix_temporary(dtype):
+    a = _hermitian_spanning_panels(dtype)
+    b = a[::-1].copy()
+    assert max_difference(a, b) == np.max(np.abs(a - b))  # the max over panels is the whole max, bitwise
+    last = 2 * _PANEL_ROWS + 4  # in the partial last panel
+    far = a.copy()
+    far[last, 2] += 1e3
+    assert max_difference(a, far) == np.max(np.abs(a - far)) >= 999.0
+    for row in (0, _PANEL_ROWS, last):  # a NaN propagates from any panel, as np.max propagates it
+        nan = b.copy()
+        nan[row, 7] = np.nan
+        assert np.isnan(max_difference(a, nan))
+    m = 450
+    big = np.ones((m, m), dtype)
+    tracemalloc.start()
+    try:
+        max_difference(big, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _PANEL_ROWS * m * big.itemsize < big.nbytes / 4, peak
 
 
 def _recorded_rows(monkeypatch) -> list[tuple]:

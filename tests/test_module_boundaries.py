@@ -1,7 +1,9 @@
-"""The Gram buffer stays behind `tensormp.gram`: the modules that run
-replicas reach it, the one pass/fail rule in `tensormp.checks`, the replica
+"""The Gram stage stays behind `tensormp.gram`: the modules that run
+replicas reach its buffer (`gram_buffer`), its row panels (`max_difference`)
+and its solves, the one pass/fail rule in `tensormp.checks`, the replica
 pipeline of `tensormp.experiments`, the input reader of `tensormp.config` and
-the distances of `tensormp.metrics` only through their public names.
+the distances of `tensormp.metrics` only through their public names, with no
+exception.
 `tensormp.checks` sits below every other module, so it imports nothing from
 the package, `tensormp.gram` holds the one ctypes binding to numpy's
 OpenBLAS, so no other module imports ctypes, and every draw runs the
@@ -15,7 +17,6 @@ import pytest
 import tensormp
 
 PACKAGE = Path(tensormp.__file__).resolve().parent
-ALLOWED_PRIVATE = {"_row_panels"}  # the sphere experiment's panel-wise Gram comparison
 GUARDED = ("gram", "checks", "experiments", "config", "metrics")
 
 
@@ -29,10 +30,10 @@ def _violations(path: Path) -> list[str]:
             found += [
                 f"line {node.lineno}: imports {name}.{alias.name}"
                 for alias in node.names
-                if alias.name.startswith("_") and alias.name not in ALLOWED_PRIVATE
+                if alias.name.startswith("_")
             ]
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in GUARDED:
-            if node.attr.startswith("_") and node.attr not in ALLOWED_PRIVATE:
+            if node.attr.startswith("_"):
                 found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags":
             found.append(f"line {node.lineno}: calls setflags")
@@ -106,6 +107,7 @@ def test_the_boundary_check_sees_each_kind_of_violation(tmp_path):
         "metrics._canonical\n"
     )
     assert _violations(source) == [
+        "line 1: imports gram._row_panels",
         "line 1: imports gram._scale_to_covariance",
         "line 2: imports checks._private",
         "line 3: imports experiments._evaluate_replica",
