@@ -19,6 +19,7 @@ import numpy as np
 
 MAX_AMBIENT_DIM = 2**53  # largest integer that round-trips through a float64
 REGIME_FOLD_RATIO = 0.5  # k/n above this is flagged as outside the thin-fold regime
+MAX_REPLICAS = 2**20  # replicas per point; also the sphere's key offset (see tensormp.sampling)
 
 
 class ModelKind(str, enum.Enum):
@@ -244,8 +245,8 @@ class ModelParams:
             raise ValueError(f"tau scheme has length {len(self.tau)}, expected m={m}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.replicas < 1:
-            raise ValueError("replicas must be at least 1")
+        if not 1 <= self.replicas <= MAX_REPLICAS:
+            raise ValueError(f"replicas must be at least 1 and at most 2^20 = {MAX_REPLICAS}, got {self.replicas}")
 
     @property
     def ambient_dim(self) -> int:

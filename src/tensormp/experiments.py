@@ -3,7 +3,7 @@ the Marchenko-Pastur law, the coupled correlation/covariance comparison, the
 unit-sphere construction, and a self-test that exercises every module's exact
 identities.
 
-All randomness is keyed by (seed, replica, sample, level), so no replica's
+All randomness is keyed, in tensormp.sampling's namespaces, so no replica's
 result depends on the replicas run before it. Replicas run serially in the
 caller's thread and leave the cores to LAPACK, whose eigensolve dominates.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mp
 from .checks import Check, nearest_failure, require
-from .config import EntryLaw, ModelKind, ModelParams, SweepPlan, make_params
+from .config import MAX_REPLICAS, EntryLaw, ModelKind, ModelParams, SweepPlan, make_params
 from .gram import (
     SpectralDistribution,
     build_correlation_gram,
@@ -40,20 +40,12 @@ from .metrics import (
     levy_distance,
     levy_distance_trace_bound,
 )
-from .sampling import _philox_keys, _raw_draws, _transform, norm_moment_check, sample_base
+from .sampling import norm_moment_check, sample_base, stream_entries, stream_uniforms
 
 # regression bounds frozen from the first calibration run (measured mean
 # times 1.5); see the acceptance suite
 CONVERGENCE_KS_BOUND = 0.0034  # mean KS to the limit law at n=30, k=2, c=0.5, 5 replicas, seed 0
 COMPARISON_LEVY_BOUND = 0.016  # mean coupled Levy distance at the same point, two-point tau
-
-_SPHERE_STREAM_OFFSET = 1 << 20  # replica namespace for the unit-sphere runs, disjoint below 2^20 replicas
-# The selftest's Monte Carlo rows draw (row, column) grids under the prefixes
-# (stream, 0), streams 1-4, whose zero word keeps them apart from every sweep
-# and sphere key; raw unit-circle draws are uniforms on [0, 1), raw real
-# Gaussian ones standard normals.
-_UNIFORM = EntryLaw.UNIT_CIRCLE
-_NORMAL = EntryLaw.REAL_GAUSSIAN
 
 
 @dataclass(frozen=True)
@@ -225,10 +217,7 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     Gram entrywise and records the KS distance of its spectrum to the limit
     law, so it takes the points run_convergence takes: the correlation model
     with tau identically 1. Sphere replica r draws under the replica index
-    r + 2^20 (_SPHERE_STREAM_OFFSET), so its streams are disjoint from those
-    of a sweep of the same point only while both run fewer than 2^20
-    replicas; beyond that, sphere replica r shares its keys with sweep
-    replica r + 2^20 and the two experiments stop being independent.
+    2^20 + r (``config.MAX_REPLICAS`` + r), past every sweep replica.
     """
     if params.entry_law is not EntryLaw.COMPLEX_GAUSSIAN:
         raise ValueError("the unit-sphere construction requires the complex Gaussian law")
@@ -237,7 +226,7 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
     law = mp.MPLaw.from_ratio(params.c)
     deviations, distances = [], []
     for replica in range(params.replicas):
-        sample = sample_base(params, replica + _SPHERE_STREAM_OFFSET)
+        sample = sample_base(params, MAX_REPLICAS + replica)
         # solve one Gram before the other is built; drop both before the next replica
         normalized = build_normalized_level_gram(sample)
         distances.append(ks_distance(esd(eigenvalues(normalized), params.ambient_dim), law))
@@ -310,9 +299,8 @@ def _check_unit_modulus_collapse(seed: int) -> Check:
 def _check_column_identity(seed: int) -> Check:
     # trial t reads uniforms (n, p, then the weights) under key (1, 0, t, 0),
     # and the re/im planes of an 8 x 8 normal matrix under (1, 0, t, 1)
-    keys = _philox_keys(seed, (1, 0), 100, 2)
-    uniforms = _raw_draws(_UNIFORM, keys[:, :1], 10)[:, 0]
-    normals = _raw_draws(_NORMAL, keys[:, 1:], 128).reshape(100, 2, 8, 8)
+    uniforms = stream_uniforms(seed, 1, 100, range(1), 10)[:, 0]
+    normals = stream_entries(EntryLaw.REAL_GAUSSIAN, seed, 1, 100, range(1, 2), 128).reshape(100, 2, 8, 8)
     gaps = []
     for u, z in zip(uniforms, normals):
         n, p = 2 + int(7 * u[0]), 1 + int(8 * u[1])  # in [2, 9) and [1, 9)
@@ -325,7 +313,7 @@ def _check_column_identity(seed: int) -> Check:
 
 def _check_levy_bound(seed: int) -> Check:
     # trial t reads the re/im planes of two 5 x 8 matrices under key (2, 0, t, 0)
-    normals = _raw_draws(_NORMAL, _philox_keys(seed, (2, 0), 100, 1), 160).reshape(100, 4, 5, 8)
+    normals = stream_entries(EntryLaw.REAL_GAUSSIAN, seed, 2, 100, range(1), 160).reshape(100, 4, 5, 8)
     gaps, bounds = [], []
     for z in normals:
         lhs, rhs = levy_distance_trace_bound(z[0] + 1j * z[1], z[2] + 1j * z[3])
@@ -343,7 +331,7 @@ def _random_esd(u: np.ndarray) -> SpectralDistribution:
 def _check_levy_ks_domination(seed: int) -> Check:
     # trial t reads its two distributions' uniforms under keys (3, 0, t, 0) and (3, 0, t, 1)
     gaps, bounds = [], []
-    for u in _raw_draws(_UNIFORM, _philox_keys(seed, (3, 0), 50, 2), 13):
+    for u in stream_uniforms(seed, 3, 50, range(2), 13):
         fa, fb = _random_esd(u[0]), _random_esd(u[1])
         gaps.append(levy_distance(fa, fb))
         bounds.append(ks_distance(fa, fb) + 1e-9)
@@ -378,11 +366,10 @@ def _check_entry_laws(seed: int) -> Check:
     # 1000 draws under each of the 1000 keys (4, 0, row, law index) of a law;
     # a unit-modulus law's |xi|^2 is 1 by the law, which unit_modulus_collapse
     # pins, so only the Gaussian laws' second moments are Monte Carlo bands
-    keys = _philox_keys(seed, (4, 0), 1000, len(EntryLaw))
     trials = 1_000_000
     gaps, bounds = [], []
     for index, law in enumerate(EntryLaw):
-        draws = _transform(law, _raw_draws(law, keys[:, index : index + 1], 1000)).reshape(-1)
+        draws = stream_entries(law, seed, 4, 1000, range(index, index + 1), 1000).reshape(-1)
         se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1))) / np.sqrt(trials)
         gaps.append(abs(np.mean(draws)))
         bounds.append(4.0 * se_mean + 1e-12)

@@ -1,21 +1,27 @@
 """Base-vector sampling with keyed, order-independent random streams.
 
-Every draw is keyed: a seed and a SeedSequence spawn key, a prefix and a
-(row, column) pair, name one Philox stream, so a value never depends on how
-many workers drew the batch or in what order; a level vector's key is
-(replica, sample, level). ``sample_base`` draws bitwise the values of the
-per-key reference ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``
-of tests/oracles.py (``_stream``/``_draw``), but derives all m*k Philox
-keys of a replica in one vectorized pass of SeedSequence's hash, runs
-Philox4x64-10 itself over the (sample, level, block) counters of a tile of
-samples at a time, and transforms the words as numpy's generator would: a
-uniform law (unit circle, Rademacher) reads one word per entry or per two,
-and a Gaussian law runs numpy's 256-layer ziggurat
-(``random_standard_normal``, tables in ``tensormp._ziggurat``) over each
-key's words in order. The norm-moment check and the selftest draw through
-the same pass, ``_raw_draws``. No tensor norm ||Y||^2 = prod_l ||y^(l)||^2
-is ever formed, since it grows like n^k: consumers multiply the per-level
-ratios ||y^(l)||^2 / n.
+Every draw is keyed: a seed and a SeedSequence spawn key name one Philox
+stream, so no value depends on how many workers drew the batch or in what
+order. The package's key namespaces, which share no key, are:
+
+- sweep keys (r, alpha, l): replica r < 2^20 (``config.MAX_REPLICAS``),
+  sample alpha, level l, drawn by ``sample_base``;
+- sphere keys (2^20 + r, alpha, l): replica r of ``run_sphere_model``;
+- streams (s, 0, row, column) of ``stream_uniforms`` and ``stream_entries``:
+  the selftest's 1-4 and the norm-moment check's 0x4D43 (row trial, column
+  level). A replica key is three uint32 words and a stream key four.
+
+``sample_base`` draws bitwise the per-key reference
+``Generator(Philox(SeedSequence(seed, spawn_key=key)))`` of tests/oracles.py
+(``_stream``/``_draw``), but derives all m*k Philox keys of a replica in one
+vectorized pass of SeedSequence's hash, runs Philox4x64-10 itself over the
+(sample, level, block) counters of a tile of samples at a time, and
+transforms the words as numpy's generator would: a uniform law (unit circle,
+Rademacher) reads one word per entry or per two, a Gaussian law numpy's
+256-layer ziggurat (``random_standard_normal``, tables in
+``tensormp._ziggurat``). Every draw runs this one pass, ``_raw_draws``. No
+tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever formed, since it grows
+like n^k: consumers multiply the per-level ratios ||y^(l)||^2 / n.
 """
 
 from __future__ import annotations
@@ -29,11 +35,6 @@ import numpy as np
 from ._ziggurat import FI, KI, NEG_INV_R, R, WI
 from .checks import Check, require
 from .config import EntryLaw, ModelParams
-
-# key prefix of the moment check's (trial, level) grid; its trailing zero word
-# keeps it apart from every sample_base key (replica, sample, level), since a
-# replica's uint32 words end in a zero word only for the single word of 0
-_MOMENT_KEY = (0x4D43, 0)
 
 
 @dataclass(frozen=True)
@@ -94,22 +95,22 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _philox_keys(seed: int, prefix: tuple[int, ...], m: int, k: int) -> np.ndarray:
-    """The (m, k, 2) uint64 Philox keys of every (row, column) under a
-    spawn-key prefix of any length, such as (replica,) for a replica's
-    (alpha, level) grid.
+def _philox_keys(seed: int, prefix: tuple[int, ...], m: int, columns: range) -> np.ndarray:
+    """The (m, len(columns), 2) uint64 Philox keys of every (row, column),
+    column in ``columns``, under a spawn-key prefix of any length, such as
+    (replica,) for a replica's (alpha, level) grid.
 
     Entry [row, column] equals ``SeedSequence(entropy=seed, spawn_key=prefix
     + (row, column)).generate_state(2, np.uint64)``: the entropy is the seed's
     words zero-padded to the pool size, then each prefix component's words,
     then row, then column. The seed and prefix words, the same for every key,
-    are hashed and mixed once as Python ints; the pool becomes an (m, 1)
-    uint32 array at the row word and an (m, k) one at the column word.
+    are hashed and mixed once as Python ints; the pool becomes (m, 1) uint32
+    arrays at the row word and (m, len(columns)) ones at the column word.
     """
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
     row = np.arange(m, dtype=np.uint32)[:, None]
-    column = np.arange(k, dtype=np.uint32)
+    column = np.array(columns, dtype=np.uint32)
     entropy = run + [word for part in prefix for word in _uint32_words(part)] + [row, column]
 
     const = _INIT_A
@@ -407,10 +408,22 @@ def sample_base(params: ModelParams, replica_index: int = 0) -> BaseSample:
     if replica_index < 0:
         raise ValueError("replica index must be non-negative")
     law = params.entry_law
-    keys = _philox_keys(params.seed, (replica_index,), params.sample_count, params.k)
+    keys = _philox_keys(params.seed, (replica_index,), params.sample_count, range(params.k))
     entries = _transform(law, _raw_draws(law, keys, params.n))
     entries.setflags(write=False)
     return BaseSample(entries=entries, params=params)
+
+
+def stream_uniforms(seed: int, stream: int, rows: int, columns: range, n: int) -> np.ndarray:
+    """The (rows, len(columns), n) uniforms on [0, 1), numpy's ``random()``,
+    under the keys (stream, 0, row, column): a unit-circle law's raw draws."""
+    return _raw_draws(EntryLaw.UNIT_CIRCLE, _philox_keys(seed, (stream, 0), rows, columns), n)
+
+
+def stream_entries(law: EntryLaw, seed: int, stream: int, rows: int, columns: range, n: int) -> np.ndarray:
+    """The (rows, len(columns), n) entries of ``law``, drawn as ``sample_base``
+    draws, under the keys (stream, 0, row, column); real Gaussian ones are normals."""
+    return _transform(law, _raw_draws(law, _philox_keys(seed, (stream, 0), rows, columns), n))
 
 
 @dataclass(frozen=True)
@@ -446,15 +459,14 @@ class MomentReport:
 def norm_moment_check(params: ModelParams, trials: int) -> MomentReport:
     """Estimate E||Y||^2 and E||Y||^4 over independent tensor samples.
 
-    Trial t's level l is drawn as sample_base draws a level vector, under the
-    spawn key (0x4D43, 0, t, l): ``_MOMENT_KEY``, then the trial and level.
+    Trial t's level l is row t, column l of stream 0x4D43 (``stream_entries``).
     Per-trial statistics are products of the normalized per-level ratios
     ||y^(l)||^2 / n, so nothing of size n^k is ever exponentiated.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
     law, n, k = params.entry_law, params.n, params.k
-    e = _transform(law, _raw_draws(law, _philox_keys(params.seed, _MOMENT_KEY, trials, k), n))
+    e = stream_entries(law, params.seed, 0x4D43, trials, range(k), n)
     ratios = np.einsum("tlj,tlj->tl", e, e.conj()).real / n
     x = np.prod(ratios, axis=1)
     x2 = x * x

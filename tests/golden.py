@@ -20,10 +20,12 @@ and thread count), not on whether tensormp calls that OpenBLAS directly, so
 ``tensormp.gram.blas_fingerprint()`` equals the one stored with them.
 
 The portable digests are those of ``sampling._raw_draws`` under each entry
-law at one small point: Philox words, uniforms and ziggurat normals, integer
+law at one small point, and of the selftest's draws at seed 3 as it reads
+them from ``sampling.stream_uniforms`` and ``sampling.stream_entries``
+(streams 1-4): Philox words, uniforms and ziggurat normals, integer
 arithmetic and correctly rounded scaling with no BLAS, compared under every
 fingerprint. The unit circle's cos and sin, whose last bit may follow the CPU,
-are left out.
+and the complex Gaussian's complex arithmetic are left out.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from tensormp.cli import main as cli_main
 from tensormp.config import EntryLaw
 from tensormp.gram import blas_fingerprint
-from tensormp.sampling import _philox_keys, _raw_draws
+from tensormp.sampling import _philox_keys, _raw_draws, stream_entries, stream_uniforms
 
 GOLDEN = Path(__file__).with_name("golden.json")
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,11 +88,28 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _stream_draws(seed: int) -> dict[str, np.ndarray]:
+    """The selftest's draws at ``seed``, each as one of its checks reads it."""
+    normal = EntryLaw.REAL_GAUSSIAN
+    draws = {
+        "stream1/uniforms": stream_uniforms(seed, 1, 100, range(1), 10),
+        "stream1/normals": stream_entries(normal, seed, 1, 100, range(1, 2), 128),
+        "stream2/normals": stream_entries(normal, seed, 2, 100, range(1), 160),
+        "stream3/uniforms": stream_uniforms(seed, 3, 50, range(2), 13),
+    }
+    for index, law in enumerate(EntryLaw):
+        if law in (EntryLaw.REAL_GAUSSIAN, EntryLaw.RADEMACHER):
+            draws[f"stream4/{law.value}"] = stream_entries(law, seed, 4, 1000, range(index, index + 1), 1000)
+    return draws
+
+
 def portable_digests() -> dict[str, str]:
-    """Entry law -> the sha256 of its raw draws at _PORTABLE_POINT."""
+    """Entry law -> the sha256 of its raw draws at _PORTABLE_POINT, and
+    "stream<s>/<what>" -> that of the selftest's draws at seed 3."""
     seed, m, k, n = _PORTABLE_POINT
-    keys = _philox_keys(seed, (0,), m, k)
-    return {law.value: sha256_hex(np.ascontiguousarray(_raw_draws(law, keys, n))) for law in EntryLaw}
+    keys = _philox_keys(seed, (0,), m, range(k))
+    found = {law.value: _raw_draws(law, keys, n) for law in EntryLaw} | _stream_draws(3)
+    return {name: sha256_hex(np.ascontiguousarray(draws)) for name, draws in found.items()}
 
 
 def _cli(argv: list[str]) -> str:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tensormp.config import (
+    MAX_REPLICAS,
     EntryLaw,
     ModelKind,
     ambient_dim,
@@ -82,6 +83,10 @@ def test_seed_and_replica_bounds():
     with pytest.raises(ValueError):
         make_params(4, 2, 0.5, replicas=0)
     make_params(4, 2, 0.5, seed=2**64 - 1)
+    # sphere replica r draws as replica 2^20 + r, so no point may reach it
+    with pytest.raises(ValueError, match=r"at most 2\^20 = 1048576, got 1048577"):
+        make_params(4, 2, 0.5, replicas=2**20 + 1)
+    assert make_params(4, 2, 0.5, replicas=2**20).replicas == MAX_REPLICAS == 2**20
     # the fields a run indexes with must be integers, whatever their value
     with pytest.raises(ValueError, match=r"ModelParams field 'n' must be an integer, got 6\.5"):
         make_params(6.5, 2, 0.5)
@@ -191,7 +196,7 @@ def test_entry_law_table():
 @pytest.mark.parametrize("law", list(EntryLaw))
 def test_a_real_valued_law_draws_float64_entries(law):
     # a sweep sizes its one Gram buffer by this flag: 8 bytes per Gram entry, or 16
-    entries = _transform(law, _raw_draws(law, _philox_keys(5, (0,), 3, 2), 4))
+    entries = _transform(law, _raw_draws(law, _philox_keys(5, (0,), 3, range(2)), 4))
     assert entries.dtype == (np.float64 if law.real_valued else np.complex128)
 
 
@@ -200,7 +205,7 @@ def test_entry_law_monte_carlo_moments(kind):
     # the package's keyed draws: 1000 keys (99, row, 0) under seed 123, 1000 draws each
     trials = 1_000_000
     law = EntryLaw(kind)
-    draws = _transform(law, _raw_draws(law, _philox_keys(123, (99,), 1000, 1), 1000)).reshape(-1)
+    draws = _transform(law, _raw_draws(law, _philox_keys(123, (99,), 1000, range(1)), 1000)).reshape(-1)
     assert draws.size == trials
     se_mean = max(float(np.std(draws.real, ddof=1)), float(np.std(draws.imag, ddof=1)))
     se_mean /= np.sqrt(trials)

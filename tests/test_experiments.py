@@ -958,6 +958,7 @@ def test_distance_rejects_a_json_dump(tmp_path, capsys):
         ("sweep", {"points": [[6, 2, 0.5]]}, ["--seed", "3"], r"sweep plan key 'points' must be a list of JSON objects, .*"),
         ("sweep", '{"ns": [6] "c": 0.5}', [], r".*config\.json: Expecting ',' delimiter.*"),
         ("sweep", {"ns": [6], "c": 0.5, "out": 3}, [], r"sweep plan key 'out' must be a string, got 3"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5, "replicas": 2**20 + 1}, [], r"replicas must be .* at most 2\^20 = 1048576, .*"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", "0"], r"--bins must be at least 1, got 0"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": ["x"]}}, [], r"tau key 'kind' must be one of .*, got \['x'\]"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": {"a": 1}}}, [], r"tau key 'kind' must be one of .*"),

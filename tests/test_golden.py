@@ -1,6 +1,6 @@
 """Every pinned CLI run writes the bytes whose digests tests/golden.json holds,
-and the package's raw draws hash to its portable digests (tests/test_demos.py
-compares the demos' stdout digests).
+and the package's raw draws and the selftest's stream draws hash to its
+portable digests (tests/test_demos.py compares the demos' stdout digests).
 
 The run digests hold for the numpy and the bundled OpenBLAS and its thread
 count that ``tensormp.gram.blas_fingerprint()`` reports, on either Gram path:
@@ -26,7 +26,9 @@ def test_the_golden_file_pins_every_run():
 
 
 def test_the_raw_draws_of_every_law_match_their_portable_digests():
-    assert sorted(_PINNED["portable"]) == sorted(law.value for law in EntryLaw)
+    streams = ["stream1/normals", "stream1/uniforms", "stream2/normals", "stream3/uniforms"]
+    streams += ["stream4/rademacher", "stream4/real_gaussian"]
+    assert sorted(_PINNED["portable"]) == sorted([law.value for law in EntryLaw] + streams)
     assert portable_digests() == _PINNED["portable"]
 
 

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from helpers import covariance_gram, spectra_of
 from oracles import _draw, _stream, gram_direct, gram_out_of_place
 from tensormp import mp
-from tensormp.config import EntryLaw, ModelKind, make_params
+from tensormp.config import MAX_REPLICAS, EntryLaw, ModelKind, make_params
 from tensormp.gram import (
     _PANEL_ROWS,
     build_correlation_gram,
     build_normalized_level_gram,
 )
-from tensormp.experiments import _SPHERE_STREAM_OFFSET
 from tensormp.gram import SpectralDistribution
 from tensormp.metrics import ks_distance, levy_distance
 from tensormp.sampling import sample_base
@@ -150,7 +149,7 @@ def test_in_place_builders_equal_the_out_of_place_formula_bitwise(params):
 
 
 _seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.just(2**64 - 1))
-_replicas = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda r: _SPHERE_STREAM_OFFSET + r))
+_replicas = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda r: MAX_REPLICAS + r))
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,8 +161,8 @@ _replicas = st.one_of(st.integers(0, 40), st.integers(0, 40).map(lambda r: _SPHE
     st.integers(1, 4),
     st.integers(2, 19),
 )
-@example(EntryLaw.UNIT_CIRCLE, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
-@example(EntryLaw.RADEMACHER, 2**64 - 1, _SPHERE_STREAM_OFFSET + 3, 3, 2, 2)
+@example(EntryLaw.UNIT_CIRCLE, 2**64 - 1, MAX_REPLICAS + 3, 3, 2, 2)
+@example(EntryLaw.RADEMACHER, 2**64 - 1, MAX_REPLICAS + 3, 3, 2, 2)
 @example(EntryLaw.UNIT_CIRCLE, 2**33 + 5, 1, 5, 3, 7)  # n not a multiple of 4: a part block
 @example(EntryLaw.RADEMACHER, 2**33 + 5, 1, 5, 3, 13)  # n not a multiple of 8: a part word
 def test_counter_mode_uniform_laws_equal_the_per_key_generator(law_kind, seed, replica, m, k, n):

@@ -17,8 +17,7 @@ import tensormp.sampling
 from helpers import forged_sample
 from oracles import _draw, _stream, ziggurat_normals
 from tensormp._ziggurat import FI, KI, NEG_INV_R, R, WI
-from tensormp.config import EntryLaw, make_params, params_to_json
-from tensormp.experiments import _SPHERE_STREAM_OFFSET
+from tensormp.config import MAX_REPLICAS, EntryLaw, make_params, params_to_json
 from tensormp.sampling import (
     _CHUNK_WORDS,
     BaseSample,
@@ -29,6 +28,8 @@ from tensormp.sampling import (
     _wedge_accepts,
     norm_moment_check,
     sample_base,
+    stream_entries,
+    stream_uniforms,
 )
 
 
@@ -65,19 +66,40 @@ def test_repeat_draw_is_bitwise_identical():
     assert not np.array_equal(a.entries, c.entries)
 
 
-_REPLICA_PREFIXES = [(0,), (3,), (_SPHERE_STREAM_OFFSET + 2,), (2**32 + 7,)]  # the last has two words
+_REPLICA_PREFIXES = [(0,), (3,), (MAX_REPLICAS + 2,), (2**32 + 7,)]  # the last has two words
 _OTHER_PREFIXES = [(), (4,), (4, 2), (0x4D43, 0), (2**32 + 7, 1, 9)]  # lengths 0 to 3
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**64 - 1])
 @pytest.mark.parametrize("prefix", _REPLICA_PREFIXES + _OTHER_PREFIXES)
-def test_philox_keys_match_seed_sequence(seed, prefix):
-    keys = _philox_keys(seed, prefix, 9, 3)
+@pytest.mark.parametrize("columns", [range(3), range(2, 5)])
+def test_philox_keys_match_seed_sequence(seed, prefix, columns):
+    keys = _philox_keys(seed, prefix, 9, columns)
     assert keys.shape == (9, 3, 2) and keys.dtype == np.uint64
     for alpha in range(9):
-        for level in range(3):
+        for index, level in enumerate(columns):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=prefix + (alpha, level))
-            assert np.array_equal(keys[alpha, level], ss.generate_state(2, np.uint64))
+            assert np.array_equal(keys[alpha, index], ss.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("law", list(EntryLaw))
+def test_stream_entries_are_the_keyed_reference(law):
+    # row r, column c of stream s is numpy's draw under the spawn key (s, 0, r, c)
+    seed, columns = 2**32 + 5, range(2, 4)
+    entries = stream_entries(law, seed, 7, 5, columns, 9)
+    assert entries.shape == (5, 2, 9)
+    for row in range(5):
+        for index, column in enumerate(columns):
+            assert entries[row, index].tobytes() == _draw(law, _stream(seed, 7, 0, row, column), 9).tobytes()
+
+
+def test_stream_uniforms_are_numpys_random_under_the_keyed_reference():
+    seed, columns = 2**32 + 5, range(1, 3)
+    uniforms = stream_uniforms(seed, 3, 4, columns, 11)
+    assert uniforms.shape == (4, 2, 11)
+    for row in range(4):
+        for index, column in enumerate(columns):
+            assert uniforms[row, index].tobytes() == _stream(seed, 3, 0, row, column).random(11).tobytes()
 
 
 def test_streams_are_order_and_thread_independent():
@@ -86,7 +108,7 @@ def test_streams_are_order_and_thread_independent():
         (2, 1, 0.5, 0, 0),  # smallest n, k = 1, m = 1
         (3, 1, 2.0, 77, 1),  # odd n leaves a cached half word in the generator
         (4, 2, 0.5, 77, 1),
-        (5, 3, 0.1, 2**64 - 1, _SPHERE_STREAM_OFFSET + 2),
+        (5, 3, 0.1, 2**64 - 1, MAX_REPLICAS + 2),
     ]
     for law in EntryLaw:
         for n, k, c, seed, replica in points:
@@ -135,7 +157,7 @@ _TILED_GRIDS = [
 def test_a_grid_of_several_tiles_is_the_per_key_generator_bitwise(monkeypatch, law, seed, m, k, n):
     calls = _record_philox_calls(monkeypatch)
     law = EntryLaw(law)
-    entries = _transform(law, _raw_draws(law, _philox_keys(seed, (7,), m, k), n))
+    entries = _transform(law, _raw_draws(law, _philox_keys(seed, (7,), m, range(k)), n))
     assert entries.shape == (m, k, n)
     for alpha in range(m):
         for level in range(k):
@@ -147,7 +169,7 @@ def test_a_grid_of_several_tiles_is_the_per_key_generator_bitwise(monkeypatch, l
 def test_short_keys_of_different_tiles_are_redrawn_together(monkeypatch):
     # the complex Gaussian grid of _TILED_GRIDS: keys 13 and 64 run short, in tiles 0 and 1
     calls = _record_philox_calls(monkeypatch)
-    keys = _philox_keys(0, (7,), 60, 2).reshape(-1, 2)
+    keys = _philox_keys(0, (7,), 60, range(2)).reshape(-1, 2)
     _raw_draws(EntryLaw.COMPLEX_GAUSSIAN, keys.reshape(60, 2, 2), 300)
     blocks, tile = calls[0][1], len(calls[0][0])
     retries = [(call_keys, b) for call_keys, b in calls if b != blocks]
@@ -162,7 +184,7 @@ def test_every_philox_call_reads_at_most_a_tile_of_words(monkeypatch, law):
     law = EntryLaw(law)
     for m, k, n in ((300, 2, 64), (40, 3, 700), (2, 3, 12000)):
         calls.clear()
-        _raw_draws(law, _philox_keys(4, (7,), m, k), n)
+        _raw_draws(law, _philox_keys(4, (7,), m, range(k)), n)
         first = calls[0][1]
         assert all(len(keys) % k == 0 for keys, blocks in calls if blocks == first)
         assert all(len(keys) * 4 * blocks <= _CHUNK_WORDS or len(keys) <= k for keys, blocks in calls)
@@ -363,7 +385,7 @@ def test_ziggurat_tables_are_the_installed_numpys(tmp_path):
 def test_wedge_test_decides_close_calls_with_libm():
     # x within a few ulps of where exp(-x^2/2) meets each threshold, where np.exp and
     # libm's exp, which numpy's C calls, disagree on some decisions
-    words = _philox_words(_philox_keys(5, (0,), 64, 1), 8).reshape(-1)
+    words = _philox_words(_philox_keys(5, (0,), 64, range(1)), 8).reshape(-1)
     layers = (words & np.uint64(0xFF)).astype(np.intp) % 255 + 1
     thresholds = (FI[layers - 1] - FI[layers]) * ((words >> np.uint64(11)) * 2.0**-53) + FI[layers]
     at = np.sqrt(-2.0 * np.log(thresholds))
@@ -381,7 +403,7 @@ def test_gaussian_sampling_exercises_every_ziggurat_event():
     params = make_params(n, k, m / n**k, entry_law="real_gaussian", seed=seed)
     assert params.sample_count == m
     entries = sample_base(params, replica).entries
-    words = _philox_words(_philox_keys(seed, (replica,), m, k), 32)
+    words = _philox_words(_philox_keys(seed, (replica,), m, range(k)), 32)
     events = Counter()
     for alpha in range(m):
         for level in range(k):
@@ -397,7 +419,7 @@ def test_gaussian_sampling_exercises_every_ziggurat_event():
 def test_pinned_gaussian_examples_hit_each_event():
     # the @examples of test_ziggurat_gaussian_laws_equal_the_per_key_generator, replica 2**32 + 7
     def tallies(law, seed, m, k, n):
-        keys = _philox_keys(seed, (2**32 + 7,), m, k).reshape(-1, 2)
+        keys = _philox_keys(seed, (2**32 + 7,), m, range(k)).reshape(-1, 2)
         return [ziggurat_normals(_philox_words(key, 16), n if law == "real_gaussian" else 2 * n)[1] for key in keys]
 
     for law in ("real_gaussian", "complex_gaussian"):
