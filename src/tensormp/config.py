@@ -13,13 +13,14 @@ import enum
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 MAX_AMBIENT_DIM = 2**53  # largest integer that round-trips through a float64
 REGIME_FOLD_RATIO = 0.5  # k/n above this is flagged as outside the thin-fold regime
 MAX_REPLICAS = 2**20  # replicas per point; also the sphere's key offset (see tensormp.sampling)
+MAX_SAMPLE_COUNT = 2**13  # desk scale: a complex Gram at this m is 1 GiB
 
 
 class ModelKind(str, enum.Enum):
@@ -58,9 +59,10 @@ class EntryLaw(str, enum.Enum):
         return self in (EntryLaw.REAL_GAUSSIAN, EntryLaw.RADEMACHER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TauScheme:
-    """A materialized sequence of positive weights, one per sample vector.
+    """A materialized sequence of positive weights, one per sample vector,
+    held as one read-only float64 array (a copy of the values given).
 
     ``two_point`` keeps the generating (a, b, weight) triple of a two-point
     scheme built by :func:`make_tau`, so serialization round-trips exactly;
@@ -69,24 +71,35 @@ class TauScheme:
     weights draw the same samples, whatever triple either carries.
     """
 
-    values: tuple[float, ...]
-    two_point: tuple[float, float, float] | None = field(default=None, compare=False)
+    values: np.ndarray
+    two_point: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("tau sequence must be non-empty")
-        if any(not (v > 0 and math.isfinite(v)) for v in self.values):
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or not values.size:
+            raise ValueError("tau sequence must be a non-empty 1-d sequence")
+        if not np.all((values > 0) & (values < np.inf)):  # phrased so that a NaN fails
             raise ValueError("all tau values must be positive and finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, TauScheme):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash(self.values.tobytes())
+
+    def __reduce__(self):  # a copied or unpickled scheme is rebuilt, so its weights stay read-only
+        return TauScheme, (self.values, self.two_point)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
     @property
     def is_constant_one(self) -> bool:
-        return all(v == 1.0 for v in self.values)
+        return bool(np.all(self.values == 1.0))
 
 
 _TAU_KEYS = {
@@ -169,7 +182,7 @@ def make_tau(scheme, m: int) -> TauScheme:
         scheme = {"kind": scheme}
     kind = _kind(scheme, "tau", _TAU_KEYS)
     if kind == "constant_one":
-        return TauScheme((1.0,) * m)
+        return TauScheme(np.ones(m))
     if kind == "two_point":
         a, b, weight = (_json_number(scheme, key, "two_point tau") for key in ("a", "b", "weight"))
         # phrased so that a NaN fails: a value with an empty share reaches no TauScheme check
@@ -177,12 +190,13 @@ def make_tau(scheme, m: int) -> TauScheme:
             raise ValueError("two-point values must be positive and finite")
         if not 0.0 < weight < 1.0:
             raise ValueError("two-point weight must lie in (0, 1)")
-        na = math.floor(weight * m)
-        return TauScheme((a,) * na + (b,) * (m - na), two_point=(a, b, weight))
+        values = np.full(m, b)
+        values[: math.floor(weight * m)] = a
+        return TauScheme(values, two_point=(a, b, weight))
     values = _json_numbers(scheme, "values", "explicit tau")
     if len(values) != m:
         raise ValueError(f"explicit tau has length {len(values)}, expected {m}")
-    return TauScheme(tuple(values))
+    return TauScheme(values)
 
 
 def ambient_dim(n: int, k: int) -> int:
@@ -199,7 +213,8 @@ def ambient_dim(n: int, k: int) -> int:
 
 def sample_count(c: float, dim: int) -> int:
     """Deterministic rounding m = floor(c*N + 0.5) of the target ratio; the
-    rounding is done in float64, so c*N + 0.5 must stay below 2^53 as N does."""
+    rounding is done in float64, so c*N + 0.5 must stay below 2^53 as N does,
+    and m must be at least 1 and at most MAX_SAMPLE_COUNT."""
     if not (c > 0 and math.isfinite(c)):
         raise ValueError("target ratio c must be positive and finite")
     scaled = c * dim + 0.5
@@ -208,6 +223,8 @@ def sample_count(c: float, dim: int) -> int:
     m = int(math.floor(scaled))
     if m < 1:
         raise ValueError("sample count rounds to zero; increase c or the dimensions")
+    if m > MAX_SAMPLE_COUNT:
+        raise ValueError(f"sample count m = {m} exceeds the desk-scale bound 2^13 = {MAX_SAMPLE_COUNT}")
     return m
 
 
@@ -216,8 +233,9 @@ class ModelParams:
     """Full configuration of one experiment point, checked once here: n, k,
     seed and replicas are integers, the model and the entry law are members
     of ModelKind and EntryLaw (the pipeline dispatches on them by identity),
-    n^k fits a float64 exactly, m rounds to at least 1, tau is a TauScheme
-    of length m, and the seed and replica count are in range."""
+    n^k fits a float64 exactly, m rounds to between 1 and MAX_SAMPLE_COUNT,
+    tau is a TauScheme of length m, and the seed and replica count are in
+    range."""
 
     n: int
     k: int
@@ -279,7 +297,8 @@ def make_params(
     seed: int = 0,
     replicas: int = 1,
 ) -> ModelParams:
-    """Build a ModelParams with the tau sequence materialized to length m.
+    """Build a ModelParams with the tau sequence materialized to length m,
+    once m is checked: a point past the desk-scale bound builds no tau.
 
     The keywords are the keys of a point document (params_from_json), and
     these defaults are the defaults of its optional keys."""
@@ -305,7 +324,7 @@ def tau_to_json(tau: TauScheme) -> dict:
         return {"kind": "two_point", "a": a, "b": b, "weight": weight}
     if tau.is_constant_one:
         return {"kind": "constant_one"}
-    return {"kind": "explicit", "values": list(tau.values)}
+    return {"kind": "explicit", "values": tau.values.tolist()}
 
 
 def params_to_json(params: ModelParams) -> dict:

@@ -145,7 +145,7 @@ def _check_levy_models(levy_models: float, params: ModelParams, d2: np.ndarray) 
     law, so both sides are exactly 0. levy_models is a bisection's upper end,
     so LEVY_TOL comes off it first.
     """
-    tau = params.tau.as_array()
+    tau = params.tau.values
     scaled = tau * d2
     bound = float(2.0 / params.ambient_dim**2 * np.sum((np.sqrt(tau) - np.sqrt(scaled)) ** 2) * np.sum(tau + scaled))
     excess = max(levy_models - LEVY_TOL, 0.0) ** 4
@@ -279,7 +279,7 @@ def _check_trace_identity(seed: int) -> Check:
     for params in cases:
         sample = sample_base(params, 0)
         eigs = eigenvalues(build_correlation_gram(sample))
-        target = float(np.sum(params.tau.as_array()))
+        target = float(np.sum(params.tau.values))
         gaps.append(abs(float(np.sum(eigs)) - target) / target)
     return nearest_failure("correlation_trace_identity", gaps, 1e-9)
 

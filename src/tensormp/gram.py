@@ -298,7 +298,7 @@ def build_correlation_gram(sample: BaseSample, buffer: np.ndarray | None = None)
     The diagonal equals tau exactly; the trace of the whole ambient model is
     therefore sum(tau) with no stochastic term.
     """
-    tau = sample.params.tau.as_array()
+    tau = sample.params.tau.values
     entries = _hermitize(_level_ratio_product(sample, buffer), tau, tau)
     entries.setflags(write=False)
     return entries
@@ -330,7 +330,7 @@ def build_normalized_level_gram(sample: BaseSample) -> np.ndarray:
     afterwards. Mathematically identical to the correlation Gram.
     """
     k = sample.entries.shape[1]
-    tau = sample.params.tau.as_array()
+    tau = sample.params.tau.values
     normed = sample.entries / np.sqrt(sample.level_norms)[:, :, None]
     levels = (normed[:, level] @ normed[:, level].conj().T for level in range(k))
     product = next(levels)
@@ -499,7 +499,7 @@ def model_spectra(
     if d2 is None:
         return spectra, None
     if not unit:
-        _scale_to_covariance(gram, d2, params.tau.as_array())
+        _scale_to_covariance(gram, d2, params.tau.values)
     spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if unit and spectra else _solve_checked(gram, gram)
     return spectra, d2
 
@@ -561,7 +561,7 @@ def materialize_dense(sample: BaseSample, model: ModelKind | str) -> np.ndarray:
     dim = n**k
     if dim > DENSE_DIM_CAP:
         raise ValueError(f"ambient dimension {dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    tau = sample.params.tau.as_array()
+    tau = sample.params.tau.values
     out = np.zeros((dim, dim), dtype=np.complex128)
     for alpha in range(m):
         v = tensor_vector(sample, alpha)

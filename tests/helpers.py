@@ -45,7 +45,7 @@ def covariance_gram(sample: BaseSample) -> np.ndarray:
     gram = build_correlation_gram(sample)
     gram.setflags(write=True)
     if not sample.params.entry_law.unit_modulus:
-        _scale_to_covariance(gram, covariance_scales(sample), sample.params.tau.as_array())
+        _scale_to_covariance(gram, covariance_scales(sample), sample.params.tau.values)
     return gram
 
 

@@ -77,7 +77,7 @@ def gram_direct(sample, tau, model: ModelKind) -> np.ndarray:
         inner = inner / np.outer(norms, norms)
     else:
         inner = inner / n**k
-    values = tau.as_array()
+    values = tau.values
     return np.sqrt(np.outer(values, values)) * inner
 
 
@@ -111,7 +111,7 @@ def gram_out_of_place(sample, tau, model: ModelKind) -> np.ndarray:
     n = sample.entries.shape[2]
     unit = sample.params.entry_law.unit_modulus
     sq = np.einsum("alj,alj->al", sample.entries, sample.entries.conj()).real
-    values = tau.as_array()
+    values = tau.values
     upper = np.triu(np.sqrt(np.outer(values, values)) * product, 1)
     corr = upper + upper.conj().T
     corr[np.diag_indices_from(corr)] = values

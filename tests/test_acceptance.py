@@ -88,7 +88,7 @@ def test_criterion_02_trace_identity():
     for params in cases:
         sample = sample_base(params, 0)
         total = float(np.sum(eigenvalues(build_correlation_gram(sample))))
-        target = float(np.sum(params.tau.as_array()))
+        target = float(np.sum(params.tau.values))
         worst = max(worst, abs(total - target) / target)
     _criterion(2, worst <= 1e-9, f"max relative trace deviation {worst:.3e} over {len(cases)} samples")
 

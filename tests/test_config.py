@@ -1,21 +1,28 @@
 """Configuration layer: derived dimensions, tau schemes, entry-law moments."""
 
+import copy
 import math
+import pickle
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tensormp.config
 from tensormp.config import (
     MAX_REPLICAS,
+    MAX_SAMPLE_COUNT,
     EntryLaw,
     ModelKind,
+    TauScheme,
     ambient_dim,
     make_params,
     make_tau,
     params_from_json,
     params_to_json,
+    sample_count,
+    sweep_plan_from_json,
     tau_to_json,
 )
 from tensormp.sampling import _philox_keys, _raw_draws, _transform
@@ -133,9 +140,9 @@ def test_tau_schemes_compare_by_their_weights_and_keep_their_triple():
 
 def test_constant_tau_is_exact_ones():
     tau = make_tau("constant_one", 5)
-    assert tau.values == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert tau.values.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]
     for q in range(1, 21):
-        assert np.mean(tau.as_array() ** q) == 1.0
+        assert np.mean(tau.values**q) == 1.0
 
 
 def _two_point(a, b, weight, m):
@@ -143,9 +150,9 @@ def _two_point(a, b, weight, m):
 
 
 def test_two_point_fill_is_deterministic():
-    assert _two_point(1, 2, 0.5, 4).values == (1.0, 1.0, 2.0, 2.0)
-    assert _two_point(1, 2, 0.5, 5).values == (1.0, 1.0, 2.0, 2.0, 2.0)
-    assert np.mean(_two_point(1, 2, 0.5, 2).as_array() ** 3) == 4.5
+    assert _two_point(1, 2, 0.5, 4).values.tolist() == [1.0, 1.0, 2.0, 2.0]
+    assert _two_point(1, 2, 0.5, 5).values.tolist() == [1.0, 1.0, 2.0, 2.0, 2.0]
+    assert np.mean(_two_point(1, 2, 0.5, 2).values ** 3) == 4.5
     assert _two_point(1, 2, 0.5, 5).two_point == (1.0, 2.0, 0.5)
 
 
@@ -159,8 +166,8 @@ def test_two_point_rejects_a_non_finite_value_even_with_an_empty_share(bad):
 
 def test_explicit_tau_moment():
     tau = make_tau({"kind": "explicit", "values": [1, 1, 4]}, 3)
-    assert tau.values == (1.0, 1.0, 4.0)
-    assert np.mean(tau.as_array() ** 2) == 6.0
+    assert tau.values.tolist() == [1.0, 1.0, 4.0]
+    assert np.mean(tau.values**2) == 6.0
 
 
 def test_tau_validation_errors():
@@ -246,7 +253,58 @@ def test_json_defaults_and_explicit_tau():
 
     doc = params_to_json(make_params(4, 1, 0.75, tau={"kind": "explicit", "values": [1, 2, 3]}))
     assert doc["tau"] == {"kind": "explicit", "values": [1.0, 2.0, 3.0]}
-    assert params_from_json(doc).tau.values == (1.0, 2.0, 3.0)
+    assert params_from_json(doc).tau.values.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "tau",
+    ["constant_one", {"kind": "two_point", "a": 1.0, "b": 2.0, "weight": 0.5}, {"kind": "explicit", "values": [1, 2, 3]}],
+)
+def test_tau_values_are_one_read_only_float64_array(tau):
+    values = make_tau(tau, 3).values
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64 and values.shape == (3,)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 5.0
+    params = make_params(3, 1, 1.0, tau=tau)
+    assert params_from_json(params_to_json(params)) == params
+    for copied in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+        assert copied == params and copied.tau.two_point == params.tau.two_point
+        assert not copied.tau.values.flags.writeable
+    assert tau_to_json(params.tau) == tau_to_json(make_tau(tau_to_json(params.tau), 3))
+
+
+def test_a_scheme_holds_a_copy_of_the_weights_it_is_given():
+    weights = np.array([1.0, 2.0])
+    tau = TauScheme(weights)
+    weights[0] = 7.0
+    assert tau.values.tolist() == [1.0, 2.0] and weights.flags.writeable
+    for bad in ([], [[1.0, 2.0]], [1.0, math.nan], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="tau"):
+            TauScheme(bad)
+
+
+def test_explicit_ones_equal_and_hash_like_constant_one():
+    ones, constant = make_tau({"kind": "explicit", "values": [1, 1.0, 1]}, 3), make_tau("constant_one", 3)
+    assert ones == constant and hash(ones) == hash(constant)
+    assert ones != make_tau({"kind": "explicit", "values": [1, 1, 2]}, 3)
+    assert ones != make_tau("constant_one", 4) and ones != (1.0, 1.0, 1.0)
+    assert len({ones, constant}) == 1
+
+
+def test_sample_count_bound():
+    assert sample_count(1.0, MAX_SAMPLE_COUNT) == MAX_SAMPLE_COUNT == 2**13
+    with pytest.raises(ValueError, match=r"sample count m = 8193 exceeds the desk-scale bound 2\^13 = 8192"):
+        sample_count(1.0, MAX_SAMPLE_COUNT + 1)
+    assert len(make_params(2, 13, 1.0).tau) == MAX_SAMPLE_COUNT
+
+
+def test_a_point_past_the_bound_builds_no_tau(monkeypatch):
+    monkeypatch.setattr(tensormp.config, "make_tau", lambda *args: pytest.fail("make_tau ran"))
+    with pytest.raises(ValueError, match=r"sample count m = 16777216 exceeds the desk-scale bound 2\^13 = 8192"):
+        params_from_json({"n": 2, "k": 25, "c": 0.5})
+    with pytest.raises(ValueError, match="desk-scale bound"):
+        sweep_plan_from_json({"ns": [2], "c": 0.5, "k_schedule": {"kind": "fixed", "k": 25}})
 
 
 @pytest.mark.parametrize(

@@ -72,9 +72,12 @@ def test_power_schedule_shrinks_fold_ratio():
 
 
 def test_plan_builders():
-    plan = sweep_plan_from_json({"ns": [10, 20], "c": 0.5, "k_schedule": POWER_HALF, "replicas": 3})
-    assert [p.k for p in plan.points] == [4, 5]
-    assert [p.replicas for p in plan.points] == [3, 3]
+    # n = 20 gives k = 5, so m = 0.5 * 20^5 = 1 600 000, past the desk-scale bound
+    assert _k_of_n(POWER_HALF, 20) == 5
+    with pytest.raises(ValueError, match=r"sample count m = 1600000 exceeds the desk-scale bound"):
+        sweep_plan_from_json({"ns": [10, 20], "c": 0.5, "k_schedule": POWER_HALF, "replicas": 3})
+    plan = sweep_plan_from_json({"ns": [10], "c": 0.5, "k_schedule": POWER_HALF, "replicas": 3})
+    assert [(p.k, p.replicas) for p in plan.points] == [(4, 3)]
     with pytest.raises(ValueError, match="at least one point"):
         sweep_plan_from_json({"ns": [], "c": 0.5})
     with pytest.raises(ValueError, match="replicas must be at least 1"):
@@ -594,7 +597,7 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
     sample = sample_base(params, 0)
     _, d2 = model_spectra(params, 0, (ModelKind.COVARIANCE,))
     ys = np.stack([tensor_vector(sample, alpha) for alpha in range(params.sample_count)], axis=1)
-    weights = np.sqrt(params.tau.as_array())
+    weights = np.sqrt(params.tau.values)
     a = ys / np.linalg.norm(ys, axis=0) * weights
     b = ys / np.sqrt(params.ambient_dim) * weights
     lhs, rhs = levy_distance_trace_bound(a, b)
@@ -969,6 +972,10 @@ def test_distance_rejects_a_json_dump(tmp_path, capsys):
         ("simulate", {"n": 2, "k": 1, "c": 1e300}, [], r"sample count c\*N \+ 0\.5 = 2e\+300 is not below 2\^53"),
         ("simulate", {"n": 2, "k": 1, "c": 1e18}, [], r"sample count c\*N \+ 0\.5 = 2e\+18 is not below 2\^53"),
         ("sweep", {"ns": [2], "c": 1e18, "k_schedule": {"kind": "fixed", "k": 1}}, [], r"sample count .* not below 2\^53"),
+        # a point past desk scale is refused before its tau or its Gram is built; both Grams
+        # would be petabytes, so without the bound the run fails at the allocator, not slowly
+        ("simulate", {"n": 2, "k": 25, "c": 0.5}, [], r"sample count m = 16777216 exceeds the desk-scale bound 2\^13 = 8192"),
+        ("sweep", {"ns": [6, 4096], "c": 0.5}, [], r"sample count m = 8388608 exceeds the desk-scale bound 2\^13 = 8192"),
     ],
 )
 def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, document, flags, pattern):

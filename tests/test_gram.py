@@ -53,7 +53,7 @@ def test_correlation_diagonal_is_tau_exactly():
     params = make_params(5, 2, 8 / 25, tau=TWO_POINT_TAU, seed=4)
     sample = sample_base(params, 0)
     gram = build_correlation_gram(sample)
-    assert np.array_equal(np.diag(gram), params.tau.as_array().astype(complex))
+    assert np.array_equal(np.diag(gram), params.tau.values.astype(complex))
 
 
 def test_gram_is_exactly_hermitian_with_bounded_entries():
@@ -325,10 +325,10 @@ def test_the_covariance_step_reads_only_the_strict_lower_triangle(law):
         unit = params.entry_law.unit_modulus
         d2 = np.ones(params.sample_count) if unit else covariance_scales(sample)
         for gram in (fresh, solved):
-            _scale_to_covariance(gram, d2, params.tau.as_array())
+            _scale_to_covariance(gram, d2, params.tau.values)
         assert solved.tobytes() == fresh.tobytes()
         assert np.array_equal(fresh, fresh.conj().T)
-        diagonal = params.tau.as_array() * d2
+        diagonal = params.tau.values * d2
         assert fresh.diagonal().tobytes() == diagonal.astype(fresh.dtype).tobytes()
         if unit:  # D = I by the law: the congruence gives C, so model_spectra skips it
             assert np.array_equal(fresh, built)
@@ -378,7 +378,7 @@ def test_hermitize_is_its_formula_bitwise_with_signed_zero_parts(dtype, weights)
         product.imag = rng.choice(parts, (m, m))
         product[_PANEL_ROWS:, :] = np.abs(product[_PANEL_ROWS:, :]) + 1j  # panels with no -0.0 part
         assert np.count_nonzero(np.signbit(product.real) & (product.real == 0.0)) > 0
-    tau = make_tau(TWO_POINT_TAU if weights == "two_point" else {"kind": "explicit", "values": [1.0] * m}, m).as_array()
+    tau = make_tau(TWO_POINT_TAU if weights == "two_point" else {"kind": "explicit", "values": [1.0] * m}, m).values
     upper = np.triu(np.sqrt(np.outer(tau, tau)) * product, 1)
     expected = upper + upper.conj().T
     expected[np.diag_indices(m)] = tau
