@@ -30,7 +30,7 @@ eigs = eigenvalues(gram)
 dist = esd(eigs, params.ambient_dim)
 print(f"Gram is {len(gram)} x {len(gram)}; zero mass (1 - c side): {dist.zero_mass:.4f}")
 
-law = MPLaw.from_ratio(params.c)
+law = MPLaw(params.c)
 edges = np.linspace(0.0, law.lambda_plus + 0.2, 16)
 counts, _ = np.histogram(dist.atoms, bins=edges)
 print("\n  bin            empirical   limit density   bar")

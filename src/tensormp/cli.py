@@ -190,8 +190,8 @@ def _cmd_simulate(args) -> int:
         f"simulated {params.model.value} model: n={params.n} k={params.k} "
         f"m={params.sample_count} N={params.ambient_dim} replicas={params.replicas}"
     )
-    if params.tau.is_constant_one:
-        for record, *_ in runs:
+    for record, *_ in runs:
+        if not math.isnan(record.ks_mp):  # NaN where the point has no limit law (tau not identically 1)
             print(f"  replica {record.replica}: ks_mp={record.ks_mp:.6f} levy_mp={record.levy_mp:.6f}")
     return 0
 
@@ -219,7 +219,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mp(args) -> int:
     with _input_errors(args):
-        law = mp.MPLaw.from_ratio(args.c)
+        law = mp.MPLaw(args.c)
         moments = [(q, mp.moment(law, q)) for q in _moment_orders(args.moments)]
         if args.points < 2:
             raise ValueError(f"--points must be at least 2, got {args.points}")

@@ -112,19 +112,16 @@ def _evaluate_replica(
     """One replica of a point: its record, and the m Gram eigenvalues (structural zeros included) and
     spectral distribution of the point's own model. Limit-law distances are taken where tau is identically 1,
     the only case where the law exists; the coupled model distance only on request, 0.0 with none taken where
-    model_spectra returns one spectrum for both models (D = I). model_spectra draws and drops the sample."""
+    model_spectra's other spectrum is the point's own array (D = I). model_spectra draws and drops the sample."""
     start = time.perf_counter()
-    models = tuple(ModelKind) if with_comparison else (params.model,)
-    spectra, d2 = model_spectra(params, replica, models, buffer)
-    eigs = spectra.pop(params.model)
+    eigs, other, d2 = model_spectra(params, replica, with_comparison=with_comparison, buffer=buffer)
     dist = esd(eigs, params.ambient_dim)
     ks_mp = levy_mp = levy_models = float("nan")
     if params.tau.is_constant_one:
-        reference = mp.MPLaw.from_ratio(params.c)
+        reference = mp.MPLaw(params.c)
         ks_mp = ks_distance(dist, reference)
         levy_mp = levy_distance(dist, reference)
     if with_comparison:
-        (other,) = spectra.values()
         levy_models = 0.0 if other is eigs else levy_distance(dist, esd(other, params.ambient_dim))
         _check_levy_models(levy_models, params, d2)
     moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
@@ -223,7 +220,7 @@ def run_sphere_model(params: ModelParams) -> SphereReport:
         raise ValueError("the unit-sphere construction requires the complex Gaussian law")
     _require_limit_law_point(params)
 
-    law = mp.MPLaw.from_ratio(params.c)
+    law = mp.MPLaw(params.c)
     deviations, distances = [], []
     for replica in range(params.replicas):
         sample = sample_base(params, MAX_REPLICAS + replica)
@@ -259,9 +256,11 @@ def _check_gram_oracle(seed: int) -> Check:
         dim = n**k
         params = make_params(n, k, m / dim, seed=seed)
         sample = sample_base(params, 0)
-        for model in ModelKind:  # through model_spectra, the path every sweep runs: it draws this sample again
+        # through model_spectra, the path every sweep runs: one call solves both models of this sample
+        correlation, covariance, _ = model_spectra(params, 0, with_comparison=True)
+        for model, spectrum in zip(ModelKind, (correlation, covariance)):
             dense_nonzero = np.sort(nonzero_eigenvalues(eigenvalues(materialize_dense(sample, model))))
-            gram_nonzero = np.sort(nonzero_eigenvalues(model_spectra(params, 0, (model,))[0][model]))
+            gram_nonzero = np.sort(nonzero_eigenvalues(spectrum))
             if len(dense_nonzero) != len(gram_nonzero):
                 gaps.append(1.0)  # a rank mismatch fails the row
                 continue
@@ -347,14 +346,14 @@ def _check_norm_moments(seed: int) -> Check:
 def _check_mp_normalization(_: int) -> Check:
     gaps = []
     for c in (0.1, 0.25, 0.5, 0.9, 1.0):
-        law = mp.MPLaw.from_ratio(c)
+        law = mp.MPLaw(c)
         gaps.append(abs(law.atom_mass + mp.density_mass(law) - 1.0))
         gaps.append(abs(mp.moment(law, 1) - c))
     return nearest_failure("mp_normalization", gaps, 1e-8)
 
 
 def _check_mp_cdf_monotone(_: int) -> Check:
-    law = mp.MPLaw.from_ratio(0.5)
+    law = mp.MPLaw(0.5)
     xs = np.linspace(-0.5, law.lambda_plus + 0.5, 10_000)
     values = mp.cdf(law, xs)
     # the largest decrease: x - y of equal values is +0, where -(y - x) would be -0

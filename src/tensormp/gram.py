@@ -8,11 +8,12 @@ A Gram is built from a BaseSample alone (its weights are the sample's
 ``params.tau``) and is returned as a read-only m x m array. The covariance
 Gram is the diagonal congruence D C D of the correlation Gram C, and
 ``model_spectra`` writes it into C's own buffer from C's strict lower
-triangle, which C's solve leaves as it was. ``model_spectra`` draws a
-replica's sample itself and drops it before the first solve. Each level of
-a Gram is formed in that buffer, and each solve runs in it, made writable
-once, so a replica of every law holds one m x m block: in a sweep, the head
-of the one flat buffer (``gram_buffer``) that every replica reuses.
+triangle, which C's solve leaves as it was. ``model_spectra`` solves the
+point's own model (and the other, with comparison), and draws a replica's
+sample itself and drops it before the first solve. Each level of a Gram is
+formed in that buffer, and each solve runs in it, made writable once, so a
+replica of every law holds one m x m block: in a sweep, the head of the one
+flat buffer (``gram_buffer``) that every replica reuses.
 Real levels and solves call numpy's bundled OpenBLAS (``_numpy_openblas``)
 through ``_openblas``; without it numpy's products and eigvalsh give the same bits.
 """
@@ -477,31 +478,32 @@ def eigenvalues(matrix) -> np.ndarray:
 
 
 def model_spectra(
-    params: ModelParams, replica: int, models: tuple[ModelKind, ...], buffer: np.ndarray | None = None
-) -> tuple[dict[ModelKind, np.ndarray], np.ndarray | None]:
-    """Gram eigenvalues of each requested model of a replica, and d^2 (d_a^2 =
-    prod_l ||y_a^(l)||^2 / n, exactly 1 for a unit-modulus law) if the
-    covariance model is requested, else None. The sample is drawn here and
-    dropped once C is built and d^2 taken, before the first solve. One m x m
-    block, the flat buffer's head if one is given (a sweep's), serves both
-    models, and each solve runs in it: C is solved if requested, then D C D
-    is written into it from C's strict lower triangle, which the solve leaves
-    as it was, and solved. Where D = I by the law, both map to C's one spectrum array."""
-    models = {ModelKind(model) for model in models}
+    params: ModelParams, replica: int, *, with_comparison: bool = False, buffer: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(eigs, other, d2) of a replica: the Gram eigenvalues of the point's own
+    model; the other model's, with comparison, else None; and d^2 (d_a^2 =
+    prod_l ||y_a^(l)||^2 / n, exactly 1 for a unit-modulus law) wherever the
+    covariance Gram is formed, else None. The sample is drawn here and dropped
+    once C is built and d^2 taken, before the first solve. One m x m block,
+    the flat buffer's head if one is given (a sweep's), serves both models,
+    and each solve runs in it: C is solved if wanted, then D C D is written
+    into it from C's strict lower triangle, which the solve leaves as it was,
+    and solved. Where D = I by the law, other is eigs, the one array of C."""
+    correlation = params.model is ModelKind.CORRELATION
     sample = sample_base(params, replica)
     gram = build_correlation_gram(sample, buffer)
     unit, d2 = params.entry_law.unit_modulus, None
-    if ModelKind.COVARIANCE in models:
+    if with_comparison or not correlation:
         d2 = np.ones(params.sample_count) if unit else np.prod(sample.level_norms / params.n, axis=1)
     del sample  # only C and d^2 are read from here on
     gram.setflags(write=True)  # this call's own block, never handed out
-    spectra = {ModelKind.CORRELATION: _solve_checked(gram, gram)} if ModelKind.CORRELATION in models else {}
+    corr = _solve_checked(gram, gram) if with_comparison or correlation else None
     if d2 is None:
-        return spectra, None
+        return corr, None, None
     if not unit:
         _scale_to_covariance(gram, d2, params.tau.values)
-    spectra[ModelKind.COVARIANCE] = spectra[ModelKind.CORRELATION] if unit and spectra else _solve_checked(gram, gram)
-    return spectra, d2
+    cov = corr if unit and corr is not None else _solve_checked(gram, gram)
+    return (corr, cov, d2) if correlation else (cov, corr, d2)
 
 
 def nonzero_eigenvalues(eigs: np.ndarray) -> np.ndarray:

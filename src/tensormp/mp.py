@@ -14,7 +14,7 @@ the Narayana polynomials in c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,8 @@ MAX_MOMENT = 20
 
 @dataclass(frozen=True)
 class MPLaw:
-    """Limit law for the constant-tau case: support endpoints and zero atom.
+    """Limit law for the constant-tau case, built from its ratio alone:
+    MPLaw(c) derives the support endpoints and the zero atom.
 
     `evaluate`, `left_limit` and `sides` mirror those of
     `gram.SpectralDistribution`, so the law can stand in as the reference of
@@ -31,21 +32,18 @@ class MPLaw:
     """
 
     c: float
-    lambda_minus: float
-    lambda_plus: float
-    atom_mass: float
+    lambda_minus: float = field(init=False)
+    lambda_plus: float = field(init=False)
+    atom_mass: float = field(init=False)
 
-    @classmethod
-    def from_ratio(cls, c: float) -> "MPLaw":
-        if not (c > 0 and math.isfinite(c)):
+    def __post_init__(self):
+        if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError("ratio c must be positive and finite")
-        root = math.sqrt(c)
-        return cls(
-            c=float(c),
-            lambda_minus=(1.0 - root) ** 2,
-            lambda_plus=(1.0 + root) ** 2,
-            atom_mass=max(0.0, 1.0 - c),
-        )
+        root = math.sqrt(self.c)
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "lambda_minus", (1.0 - root) ** 2)
+        object.__setattr__(self, "lambda_plus", (1.0 + root) ** 2)
+        object.__setattr__(self, "atom_mass", max(0.0, 1.0 - self.c))
 
     def evaluate(self, x) -> np.ndarray:
         return np.asarray(cdf(self, x))

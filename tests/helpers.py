@@ -4,6 +4,8 @@ and the plain Levy bisection."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,18 @@ def forged_sample(entries, law_kind="complex_gaussian", seed=0) -> BaseSample:
     return BaseSample(entries=entries, params=params)
 
 
-def spectra_of(sample: BaseSample, models, buffer=None):
-    """model_spectra of a given sample: replica 0 of its params, with
-    tensormp.gram.sample_base, the binding model_spectra draws through,
-    returning this sample for the call."""
+def spectra_of(sample: BaseSample, model, *, with_comparison=False, buffer=None):
+    """model_spectra of a given sample: replica 0 of its params as a point of
+    the given model, with tensormp.gram.sample_base, the binding
+    model_spectra draws through, returning this sample for the call."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tensormp.gram, "sample_base", lambda params, replica: sample)
-        return model_spectra(sample.params, 0, models, buffer)
+        return model_spectra(replace(sample.params, model=model), 0, with_comparison=with_comparison, buffer=buffer)
+
+
+def as_bytes(arrays) -> list:
+    """The bytes of each array of a tuple, None where it holds None."""
+    return [None if a is None else a.tobytes() for a in arrays]
 
 
 def covariance_scales(sample: BaseSample) -> np.ndarray:

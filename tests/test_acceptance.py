@@ -60,10 +60,10 @@ def test_criterion_01_gram_dense_oracle_equivalence():
             for m in range(1, 6):
                 for model in ModelKind:
                     for seed in (0, 1, 2):
-                        params = make_params(n, k, m / dim, seed=seed)
+                        params = make_params(n, k, m / dim, model=model, seed=seed)
                         sample = sample_base(params, 0)
                         dense = np.sort(nonzero_eigenvalues(eigenvalues(materialize_dense(sample, model))))
-                        gram = np.sort(nonzero_eigenvalues(model_spectra(params, 0, (model,))[0][model]))
+                        gram = np.sort(nonzero_eigenvalues(model_spectra(params, 0)[0]))
                         assert len(dense) == len(gram), (n, k, m, model, seed)
                         if len(dense):
                             worst = max(worst, float(np.max(np.abs(dense - gram))))
@@ -145,7 +145,7 @@ def test_criterion_06_limit_law_analytics():
     worst_mass = 0.0
     worst_mean = 0.0
     for c in (0.1, 0.25, 0.5, 0.9, 1.0):
-        law = mp.MPLaw.from_ratio(c)
+        law = mp.MPLaw(c)
         worst_mass = max(worst_mass, abs(law.atom_mass + mp.density_mass(law) - 1.0))
         worst_mean = max(worst_mean, abs(mp.moment(law, 1) - c))
     elapsed = time.perf_counter() - start
@@ -206,7 +206,7 @@ def test_criterion_10_empirical_moments(convergence):
     params = summary.params
     ratio = params.sample_count / params.ambient_dim
     first_exact = abs(summary.mean["m1"] - ratio) <= 1e-9 * ratio
-    law = mp.MPLaw.from_ratio(params.c)
+    law = mp.MPLaw(params.c)
     deviations = []
     ok = first_exact
     for q, column in ((2, "m2"), (3, "m3"), (4, "m4_emp")):

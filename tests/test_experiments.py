@@ -272,16 +272,15 @@ def test_a_complex_replica_holds_one_gram_sized_array(law, model):
 _RSS_PROBE = """
 import resource, sys
 import tensormp.gram
-from tensormp.config import ModelKind, make_params
+from tensormp.config import make_params
 from tensormp.gram import model_spectra
 
 if sys.argv[1] == "fallback":
     tensormp.gram._openblas = lambda: None
-models = (ModelKind.CORRELATION, ModelKind.COVARIANCE)
-model_spectra(make_params(6, 2, 0.5), 0, models)  # one-time set-up: imports, LAPACK's code pages
+model_spectra(make_params(6, 2, 0.5), 0, with_comparison=True)  # one-time set-up: imports, LAPACK's code pages
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 params = make_params(40, 2, 0.5, seed=3)
-model_spectra(params, 0, models)
+model_spectra(params, 0, with_comparison=True)
 print(params.sample_count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
@@ -458,7 +457,7 @@ def _reference_replica(params, replica):
     dist = esd(eigs, params.ambient_dim)
     ks_mp = levy_mp = float("nan")
     if params.tau.is_constant_one:
-        law = MPLaw.from_ratio(params.c)
+        law = MPLaw(params.c)
         ks_mp, levy_mp = ks_distance(dist, law), levy_distance(dist, law)
     levy_models = levy_distance(dist, esd(other, params.ambient_dim))
     moments = [empirical_moment(dist, q) for q in (1, 2, 3, 4)]
@@ -595,7 +594,7 @@ def test_levy_models_bound_equals_the_explicit_matrix_bound(law, tau):
     # A holds the correlation model's tensor vectors, B = A D the covariance model's
     params = make_params(3, 2, 7 / 9, entry_law=law, tau=tau, seed=4)
     sample = sample_base(params, 0)
-    _, d2 = model_spectra(params, 0, (ModelKind.COVARIANCE,))
+    _, _, d2 = model_spectra(params, 0, with_comparison=True)
     ys = np.stack([tensor_vector(sample, alpha) for alpha in range(params.sample_count)], axis=1)
     weights = np.sqrt(params.tau.values)
     a = ys / np.linalg.norm(ys, axis=0) * weights
@@ -853,9 +852,9 @@ def test_every_replica_of_a_cli_command_builds_in_one_buffer(tmp_path, monkeypat
     buffers = []
     spectra = tensormp.experiments.model_spectra
 
-    def recorded(params, replica, models, buffer=None):
+    def recorded(params, replica, *, with_comparison, buffer):
         buffers.append(buffer)
-        return spectra(params, replica, models, buffer)
+        return spectra(params, replica, with_comparison=with_comparison, buffer=buffer)
 
     monkeypatch.setattr(tensormp.experiments, "model_spectra", recorded)
     _simulate(tmp_path, {"n": 6, "k": 2, "c": 0.5, "model": "covariance", "seed": 3, "replicas": 3}, "sim")
@@ -1180,6 +1179,20 @@ def test_a_nan_gap_fails_its_selftest_row(monkeypatch):
     monkeypatch.setattr(tensormp.mp, "density_mass", lambda law: float("nan"))
     row = tensormp.experiments._check_mp_normalization(0)
     assert np.isnan(row.gap) and not row.passed
+
+
+def test_the_gram_oracle_row_draws_each_point_once_on_each_path(monkeypatch):
+    # the dense oracle draws the sample once, and one model_spectra call solves both models of it
+    drawn = {"experiments": [], "gram": []}
+
+    def counted(seen):
+        return lambda params, replica: seen.append((params.n, params.k, params.sample_count, replica)) or sample_base(params, replica)
+
+    for module, seen in drawn.items():
+        monkeypatch.setattr(getattr(tensormp, module), "sample_base", counted(seen))
+    assert tensormp.experiments._check_gram_oracle(0).passed
+    assert drawn["gram"] == drawn["experiments"]
+    assert len(drawn["gram"]) == len(set(drawn["gram"])) == 5
 
 
 def test_single_fold_reduces_to_classical_model():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tensormp.gram
-from helpers import covariance_gram, covariance_scales, forged_sample, spectra_of
+from helpers import as_bytes, covariance_gram, covariance_scales, forged_sample, spectra_of
 from oracles import gram_out_of_place, hermitian_eigen_bisect, hermitian_row_two_scan, level_ratio_product_out_of_place
 from tensormp.checks import require
 from tensormp.cli import main, read_eigenvalue_csv
@@ -96,8 +96,8 @@ def test_a_coupled_replica_takes_its_level_norms_at_most_once(monkeypatch, law, 
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda spec, *operands, **kwargs: subscripts.append(spec) or einsum(spec, *operands, **kwargs))
     params = make_params(6, 2, 0.5, entry_law=law, tau=TWO_POINT_TAU, seed=2)
-    spectra, d2 = model_spectra(params, 0, tuple(ModelKind))
-    assert set(spectra) == set(ModelKind) and d2 is not None
+    eigs, other, d2 = model_spectra(params, 0, with_comparison=True)
+    assert eigs is not None and other is not None and d2 is not None
     assert subscripts.count("alj,alj->al") == passes
 
 
@@ -148,7 +148,7 @@ def test_eigenvalues_reject_a_corrupted_spectrum(monkeypatch, corrupt, identity)
     with pytest.raises(ValueError, match=identity):
         eigenvalues(gram)
     with pytest.raises(ValueError, match=identity):
-        model_spectra(params, 0, (ModelKind.CORRELATION,))
+        model_spectra(params, 0)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -282,22 +282,17 @@ def test_importing_the_cli_loads_no_blas_library():
     assert proc.stdout.count("currsize=0") == 2, proc.stdout
 
 
-@pytest.mark.parametrize(
-    "models",
-    [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
-)
+@pytest.mark.parametrize("with_comparison", [False, True])
+@pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("law", list(EntryLaw))
-def test_a_replica_without_numpy_openblas_gets_the_same_bits(monkeypatch, law, models):
+def test_a_replica_without_numpy_openblas_gets_the_same_bits(monkeypatch, law, model, with_comparison):
     # m = 70 spans two whole row panels and a partial one; k = 3 mirrors a real level down
-    params = make_params(5, 3, 70 / 125, entry_law=law, tau=TWO_POINT_TAU, seed=8)
+    params = make_params(5, 3, 70 / 125, model=model, entry_law=law, tau=TWO_POINT_TAU, seed=8)
     assert params.sample_count == 70
-    spectra, d2 = model_spectra(params, 0, models)
+    spectra = model_spectra(params, 0, with_comparison=with_comparison)
     monkeypatch.setattr(tensormp.gram, "_openblas", lambda: None)
-    fallback, fallback_d2 = model_spectra(params, 0, models)
-    assert {model: eigs.tobytes() for model, eigs in fallback.items()} == {
-        model: eigs.tobytes() for model, eigs in spectra.items()
-    }
-    assert (fallback_d2 is None and d2 is None) or fallback_d2.tobytes() == d2.tobytes()
+    fallback = model_spectra(params, 0, with_comparison=with_comparison)
+    assert as_bytes(fallback) == as_bytes(spectra)
 
 
 def _forged_real_valued_samples() -> list:
@@ -524,12 +519,10 @@ def test_eigenvalues_reject_a_hand_built_non_hermitian_gram():
         eigenvalues(gram)
 
 
-@pytest.mark.parametrize(
-    "models",
-    [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
-)
+@pytest.mark.parametrize("with_comparison", [False, True])
+@pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("law", list(EntryLaw))
-def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, models):
+def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, law, model, with_comparison):
     solves = []  # (buffer address, entries at the time of the solve)
     solve = tensormp.gram._solve_in_place
 
@@ -538,21 +531,23 @@ def test_model_spectra_solves_each_requested_model_in_one_buffer(monkeypatch, la
         return solve(gram)
 
     monkeypatch.setattr(tensormp.gram, "_solve_in_place", recorded)
-    params = make_params(9, 2, 40 / 81, entry_law=law, tau=TWO_POINT_TAU, seed=7)
+    params = make_params(9, 2, 40 / 81, model=model, entry_law=law, tau=TWO_POINT_TAU, seed=7)
     sample = sample_base(params, 0)  # the sample model_spectra draws
-    spectra, d2 = model_spectra(params, 0, models)
-    assert set(spectra) == set(models)
+    eigs, other, d2 = model_spectra(params, 0, with_comparison=with_comparison)
+    (other_model,) = set(ModelKind) - {model}
+    spectra = {model: eigs, other_model: other} if with_comparison else {model: eigs}
+    assert (other is None) is not with_comparison
     unit = params.entry_law.unit_modulus
-    both = len(models) == 2
-    assert len(solves) == (1 if unit or not both else 2)  # D = I by the law: one matrix, one solve
+    wanted = list(ModelKind) if with_comparison else [model]  # C first, then D C D
+    assert len(solves) == (1 if unit else len(wanted))  # D = I by the law: one matrix, one solve
     assert len({address for address, _ in solves}) == 1
+    assert (other is eigs) is (unit and with_comparison)
     # each solve sees its model's Gram bitwise, so a covariance-only request never solves C
-    solved_models = models if len(solves) == len(models) else models[:1]
-    for (_, entries), model in zip(solves, solved_models, strict=True):
-        assert entries.tobytes() == gram_out_of_place(sample, params.tau, model).tobytes()
-    for model, eigs in spectra.items():
-        assert eigs.tobytes() == np.linalg.eigvalsh(gram_out_of_place(sample, params.tau, model)).tobytes()
-    if ModelKind.COVARIANCE not in models:
+    for (_, entries), solved in zip(solves, wanted[: len(solves)], strict=True):
+        assert entries.tobytes() == gram_out_of_place(sample, params.tau, solved).tobytes()
+    for kind, w in spectra.items():
+        assert w.tobytes() == np.linalg.eigvalsh(gram_out_of_place(sample, params.tau, kind)).tobytes()
+    if model is ModelKind.CORRELATION and not with_comparison:
         assert d2 is None
     elif unit:
         assert d2.tobytes() == np.ones(params.sample_count).tobytes()
@@ -568,36 +563,42 @@ def test_the_covariance_gram_does_not_depend_on_the_request(monkeypatch, law):
     samples = _forged_real_valued_samples() if law == "forged" else [_two_point_sample(law, seed) for seed in (1, 4)]
     for sample in samples:
         received.clear()
-        spectra_of(sample, (ModelKind.COVARIANCE,))
-        spectra_of(sample, (ModelKind.CORRELATION, ModelKind.COVARIANCE))
-        covariance_only, correlation, covariance = received
-        assert covariance == covariance_only
+        spectra_of(sample, ModelKind.COVARIANCE)
+        spectra_of(sample, ModelKind.CORRELATION, with_comparison=True)
+        spectra_of(sample, ModelKind.COVARIANCE, with_comparison=True)
+        covariance_only, correlation, covariance, correlation_again, covariance_again = received
+        assert covariance == covariance_only == covariance_again
+        assert correlation == correlation_again
         assert correlation != covariance
+
+
+@pytest.mark.parametrize("law", list(EntryLaw))
+def test_a_covariance_point_with_comparison_swaps_the_correlation_points_spectra(law):
+    point = make_params(9, 2, 40 / 81, entry_law=law, tau=TWO_POINT_TAU, seed=7)
+    eigs, other, d2 = model_spectra(point, 0, with_comparison=True)
+    swapped = model_spectra(dataclasses.replace(point, model=ModelKind.COVARIANCE), 0, with_comparison=True)
+    assert as_bytes(swapped) == as_bytes((other, eigs, d2))
+    assert (swapped[1] is swapped[0]) == (other is eigs) == point.entry_law.unit_modulus
 
 
 @pytest.mark.parametrize("tau", ["constant_one", TWO_POINT_TAU])
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("m", [1, _PANEL_ROWS - 1, _PANEL_ROWS, _PANEL_ROWS + 1, 205])
-@pytest.mark.parametrize(
-    "models",
-    [(ModelKind.CORRELATION,), (ModelKind.COVARIANCE,), (ModelKind.CORRELATION, ModelKind.COVARIANCE)],
-)
+@pytest.mark.parametrize("with_comparison", [False, True])
+@pytest.mark.parametrize("model", list(ModelKind))
 @pytest.mark.parametrize("law", list(EntryLaw))
-def test_model_spectra_never_reads_an_unwritten_entry_of_a_reused_buffer(law, models, m, k, tau):
+def test_model_spectra_never_reads_an_unwritten_entry_of_a_reused_buffer(law, model, with_comparison, m, k, tau):
     # a buffer left full of NaN, +-1e308 or -0.0 gives the fresh block's bytes: a NaN read
     # would spread, and an overflow (a real law's missing zero fill) is an error here
-    params = make_params(6, k, m / 6**k, entry_law=law, tau=tau, seed=5)
+    params = make_params(6, k, m / 6**k, model=model, entry_law=law, tau=tau, seed=5)
     assert params.sample_count == m
-    expected_spectra, expected_d2 = model_spectra(params, 0, models)
+    expected = model_spectra(params, 0, with_comparison=with_comparison)
     buffer = np.empty(206**2, dtype=np.complex128)  # larger than any Gram here, as a sweep's is
     for fill in (np.nan, 1e308, -1e308, -0.0):
         buffer.view(np.float64).fill(fill)
-        spectra, d2 = model_spectra(params, 0, models, buffer)
-        assert {model: w.tobytes() for model, w in spectra.items()} == {
-            model: w.tobytes() for model, w in expected_spectra.items()
-        }
-        assert (d2 is None and expected_d2 is None) or d2.tobytes() == expected_d2.tobytes()
-        for w in (*spectra.values(), d2):  # the results are fresh arrays, not views of the buffer
+        spectra = model_spectra(params, 0, with_comparison=with_comparison, buffer=buffer)
+        assert as_bytes(spectra) == as_bytes(expected)
+        for w in spectra:  # the results are fresh arrays, not views of the buffer
             assert w is None or not np.shares_memory(w, buffer)
 
 
@@ -681,11 +682,11 @@ def test_hand_vectors_match_dense_computation():
 def test_gram_and_dense_share_nonzero_spectrum():
     for model in ModelKind:
         for law in ("complex_gaussian", "real_gaussian", "rademacher"):
-            params = make_params(3, 2, 4 / 9, entry_law=law, seed=6)
+            params = make_params(3, 2, 4 / 9, model=model, entry_law=law, seed=6)
             sample = sample_base(params, 0)
             dense = materialize_dense(sample, model)
             nz_dense = np.sort(nonzero_eigenvalues(eigenvalues(dense)))
-            nz_gram = np.sort(nonzero_eigenvalues(model_spectra(params, 0, (model,))[0][model]))
+            nz_gram = np.sort(nonzero_eigenvalues(model_spectra(params, 0)[0]))
             assert len(nz_dense) == len(nz_gram)
             assert nz_dense == pytest.approx(nz_gram, abs=1e-9)
 

@@ -79,7 +79,7 @@ def test_spectral_distribution_keeps_a_read_only_copy_of_the_atoms():
 
 
 def test_mp_law_evaluate_and_left_limit_keep_the_atom():
-    law = mp.MPLaw.from_ratio(0.25)
+    law = mp.MPLaw(0.25)
     assert law.evaluate(0.0) == 0.75
     assert law.left_limit(0.0) == 0.0
     assert law.evaluate(law.lambda_minus) == 0.75
@@ -96,7 +96,7 @@ def test_mp_law_evaluate_and_left_limit_keep_the_atom():
 
 def test_ks_to_the_law_evaluates_it_once_and_levy_is_the_plain_bisection(monkeypatch):
     f = esd(np.array([0.2, 0.9, 0.9, 1.7, 2.5]), 8)
-    law = mp.MPLaw.from_ratio(0.5)
+    law = mp.MPLaw(0.5)
     calls = []
     cdf = mp.cdf
     monkeypatch.setattr(mp, "cdf", lambda *args: calls.append(1) or cdf(*args))
@@ -273,7 +273,7 @@ def test_distances_to_the_law_match_a_dense_quadpack_scan():
     params = make_params(20, 2, 0.5, seed=13)
     sample = sample_base(params, 0)
     f = esd(eigenvalues(build_correlation_gram(sample)), params.ambient_dim)
-    law = mp.MPLaw.from_ratio(0.5)
+    law = mp.MPLaw(0.5)
     grid = np.linspace(-0.5, law.lambda_plus + 0.5, 40_001)
     spacing = grid[1] - grid[0]
     # every breakpoint and a point just before it, so the KS scan sees both sides of each jump
@@ -296,10 +296,10 @@ def _plan_cdfs(name, seeds):
     out = []
     for seed in seeds:
         for params in sweep_plan_from_json({**plan_doc, "seed": seed}).points:
-            law = mp.MPLaw.from_ratio(params.c)
+            law = mp.MPLaw(params.c)
             for replica in range(params.replicas):
-                spectra, _ = model_spectra(params, replica, (params.model,))
-                out.append((esd(spectra[params.model], params.ambient_dim), law))
+                eigs, _, _ = model_spectra(params, replica)
+                out.append((esd(eigs, params.ambient_dim), law))
     return out
 
 
@@ -366,7 +366,7 @@ def _edge_cdfs(rng, law):
 @pytest.mark.parametrize("c", [0.05, 0.3, 1.0, 2.5])  # c < 1: an atom at 0; c = 1: lambda_minus = 0; c > 1: no atom
 def test_levy_to_the_law_replays_the_bisection_on_edge_cases(c):
     rng = np.random.Generator(np.random.Philox(int(c * 100)))
-    law = mp.MPLaw.from_ratio(c)
+    law = mp.MPLaw(c)
     for f in _edge_cdfs(rng, law):
         assert levy_distance(f, law) == levy_bisection(f, law)
 
@@ -382,8 +382,8 @@ def _counted(atoms, dim):
 
 def _m_above_n_esd():
     params = make_params(6, 2, 1.5, entry_law="rademacher", seed=2)  # m = 54 > N = 36
-    spectra, _ = model_spectra(params, 0, (params.model,))
-    return esd(spectra[params.model], params.ambient_dim)
+    eigs, _, _ = model_spectra(params, 0)
+    return esd(eigs, params.ambient_dim)
 
 
 @pytest.mark.parametrize(

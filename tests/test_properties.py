@@ -53,7 +53,7 @@ def test_step_distances_are_bounded_symmetric_and_levy_below_ks(f, g):
 @_fast
 @given(step_functions(), ratios)
 def test_law_distances_are_bounded_and_levy_below_ks(f, c):
-    law = mp.MPLaw.from_ratio(c)
+    law = mp.MPLaw(c)
     ks = ks_distance(f, law)
     levy = levy_distance(f, law)
     assert 0.0 <= levy <= ks + 1e-9
@@ -63,7 +63,7 @@ def test_law_distances_are_bounded_and_levy_below_ks(f, c):
 @_fast
 @given(ratios, st.sets(st.integers(-1_000_000, 5_000_000), min_size=1, max_size=200))
 def test_mp_cdf_is_nondecreasing_with_left_limit_below(c, ticks):
-    law = mp.MPLaw.from_ratio(c)
+    law = mp.MPLaw(c)
     # points at least 1e-6 apart, plus the support ends and the atom
     xs = np.union1d(np.array(sorted(ticks)) * 1e-6, [0.0, law.lambda_minus, law.lambda_plus])
     values = law.evaluate(xs)
@@ -109,9 +109,9 @@ def test_gram_builders_match_the_explicit_tensor_oracle(params):
         assert np.array_equal(gram, gram.conj().T)  # eigenvalues() relies on it
     if params.entry_law.unit_modulus:
         # D = I by the law: model_spectra takes d^2 as exactly 1 and solves C as the covariance Gram
-        spectra, d2 = spectra_of(sample, (ModelKind.COVARIANCE,))
+        eigs, _, d2 = spectra_of(sample, ModelKind.COVARIANCE)
         assert d2.tobytes() == np.ones(params.sample_count).tobytes()
-        assert spectra[ModelKind.COVARIANCE].tobytes() == np.linalg.eigvalsh(corr).tobytes()
+        assert eigs.tobytes() == np.linalg.eigvalsh(corr).tobytes()
 
 
 @st.composite
