@@ -22,6 +22,10 @@ from .gram import esd
 from .metrics import ks_distance, levy_distance
 from .experiments import run_replicas, run_sweep, selftest, sweep_rows
 
+# the most grid points (mp --points) or histogram bins (simulate --bins) a command writes:
+# plenty for a plot, and far below what would exhaust memory
+MAX_PLOT_POINTS = 2**20
+
 
 def _add_common(parser: argparse.ArgumentParser, *, config: bool = True) -> None:
     if config:
@@ -53,6 +57,14 @@ def _input_errors(args):
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"tensormp {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+
+
+def _check_plot_count(flag: str, value: int, least: int) -> None:
+    """Refuse a grid or bin count below ``least`` or above MAX_PLOT_POINTS."""
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if value > MAX_PLOT_POINTS:
+        raise ValueError(f"{flag} must be at most 2^20 = {MAX_PLOT_POINTS}, got {value}")
 
 
 def _out_dir(out, fmt: str, *names: str) -> Path:
@@ -170,8 +182,7 @@ def _cmd_simulate(args) -> int:
         params = params_from_json(_load_json(args.config))
         if args.seed is not None:
             params = replace(params, seed=args.seed)
-        if args.bins < 1:
-            raise ValueError(f"--bins must be at least 1, got {args.bins}")
+        _check_plot_count("--bins", args.bins, 1)
         out = _out_dir(args.out, args.format, "eigenvalues", "histogram")
     _warn_regime(params)
     runs = list(run_replicas(SweepPlan(points=(params,)), with_comparison=False))
@@ -221,8 +232,7 @@ def _cmd_mp(args) -> int:
     with _input_errors(args):
         law = mp.MPLaw(args.c)
         moments = [(q, mp.moment(law, q)) for q in _moment_orders(args.moments)]
-        if args.points < 2:
-            raise ValueError(f"--points must be at least 2, got {args.points}")
+        _check_plot_count("--points", args.points, 2)
         xs, dens, cdf_values = mp.evaluation_grid(law, points=args.points, lo=args.lo, hi=args.hi)
         out = _out_dir(args.out, args.format, "mp_grid")
     rows = [

@@ -110,9 +110,10 @@ def _evaluate_replica(
     params: ModelParams, replica: int, *, with_comparison: bool, buffer: np.ndarray | None = None
 ) -> tuple[ReplicaRecord, np.ndarray, SpectralDistribution]:
     """One replica of a point: its record, and the m Gram eigenvalues (structural zeros included) and
-    spectral distribution of the point's own model. Limit-law distances are taken where tau is identically 1,
-    the only case where the law exists; the coupled model distance only on request, 0.0 with none taken where
-    model_spectra's other spectrum is the point's own array (D = I). model_spectra draws and drops the sample."""
+    spectral distribution of the point's own model. Limit-law distances are taken for either model wherever
+    tau is identically 1, the only case with an analytic reference; the coupled model distance only on
+    request, 0.0 with none taken where model_spectra's other spectrum is the point's own array (D = I).
+    model_spectra draws and drops the sample."""
     start = time.perf_counter()
     eigs, other, d2 = model_spectra(params, replica, with_comparison=with_comparison, buffer=buffer)
     dist = esd(eigs, params.ambient_dim)
@@ -164,7 +165,9 @@ def run_replicas(
 
 
 def _require_limit_law_point(point: ModelParams) -> None:
-    """The limit law is the reference only for the correlation model with tau identically 1."""
+    """Refuse a point that is not the paper's statement: the correlation model with tau identically 1.
+    A sweep also reports the limit-law distances of a covariance point with tau identically 1, but
+    run_convergence and the sphere experiment measure the paper's statement, so they take only this."""
     if not point.tau.is_constant_one:
         raise ValueError("the limit-law reference requires tau identically equal to 1")
     if point.model is not ModelKind.CORRELATION:

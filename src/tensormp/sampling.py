@@ -19,9 +19,12 @@ vectorized pass of SeedSequence's hash, runs Philox4x64-10 itself over the
 transforms the words as numpy's generator would: a uniform law (unit circle,
 Rademacher) reads one word per entry or per two, a Gaussian law numpy's
 256-layer ziggurat (``random_standard_normal``, tables in
-``tensormp._ziggurat``). Every draw runs this one pass, ``_raw_draws``. No
-tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever formed, since it grows
-like n^k: consumers multiply the per-level ratios ||y^(l)||^2 / n.
+``tensormp._ziggurat``): every word is read as a draw's first word at
+once, then every rejected one, wedge or tail, is walked in word order with
+libm's exp and log1p, as numpy's C loop reads it. Every draw runs this one
+pass, ``_raw_draws``. No tensor norm ||Y||^2 = prod_l ||y^(l)||^2 is ever
+formed, since it grows like n^k: consumers multiply the per-level ratios
+||y^(l)||^2 / n.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 def _uint32_words(value: int) -> list[int]:
     """SeedSequence's little-endian uint32 split of a non-negative int (0 -> [0])."""
+    if value < 0:  # its shifts would never reach 0
+        raise ValueError(f"a seed or spawn key must be non-negative, got {value}")
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)
@@ -241,7 +246,7 @@ def _uniform_fill(per_word: int, keys: np.ndarray, out: np.ndarray, blocks: int)
 # -(rabs * wi) bitwise, -0.0 included.
 _SIGNED_WI = np.concatenate([WI, -WI])
 _KI_TWICE = np.concatenate([KI, KI])
-_SIGN_LAYER_BITS, _LAYER_BITS, _MAGNITUDE_BITS, _SHIFT9 = _u64(0x1FF, 0xFF, 2**52 - 1, 9)
+_SIGN_LAYER_BITS, _MAGNITUDE_BITS, _SHIFT9 = _u64(0x1FF, 2**52 - 1, 9)
 
 
 def _first_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,41 +260,31 @@ def _first_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, rabs < np.take(_KI_TWICE, index)
 
 
-def _wedge_accepts(layer: np.ndarray, x: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """The wedge test of each rejected first word: with u the next word's
-    double, (fi[layer-1] - fi[layer]) u + fi[layer] < exp(-x^2/2), decided by
-    libm's exponential through ``math``, as numpy's C calls it. np.exp
-    differs from it by an ulp or so, far inside the 1e-14 band in which a
-    comparison is re-decided by libm."""
-    edge = FI[layer]
-    threshold = (FI[layer - 1] - edge) * _uniform(word) + edge
-    exponent = -0.5 * x * x
-    density = np.exp(exponent)
-    close = np.flatnonzero(np.abs(threshold - density) <= 1e-14 * density)
-    density[close] = [math.exp(v) for v in exponent[close].tolist()]
-    return threshold < density
+def _resolve_in_order(words: np.ndarray, x: np.ndarray, keep: np.ndarray) -> None:
+    """Resolve every rejected first word of the (rows, width) word arrays in
+    word order, as numpy's loop reads them, writing ``keep`` and ``x``, both
+    C-contiguous, in place.
 
-
-def _resolve_in_order(words, x, keep, events, accepts, width: int) -> None:
-    """Resolve the rejected first words at the ascending flat ``events`` of
-    (rows, width) word arrays in word order, as numpy's loop reads them,
-    writing ``keep`` and ``x`` in place.
-
-    An event that an earlier event of its row read as a uniform is skipped.
-    A wedge keeps its x if it ``accepts`` and its uniform is dropped; the tail
-    (layer 0) reads uniform pairs until yy + yy > xx^2, with xx = -log1p(-u1)
-    / r and yy = -log1p(-u2) from libm, and keeps +-(r + xx). Words an event
-    would read past its row's end are dropped, so the row comes up short.
+    A rejected word that an earlier one of its row read as a uniform is
+    skipped. A wedge (layer > 0) reads the next word's double u, keeps its x
+    if (fi[layer-1] - fi[layer]) u + fi[layer] < exp(-x^2/2) and drops the
+    uniform; the tail (layer 0) reads uniform pairs until yy + yy > xx^2, with
+    xx = -log1p(-u1) / r and yy = -log1p(-u2), and keeps +-(r + xx). exp and
+    log1p are libm's, through ``math``, as numpy's C calls them. Words an
+    event would read past its row's end are dropped, so the row comes up short.
     """
+    width = words.shape[1]
+    words, x, keep = words.reshape(-1), x.reshape(-1), keep.reshape(-1)
+    events = np.flatnonzero(~keep)
     pos = 0
-    for event, accept in zip(events.tolist(), accepts.tolist()):
+    for event, word, value in zip(events.tolist(), words[events].tolist(), x[events].tolist()):
         if event < pos:
             continue
         end = event - event % width + width
-        word = int(words[event])
-        if word & 0xFF:
+        if layer := word & 0xFF:
             if event + 1 < end:
-                keep[event] = accept
+                u = _uniform(int(words[event + 1]))
+                keep[event] = (FI[layer - 1] - FI[layer]) * u + FI[layer] < math.exp(-0.5 * value * value)
                 keep[event + 1] = False
             pos = min(event + 2, end)
             continue
@@ -313,40 +308,22 @@ def _normals(keys: np.ndarray, out: np.ndarray, blocks: int) -> np.ndarray:
     reading the first ``blocks`` blocks of each key's words; return the rows
     whose words ran out first, which hold no draws.
 
-    Every word is first read as a draw's first word. A rejected one that no
-    earlier event reads is a wedge or the tail; in a row with no tail and no
-    two adjacent rejections, each is a wedge whose uniform is the next word,
-    with the next draw at the word after, and these rows are resolved as
-    arrays. The other rows are resolved in word order. A row's draws are its
-    first ``draws`` kept words, so only the kept words past its first
+    Every word is first read as a draw's first word, as arrays; the rejected
+    ones, wedges and tails, are then walked in word order. A row's draws are
+    its first ``draws`` kept words, so only the kept words past its first
     ``draws`` words need trimming.
     """
     rows, draws = out.shape
     words = _philox_words(keys, blocks)
     x, keep = _first_words(words)
-    width = words.shape[1]
-    flat_words, flat_x, flat_keep = words.reshape(-1), x.reshape(-1), keep.reshape(-1)
-
-    events = np.flatnonzero(~flat_keep)
-    layer = (flat_words[events] & _LAYER_BITS).astype(np.intp)
-    accepts = _wedge_accepts(layer, flat_x[events], flat_words[np.minimum(events + 1, words.size - 1)])
-    row = events // width
-    in_order = layer == 0
-    in_order[1:] |= events[1:] == events[:-1] + 1
-    walked_rows = np.zeros(rows, dtype=bool)
-    walked_rows[row[in_order]] = True
-    walked = walked_rows[row]
-    _resolve_in_order(flat_words, flat_x, flat_keep, events[walked], accepts[walked], width)
-    wedges = ~walked & (events % width < width - 1)
-    flat_keep[events[wedges]] = accepts[wedges]
-    flat_keep[events[wedges] + 1] = False
+    _resolve_in_order(words, x, keep)
 
     need = draws - np.count_nonzero(keep[:, :draws], axis=1)
     past = keep[:, draws:]
     got = np.cumsum(past, axis=1)
     past &= got <= need[:, None]
     short = got[:, -1] < need
-    keep[short] = np.arange(width) < draws
+    keep[short] = np.arange(keep.shape[1]) < draws
     out[...] = x[keep].reshape(rows, draws)
     return np.flatnonzero(short)
 

@@ -287,11 +287,14 @@ def levy_law_scan(f, c: float, xs, tol: float = 1e-12) -> float:
     return hi
 
 
-def ziggurat_normals(words, count: int) -> tuple[np.ndarray, Counter]:
+def ziggurat_normals(words, count: int, end: int = 0) -> tuple[np.ndarray, Counter]:
     """``count`` draws of numpy's random_standard_normal from the uint64
     stream ``words``, one word at a time as numpy's C loop reads them, and a
     tally of the events on the way: "tail" and "wedge" rejections of a first
     word, "wedge_rejected" wedges that start a new draw, and "words" read.
+    With ``end``, it also counts the events that the end of the first
+    ``end`` words cuts: "wedge_at_end", a wedge whose first word is the last
+    of them, and "tail_past_end", a tail that starts before it and reads past.
     It shares the package's tables, which the comparisons with numpy's own
     generator check."""
     stream = map(int, words)
@@ -315,14 +318,17 @@ def ziggurat_normals(words, count: int) -> tuple[np.ndarray, Counter]:
             values.append(x)
         elif layer == 0:
             events["tail"] += 1
+            start = events["words"]
             while True:
                 xx = NEG_INV_R * log1p(-uniform())
                 yy = -log1p(-uniform())
                 if yy + yy > xx * xx:
                     break
+            events["tail_past_end"] += start <= end < events["words"]
             values.append(-(R + xx) if rabs >> 8 & 1 else R + xx)
         else:
             events["wedge"] += 1
+            events["wedge_at_end"] += events["words"] == end
             if (float(FI[layer - 1]) - float(FI[layer])) * uniform() + float(FI[layer]) < exp(-0.5 * x * x):
                 values.append(x)
             else:

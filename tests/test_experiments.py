@@ -962,6 +962,9 @@ def test_distance_rejects_a_json_dump(tmp_path, capsys):
         ("sweep", {"ns": [6], "c": 0.5, "out": 3}, [], r"sweep plan key 'out' must be a string, got 3"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5, "replicas": 2**20 + 1}, [], r"replicas must be .* at most 2\^20 = 1048576, .*"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", "0"], r"--bins must be at least 1, got 0"),
+        # a histogram of 3e9 bins would fail at the allocator, after every replica has run
+        ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", "3000000000"], r"--bins must be at most 2\^20 = 1048576, got 3000000000"),
+        ("simulate", {"n": 6, "k": 2, "c": 0.5}, ["--bins", str(2**20 + 1)], r"--bins must be at most 2\^20 = 1048576, got 1048577"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": ["x"]}}, [], r"tau key 'kind' must be one of .*, got \['x'\]"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": {"a": 1}}}, [], r"tau key 'kind' must be one of .*"),
         ("simulate", {"n": 6, "k": 2, "c": 0.5, "tau": {"kind": 3}}, [], r"tau key 'kind' must be one of .*, got 3"),
@@ -991,6 +994,8 @@ def test_cli_reports_a_bad_input_file_in_one_line(tmp_path, capsys, command, doc
         (["--c", "-1"], r"ratio c must be positive and finite"),
         (["--c", "0.5", "--moments", "1,x"], r"--moments must be comma-separated integers, got '1,x'"),
         (["--c", "0.5", "--points", "1"], r"--points must be at least 2, got 1"),
+        (["--c", "0.5", "--points", "3000000000"], r"--points must be at most 2\^20 = 1048576, got 3000000000"),
+        (["--c", "0.5", "--points", str(2**20 + 1)], r"--points must be at most 2\^20 = 1048576, got 1048577"),
         (["--c", "0.5", "--points", "3", "--lo", "nan"], r"the grid needs finite bounds lo < hi, got lo=nan, .*"),
         (["--c", "0.5", "--lo", "5", "--hi", "1"], r"the grid needs finite bounds lo < hi, got lo=5\.0, hi=1\.0"),
     ],

@@ -25,7 +25,7 @@ from tensormp.sampling import (
     _philox_words,
     _raw_draws,
     _transform,
-    _wedge_accepts,
+    _resolve_in_order,
     norm_moment_check,
     sample_base,
     stream_entries,
@@ -91,6 +91,15 @@ def test_stream_entries_are_the_keyed_reference(law):
     for row in range(5):
         for index, column in enumerate(columns):
             assert entries[row, index].tobytes() == _draw(law, _stream(seed, 7, 0, row, column), 9).tobytes()
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 3), (5, -1), (-(2**40), -2)])
+def test_a_negative_seed_or_stream_is_refused(seed, stream):
+    # as SeedSequence refuses it; -1 >> 32 is -1, so its uint32 words would never end
+    with pytest.raises(ValueError, match=rf"a seed or spawn key must be non-negative, got {min(seed, stream)}"):
+        stream_uniforms(seed, stream, 2, range(1), 3)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.SeedSequence(seed, spawn_key=(stream, 0, 0, 0))
 
 
 def test_stream_uniforms_are_numpys_random_under_the_keyed_reference():
@@ -383,17 +392,24 @@ def test_ziggurat_tables_are_the_installed_numpys(tmp_path):
 
 
 def test_wedge_test_decides_close_calls_with_libm():
-    # x within a few ulps of where exp(-x^2/2) meets each threshold, where np.exp and
-    # libm's exp, which numpy's C calls, disagree on some decisions
-    words = _philox_words(_philox_keys(5, (0,), 64, range(1)), 8).reshape(-1)
-    layers = (words & np.uint64(0xFF)).astype(np.intp) % 255 + 1
-    thresholds = (FI[layers - 1] - FI[layers]) * ((words >> np.uint64(11)) * 2.0**-53) + FI[layers]
+    # rows of a rejected first word of each layer and its uniform, with x within a few ulps of
+    # where exp(-x^2/2) meets the threshold, where np.exp and libm's exp, which numpy's C calls,
+    # disagree on some decisions
+    uniforms = _philox_words(_philox_keys(5, (0,), 64, range(1)), 8).reshape(-1)
+    layers = (uniforms & np.uint64(0xFF)).astype(np.intp) % 255 + 1
+    thresholds = (FI[layers - 1] - FI[layers]) * ((uniforms >> np.uint64(11)) * 2.0**-53) + FI[layers]
     at = np.sqrt(-2.0 * np.log(thresholds))
     xs = (at[:, None] + np.arange(-6, 7) * np.spacing(at)[:, None]).reshape(-1)
-    layers, words, thresholds = (np.repeat(a, 13) for a in (layers, words, thresholds))
+    layers, uniforms, thresholds = (np.repeat(a, 13) for a in (layers, uniforms, thresholds))
     libm = np.array([t < math.exp(-0.5 * x * x) for t, x in zip(thresholds.tolist(), xs.tolist())])
     assert np.any((thresholds < np.exp(-0.5 * xs * xs)) != libm)
-    assert np.array_equal(_wedge_accepts(layers, xs, words), libm)
+
+    words = np.stack([layers.astype(np.uint64), uniforms], axis=1)
+    x = np.stack([xs, np.zeros_like(xs)], axis=1)
+    keep = np.stack([np.zeros(xs.size, dtype=bool), np.ones(xs.size, dtype=bool)], axis=1)
+    _resolve_in_order(words, x, keep)
+    assert np.array_equal(keep[:, 0], libm) and not keep[:, 1].any()
+    assert np.array_equal(x[:, 0], xs)
 
 
 def test_gaussian_sampling_exercises_every_ziggurat_event():
@@ -428,3 +444,17 @@ def test_pinned_gaussian_examples_hit_each_event():
     # 3 or 4 draws get two blocks of words first: 8 words
     assert any(t["words"] > 8 for t in tallies("real_gaussian", 2**33 + 11119, 2, 1, 3))
     assert any(t["words"] > 8 for t in tallies("complex_gaussian", 2**33 + 11119, 2, 1, 2))
+
+
+@pytest.mark.parametrize("seed, column, event", [(1, 13060, "wedge_at_end"), (13, 216, "tail_past_end")])
+def test_the_walker_stops_at_the_end_of_a_row(monkeypatch, seed, column, event):
+    # the key (7, 0, 0, column) needs more words than it first gets: the last of them is a
+    # wedge's first word, or the tail reads past them; the next row's words must stay its own
+    calls = _record_philox_calls(monkeypatch)
+    law, n = EntryLaw.REAL_GAUSSIAN, 300
+    entries = stream_entries(law, seed, 7, 3, range(column, column + 1), n)
+    keys, blocks = calls[0]
+    assert len(keys) == 3 and [len(redrawn) for redrawn, _ in calls[1:]] == [1]  # row 0 alone ran short
+    assert ziggurat_normals(_philox_words(keys[0], 2 * blocks), n, 4 * blocks)[1][event] == 1
+    for row in range(3):
+        assert entries[row, 0].tobytes() == _draw(law, _stream(seed, 7, 0, row, column), n).tobytes(), row
